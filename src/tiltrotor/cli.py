@@ -181,7 +181,10 @@ def cmd_curves(args) -> int:
         raise CliError(f"--bias must lie in (0, 1], got {args.bias}", EXIT_INVALID)
     gait = _load_gait_arg(args, params, apply_bias=False)
     biased = gaitlab.bias_gait(gait, args.bias)
-    grid = gaitlab.AttitudeGrid.symmetric(args.grid_limit, args.grid_res)
+    try:
+        grid = gaitlab.AttitudeGrid.symmetric(args.grid_limit, args.grid_res)
+    except ValueError as exc:
+        raise CliError(f"bad attitude grid: {exc}", EXIT_INVALID) from exc
     csv_path, svg_path, json_path = _prepare_outputs(
         args, ["curves.csv", "curves.svg", "robustness.json"]
     )

@@ -27,8 +27,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -335,6 +337,11 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
 # gaits
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Gait:
     """Time-periodic tilting-angle schedule.
@@ -364,16 +371,16 @@ class Gait:
             raise ValueError("time fractions must increase strictly from 0 to 1")
         if np.max(np.abs(al[0] - al[-1])) > 1e-6:
             raise ValueError("gait must close: first and last waypoints differ")
-        object.__setattr__(self, "waypoints", wp)
-        object.__setattr__(self, "alphas", al)
+        # own read-only copies, so the knot lists below cannot go stale
+        object.__setattr__(self, "waypoints", _frozen(wp.copy()))
+        object.__setattr__(self, "alphas", _frozen(al.copy()))
+        # plain-float knot lists for the samplers, built once; not a field,
+        # so equality is unaffected, and plain lists keep the gait picklable
+        object.__setattr__(self, "_knots", (wp.tolist(), *al.T.tolist()))
 
     def sampler(self) -> Callable[[float], tuple]:
         """Fast periodic piecewise-linear sampler returning 4-tuples."""
-        fr = self.waypoints.tolist()
-        a1 = self.alphas[:, 0].tolist()
-        a2 = self.alphas[:, 1].tolist()
-        a3 = self.alphas[:, 2].tolist()
-        a4 = self.alphas[:, 3].tolist()
+        fr, a1, a2, a3, a4 = self._knots
         period = self.period_s
         last = len(fr) - 2
 
@@ -556,6 +563,12 @@ class AttitudeGrid:
     n_theta: int = 241
 
     def __post_init__(self):
+        bounds = (self.phi_min, self.phi_max, self.theta_min, self.theta_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError(f"grid bounds must be finite, got {bounds}")
+        for n in (self.n_phi, self.n_theta):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise TypeError(f"sample counts must be integers, got {n!r}")
         if self.phi_min >= self.phi_max or self.theta_min >= self.theta_max:
             raise ValueError("grid bounds must be increasing")
         if self.n_phi < 2 or self.n_theta < 2:
@@ -565,13 +578,14 @@ class AttitudeGrid:
     def symmetric(cls, limit: float, n: int = 241) -> "AttitudeGrid":
         return cls(-limit, limit, -limit, limit, n, n)
 
-    @property
+    # cached in the instance ``__dict__`` (read-only, so shared safely)
+    @cached_property
     def phis(self) -> np.ndarray:
-        return np.linspace(self.phi_min, self.phi_max, self.n_phi)
+        return _frozen(np.linspace(self.phi_min, self.phi_max, self.n_phi))
 
-    @property
+    @cached_property
     def thetas(self) -> np.ndarray:
-        return np.linspace(self.theta_min, self.theta_max, self.n_theta)
+        return _frozen(np.linspace(self.theta_min, self.theta_max, self.n_theta))
 
     @property
     def diagonal(self) -> float:
@@ -597,22 +611,78 @@ _SEGMENTS = {
     6: (("b", "t"),), 7: (("l", "t"),), 8: (("l", "t"),), 9: (("b", "t"),),
     11: (("t", "r"),), 12: (("l", "r"),), 13: (("b", "r"),), 14: (("l", "b"),),
 }
+# saddle cases: (pairs if the cell centre is positive, pairs otherwise)
+_SADDLES = {
+    5: ((("b", "r"), ("l", "t")), (("l", "b"), ("t", "r"))),
+    10: ((("l", "b"), ("t", "r")), (("b", "r"), ("l", "t"))),
+}
+_BISECT_STEPS = 80
 
 
-def _refine_edge(p0, p1, g0, g1, geval, eps):
-    """Bisect the sign change between grid points ``p0`` and ``p1``."""
-    a, b = p0, p1
-    ga, gb = g0, g1
-    for _ in range(80):
-        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-        gm = geval(mid[0], mid[1])
-        if abs(gm) < eps:
-            return mid
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+def _curve_eps(coeffs: DetCoefficients) -> float:
+    scale = max(abs(coeffs.A), abs(coeffs.B), abs(coeffs.C))
+    return 1e-10 * scale if scale > 0.0 else 1e-300
+
+
+def _sign_grid(coeffs: DetCoefficients, grid: AttitudeGrid) -> np.ndarray:
+    """``g > 0`` at every grid node."""
+    return normalized_det(grid.phis[:, None], grid.thetas[None, :], coeffs) > 0.0
+
+
+def _changed_cells(S: np.ndarray) -> np.ndarray:
+    """Cells whose four corners do not all share one sign."""
+    c00 = S[:-1, :-1]
+    return (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
+
+
+def _bisect_edges(a_phi, a_theta, b_phi, b_theta, pos_a, coeffs, eps):
+    """Bisect the sign change of ``g`` on every edge ``a -> b`` at once.
+
+    ``pos_a`` is ``g(a) > 0``.  Each edge runs the scalar iteration: it
+    stops at the first midpoint with ``|g| < eps``; otherwise the
+    midpoint replaces the end whose sign it shares, so ``a`` keeps its
+    sign throughout.  A stopped edge collapses its bracket onto that
+    midpoint, which later halvings then reproduce exactly, so every edge
+    returns the midpoint of its bracket after ``_BISECT_STEPS`` halvings
+    or once all edges have stopped.
+    """
+    for _ in range(_BISECT_STEPS):
+        m_phi = 0.5 * (a_phi + b_phi)
+        m_theta = 0.5 * (a_theta + b_theta)
+        gm = normalized_det(m_phi, m_theta, coeffs)
+        hit = np.abs(gm) < eps
+        if hit.all():
+            return m_phi, m_theta
+        same = (gm > 0.0) == pos_a
+        to_a = hit | same
+        to_b = hit | ~same
+        a_phi = np.where(to_a, m_phi, a_phi)
+        a_theta = np.where(to_a, m_theta, a_theta)
+        b_phi = np.where(to_b, m_phi, b_phi)
+        b_theta = np.where(to_b, m_theta, b_theta)
+    return 0.5 * (a_phi + b_phi), 0.5 * (a_theta + b_theta)
+
+
+def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, S: np.ndarray):
+    """Refined zero of ``g`` on every crossing grid edge.
+
+    Returns ``(p_edges, t_edges, phi, theta)``: the ``(i, j)`` index
+    arrays of the crossing edges along phi (node ``(i, j)`` to
+    ``(i + 1, j)``) and along theta (to ``(i, j + 1)``), both row-major,
+    and the vertex coordinates, phi edges first.
+    """
+    phis, thetas = grid.phis, grid.thetas
+    pi, pj = np.nonzero(S[:-1, :] != S[1:, :])
+    ti, tj = np.nonzero(S[:, :-1] != S[:, 1:])
+    phi, theta = _bisect_edges(
+        np.concatenate([phis[pi], phis[ti]]),
+        np.concatenate([thetas[pj], thetas[tj]]),
+        np.concatenate([phis[pi + 1], phis[ti]]),
+        np.concatenate([thetas[pj], thetas[tj + 1]]),
+        np.concatenate([S[pi, pj], S[ti, tj]]),
+        coeffs, _curve_eps(coeffs),
+    )
+    return (pi, pj), (ti, tj), phi, theta
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -626,60 +696,39 @@ def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveS
 def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> SingularCurveSet:
     """Marching-squares zero curves of the normalized determinant.
 
-    Vertices are refined by bisection along the crossing grid edges to
-    ``|g| < eps_curve`` with ``eps_curve = 1e-10 * max(|A|, |B|, |C|)``.
-    Adjacent cells share refined vertices, so the segments stitch into
-    polylines exactly.
+    Vertices are refined on all crossing grid edges together, in one
+    vectorized bisection, to ``|g| < eps_curve`` with ``eps_curve =
+    1e-10 * max(|A|, |B|, |C|)`` (or to the 80th halving).  Adjacent
+    cells share refined vertices, so the segments stitch into polylines
+    exactly.
     """
-    scale = max(abs(coeffs.A), abs(coeffs.B), abs(coeffs.C))
-    eps = 1e-10 * scale if scale > 0.0 else 1e-300
+    S = _sign_grid(coeffs, grid)
     phis, thetas = grid.phis, grid.thetas
-    G = normalized_det(phis[:, None], thetas[None, :], coeffs)
-    S = G > 0.0
-
-    def geval(phi, theta):
-        return float(normalized_det(phi, theta, coeffs))
-
+    (pi, pj), (ti, tj), vphi, vtheta = _edge_zeros(coeffs, grid, S)
     # refined vertex per crossing grid edge, keyed by (axis, i, j)
-    verts: dict = {}
-    pi_idx, pj_idx = np.nonzero(S[:-1, :] != S[1:, :])      # edges along phi
-    for i, j in zip(pi_idx.tolist(), pj_idx.tolist()):
-        verts[("p", i, j)] = _refine_edge(
-            (phis[i], thetas[j]), (phis[i + 1], thetas[j]),
-            G[i, j], G[i + 1, j], geval, eps,
-        )
-    ti_idx, tj_idx = np.nonzero(S[:, :-1] != S[:, 1:])      # edges along theta
-    for i, j in zip(ti_idx.tolist(), tj_idx.tolist()):
-        verts[("t", i, j)] = _refine_edge(
-            (phis[i], thetas[j]), (phis[i], thetas[j + 1]),
-            G[i, j], G[i, j + 1], geval, eps,
-        )
+    keys = [("p", i, j) for i, j in zip(pi.tolist(), pj.tolist())]
+    keys += [("t", i, j) for i, j in zip(ti.tolist(), tj.tolist())]
+    verts = dict(zip(keys, zip(vphi.tolist(), vtheta.tolist())))
 
-    c00 = S[:-1, :-1]
-    changed = (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
+    ci, cj = np.nonzero(_changed_cells(S))
+    cases = S[ci, cj] + 2 * S[ci + 1, cj] + 4 * S[ci + 1, cj + 1] + 8 * S[ci, cj + 1]
+    centre_pos = np.zeros(len(cases), dtype=bool)
+    saddle = (cases == 5) | (cases == 10)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
+        centre = normalized_det(0.5 * (phis[si] + phis[si + 1]),
+                                0.5 * (thetas[sj] + thetas[sj + 1]), coeffs)
+        centre_pos[saddle] = centre > 0.0
+
     segments = []
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(changed))):
-        case = (
-            (1 if S[i, j] else 0)
-            | (2 if S[i + 1, j] else 0)
-            | (4 if S[i + 1, j + 1] else 0)
-            | (8 if S[i, j + 1] else 0)
-        )
+    for i, j, case, pos in zip(ci.tolist(), cj.tolist(), cases.tolist(), centre_pos.tolist()):
         edge_keys = {
             "b": ("p", i, j),
             "t": ("p", i, j + 1),
             "l": ("t", i, j),
             "r": ("t", i + 1, j),
         }
-        if case in (5, 10):
-            center = geval(0.5 * (phis[i] + phis[i + 1]), 0.5 * (thetas[j] + thetas[j + 1]))
-            center_pos = center > 0.0
-            if case == 5:
-                pairs = (("b", "r"), ("l", "t")) if center_pos else (("l", "b"), ("t", "r"))
-            else:
-                pairs = (("l", "b"), ("t", "r")) if center_pos else (("b", "r"), ("l", "t"))
-        else:
-            pairs = _SEGMENTS[case]
+        pairs = _SADDLES[case][0 if pos else 1] if case in _SADDLES else _SEGMENTS[case]
         for ea, eb in pairs:
             segments.append((edge_keys[ea], edge_keys[eb]))
 
@@ -718,7 +767,7 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
             curves.append(walk(key))
 
     polylines = [np.array([verts[k] for k in chain]) for chain in curves]
-    return SingularCurveSet(curves=polylines, grid=grid, eps_curve=eps)
+    return SingularCurveSet(curves=polylines, grid=grid, eps_curve=_curve_eps(coeffs))
 
 
 @dataclass(frozen=True)
@@ -740,18 +789,16 @@ class RobustnessReport:
 
 def _phase_metrics(args):
     gait, grid, params, t = args
-    alpha = tuple(gait.sample_raw(t))
-    coeffs = det_decomposition(alpha, params)
-    G = normalized_det(grid.phis[:, None], grid.thetas[None, :], coeffs)
-    S = G > 0.0
-    c00 = S[:-1, :-1]
-    changed = (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
+    coeffs = det_decomposition(tuple(gait.sample_raw(t)), params)
+    S = _sign_grid(coeffs, grid)
+    changed = _changed_cells(S)
     frac = 1.0 - float(changed.sum()) / changed.size
     margin = None
     if changed.any():
-        vv = singular_curves(alpha, grid, params).vertices()
-        if len(vv):
-            margin = float(np.min(np.hypot(vv[:, 0], vv[:, 1])))
+        # every crossing edge's vertex lies on a curve, so the nearest
+        # singular point needs the refined vertices but no stitching
+        _, _, phi, theta = _edge_zeros(coeffs, grid, S)
+        margin = float(np.min(np.hypot(phi, theta)))
     return frac, margin
 
 

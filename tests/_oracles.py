@@ -124,3 +124,113 @@ def decoupling_direct(eta, alpha, params):
     top = T @ np.linalg.solve(params.inertia, tau)
     bottom = rotation_direct(eta)[2] @ F / params.m
     return np.vstack([top, bottom])
+
+
+# ---------------------------------------------------------------------------
+# singular-curve extraction, one edge at a time
+
+
+_MS_SEGMENTS = {
+    1: (("l", "b"),), 2: (("b", "r"),), 3: (("l", "r"),), 4: (("t", "r"),),
+    6: (("b", "t"),), 7: (("l", "t"),), 8: (("l", "t"),), 9: (("b", "t"),),
+    11: (("t", "r"),), 12: (("l", "r"),), 13: (("b", "r"),), 14: (("l", "b"),),
+}
+
+
+def _g_direct(phi, theta, A, B, C):
+    """Attitude factor of the determinant, in the package's operation order."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    ct = np.cos(theta)
+    return -np.sin(theta) * A + np.sin(phi) * ct * B + np.cos(phi) * ct * C
+
+
+def refine_edge_scalar(p0, p1, g0, geval, eps):
+    """Bisect the sign change between grid points ``p0`` and ``p1``.
+
+    Up to 80 halvings; stops at the first midpoint with ``|g| < eps``,
+    otherwise returns the final bracket's midpoint.
+    """
+    a, b = p0, p1
+    ga = g0
+    for _ in range(80):
+        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+        gm = geval(mid[0], mid[1])
+        if abs(gm) < eps:
+            return mid
+        if (gm > 0.0) == (ga > 0.0):
+            a, ga = mid, gm
+        else:
+            b = mid
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+
+
+def zero_curves_scalar(A, B, C, phis, thetas):
+    """Marching-squares zero curves with each crossing edge bisected alone.
+
+    Returns ``(polylines, eps)``: curves as ``(n, 2)`` arrays in the
+    stitching order of the package (endpoints first, sorted by edge key,
+    then closed loops) and the bisection tolerance.
+    """
+    scale = max(abs(A), abs(B), abs(C))
+    eps = 1e-10 * scale if scale > 0.0 else 1e-300
+    G = _g_direct(phis[:, None], thetas[None, :], A, B, C)
+    S = G > 0.0
+
+    def geval(phi, theta):
+        return float(_g_direct(phi, theta, A, B, C))
+
+    verts = {}
+    for i, j in zip(*(k.tolist() for k in np.nonzero(S[:-1, :] != S[1:, :]))):
+        verts[("p", i, j)] = refine_edge_scalar(
+            (phis[i], thetas[j]), (phis[i + 1], thetas[j]), G[i, j], geval, eps)
+    for i, j in zip(*(k.tolist() for k in np.nonzero(S[:, :-1] != S[:, 1:]))):
+        verts[("t", i, j)] = refine_edge_scalar(
+            (phis[i], thetas[j]), (phis[i], thetas[j + 1]), G[i, j], geval, eps)
+
+    adjacency = {}
+    for i in range(len(phis) - 1):
+        for j in range(len(thetas) - 1):
+            case = (int(S[i, j]) | 2 * int(S[i + 1, j])
+                    | 4 * int(S[i + 1, j + 1]) | 8 * int(S[i, j + 1]))
+            if case in (0, 15):
+                continue
+            keys = {"b": ("p", i, j), "t": ("p", i, j + 1),
+                    "l": ("t", i, j), "r": ("t", i + 1, j)}
+            if case in (5, 10):
+                centre_pos = geval(0.5 * (phis[i] + phis[i + 1]),
+                                   0.5 * (thetas[j] + thetas[j + 1])) > 0.0
+                if (case == 5) == centre_pos:
+                    pairs = (("b", "r"), ("l", "t"))
+                else:
+                    pairs = (("l", "b"), ("t", "r"))
+            else:
+                pairs = _MS_SEGMENTS[case]
+            for ea, eb in pairs:
+                adjacency.setdefault(keys[ea], []).append(keys[eb])
+                adjacency.setdefault(keys[eb], []).append(keys[ea])
+
+    visited = set()
+    chains = []
+
+    def walk(start):
+        chain = [start]
+        visited.add(start)
+        prev, node = None, start
+        while True:
+            nxt = [k for k in adjacency[node] if k != prev and k not in visited]
+            if not nxt:
+                if prev is not None and start in adjacency[node] and len(chain) > 2:
+                    chain.append(start)
+                return chain
+            prev, node = node, nxt[0]
+            visited.add(node)
+            chain.append(node)
+
+    for key in sorted(k for k, nb in adjacency.items() if len(nb) == 1):
+        if key not in visited:
+            chains.append(walk(key))
+    for key in sorted(adjacency):
+        if key not in visited:
+            chains.append(walk(key))
+    return [np.array([verts[k] for k in chain]) for chain in chains], eps

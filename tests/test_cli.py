@@ -103,6 +103,14 @@ def test_curves_invalid_phases(tmp_path, gait_files):
                    str(gait_files / "gait_gait1.csv"), "--phases", "0") == 2
 
 
+@pytest.mark.parametrize("grid_args", [("--grid-limit", "inf"), ("--grid-limit", "nan"),
+                                       ("--grid-limit", "0"), ("--grid-res", "1")])
+def test_curves_invalid_grid(tmp_path, gait_files, grid_args):
+    assert run_cli("--out", str(tmp_path), "curves", "--gait",
+                   str(gait_files / "gait_gait1.csv"), *grid_args) == 2
+    assert not (tmp_path / "curves.csv").exists()
+
+
 def test_curves_malformed_gait(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n1,2\n")

@@ -1,14 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import tiltrotor as tr
 from tiltrotor.gaitlab import GAIT_PRESETS, residual_scale, scan_roots
 from tiltrotor.linearization import DetCoefficients, abc_scale
 
-from _oracles import ab_grid_direct, abc_direct
+from _oracles import ab_grid_direct, abc_direct, zero_curves_scalar
 
 TWO_PI = 2.0 * math.pi
 
@@ -322,3 +325,176 @@ def test_robustness_report_parallel_matches_serial(params):
     serial = tr.robustness_report(g, grid, 8, params, workers=1)
     parallel = tr.robustness_report(g, grid, 8, params, workers=2)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# curve extraction against the edge-by-edge oracle
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+MAGNITUDE = st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12])
+GRID_N = st.integers(2, 61)
+
+
+@st.composite
+def generic_curves(draw):
+    """Random coefficients on a random grid inside |phi|, |theta| < pi/2."""
+    scale = draw(MAGNITUDE)
+    coeffs = tuple(scale * draw(UNIT) for _ in range(3))
+    limit = draw(st.floats(0.1, 1.5))
+    return coeffs, tr.AttitudeGrid(-limit, limit, -limit, limit, draw(GRID_N), draw(GRID_N))
+
+
+@st.composite
+def saddle_curves(draw):
+    """Crossing zero lines phi = phi0 and theta = pi/2 (cos(theta) = 0).
+
+    With A = 0 the factor ``cos(theta) * sin(phi - phi0)`` makes the cell
+    around the crossing a marching-squares saddle (case 5 or 10); a small
+    A splits the crossing into two close branches.
+    """
+    phi0 = draw(st.floats(-1.0, 1.0))
+    rho = draw(MAGNITUDE)
+    A = rho * draw(st.sampled_from([0.0, 1e-6, -1e-3, 1e-2]))
+    coeffs = (A, rho * math.cos(phi0), -rho * math.sin(phi0))
+    grid = tr.AttitudeGrid(
+        phi0 - draw(st.floats(0.05, 1.0)), phi0 + draw(st.floats(0.05, 1.0)),
+        math.pi / 2 - draw(st.floats(0.05, 1.0)), math.pi / 2 + draw(st.floats(0.05, 1.0)),
+        draw(GRID_N), draw(GRID_N),
+    )
+    return coeffs, grid
+
+
+@st.composite
+def tangent_curves(draw):
+    """A curve whose crest grazes a grid line of constant theta.
+
+    The zero set is ``tan(theta) = rho sin(phi + phi0) / A``; its crest
+    ``atan(rho / A)`` is put within a tiny offset of a grid theta, above a
+    grid phi or between two, so the crossing edges there are near-tangent.
+    """
+    n = draw(st.integers(3, 61))
+    limit = draw(st.floats(0.3, 1.5))
+    axis = np.linspace(-limit, limit, n)
+    cell = axis[1] - axis[0]
+    offset = draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-6]))
+    crest = axis[draw(st.integers(1, n - 2))] + cell * offset
+    peak = axis[draw(st.integers(0, n - 1))] + cell * draw(st.sampled_from([0.0, 0.5, 1e-7]))
+    A = draw(MAGNITUDE) * draw(st.sampled_from([1.0, -1.0]))
+    rho = A * math.tan(crest)
+    phi0 = math.pi / 2 - peak
+    coeffs = (A, rho * math.cos(phi0), rho * math.sin(phi0))
+    return coeffs, tr.AttitudeGrid(-limit, limit, -limit, limit, n, n)
+
+
+@st.composite
+def coarse_curves(draw):
+    """Random coefficients on a grid far from the origin.
+
+    Near ``1e8`` rad one float step moves ``g`` by more than the
+    tolerance, so the bisections stall and return their last bracket's
+    midpoint.
+    """
+    coeffs = tuple(draw(UNIT) for _ in range(3))
+    far = st.sampled_from([1e6, 1e8, -3e9])
+    phi0, theta0 = draw(far), draw(far)
+    return coeffs, tr.AttitudeGrid(phi0, phi0 + 3.5, theta0, theta0 + 3.5,
+                                   draw(GRID_N), draw(GRID_N))
+
+
+THETA_LINE = ((1.0, 0.0, 0.0), tr.AttitudeGrid.symmetric(1.2, 121))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generic_curves(), saddle_curves(), tangent_curves(), coarse_curves()))
+@example(THETA_LINE)
+@example(((0.0, 1.0, 0.0), tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23)))
+def test_extract_zero_curves_matches_edge_by_edge_oracle(case):
+    (A, B, C), grid = case
+    cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
+    expected, eps = zero_curves_scalar(A, B, C, grid.phis, grid.thetas)
+    assert cs.eps_curve == eps
+    assert len(cs.curves) == len(expected)
+    for got, want in zip(cs.curves, expected):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, in curve order
+
+
+def test_saddle_example_has_saddle_cells():
+    # the explicit saddle example above really exercises cases 5 and 10
+    grid = tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23)
+    S = (np.cos(grid.thetas)[None, :] * np.sin(grid.phis)[:, None]) > 0.0
+    cases = S[:-1, :-1] + 2 * S[1:, :-1] + 4 * S[1:, 1:] + 8 * S[:-1, 1:]
+    assert np.any((cases == 5) | (cases == 10))
+
+
+# robustness reports of the presets and their 0.8-biased variants on the
+# acceptance grid (|phi|, |theta| <= 1.2, 241 x 241, 64 phases): area
+# fraction, hover margin, phases, singular phases
+PRESET_REPORTS = {
+    ("gait1", 1.0): (1.0, 3.394112549695428, 64, 0),
+    ("gait1", 0.8): (0.9998090277777778, 1.6566268520560878, 64, 4),
+    ("gait2", 1.0): (1.0, 3.394112549695428, 64, 0),
+    ("gait2", 0.8): (0.9925, 0.051368402121289514, 64, 64),
+    ("gait3", 1.0): (1.0, 3.394112549695428, 64, 0),
+    ("gait3", 0.8): (0.9923784722222222, 0.12077573548781581, 64, 64),
+}
+
+
+def test_preset_robustness_reports_pinned(params):
+    grid = tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, 241, 241)
+    for (name, bias), fields in PRESET_REPORTS.items():
+        gait = tr.bias_gait(tr.build_preset(name, params), bias)
+        rep = tr.robustness_report(gait, grid, 64, params)
+        got = (rep.area_fraction, rep.hover_margin, rep.n_phases, rep.singular_phases)
+        assert got == fields, (name, bias)
+
+
+# ---------------------------------------------------------------------------
+# boundary checks and cached data
+
+
+@pytest.mark.parametrize("bounds", [
+    (-1.2, math.inf, -1.2, 1.2), (-math.inf, 1.2, -1.2, 1.2),
+    (-1.2, 1.2, math.nan, 1.2), (-1.2, 1.2, -1.2, math.nan),
+])
+def test_attitude_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        tr.AttitudeGrid(*bounds, 41, 41)
+
+
+@pytest.mark.parametrize("counts", [(41.5, 41), (41, 41.0), (True, 41), (41, "41"), (41, None)])
+def test_attitude_grid_rejects_non_integer_counts(counts):
+    with pytest.raises(TypeError, match="integers"):
+        tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, *counts)
+
+
+def test_attitude_grid_axes_cached_and_read_only():
+    grid = tr.AttitudeGrid(-1.0, 1.2, -0.5, 0.7, np.int64(31), 17)
+    assert grid.phis is grid.phis and grid.thetas is grid.thetas
+    np.testing.assert_array_equal(grid.phis, np.linspace(-1.0, 1.2, 31))
+    np.testing.assert_array_equal(grid.thetas, np.linspace(-0.5, 0.7, 17))
+    with pytest.raises(ValueError):
+        grid.phis[0] = 0.0
+    assert grid == tr.AttitudeGrid(-1.0, 1.2, -0.5, 0.7, 31, 17)
+    clone = pickle.loads(pickle.dumps(grid))
+    assert clone == grid
+    np.testing.assert_array_equal(clone.phis, grid.phis)
+
+
+def test_sample_raw_matches_sampler_and_survives_pickle(params):
+    g = tr.bias_gait(tr.build_preset("gait3", params), 0.8)
+    clone = pickle.loads(pickle.dumps(g))
+    sample = g.sampler()
+    for t in np.linspace(0.0, 3.0 * g.period_s, 97):
+        want = np.array(sample(float(t)))
+        assert g.sample_raw(t).tobytes() == want.tobytes()
+        assert clone.sample_raw(t).tobytes() == want.tobytes()
+    # the cached knots follow a replaced schedule, and the schedule itself
+    # cannot change under them
+    flat = tr.bias_gait(g, 0.5)
+    np.testing.assert_array_equal(flat.sample_raw(0.0)[2:], 0.5 * g.alphas[0, 2:])
+    with pytest.raises(ValueError):
+        g.alphas[0, 2] = 0.0
+    with pytest.raises(ValueError):
+        g.waypoints[1] = 0.5
