@@ -27,7 +27,7 @@ import numpy as np
 
 from tiltrotor import gaitlab, sim
 from tiltrotor.control import Gains, load_config
-from tiltrotor.errors import AbortedSingular, ContinuationBreak, Degenerate, NoRoot
+from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import Params
 from tiltrotor.svgplot import LinePlot
 
@@ -98,7 +98,7 @@ def _load_gait_arg(args, params: Params, apply_bias: bool = True) -> gaitlab.Gai
 
 def cmd_colormap(args) -> int:
     params, _, _ = _load_setup(args)
-    if args.range <= 0 or args.range > 1.5707:
+    if not 0.0 < args.range <= 1.5707:
         raise CliError(f"--range must lie in (0, pi/2), got {args.range}", EXIT_INVALID)
     if args.res < 2:
         raise CliError(f"--res must be >= 2, got {args.res}", EXIT_INVALID)
@@ -106,11 +106,7 @@ def cmd_colormap(args) -> int:
         args, [f"colormap_{args.branch}.csv", f"colormap_{args.branch}_planes.json"]
     )
     values = np.linspace(-args.range, args.range, args.res)
-    try:
-        result = gaitlab.color_map(values, values, args.branch, params)
-    except (ContinuationBreak, NoRoot, Degenerate) as exc:
-        print(f"colormap failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    result = gaitlab.color_map(values, values, args.branch, params)
 
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("alpha1,alpha2,alpha3,alpha4,residual_sign\n")
@@ -149,7 +145,7 @@ def cmd_gaitgen(args) -> int:
         name = args.preset
         try:
             gait = gaitlab.build_preset(name, params, period=args.period)
-        except (ValueError, ContinuationBreak, NoRoot, Degenerate) as exc:
+        except ValueError as exc:
             raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
     else:
         if args.center is None or args.half is None or args.branch is None:
@@ -159,7 +155,7 @@ def cmd_gaitgen(args) -> int:
             gait = gaitlab.make_rectangle_gait(
                 args.center, args.half, args.period, args.branch, params
             )
-        except (ValueError, ContinuationBreak, NoRoot, Degenerate) as exc:
+        except ValueError as exc:
             raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
     if args.bias is not None:
         if not 0.0 < args.bias <= 1.0:

@@ -5,21 +5,21 @@ useful completions ``(alpha3, alpha4)`` that zero both tilt coefficients
 ``A`` and ``B`` of the determinant decomposition.  On such a completion
 the decoupling matrix stays invertible at every attitude with ``|phi|,
 |theta| < pi/2``: its determinant reduces to ``cos(phi) cos(theta) C``
-up to a state-independent factor.  The two completions form continuous
-sheets over the ``(alpha1, alpha2)`` plane:
+up to a state-independent factor.  The two completions are planes over
+the ``(alpha1, alpha2)`` plane, for every ``k_f``, ``k_m`` and arm
+length:
 
-* the **blue** branch passes through ``(0, 0)`` at the origin,
-* the **red** branch passes through ``(pi, pi)``.
+* the **blue** branch ``(alpha3, alpha4) = (alpha1, alpha2)``,
+* the **red** branch ``(alpha3, alpha4) = (alpha1 + pi, alpha2 + pi)``.
 
-Both are planes (the fits in :func:`color_map` confirm this to machine
-precision), which keeps rectangle gaits exactly on-branch under linear
-interpolation.
+The solver writes them down in closed form, which keeps rectangle gaits
+exactly on-branch under linear interpolation.
 
 The raw root set of ``A = B = 0`` is larger: it also contains rank-
 deficient completions with ``A = B = C = 0`` (singular at *every*
-attitude) and a second robust pair of opposite residual parity.  The
-solver tracks the blue/red pair by continuation from the origin anchors
-and can cross-check against a multi-start scan (``verify=True``).
+attitude) and a second robust pair of opposite residual parity.  A
+multi-start Newton scan of that set (:func:`scan_roots`) cross-checks the
+closed form on request (``verify=True``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.errors import ContinuationBreak, Degenerate, NoRoot
+from tiltrotor.errors import Degenerate
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
 from tiltrotor.model import Params, TiltAngles, wrap_angle
 
@@ -51,18 +51,40 @@ RES_SCALE_EXP = 2
 AB_TOL_FACTOR = 1e-14
 AB_BOUND_FACTOR = 1e-8
 
-CONTINUATION_STEP = 0.2     # max anchor-path step [rad]
-CONTINUATION_JUMP = 0.5     # branch-tracking jump guard [rad]
 CLUSTER_RADIUS = 1e-3       # multi-start root clustering radius [rad]
 NEWTON_MAX_ITER = 60
 
-BLUE_ANCHOR = (0.0, 0.0)
-RED_ANCHOR = (math.pi, math.pi)
+# (alpha3, alpha4) = (alpha1, alpha2) + offset on each robust branch
+BRANCH_OFFSETS = {"blue": 0.0, "red": math.pi}
 
 
 def residual_scale(params: Params) -> float:
     """Scale for A/B residual tolerances."""
     return params.k_f * (params.arm_length * params.k_f + params.k_m) ** RES_SCALE_EXP
+
+
+def _branch_offset(branch) -> float:
+    if not isinstance(branch, str) or branch not in BRANCH_OFFSETS:
+        raise ValueError(f"branch color must be 'blue' or 'red', got {branch!r}")
+    return BRANCH_OFFSETS[branch]
+
+
+def _completion(alpha1, alpha2, branch: str):
+    """``(alpha3, alpha4)`` of ``branch`` at ``(alpha1, alpha2)``, scalars or arrays.
+
+    Both branch planes zero ``A`` and ``B`` identically, whatever the
+    rotor constants; the red plane stays on the continuous sheet near
+    ``pi`` rather than wrapping.
+    """
+    offset = _branch_offset(branch)
+    return alpha1 + offset, alpha2 + offset
+
+
+def _finite(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got {values!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -72,7 +94,8 @@ class ColorSolution:
     ``alpha34`` is stored on the continuous branch sheet (the red branch
     keeps values near ``pi`` rather than wrapping), so gaits built from
     it interpolate without seams.  ``residual_sign`` is the sign of the
-    remaining determinant coefficient ``C`` at the solution.
+    remaining determinant coefficient ``C`` at the solution and
+    ``residual`` is ``|A| + |B|`` there.
     """
 
     alpha12: np.ndarray
@@ -93,66 +116,15 @@ def _newton(a1, a2, seed34, params: Params, tol):
     )
 
 
-def _track_branch(alpha12, anchor, params: Params, tol) -> tuple:
-    """Follow one branch from its origin anchor to ``alpha12``.
-
-    Straight-line continuation in the (alpha1, alpha2) plane with a
-    linear predictor and Newton polishing at each step.  The prediction
-    matters: the robust sheets intersect the rank-deficient root family
-    at isolated points, and a nearest-seed corrector can hop families
-    there, while extrapolation along the (planar) sheet stays on-branch.
-    Returns the continuous-sheet ``(a3, a4, residual)``.
-    """
-    a1t, a2t = float(alpha12[0]), float(alpha12[1])
-    dist = math.hypot(a1t, a2t)
-    if dist == 0.0:
-        n3, n4, res, ok = _newton(a1t, a2t, anchor, params, tol)
-        if not ok:
-            raise NoRoot("branch polish failed at the anchor", res)
-        return n3, n4, res
-
-    n_steps = max(1, math.ceil(dist / CONTINUATION_STEP))
-    fracs = [k / n_steps for k in range(1, n_steps + 1)]
-    # short bootstrap step so the predictor has two on-sheet points
-    # before the path can approach a sheet collision
-    boot = 0.05 / dist
-    if boot < fracs[0]:
-        fracs.insert(0, boot)
-
-    prev_f, prev = 0.0, anchor
-    prev2_f, prev2 = None, None
-    res = math.inf
-    for f in fracs:
-        if prev2 is None:
-            seed = prev
-        else:
-            scale = (f - prev_f) / (prev_f - prev2_f)
-            seed = (
-                prev[0] + scale * (prev[0] - prev2[0]),
-                prev[1] + scale * (prev[1] - prev2[1]),
-            )
-        a1, a2 = a1t * f, a2t * f
-        n3, n4, res, ok = _newton(a1, a2, seed, params, tol)
-        if not ok:
-            raise NoRoot(
-                f"branch tracking failed at (alpha1, alpha2)=({a1:.4f}, {a2:.4f})", res
-            )
-        jump = math.hypot(n3 - seed[0], n4 - seed[1])
-        if jump > CONTINUATION_JUMP:
-            raise ContinuationBreak((a1, a2), jump)
-        prev2_f, prev2 = prev_f, prev
-        prev_f, prev = f, (n3, n4)
-    return prev[0], prev[1], res
-
-
-def _solution(alpha12, a3, a4, res, color, params: Params) -> ColorSolution:
-    coeffs = det_decomposition((alpha12[0], alpha12[1], a3, a4), params)
+def _solution(a1: float, a2: float, color: str, params: Params) -> ColorSolution:
+    a3, a4 = _completion(a1, a2, color)
+    coeffs = det_decomposition((a1, a2, a3, a4), params)
     return ColorSolution(
-        alpha12=np.array([float(alpha12[0]), float(alpha12[1])]),
+        alpha12=np.array([a1, a2]),
         alpha34=np.array([a3, a4]),
         color=color,
         residual_sign=1.0 if coeffs.C >= 0 else -1.0,
-        residual=res,
+        residual=abs(coeffs.A) + abs(coeffs.B),
     )
 
 
@@ -194,21 +166,20 @@ def scan_roots(alpha12, params: Params, seeds: int = 12) -> list[dict]:
 
 
 def solve_color_pair(alpha12, params: Params, verify: bool = False) -> list[ColorSolution]:
-    """Solve the blue and red completions at ``alpha12``.
+    """The blue and red completions at ``alpha12``, in closed form.
 
-    Returns ``[blue, red]``.  With ``verify=True`` a multi-start scan
-    cross-checks the pair against the clustered root set and raises
-    :class:`Degenerate` when either branch cannot be matched to a unique
-    cluster (branch sheets colliding).
+    Returns ``[blue, red]``; ``alpha12`` must be finite.  With
+    ``verify=True`` a multi-start Newton scan cross-checks the pair
+    against the clustered root set and raises :class:`Degenerate` when
+    either branch cannot be matched to a unique cluster (branch sheets
+    colliding).
     """
-    tol = AB_TOL_FACTOR * residual_scale(params)
-    b3, b4, bres = _track_branch(alpha12, BLUE_ANCHOR, params, tol)
-    r3, r4, rres = _track_branch(alpha12, RED_ANCHOR, params, tol)
-    blue = _solution(alpha12, b3, b4, bres, "blue", params)
-    red = _solution(alpha12, r3, r4, rres, "red", params)
+    a1, a2 = _finite((alpha12[0], alpha12[1]), "alpha1, alpha2").tolist()
+    blue = _solution(a1, a2, "blue", params)
+    red = _solution(a1, a2, "red", params)
 
     if verify:
-        clusters = scan_roots(alpha12, params)
+        clusters = scan_roots((a1, a2), params)
 
         def match(sol):
             w = wrap_angle(sol.alpha34)
@@ -223,7 +194,7 @@ def solve_color_pair(alpha12, params: Params, verify: bool = False) -> list[Colo
         mb, mr = match(blue), match(red)
         if len(mb) != 1 or len(mr) != 1 or mb[0] == mr[0]:
             raise Degenerate(
-                f"branch pair at ({alpha12[0]:.4f}, {alpha12[1]:.4f}) is ambiguous",
+                f"branch pair at ({a1:.4f}, {a2:.4f}) is ambiguous",
                 [cl["alpha34"] for cl in clusters],
             )
     return [blue, red]
@@ -269,58 +240,20 @@ def _fit_plane(a1g, a2g, values) -> PlaneFit:
 
 
 def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> ColorMapResult:
-    """Solve one branch over a rectangular grid by cell-to-cell continuation.
+    """One branch over a rectangular grid, with plane fits.
 
-    The scan runs row-major with serpentine ordering so every cell is
-    seeded from an adjacent solved cell; a jump beyond 0.5 rad between
-    neighbors raises :class:`ContinuationBreak`.
+    The completions are the closed-form branch plane at every cell (the
+    fits confirm it to rounding); ``residual_sign`` is the sign of ``C``
+    there.  Grid values must be finite.
     """
-    if branch not in ("blue", "red"):
-        raise ValueError(f"branch must be 'blue' or 'red', got {branch!r}")
-    a1v = np.asarray(alpha1_values, dtype=float)
-    a2v = np.asarray(alpha2_values, dtype=float)
-    n1, n2 = len(a1v), len(a2v)
-    tol = AB_TOL_FACTOR * residual_scale(params)
-
-    alpha3 = np.empty((n1, n2))
-    alpha4 = np.empty((n1, n2))
-    rsign = np.empty((n1, n2))
-
-    pair = solve_color_pair((a1v[0], a2v[0]), params)
-    root = pair[0 if branch == "blue" else 1].alpha34
-
-    # serpentine scan seeded by linear extrapolation from solved
-    # neighbors: on the (planar) branch sheets the prediction is exact,
-    # which keeps the corrector on-branch across sheet collisions
-    for i in range(n1):
-        cols = list(range(n2)) if i % 2 == 0 else list(range(n2 - 1, -1, -1))
-        for step, j in enumerate(cols):
-            a1, a2 = a1v[i], a2v[j]
-            if i == 0 and step == 0:
-                seed = (float(root[0]), float(root[1]))
-            elif step >= 2:
-                jp, jp2 = cols[step - 1], cols[step - 2]
-                seed = (2 * alpha3[i, jp] - alpha3[i, jp2], 2 * alpha4[i, jp] - alpha4[i, jp2])
-            elif step == 1:
-                jp = cols[0]
-                seed = (alpha3[i, jp], alpha4[i, jp])
-            elif i >= 2:
-                seed = (2 * alpha3[i - 1, j] - alpha3[i - 2, j],
-                        2 * alpha4[i - 1, j] - alpha4[i - 2, j])
-            else:
-                seed = (alpha3[i - 1, j], alpha4[i - 1, j])
-            n3, n4, res, ok = _newton(a1, a2, seed, params, tol)
-            if not ok:
-                raise NoRoot(f"color map stalled at ({a1:.4f}, {a2:.4f})", res)
-            jump = math.hypot(n3 - seed[0], n4 - seed[1])
-            if jump > CONTINUATION_JUMP:
-                raise ContinuationBreak((a1, a2), jump)
-            alpha3[i, j] = n3
-            alpha4[i, j] = n4
-            coeffs = det_decomposition((a1, a2, n3, n4), params)
-            rsign[i, j] = 1.0 if coeffs.C >= 0 else -1.0
-
+    a1v = _finite(alpha1_values, "alpha1 values")
+    a2v = _finite(alpha2_values, "alpha2 values")
     a1g, a2g = np.meshgrid(a1v, a2v, indexing="ij")
+    alpha3, alpha4 = _completion(a1g, a2g, branch)
+    C = [det_decomposition(alpha, params).C
+         for alpha in zip(a1g.ravel().tolist(), a2g.ravel().tolist(),
+                          alpha3.ravel().tolist(), alpha4.ravel().tolist())]
+    rsign = np.where(np.reshape(C, a1g.shape) >= 0, 1.0, -1.0)
     return ColorMapResult(
         branch=branch,
         alpha1_values=a1v,
@@ -361,14 +294,17 @@ class Gait:
     def __post_init__(self):
         wp = np.asarray(self.waypoints, dtype=float)
         al = np.asarray(self.alphas, dtype=float)
-        if self.period_s <= 0:
-            raise ValueError("period must be positive")
+        _branch_offset(self.color)
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(f"period must be positive and finite, got {self.period_s}")
         if not 0.0 < self.bias <= 1.0:
             raise ValueError(f"bias factor must lie in (0, 1], got {self.bias}")
         if wp.ndim != 1 or len(wp) < 2 or al.shape != (len(wp), 4):
             raise ValueError("need matching waypoint fractions and (n, 4) angles")
-        if wp[0] != 0.0 or wp[-1] != 1.0 or np.any(np.diff(wp) <= 0):
+        if wp[0] != 0.0 or wp[-1] != 1.0 or not np.all(np.diff(wp) > 0):
             raise ValueError("time fractions must increase strictly from 0 to 1")
+        if not np.all(np.isfinite(al)):
+            raise ValueError("gait angles must be finite")
         if np.max(np.abs(al[0] - al[-1])) > 1e-6:
             raise ValueError("gait must close: first and last waypoints differ")
         # own read-only copies, so the knot lists below cannot go stale
@@ -458,71 +394,42 @@ def make_rectangle_gait(
     """Rectangle gait: ``(alpha1, alpha2)`` traverses the perimeter CCW.
 
     The traversal starts at the lower-left corner and runs at constant
-    speed; ``(alpha3, alpha4)`` are lifted onto the requested branch by
-    continuation along the perimeter.  The lifted path must close within
-    1e-6 rad, otherwise :class:`ContinuationBreak` is raised.
+    speed through ``stations_per_edge`` stations per edge;
+    ``(alpha3, alpha4)`` sit on the requested branch plane at every
+    station, so the gait is exactly on-branch and closes exactly.  The
+    planes do not depend on ``params``.  Centre and half extents must be
+    finite, the half extents non-negative.
     """
-    cx, cy = float(center[0]), float(center[1])
-    hx, hy = float(half_extents[0]), float(half_extents[1])
+    cx, cy, hx, hy = _finite(
+        (center[0], center[1], half_extents[0], half_extents[1]), "center and half extents"
+    ).tolist()
     if hx < 0 or hy < 0:
         raise ValueError("half extents must be non-negative")
-    tol = AB_TOL_FACTOR * residual_scale(params)
 
     if hx == 0.0 and hy == 0.0:
-        pair = solve_color_pair((cx, cy), params)
-        sol = pair[0 if branch == "blue" else 1]
-        alphas = np.array([
-            [cx, cy, sol.alpha34[0], sol.alpha34[1]],
-            [cx, cy, sol.alpha34[0], sol.alpha34[1]],
-        ])
-        return Gait(period_s=period, color=branch, bias=1.0,
-                    waypoints=np.array([0.0, 1.0]), alphas=alphas)
+        pts = np.array([[cx, cy], [cx, cy]])
+        fracs = np.array([0.0, 1.0])
+    else:
+        corners = [
+            (cx - hx, cy - hy), (cx + hx, cy - hy),
+            (cx + hx, cy + hy), (cx - hx, cy + hy),
+        ]
+        pts = []
+        for k in range(4):
+            x0, y0 = corners[k]
+            x1, y1 = corners[(k + 1) % 4]
+            for s in range(stations_per_edge):
+                f = s / stations_per_edge
+                pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
+        pts.append(corners[0])
+        pts = np.asarray(pts)
 
-    corners = [
-        (cx - hx, cy - hy), (cx + hx, cy - hy),
-        (cx + hx, cy + hy), (cx - hx, cy + hy),
-    ]
-    pts = []
-    for k in range(4):
-        x0, y0 = corners[k]
-        x1, y1 = corners[(k + 1) % 4]
-        for s in range(stations_per_edge):
-            f = s / stations_per_edge
-            pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-    pts.append(corners[0])
-    pts = np.asarray(pts)
+        seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+        cum = np.concatenate([[0.0], np.cumsum(seglen)])
+        fracs = cum / cum[-1]
 
-    seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    fracs = cum / cum[-1]
-
-    pair = solve_color_pair((pts[0, 0], pts[0, 1]), params)
-    first = pair[0 if branch == "blue" else 1].alpha34
-    lift = [(float(first[0]), float(first[1]))]
-    for k, (a1, a2) in enumerate(pts[1:-1], start=1):
-        if k >= 2:
-            seed = (2 * lift[-1][0] - lift[-2][0], 2 * lift[-1][1] - lift[-2][1])
-        else:
-            seed = lift[-1]
-        n3, n4, res, ok = _newton(a1, a2, seed, params, tol)
-        if not ok:
-            raise NoRoot(f"gait lift stalled at ({a1:.4f}, {a2:.4f})", res)
-        jump = math.hypot(n3 - seed[0], n4 - seed[1])
-        if jump > CONTINUATION_JUMP:
-            raise ContinuationBreak((a1, a2), jump)
-        lift.append((n3, n4))
-
-    # returning to the start must land on the starting completion
-    seed = (2 * lift[-1][0] - lift[-2][0], 2 * lift[-1][1] - lift[-2][1])
-    n3, n4, res, ok = _newton(pts[-1, 0], pts[-1, 1], seed, params, tol)
-    if not ok:
-        raise NoRoot("gait lift failed to close", res)
-    gap = math.hypot(n3 - lift[0][0], n4 - lift[0][1])
-    if gap > 1e-6:
-        raise ContinuationBreak((pts[-1, 0], pts[-1, 1]), gap)
-    lift.append(lift[0])
-
-    alphas = np.column_stack([pts[:, 0], pts[:, 1], np.asarray(lift)])
+    a3, a4 = _completion(pts[:, 0], pts[:, 1], branch)
+    alphas = np.column_stack([pts[:, 0], pts[:, 1], a3, a4])
     return Gait(period_s=period, color=branch, bias=1.0, waypoints=fracs, alphas=alphas)
 
 
@@ -616,7 +523,6 @@ _SADDLES = {
     5: ((("b", "r"), ("l", "t")), (("l", "b"), ("t", "r"))),
     10: ((("l", "b"), ("t", "r")), (("b", "r"), ("l", "t"))),
 }
-_BISECT_STEPS = 80
 
 
 def _curve_eps(coeffs: DetCoefficients) -> float:
@@ -635,54 +541,52 @@ def _changed_cells(S: np.ndarray) -> np.ndarray:
     return (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
 
 
-def _bisect_edges(a_phi, a_theta, b_phi, b_theta, pos_a, coeffs, eps):
-    """Bisect the sign change of ``g`` on every edge ``a -> b`` at once.
+def _nearest_root(lo, hi, roots, period):
+    """The root ``r + k * period`` (``r`` from ``roots``) nearest each edge middle.
 
-    ``pos_a`` is ``g(a) > 0``.  Each edge runs the scalar iteration: it
-    stops at the first midpoint with ``|g| < eps``; otherwise the
-    midpoint replaces the end whose sign it shares, so ``a`` keeps its
-    sign throughout.  A stopped edge collapses its bracket onto that
-    midpoint, which later halvings then reproduce exactly, so every edge
-    returns the midpoint of its bracket after ``_BISECT_STEPS`` halvings
-    or once all edges have stopped.
+    Clipped into ``[lo, hi]``, which only rounding can leave.  An edge
+    whose ends differ in sign holds a root, and every candidate within
+    half an edge of its middle lies on it, so the nearest candidate is
+    a root on the edge.
     """
-    for _ in range(_BISECT_STEPS):
-        m_phi = 0.5 * (a_phi + b_phi)
-        m_theta = 0.5 * (a_theta + b_theta)
-        gm = normalized_det(m_phi, m_theta, coeffs)
-        hit = np.abs(gm) < eps
-        if hit.all():
-            return m_phi, m_theta
-        same = (gm > 0.0) == pos_a
-        to_a = hit | same
-        to_b = hit | ~same
-        a_phi = np.where(to_a, m_phi, a_phi)
-        a_theta = np.where(to_a, m_theta, a_theta)
-        b_phi = np.where(to_b, m_phi, b_phi)
-        b_theta = np.where(to_b, m_theta, b_theta)
-    return 0.5 * (a_phi + b_phi), 0.5 * (a_theta + b_theta)
+    mid = 0.5 * (lo + hi)
+    best = np.full_like(mid, np.inf)
+    for r in roots:
+        cand = r + period * np.round((mid - r) / period)
+        best = np.where(np.abs(cand - mid) < np.abs(best - mid), cand, best)
+    return np.clip(best, lo, hi)
 
 
 def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, S: np.ndarray):
-    """Refined zero of ``g`` on every crossing grid edge.
+    """Exact zero of ``g`` on every crossing grid edge.
 
     Returns ``(p_edges, t_edges, phi, theta)``: the ``(i, j)`` index
     arrays of the crossing edges along phi (node ``(i, j)`` to
     ``(i + 1, j)``) and along theta (to ``(i, j + 1)``), both row-major,
     and the vertex coordinates, phi edges first.
+
+    Along phi, at fixed ``theta``, ``g = 0`` reads ``cos(theta) R
+    sin(phi + psi) = A sin(theta)`` with ``R = hypot(B, C)`` and ``psi =
+    atan2(C, B)``; along theta, at fixed ``phi``, ``g = -A sin(theta) + K
+    cos(theta)`` with ``K = B sin(phi) + C cos(phi)`` vanishes at
+    ``theta = atan2(K, A) + k pi``.  ``R > 0`` on every crossing phi
+    edge: with ``B = C = 0``, ``g`` is the same at both of its ends.
     """
+    A, B, C = coeffs.A, coeffs.B, coeffs.C
     phis, thetas = grid.phis, grid.thetas
     pi, pj = np.nonzero(S[:-1, :] != S[1:, :])
     ti, tj = np.nonzero(S[:, :-1] != S[:, 1:])
-    phi, theta = _bisect_edges(
-        np.concatenate([phis[pi], phis[ti]]),
-        np.concatenate([thetas[pj], thetas[tj]]),
-        np.concatenate([phis[pi + 1], phis[ti]]),
-        np.concatenate([thetas[pj], thetas[tj + 1]]),
-        np.concatenate([S[pi, pj], S[ti, tj]]),
-        coeffs, _curve_eps(coeffs),
-    )
-    return (pi, pj), (ti, tj), phi, theta
+
+    theta_p = thetas[pj]
+    psi = math.atan2(C, B)
+    u = np.arcsin(np.clip(A * np.sin(theta_p) / (math.hypot(B, C) * np.cos(theta_p)),
+                          -1.0, 1.0))
+    phi_p = _nearest_root(phis[pi], phis[pi + 1], (u - psi, math.pi - u - psi), TWO_PI)
+
+    phi_t = phis[ti]
+    K = B * np.sin(phi_t) + C * np.cos(phi_t)
+    theta_t = _nearest_root(thetas[tj], thetas[tj + 1], (np.arctan2(K, A),), math.pi)
+    return (pi, pj), (ti, tj), np.concatenate([phi_p, phi_t]), np.concatenate([theta_p, theta_t])
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -696,11 +600,10 @@ def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveS
 def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> SingularCurveSet:
     """Marching-squares zero curves of the normalized determinant.
 
-    Vertices are refined on all crossing grid edges together, in one
-    vectorized bisection, to ``|g| < eps_curve`` with ``eps_curve =
-    1e-10 * max(|A|, |B|, |C|)`` (or to the 80th halving).  Adjacent
-    cells share refined vertices, so the segments stitch into polylines
-    exactly.
+    Each vertex is the closed-form zero of ``g`` on its crossing grid
+    edge, so ``|g|`` there is rounding error, well below ``eps_curve =
+    1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
+    segments stitch into polylines exactly.
     """
     S = _sign_grid(coeffs, grid)
     phis, thetas = grid.phis, grid.thetas

@@ -168,9 +168,10 @@ def refine_edge_scalar(p0, p1, g0, geval, eps):
 def zero_curves_scalar(A, B, C, phis, thetas):
     """Marching-squares zero curves with each crossing edge bisected alone.
 
-    Returns ``(polylines, eps)``: curves as ``(n, 2)`` arrays in the
-    stitching order of the package (endpoints first, sorted by edge key,
-    then closed loops) and the bisection tolerance.
+    Returns ``(polylines, eps, edges)``: curves as ``(n, 2)`` arrays in
+    the stitching order of the package (endpoints first, sorted by edge
+    key, then closed loops), the bisection tolerance, and for each curve
+    the ``(n, 2, 2)`` end points of the grid edge of every vertex.
     """
     scale = max(abs(A), abs(B), abs(C))
     eps = 1e-10 * scale if scale > 0.0 else 1e-300
@@ -181,12 +182,13 @@ def zero_curves_scalar(A, B, C, phis, thetas):
         return float(_g_direct(phi, theta, A, B, C))
 
     verts = {}
+    ends = {}
     for i, j in zip(*(k.tolist() for k in np.nonzero(S[:-1, :] != S[1:, :]))):
-        verts[("p", i, j)] = refine_edge_scalar(
-            (phis[i], thetas[j]), (phis[i + 1], thetas[j]), G[i, j], geval, eps)
+        ends[("p", i, j)] = ((phis[i], thetas[j]), (phis[i + 1], thetas[j]))
     for i, j in zip(*(k.tolist() for k in np.nonzero(S[:, :-1] != S[:, 1:]))):
-        verts[("t", i, j)] = refine_edge_scalar(
-            (phis[i], thetas[j]), (phis[i], thetas[j + 1]), G[i, j], geval, eps)
+        ends[("t", i, j)] = ((phis[i], thetas[j]), (phis[i], thetas[j + 1]))
+    for key, (p0, p1) in ends.items():
+        verts[key] = refine_edge_scalar(p0, p1, G[key[1], key[2]], geval, eps)
 
     adjacency = {}
     for i in range(len(phis) - 1):
@@ -233,4 +235,35 @@ def zero_curves_scalar(A, B, C, phis, thetas):
     for key in sorted(adjacency):
         if key not in visited:
             chains.append(walk(key))
-    return [np.array([verts[k] for k in chain]) for chain in chains], eps
+    return ([np.array([verts[k] for k in chain]) for chain in chains], eps,
+            [np.array([ends[k] for k in chain]) for chain in chains])
+
+
+# ---------------------------------------------------------------------------
+# rectangle gait stations
+
+
+def rectangle_stations(center, half_extents, stations_per_edge=16):
+    """``(alpha1, alpha2)`` stations and time fractions of a rectangle gait.
+
+    Counter-clockwise from the lower-left corner at constant speed, the
+    last station repeating the first; a rectangle of zero extent is its
+    centre held for the whole period.
+    """
+    cx, cy = float(center[0]), float(center[1])
+    hx, hy = float(half_extents[0]), float(half_extents[1])
+    if hx == 0.0 and hy == 0.0:
+        return np.array([[cx, cy], [cx, cy]]), np.array([0.0, 1.0])
+    corners = [(cx - hx, cy - hy), (cx + hx, cy - hy), (cx + hx, cy + hy), (cx - hx, cy + hy)]
+    pts = []
+    for k in range(4):
+        x0, y0 = corners[k]
+        x1, y1 = corners[(k + 1) % 4]
+        for s in range(stations_per_edge):
+            f = s / stations_per_edge
+            pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
+    pts.append(corners[0])
+    pts = np.asarray(pts)
+    seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    return pts, cum / cum[-1]

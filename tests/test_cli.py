@@ -45,6 +45,17 @@ def test_gaitgen_requires_geometry(tmp_path):
     assert run_cli("--out", str(tmp_path), "gaitgen") == 2
 
 
+@pytest.mark.parametrize("geometry", [
+    ["--center", "nan", "0.1", "--half", "0.3", "0.3"],
+    ["--center", "0.1", "0.1", "--half", "inf", "0.3"],
+    ["--center", "0.1", "0.1", "--half", "0.3", "0.3", "--period", "inf"],
+    ["--center", "0.1", "0.1", "--half", "0.3", "0.3", "--period", "nan"],
+])
+def test_gaitgen_rejects_non_finite_geometry(tmp_path, geometry):
+    assert run_cli("--out", str(tmp_path), "gaitgen", "--branch", "red", *geometry) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_colormap_rows_and_planes(tmp_path):
     out = tmp_path / "cm"
     code = run_cli("--out", str(out), "colormap", "--branch", "blue",
@@ -83,6 +94,13 @@ def test_colormap_invalid_args(tmp_path):
                    "--range", "-1") == 2
     assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
                    "--res", "1") == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_colormap_rejects_non_finite_range(tmp_path, value):
+    assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
+                   "--range", value) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_curves_outputs(tmp_path, gait_files):

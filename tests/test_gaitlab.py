@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -11,7 +11,7 @@ import tiltrotor as tr
 from tiltrotor.gaitlab import GAIT_PRESETS, residual_scale, scan_roots
 from tiltrotor.linearization import DetCoefficients, abc_scale
 
-from _oracles import ab_grid_direct, abc_direct, zero_curves_scalar
+from _oracles import ab_grid_direct, abc_direct, rectangle_stations, zero_curves_scalar
 
 TWO_PI = 2.0 * math.pi
 
@@ -411,13 +411,24 @@ THETA_LINE = ((1.0, 0.0, 0.0), tr.AttitudeGrid.symmetric(1.2, 121))
 @example(((0.0, 1.0, 0.0), tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23)))
 def test_extract_zero_curves_matches_edge_by_edge_oracle(case):
     (A, B, C), grid = case
-    cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
-    expected, eps = zero_curves_scalar(A, B, C, grid.phis, grid.thetas)
+    coeffs = DetCoefficients(A=A, B=B, C=C, D=np.zeros(4))
+    cs = tr.extract_zero_curves(coeffs, grid)
+    expected, eps, edges = zero_curves_scalar(A, B, C, grid.phis, grid.thetas)
     assert cs.eps_curve == eps
     assert len(cs.curves) == len(expected)
-    for got, want in zip(cs.curves, expected):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # bit for bit, in curve order
+    # |g| a vertex may keep: the oracle's tolerance, or the rounding of a
+    # coordinate at the grid's largest magnitude; 4 ulp of the largest
+    # coefficient keeps the bound above zero for subnormal coefficients
+    scale = max(abs(A), abs(B), abs(C))
+    coord = max(abs(grid.phi_min), abs(grid.phi_max), abs(grid.theta_min), abs(grid.theta_max))
+    floor = max(eps, 4 * np.spacing(coord) * scale, 4 * np.spacing(scale))
+    for got, want, ends in zip(cs.curves, expected, edges):
+        assert got.shape == want.shape  # same curves, in the same order
+        # on its grid edge: the coordinate the edge holds fixed is exact
+        assert np.all((ends.min(axis=1) <= got) & (got <= ends.max(axis=1)))
+        g_got = np.abs(tr.normalized_det(got[:, 0], got[:, 1], coeffs))
+        g_want = np.abs(tr.normalized_det(want[:, 0], want[:, 1], coeffs))
+        assert np.all(g_got <= np.maximum(floor, g_want))
 
 
 def test_saddle_example_has_saddle_cells():
@@ -433,11 +444,19 @@ def test_saddle_example_has_saddle_cells():
 # fraction, hover margin, phases, singular phases
 PRESET_REPORTS = {
     ("gait1", 1.0): (1.0, 3.394112549695428, 64, 0),
-    ("gait1", 0.8): (0.9998090277777778, 1.6566268520560878, 64, 4),
+    ("gait1", 0.8): (0.9998090277777778, 1.6566268521740566, 64, 4),
     ("gait2", 1.0): (1.0, 3.394112549695428, 64, 0),
-    ("gait2", 0.8): (0.9925, 0.051368402121289514, 64, 64),
+    ("gait2", 0.8): (0.9925, 0.05136840212168436, 64, 64),
     ("gait3", 1.0): (1.0, 3.394112549695428, 64, 0),
-    ("gait3", 0.8): (0.9923784722222222, 0.12077573548781581, 64, 64),
+    ("gait3", 0.8): (0.9923784722222222, 0.12077573652280482, 64, 64),
+}
+# hover margins of the same reports from curve vertices bisected to
+# |g| < 1e-10 max(|A|, |B|, |C|) on gaits lifted by Newton continuation;
+# the exact vertices on the exact branch planes stay within 2e-9 rad
+BISECTED_HOVER_MARGINS = {
+    ("gait1", 0.8): 1.6566268520560878,
+    ("gait2", 0.8): 0.051368402121289514,
+    ("gait3", 0.8): 0.12077573548781581,
 }
 
 
@@ -448,6 +467,8 @@ def test_preset_robustness_reports_pinned(params):
         rep = tr.robustness_report(gait, grid, 64, params)
         got = (rep.area_fraction, rep.hover_margin, rep.n_phases, rep.singular_phases)
         assert got == fields, (name, bias)
+        bisected = BISECTED_HOVER_MARGINS.get((name, bias), grid.diagonal)
+        assert abs(rep.hover_margin - bisected) <= 2e-9, (name, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -498,3 +519,169 @@ def test_sample_raw_matches_sampler_and_survives_pickle(params):
         g.alphas[0, 2] = 0.0
     with pytest.raises(ValueError):
         g.waypoints[1] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# closed-form branches against independent oracles
+
+
+OFFSETS = {"blue": 0.0, "red": math.pi}
+ANGLE = st.floats(-math.pi, math.pi)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def rotor_params(draw):
+    return tr.Params(
+        k_f=10.0 ** draw(st.floats(-7.0, -4.0)),
+        k_m=10.0 ** draw(st.floats(-9.0, -5.0)),
+        arm_length=draw(st.floats(0.05, 1.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=ANGLE, a2=ANGLE, params=rotor_params())
+def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
+    scale = abc_scale(params)
+    blue, red = tr.solve_color_pair((a1, a2), params)
+    coeffs = [tr.det_decomposition(np.concatenate([s.alpha12, s.alpha34]), params)
+              for s in (blue, red)]
+    for sol, co in zip((blue, red), coeffs):
+        assert abs(co.A) <= 1e-12 * scale and abs(co.B) <= 1e-12 * scale
+        assert sol.residual == abs(co.A) + abs(co.B)
+    # off the on-branch C = 0 locus, where the scan flags the branch root
+    # as rank-deficient
+    assume(min(abs(co.C) for co in coeffs) > 1e-3 * scale)
+    robust = [c["alpha34"] for c in scan_roots((a1, a2), params) if c["robust"]]
+    hits = [[k for k, r in enumerate(robust) if _mod2pi_dist(sol.alpha34, r) < 1e-2]
+            for sol in (blue, red)]
+    assert len(hits[0]) == 1 and len(hits[1]) == 1 and hits[0] != hits[1]
+
+
+@st.composite
+def rectangles(draw):
+    center = (draw(ANGLE), draw(ANGLE))
+    half = draw(st.one_of(st.just((0.0, 0.0)),
+                          st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))))
+    return center, half, draw(st.sampled_from(sorted(OFFSETS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rectangles())
+def test_rectangle_gait_lies_on_branch_plane(params, rect):
+    center, half, branch = rect
+    g = tr.make_rectangle_gait(center, half, 10.0, branch, params)
+    stations, fracs = rectangle_stations(center, half)
+    assert g.waypoints.tobytes() == fracs.tobytes()
+    assert np.ascontiguousarray(g.alphas[:, :2]).tobytes() == stations.tobytes()
+    off = OFFSETS[branch]
+    assert np.ascontiguousarray(g.alphas[:, 2]).tobytes() == (stations[:, 0] + off).tobytes()
+    assert np.ascontiguousarray(g.alphas[:, 3]).tobytes() == (stations[:, 1] + off).tobytes()
+
+
+def test_color_map_is_the_branch_plane(params):
+    a1v = np.linspace(-0.7, 0.5, 13)
+    a2v = np.linspace(-0.4, 0.9, 11)
+    a1g, a2g = np.meshgrid(a1v, a2v, indexing="ij")
+    floor = 1e-3 * abc_scale(params)
+    for branch, off in OFFSETS.items():
+        cm = tr.color_map(a1v, a2v, branch, params)
+        np.testing.assert_array_equal(cm.alpha3, a1g + off)
+        np.testing.assert_array_equal(cm.alpha4, a2g + off)
+        for fit in (cm.plane3, cm.plane4):
+            assert fit.rms <= 1e-12
+        np.testing.assert_allclose(cm.plane3.coeffs, [off, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(cm.plane4.coeffs, [off, 0.0, 1.0], atol=1e-12)
+        C = np.array([[abc_direct(np.array([x, y, x + off, y + off]), params)[2]
+                       for y in a2v] for x in a1v])
+        clear = np.abs(C) > floor
+        assert clear.any()
+        np.testing.assert_array_equal(cm.residual_sign[clear], np.sign(C[clear]))
+
+
+def test_curve_vertices_are_exact_zeros(params):
+    grid = tr.AttitudeGrid.symmetric(1.2)
+    worst, found = 0.0, 0
+    for name in sorted(GAIT_PRESETS):
+        g = tr.bias_gait(tr.build_preset(name, params), 0.8)
+        for k in range(16):
+            alpha = tuple(g.sample_raw(k * g.period_s / 16))
+            coeffs = tr.det_decomposition(alpha, params)
+            v = tr.singular_curves(alpha, grid, params).vertices()
+            if len(v):
+                found += 1
+                gv = tr.normalized_det(v[:, 0], v[:, 1], coeffs)
+                worst = max(worst, np.max(np.abs(gv)) / max(map(abs, coeffs.abc)))
+    assert found > 0
+    assert worst <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# boundary checks of the gait constructors
+
+
+@settings(deadline=None)
+@given(bad=NON_FINITE, slot=st.integers(0, 3), branch=st.sampled_from(sorted(OFFSETS)))
+def test_rectangle_gait_rejects_non_finite_geometry(params, bad, slot, branch):
+    geometry = [0.1, -0.2, 0.3, 0.25]
+    geometry[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.make_rectangle_gait(geometry[:2], geometry[2:], 10.0, branch, params)
+
+
+@given(bad=NON_FINITE, slot=st.integers(0, 1))
+def test_solve_color_pair_rejects_non_finite(params, bad, slot):
+    a12 = [0.4, -0.3]
+    a12[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.solve_color_pair(a12, params)
+
+
+@given(bad=NON_FINITE, axis=st.integers(0, 1), index=st.integers(0, 4))
+def test_color_map_rejects_non_finite(params, bad, axis, index):
+    values = [np.linspace(-0.2, 0.2, 5), np.linspace(-0.2, 0.2, 5)]
+    values[axis][index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.color_map(values[0], values[1], "blue", params)
+
+
+@pytest.mark.parametrize("branch", ["green", "Blue", "", None, ("blue",)])
+def test_gait_constructors_reject_unknown_branch(params, branch):
+    with pytest.raises(ValueError, match="'blue' or 'red'"):
+        tr.make_rectangle_gait((0.1, 0.2), (0.3, 0.3), 10.0, branch, params)
+    with pytest.raises(ValueError, match="'blue' or 'red'"):
+        tr.color_map(np.linspace(-0.1, 0.1, 3), np.linspace(-0.1, 0.1, 3), branch, params)
+    with pytest.raises(ValueError, match="'blue' or 'red'"):
+        _gait(color=branch)
+
+
+def _gait(**changes):
+    fields = dict(period_s=10.0, color="blue", bias=1.0, waypoints=[0.0, 0.5, 1.0],
+                  alphas=[[0.0, 0.0, 0.0, 0.0], [0.2, 0.1, 0.2, 0.1], [0.0, 0.0, 0.0, 0.0]])
+    fields.update(changes)
+    return tr.Gait(**fields)
+
+
+def test_gait_fixture_is_valid():
+    assert _gait().color == "blue"
+    assert _gait(color="red").color == "red"
+
+
+@given(period=st.one_of(NON_FINITE, st.floats(max_value=0.0)))
+def test_gait_rejects_bad_period(period):
+    with pytest.raises(ValueError, match="period"):
+        _gait(period_s=period)
+
+
+@given(bad=NON_FINITE, row=st.integers(0, 2), col=st.integers(0, 3))
+def test_gait_rejects_non_finite_angles(bad, row, col):
+    alphas = np.zeros((3, 4))
+    alphas[1] = 0.2
+    alphas[row, col] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _gait(alphas=alphas)
+
+
+def test_gait_rejects_nan_time_fraction():
+    with pytest.raises(ValueError, match="time fractions"):
+        _gait(waypoints=[0.0, math.nan, 1.0])
