@@ -6,9 +6,8 @@ rigid-body model and its input maps, the decoupling matrix of the
 robust completion of tilt-angle schedules, singular-attitude analysis,
 and the closed-loop circular-tracking experiment.
 
-Hot kernels run through a compiled extension when available; set
-``TILTROTOR_PURE=1`` to force the pure-Python fallback (see
-``backend_name``).
+The hot kernels are plain Python over floats and tuples, in one source
+(``tiltrotor._core.kernels``); ``backend_name`` reports ``"python"``.
 """
 
 from tiltrotor._core import backend_name

@@ -1,21 +1,6 @@
-"""Kernel backend selection.
-
-The compiled Cython module is preferred; the pure-Python mirror is used
-when the extension is missing or when ``TILTROTOR_PURE=1`` is set in the
-environment.  Both expose the same functions with identical semantics.
-"""
-
-import os
-
-if os.environ.get("TILTROTOR_PURE", "") == "1":
-    from tiltrotor._core import kernels_py as kernels
-else:
-    try:
-        from tiltrotor._core import kernels_cy as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from tiltrotor._core import kernels_py as kernels
+"""The package's hot kernels: one pure-Python source, :mod:`kernels`."""
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: ``"cython"`` or ``"python"``."""
-    return kernels.BACKEND
+    """Name of the kernel implementation; always ``"python"``."""
+    return "python"

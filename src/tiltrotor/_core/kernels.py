@@ -1,12 +1,8 @@
-"""Pure-Python kernel set: the hot math of the package.
+"""The package's hot kernels, the one implementation of its inner math.
 
-Every function here operates on plain floats and tuples so the fallback
-stays reasonably fast without numpy call overhead.  The compiled module
-``kernels_cy`` exposes the same public functions with the same arguments,
-return shapes and semantics (the step, assembly and solve here are
-arranged for fewer Python operations, so results may differ from it in
-the last bits); :mod:`tiltrotor._core` selects one of the two at import
-time.
+Every function here operates on plain floats and tuples, without numpy
+call overhead: arithmetic on ``numpy.float64`` scalars would cost about
+twice as much per operation.
 
 Conventions baked into the kernels:
 
@@ -15,11 +11,23 @@ Conventions baked into the kernels:
 * ``pp`` is the parameter pack
   ``(m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22)``
   with ``i..`` the row-major inverse inertia matrix.
+* The step kernels take sines and cosines, not angles, so that a caller
+  can take them once and share them: ``att`` is the attitude set of
+  :func:`attitude_trig` and ``tilt`` the tilt set of :func:`tilt_trig`.
 """
 
 from math import cos, exp, log, sin, sqrt
 
-BACKEND = "python"
+
+def attitude_trig(phi, theta, psi):
+    """``(sf, cf, st, ct, sp, cp)``: sines and cosines of roll, pitch and yaw."""
+    return sin(phi), cos(phi), sin(theta), cos(theta), sin(psi), cos(psi)
+
+
+def tilt_trig(alpha):
+    """``(s1, s2, s3, s4, c1, c2, c3, c4)``: sines and cosines of the four tilts."""
+    a1, a2, a3, a4 = alpha
+    return sin(a1), sin(a2), sin(a3), sin(a4), cos(a1), cos(a2), cos(a3), cos(a4)
 
 
 def _safe_div(c: float) -> float:
@@ -85,11 +93,14 @@ def ab_residual(a1, a2, a3, a4, kf, km, arm):
     return out[0], out[1]
 
 
-def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, max_iter):
+def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
     """Damped 2-D Newton for A(a3, a4) = B(a3, a4) = 0 at fixed (a1, a2).
 
     Finite-difference Jacobian with a 1e-6 rad step; step backtracking
-    halves up to 8 times while |A| + |B| does not decrease.
+    halves up to 8 times while |A| + |B| does not decrease.  Converged
+    means ``|A| + |B| < tol`` after a Newton step of at most ``step_tol``
+    rad per coordinate: where |A| + |B| is very flat, the residual alone
+    falls below ``tol`` far from any root.
 
     Returns ``(a3, a4, residual, converged)`` with ``residual = |A| + |B|``.
     """
@@ -98,8 +109,6 @@ def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, max_iter):
     fa, fb = ab_residual(a1, a2, x0, x1, kf, km, arm)
     res = abs(fa) + abs(fb)
     for _ in range(max_iter):
-        if res < tol:
-            return x0, x1, res, 1
         ga0, gb0 = ab_residual(a1, a2, x0 + h, x1, kf, km, arm)
         ga1, gb1 = ab_residual(a1, a2, x0, x1 + h, kf, km, arm)
         j00 = (ga0 - fa) / h
@@ -120,7 +129,9 @@ def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, max_iter):
                 break
             lam *= 0.5
         x0, x1, fa, fb, res = y0, y1, na, nb, nres
-    return x0, x1, res, 1 if res < tol else 0
+        if res < tol and abs(d0) <= step_tol and abs(d1) <= step_tol:
+            return x0, x1, res, 1
+    return x0, x1, res, 0
 
 
 def rotation_entries(phi, theta, psi):
@@ -147,8 +158,8 @@ def euler_rate_entries(phi, theta):
     )
 
 
-def _input_effect(alpha, w, pp):
-    """Body force and body angular acceleration of input ``w`` at tilt ``alpha``.
+def _input_effect(tilt, w, pp):
+    """Body force and body angular acceleration of input ``w`` at tilt trig ``tilt``.
 
     Returns ``(fx, fy, fz, dp, dq, dr)``: the thrust map times ``w`` and
     ``inv(I_B)`` times the torque map times ``w``.  These are the only
@@ -156,10 +167,10 @@ def _input_effect(alpha, w, pp):
     not depend on the state.
     """
     _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
-    a1, a2, a3, a4 = alpha
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
     w1, w2, w3, w4 = w
-    sw1, sw2, sw3, sw4 = sin(a1) * w1, sin(a2) * w2, sin(a3) * w3, sin(a4) * w4
-    cw1, cw2, cw3, cw4 = cos(a1) * w1, cos(a2) * w2, cos(a3) * w3, cos(a4) * w4
+    sw1, sw2, sw3, sw4 = s1 * w1, s2 * w2, s3 * w3, s4 * w4
+    cw1, cw2, cw3, cw4 = c1 * w1, c2 * w2, c3 * w3, c4 * w4
     lk = arm * kf
     s13, s24 = sw1 - sw3, sw2 - sw4
     # rows of thrust_entries / torque_entries times w, grouped by sin and cos
@@ -174,15 +185,13 @@ def _input_effect(alpha, w, pp):
     )
 
 
-def _attitude_rates(phi, theta, psi, p, q, r, fx, fy, fz, m, g):
-    """World acceleration and Euler-angle rates at one attitude.
+def _attitude_rates(att, p, q, r, fx, fy, fz, m, g):
+    """World acceleration and Euler-angle rates at one attitude, given its trig.
 
     Returns ``(ax, ay, az, dphi, dtheta, dpsi)`` for body force
     ``(fx, fy, fz)`` and body rates ``(p, q, r)``.
     """
-    cf, sf = cos(phi), sin(phi)
-    ct, st = cos(theta), sin(theta)
-    cp, sp = cos(psi), sin(psi)
+    sf, cf, st, ct, sp, cp = att
     # R @ f applied one elementary rotation at a time: Rx(phi), Ry(theta), Rz(psi)
     fy1 = cf * fy - sf * fz
     fz1 = sf * fy + cf * fz
@@ -202,50 +211,52 @@ def _attitude_rates(phi, theta, psi, p, q, r, fx, fy, fz, m, g):
 
 def state_derivative(state, alpha, w, pp):
     """Time derivative of the 12-dimensional rigid-body state."""
-    fx, fy, fz, dp, dq, dr = _input_effect(alpha, w, pp)
+    fx, fy, fz, dp, dq, dr = _input_effect(tilt_trig(alpha), w, pp)
     ax, ay, az, dphi, dtheta, dpsi = _attitude_rates(
-        state[6], state[7], state[8], state[9], state[10], state[11],
+        attitude_trig(state[6], state[7], state[8]), state[9], state[10], state[11],
         fx, fy, fz, pp[0], pp[1],
     )
     return (state[3], state[4], state[5], ax, ay, az, dphi, dtheta, dpsi, dp, dq, dr)
 
 
-def rk4_step(state, alpha_0, alpha_mid, alpha_1, w_0, w_mid, w_1, dt, pp):
+def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
     """One classical Runge-Kutta step with inputs sampled at the stage times.
 
+    ``att_0`` is the attitude trig of ``state``; ``tilt_0``, ``tilt_mid``
+    and ``tilt_1`` are the tilt trig at the step start, midpoint and end.
     The input-dependent part of the derivative (:func:`_input_effect`) is
     state-free, so it is formed once per distinct stage input: stages 2
-    and 3 share ``(alpha_mid, w_mid)``.  Each stage then only evaluates
+    and 3 share ``(tilt_mid, w_mid)``.  Each stage then only evaluates
     the attitude-dependent rotation and Euler-rate terms.  The stage sums
     are those of the textbook scheme written out per component.
     """
     m, g = pp[0], pp[1]
     half = 0.5 * dt
     x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
-    fx0, fy0, fz0, dp0, dq0, dr0 = _input_effect(alpha_0, w_0, pp)
-    fxm, fym, fzm, dpm, dqm, drm = _input_effect(alpha_mid, w_mid, pp)
-    fx1, fy1, fz1, dp1, dq1, dr1 = _input_effect(alpha_1, w_1, pp)
+    fx0, fy0, fz0, dp0, dq0, dr0 = _input_effect(tilt_0, w_0, pp)
+    fxm, fym, fzm, dpm, dqm, drm = _input_effect(tilt_mid, w_mid, pp)
+    fx1, fy1, fz1, dp1, dq1, dr1 = _input_effect(tilt_1, w_1, pp)
 
     # stage 1 at the step start; its body-rate slope is (dp0, dq0, dr0)
     ax1, ay1, az1, ef1, et1, ep1 = _attitude_rates(
-        phi, theta, psi, p, q, r, fx0, fy0, fz0, m, g)
+        att_0, p, q, r, fx0, fy0, fz0, m, g)
     # stage 2 at the midpoint along k1
     vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
     p2, q2, r2 = p + half * dp0, q + half * dq0, r + half * dr0
     ax2, ay2, az2, ef2, et2, ep2 = _attitude_rates(
-        phi + half * ef1, theta + half * et1, psi + half * ep1,
+        attitude_trig(phi + half * ef1, theta + half * et1, psi + half * ep1),
         p2, q2, r2, fxm, fym, fzm, m, g)
     # stage 3 at the midpoint along k2
     vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
     p3, q3, r3 = p + half * dpm, q + half * dqm, r + half * drm
     ax3, ay3, az3, ef3, et3, ep3 = _attitude_rates(
-        phi + half * ef2, theta + half * et2, psi + half * ep2,
+        attitude_trig(phi + half * ef2, theta + half * et2, psi + half * ep2),
         p3, q3, r3, fxm, fym, fzm, m, g)
     # stage 4 at the step end along k3
     vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
     p4, q4, r4 = p + dt * dpm, q + dt * dqm, r + dt * drm
     ax4, ay4, az4, ef4, et4, ep4 = _attitude_rates(
-        phi + dt * ef3, theta + dt * et3, psi + dt * ep3,
+        attitude_trig(phi + dt * ef3, theta + dt * et3, psi + dt * ep3),
         p4, q4, r4, fx1, fy1, fz1, m, g)
 
     sixth = dt / 6.0
@@ -265,17 +276,19 @@ def rk4_step(state, alpha_0, alpha_mid, alpha_1, w_0, w_mid, w_1, dt, pp):
     )
 
 
-def decoupling(phi, theta, p, q, r, alpha, pp):
-    """Decoupling matrix, drift vector, determinant, and row-norm scale.
+def decoupling(att, p, q, r, tilt, pp):
+    """Decoupling matrix, drift vector, determinant, row-norm scale, Euler rates.
 
-    Returns ``(delta, b, det, scale)`` where ``delta`` is the row-major 4x4
-    matrix mapping signed squared rotor speeds to (roll'', pitch'', yaw'',
-    altitude'') contributions, ``b`` is the matching drift 4-vector, and
-    ``scale`` is the geometric mean of the four row norms of ``delta``.
+    ``att`` is the attitude trig (only roll and pitch enter) and ``tilt``
+    the tilt trig.  Returns ``(delta, b, det, scale, eta_dot)`` where
+    ``delta`` is the row-major 4x4 matrix mapping signed squared rotor
+    speeds to (roll'', pitch'', yaw'', altitude'') contributions, ``b`` is
+    the matching drift 4-vector, ``scale`` is the geometric mean of the
+    four row norms of ``delta``, and ``eta_dot = T @ (p, q, r)`` are the
+    Euler-angle rates.
     """
     m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
-    sf, cf = sin(phi), cos(phi)
-    st, ct = sin(theta), cos(theta)
+    sf, cf, st, ct = att[0], att[1], att[2], att[3]
     ctd = _safe_div(ct)
     tt = st / ctd
     # Euler-rate map T (rows: 1, sf*tt, cf*tt / 0, cf, -sf / 0, sf/ct, cf/ct)
@@ -293,9 +306,7 @@ def decoupling(phi, theta, p, q, r, alpha, pp):
     m22 = t21 * i12 + t22 * i22
 
     # nonzero entries of the torque map (rows tx, ty, tz) and thrust map
-    a1, a2, a3, a4 = alpha
-    s1, s2, s3, s4 = sin(a1), sin(a2), sin(a3), sin(a4)
-    c1, c2, c3, c4 = cos(a1), cos(a2), cos(a3), cos(a4)
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
     lk = arm * kf
     tx1, tx3 = lk * c2 - km * s2, -lk * c4 + km * s4
     ty0, ty2 = lk * c1 + km * s1, -lk * c3 - km * s3
@@ -337,7 +348,9 @@ def decoupling(phi, theta, p, q, r, alpha, pp):
         scale = exp(0.25 * (log(n0) + log(n1) + log(n2) + log(n3)))
     else:
         scale = 0.0
-    return d, b, det, scale
+    # the Euler rates summed row by row over the entries of T
+    eta_dot = (p + t01 * q + t02 * r, dtheta, t21 * q + t22 * r)
+    return d, b, det, scale, eta_dot
 
 
 def _minors(d):

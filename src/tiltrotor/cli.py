@@ -244,18 +244,17 @@ def cmd_curves(args) -> int:
 
 def cmd_track(args) -> int:
     params, gains, extras = _load_setup(args)
-    if args.duration <= 0:
-        raise CliError(f"--duration must be positive, got {args.duration}", EXIT_INVALID)
-    if args.dt <= 0:
-        raise CliError(f"--dt must be positive, got {args.dt}", EXIT_INVALID)
+    try:
+        config = sim.SimConfig(
+            duration=args.duration,
+            dt=args.dt,
+            abort_on_singular=extras.get("abort_on_singular", True),
+        )
+    except ValueError as exc:
+        raise CliError(f"--duration/--dt: {exc}", EXIT_INVALID) from exc
     gait = _load_gait_arg(args, params)
     paths = _prepare_outputs(
         args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"]
-    )
-    config = sim.SimConfig(
-        duration=args.duration,
-        dt=args.dt,
-        abort_on_singular=extras.get("abort_on_singular", True),
     )
     aborted_at = None
     try:

@@ -10,7 +10,9 @@ holds the last safe command and lets the caller decide whether to abort.
 
 The float-tuple helpers ``decoupler_core`` and ``fl_core`` are the single
 implementation of the control laws; the public operations wrap them and
-the simulation loop calls them directly to avoid per-step overhead.
+the simulation loop calls them directly to avoid per-step overhead.  They
+take the sines and cosines of the attitude and tilts (the kernels'
+``attitude_trig``/``tilt_trig`` sets), so that one step takes each once.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class Gains:
         kd = np.broadcast_to(np.asarray(self.kd, dtype=float), (4,)).copy()
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
-        if np.any(kp <= 0) or np.any(kd <= 0) or self.kp_xy <= 0 or self.kd_xy <= 0:
-            raise ValueError("all gains must be positive")
+        gains = (*kp.tolist(), *kd.tolist(), self.kp_xy, self.kd_xy)
+        if not all(math.isfinite(v) and v > 0 for v in gains):
+            raise ValueError(f"all gains must be positive and finite, got {gains}")
         if not 0.0 < self.clamp < math.pi / 2:
             raise ValueError(f"clamp must lie in (0, pi/2), got {self.clamp}")
 
@@ -131,13 +134,15 @@ def _sat1(v: float, lo: float, hi: float) -> float:
     return math.copysign(mag, v)
 
 
-def decoupler_core(px, py, vx, vy, psi,
+def decoupler_core(px, py, vx, vy, sp, cp,
                    rpx, rpy, rvx, rvy, rax, ray,
                    kp_xy, kd_xy, clamp, g):
-    """Float core of the position decoupler; returns ``(phi_ref, theta_ref)``."""
+    """Float core of the position decoupler; returns ``(phi_ref, theta_ref)``.
+
+    ``sp``, ``cp`` are the sine and cosine of the yaw.
+    """
     ux = rax + kd_xy * (rvx - vx) + kp_xy * (rpx - px)
     uy = ray + kd_xy * (rvy - vy) + kp_xy * (rpy - py)
-    cp, sp = math.cos(psi), math.sin(psi)
     theta_ref = (ux * cp + uy * sp) / g
     phi_ref = (ux * sp - uy * cp) / g
     if phi_ref > clamp:
@@ -158,10 +163,11 @@ def position_decoupler(state: State, ref, gains: Gains, params: Params) -> tuple
     horizontal accelerations are rotated by the current yaw, scaled by
     gravity, then clamped to ``+/- gains.clamp``.
     """
+    psi = float(state.eta[2])
     return decoupler_core(
         float(state.pos[0]), float(state.pos[1]),
         float(state.vel[0]), float(state.vel[1]),
-        float(state.eta[2]),
+        math.sin(psi), math.cos(psi),
         float(ref.pos[0]), float(ref.pos[1]),
         float(ref.vel[0]), float(ref.vel[1]),
         float(ref.acc[0]), float(ref.acc[1]),
@@ -169,16 +175,21 @@ def position_decoupler(state: State, ref, gains: Gains, params: Params) -> tuple
     )
 
 
-def fl_core(z, vz, phi, theta, psi, p, q, r, alpha4,
+_UNSATURATED = (False, False, False, False)
+
+
+def fl_core(state, att, tilt,
             ref_val, ref_rate, ref_acc,
             kp4, kd4, pack, omega_lo, omega_hi, eps_sing, last_cmd):
     """Float core of the inner loop.
 
-    ``alpha4``, ``ref_*``, ``kp4``, ``kd4`` and ``last_cmd`` are 4-tuples;
-    ``pack`` is the kernel parameter pack.  Returns
+    ``state`` is the kernels' 12-tuple, ``att`` its attitude trig and
+    ``tilt`` the tilt trig; ``ref_*``, ``kp4``, ``kd4`` and ``last_cmd``
+    are 4-tuples; ``pack`` is the kernel parameter pack.  Returns
     ``(varpi4, det, sat4, singular)``.
     """
-    d, b, det, scale = kernels.decoupling(phi, theta, p, q, r, alpha4, pack)
+    _, _, z, _, _, vz, phi, theta, psi, p, q, r = state
+    d, b, det, scale, eta_dot = kernels.decoupling(att, p, q, r, tilt, pack)
     if det == 0.0 or abs(det) < eps_sing * scale**4:
         held = last_cmd
         out = (
@@ -190,32 +201,30 @@ def fl_core(z, vz, phi, theta, psi, p, q, r, alpha4,
         sat = (out[0] != held[0], out[1] != held[1], out[2] != held[2], out[3] != held[3])
         return out, det, sat, True
 
-    T9 = kernels.euler_rate_entries(phi, theta)
-    y0, y1, y2, y3 = phi, theta, psi, z
-    yd0 = T9[0] * p + T9[1] * q + T9[2] * r
-    yd1 = T9[3] * p + T9[4] * q + T9[5] * r
-    yd2 = T9[6] * p + T9[7] * q + T9[8] * r
-    yd3 = vz
+    # outputs y = (phi, theta, psi, z) and their rates (eta_dot, vz)
+    yd0, yd1, yd2 = eta_dot
     rhs = (
-        ref_acc[0] + kd4[0] * (ref_rate[0] - yd0) + kp4[0] * (ref_val[0] - y0) - b[0],
-        ref_acc[1] + kd4[1] * (ref_rate[1] - yd1) + kp4[1] * (ref_val[1] - y1) - b[1],
-        ref_acc[2] + kd4[2] * (ref_rate[2] - yd2) + kp4[2] * (ref_val[2] - y2) - b[2],
-        ref_acc[3] + kd4[3] * (ref_rate[3] - yd3) + kp4[3] * (ref_val[3] - y3) - b[3],
+        ref_acc[0] + kd4[0] * (ref_rate[0] - yd0) + kp4[0] * (ref_val[0] - phi) - b[0],
+        ref_acc[1] + kd4[1] * (ref_rate[1] - yd1) + kp4[1] * (ref_val[1] - theta) - b[1],
+        ref_acc[2] + kd4[2] * (ref_rate[2] - yd2) + kp4[2] * (ref_val[2] - psi) - b[2],
+        ref_acc[3] + kd4[3] * (ref_rate[3] - vz) + kp4[3] * (ref_val[3] - z) - b[3],
     )
-    w = kernels.solve4(d, rhs)
-    raw = (
-        math.copysign(math.sqrt(abs(w[0])), w[0]) if w[0] != 0.0 else 0.0,
-        math.copysign(math.sqrt(abs(w[1])), w[1]) if w[1] != 0.0 else 0.0,
-        math.copysign(math.sqrt(abs(w[2])), w[2]) if w[2] != 0.0 else 0.0,
-        math.copysign(math.sqrt(abs(w[3])), w[3]) if w[3] != 0.0 else 0.0,
-    )
+    w0, w1, w2, w3 = kernels.solve4(d, rhs)
+    v0 = math.copysign(math.sqrt(abs(w0)), w0) if w0 != 0.0 else 0.0
+    v1 = math.copysign(math.sqrt(abs(w1)), w1) if w1 != 0.0 else 0.0
+    v2 = math.copysign(math.sqrt(abs(w2)), w2) if w2 != 0.0 else 0.0
+    v3 = math.copysign(math.sqrt(abs(w3)), w3) if w3 != 0.0 else 0.0
+    if (omega_lo <= abs(v0) <= omega_hi and omega_lo <= abs(v1) <= omega_hi
+            and omega_lo <= abs(v2) <= omega_hi and omega_lo <= abs(v3) <= omega_hi):
+        # in range: _sat1 would return each value unchanged
+        return (v0, v1, v2, v3), det, _UNSATURATED, False
     out = (
-        _sat1(raw[0], omega_lo, omega_hi),
-        _sat1(raw[1], omega_lo, omega_hi),
-        _sat1(raw[2], omega_lo, omega_hi),
-        _sat1(raw[3], omega_lo, omega_hi),
+        _sat1(v0, omega_lo, omega_hi),
+        _sat1(v1, omega_lo, omega_hi),
+        _sat1(v2, omega_lo, omega_hi),
+        _sat1(v3, omega_lo, omega_hi),
     )
-    sat = (out[0] != raw[0], out[1] != raw[1], out[2] != raw[2], out[3] != raw[3])
+    sat = (out[0] != v0, out[1] != v1, out[2] != v2, out[3] != v3)
     return out, det, sat, False
 
 
@@ -242,11 +251,9 @@ def fl_inner_loop(
         held = tuple((params.spin_sign * params.omega_lo).tolist())
     else:
         held = tuple(float(v) for v in last_command)
+    x = tuple(state.as_array().tolist())
     varpi, det, sat, singular = fl_core(
-        float(state.pos[2]), float(state.vel[2]),
-        float(state.eta[0]), theta, float(state.eta[2]),
-        float(state.omega[0]), float(state.omega[1]), float(state.omega[2]),
-        _alpha4(alpha),
+        x, kernels.attitude_trig(x[6], x[7], x[8]), kernels.tilt_trig(_alpha4(alpha)),
         tuple(refs.value.tolist()), tuple(refs.rate.tolist()), tuple(refs.accel.tolist()),
         tuple(gains.kp.tolist()), tuple(gains.kd.tolist()),
         params.pack, params.omega_lo, params.omega_hi, eps_sing, held,

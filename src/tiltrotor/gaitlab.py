@@ -50,6 +50,8 @@ TWO_PI = 2.0 * math.pi
 RES_SCALE_EXP = 2
 AB_TOL_FACTOR = 1e-14
 AB_BOUND_FACTOR = 1e-8
+# largest final Newton step of a converged root [rad]
+NEWTON_STEP_TOL = 1e-10
 
 CLUSTER_RADIUS = 1e-3       # multi-start root clustering radius [rad]
 NEWTON_MAX_ITER = 60
@@ -112,7 +114,7 @@ def _newton(a1, a2, seed34, params: Params, tol):
     return kernels.newton_ab(
         a1, a2, seed34[0], seed34[1],
         params.k_f, params.k_m, params.arm_length,
-        tol, NEWTON_MAX_ITER,
+        tol, NEWTON_STEP_TOL, NEWTON_MAX_ITER,
     )
 
 
@@ -398,13 +400,22 @@ def make_rectangle_gait(
     ``(alpha3, alpha4)`` sit on the requested branch plane at every
     station, so the gait is exactly on-branch and closes exactly.  The
     planes do not depend on ``params``.  Centre and half extents must be
-    finite, the half extents non-negative.
+    finite, the half extents both positive or both zero (a fixed point);
+    ``stations_per_edge`` must be a positive integer.
     """
     cx, cy, hx, hy = _finite(
         (center[0], center[1], half_extents[0], half_extents[1]), "center and half extents"
     ).tolist()
     if hx < 0 or hy < 0:
         raise ValueError("half extents must be non-negative")
+    if (hx == 0.0) != (hy == 0.0):
+        raise ValueError(
+            f"half extents ({hx}, {hy}): one is zero, so two edges have zero length; "
+            "give both positive, or both zero for a fixed point"
+        )
+    if (isinstance(stations_per_edge, bool) or not isinstance(stations_per_edge, numbers.Integral)
+            or stations_per_edge < 1):
+        raise ValueError(f"stations_per_edge must be a positive integer, got {stations_per_edge!r}")
 
     if hx == 0.0 and hy == 0.0:
         pts = np.array([[cx, cy], [cx, cy]])

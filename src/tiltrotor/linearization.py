@@ -81,7 +81,10 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """
     phi, theta = float(eta[0]), float(eta[1])
     check_pitch(theta)
-    d, _, det, scale = kernels.decoupling(phi, theta, 0.0, 0.0, 0.0, _alpha4(alpha), params.pack)
+    d, _, det, scale, _ = kernels.decoupling(
+        kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
+        kernels.tilt_trig(_alpha4(alpha)), params.pack,
+    )
     return DecouplingMatrix(delta=np.asarray(d).reshape(4, 4), det=float(det), scale=float(scale))
 
 
@@ -94,7 +97,10 @@ def drift_vector(state: State, params: Params) -> np.ndarray:
     phi, theta = float(state.eta[0]), float(state.eta[1])
     check_pitch(theta)
     p, q, r = (float(v) for v in state.omega)
-    _, b, _, _ = kernels.decoupling(phi, theta, p, q, r, (0.0, 0.0, 0.0, 0.0), params.pack)
+    _, b, _, _, _ = kernels.decoupling(
+        kernels.attitude_trig(phi, theta, 0.0), p, q, r,
+        kernels.tilt_trig((0.0, 0.0, 0.0, 0.0)), params.pack,
+    )
     return np.asarray(b)
 
 

@@ -79,12 +79,19 @@ class Params:
         object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
         object.__setattr__(self, "spin_sign", np.asarray(self.spin_sign, dtype=float))
         for name in ("m", "g", "k_f", "k_m", "arm_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.omega_hi is None:
             object.__setattr__(self, "omega_hi", 1.5 * self.hover_speed)
+        if not (math.isfinite(self.omega_lo) and math.isfinite(self.omega_hi)):
+            raise ValueError(
+                f"rotor speed limits must be finite, got ({self.omega_lo}, {self.omega_hi})"
+            )
         if self.inertia.shape != (3, 3):
             raise ValueError(f"inertia must be 3x3, got {self.inertia.shape}")
+        if not np.all(np.isfinite(self.inertia)):
+            raise ValueError("inertia must be finite")
         if not np.allclose(self.inertia, self.inertia.T, rtol=1e-12, atol=0.0):
             raise ValueError("inertia must be symmetric")
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0):
@@ -277,8 +284,11 @@ def integrate_step(
     w0 = tuple(speeds_to_input(varpi_of_t(t)).tolist())
     wm = tuple(speeds_to_input(varpi_of_t(t + 0.5 * dt)).tolist())
     w1 = tuple(speeds_to_input(varpi_of_t(t + dt)).tolist())
+    x = tuple(state.as_array().tolist())
     out = kernels.rk4_step(
-        tuple(state.as_array().tolist()), a0, am, a1, w0, wm, w1, float(dt), params.pack
+        x, kernels.attitude_trig(x[6], x[7], x[8]),
+        kernels.tilt_trig(a0), kernels.tilt_trig(am), kernels.tilt_trig(a1),
+        w0, wm, w1, float(dt), params.pack,
     )
     return State.from_array(out)
 

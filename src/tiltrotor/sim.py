@@ -3,7 +3,11 @@
 One simulation step: sample the gait, turn horizontal position error into
 roll/pitch references, run the inner feedback-linearization loop, then
 advance the plant one Runge-Kutta step holding the rotor speeds constant
-(zero-order hold).  Control runs at the integration rate.
+(zero-order hold).  Control runs at the integration rate.  A step takes
+the sines and cosines of its start attitude once, for the outer and inner
+loops and the first Runge-Kutta stage, and those of each gait sample
+once: the end-stage tilts of one step are the start-stage tilts of the
+next.
 
 Identical configurations produce bit-identical logs.
 """
@@ -78,7 +82,14 @@ def fixed_reference(pos) -> Callable[[float], Reference]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run configuration for :func:`run_tracking`."""
+    """Run configuration for :func:`run_tracking`.
+
+    ``duration`` and ``dt`` must be positive and finite, with ``dt <=
+    duration``.  The run takes ``round(duration / dt)`` steps, so a
+    duration off the ``dt`` grid snaps to the nearest multiple of ``dt``,
+    ties to an even step count (0.0105 s at ``dt = 1e-3`` runs 10 steps,
+    to t = 0.010 s); the log has one row more than the step count.
+    """
 
     duration: float = 120.0
     dt: float = 1e-3
@@ -89,14 +100,19 @@ class SimConfig:
     eps_sing: float = EPS_SING
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("duration", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.dt > self.duration:
+            raise ValueError(f"dt {self.dt} exceeds the duration {self.duration}")
+        if not (math.isfinite(self.eps_sing) and self.eps_sing >= 0):
+            raise ValueError(f"eps_sing must be non-negative and finite, got {self.eps_sing}")
         if self.initial_varpi is not None:
-            object.__setattr__(
-                self, "initial_varpi", np.asarray(self.initial_varpi, dtype=float)
-            )
+            varpi = np.asarray(self.initial_varpi, dtype=float)
+            if varpi.shape != (4,) or not np.all(np.isfinite(varpi)):
+                raise ValueError(f"initial_varpi must be four finite speeds, got {varpi}")
+            object.__setattr__(self, "initial_varpi", varpi)
 
 
 @dataclass
@@ -209,10 +225,14 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             aborted=aborted, abort_time=abort_time,
         )
 
+    attitude_trig, tilt_trig = kernels.attitude_trig, kernels.tilt_trig
+    zero4 = (0.0, 0.0, 0.0, 0.0)
     a_next = sample(0.0)
+    tilt_next = tilt_trig(a_next)
     for i in range(n_rows):
         t = i * dt
-        a = a_next  # the end-stage sample of the previous step
+        # the end-stage sample of the previous step, and its trig
+        a, tilt = a_next, tilt_next
         rf = ref_floats(t)
         states[i] = state
         alphas[i] = a
@@ -226,23 +246,24 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             raise AbortedSingular(t, State.from_array(np.asarray(state)),
                                   log=finish(i, True, t))
 
+        att = attitude_trig(state[6], state[7], state[8])
         phi_ref, theta_ref = decoupler_core(
-            state[0], state[1], state[3], state[4], state[8],
+            state[0], state[1], state[3], state[4], att[4], att[5],
             rf[0], rf[1], rf[3], rf[4], rf[6], rf[7],
             kp_xy, kd_xy, clamp, g,
         )
         varpi, det, sat, singular = fl_core(
-            state[2], state[5], state[6], state[7], state[8],
-            state[9], state[10], state[11], a,
-            (phi_ref, theta_ref, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+            state, att, tilt, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
             kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
         )
         varpis[i] = varpi
         dets[i] = det
-        sats[i] = sat
-        sings[i] = singular
+        # the flag arrays start zeroed: write only rows with a flag set
+        if True in sat:
+            sats[i] = sat
 
         if singular:
+            sings[i] = True
             if abort_on_singular:
                 raise AbortedSingular(t, State.from_array(np.asarray(state)),
                                       log=finish(i, True, t))
@@ -257,8 +278,10 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                 varpi[3] * abs(varpi[3]),
             )
             a_next = sample((i + 1) * dt)
+            tilt_next = tilt_trig(a_next)
             state = kernels.rk4_step(
-                state, a, sample(t + 0.5 * dt), a_next, w, w, w, dt, pack
+                state, att, tilt, tilt_trig(sample(t + 0.5 * dt)), tilt_next,
+                w, w, w, dt, pack,
             )
 
     return finish(n_rows - 1, False, None)

@@ -35,7 +35,10 @@ class LinePlot:
         if xs.size < 2:
             return
         px, py = self._to_px(xs, ys)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        # one %-format over plain floats for the whole line: formatting point
+        # by point, and numpy scalars above all, costs several times more
+        xy = np.column_stack((px, py)).ravel().tolist()
+        pts = ("%.2f,%.2f " * px.size % tuple(xy))[:-1]
         self._elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
         )

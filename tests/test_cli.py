@@ -158,6 +158,24 @@ def test_track_invalid_duration(tmp_path, gait_files):
                    str(gait_files / "gait_gait1.csv"), "--duration", "0") == 2
 
 
+@pytest.mark.parametrize("timing", [
+    ["--duration", "nan"], ["--duration", "inf"], ["--dt", "nan"],
+    ["--duration", "0.001", "--dt", "0.002"],
+])
+def test_track_rejects_bad_timing(tmp_path, gait_files, timing, capsys):
+    assert run_cli("--out", str(tmp_path), "track", "--gait",
+                   str(gait_files / "gait_gait1.csv"), *timing) == 2
+    assert "--duration/--dt" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_gaitgen_rejects_one_zero_half_extent(tmp_path, capsys):
+    assert run_cli("--out", str(tmp_path), "gaitgen", "--branch", "blue",
+                   "--center", "0.1", "0.1", "--half", "0.0", "0.3") == 2
+    assert "one is zero" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_track_csv_roundtrip_precision(tmp_path, gait_files):
     out = tmp_path / "rt"
     assert run_cli("--out", str(out), "track", "--gait",

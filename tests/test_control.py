@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tiltrotor as tr
-from tiltrotor._core import kernels_py
-from tiltrotor.control import InnerLoop
+from tiltrotor._core import kernels
+from tiltrotor.control import InnerLoop, _sat1, fl_core
 
 
 def _ref(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
@@ -203,6 +205,49 @@ def test_gains_validation(bad):
         tr.Gains(**bad)
 
 
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(["kp", "kd", "kp_xy", "kd_xy", "clamp"]),
+       channel=st.integers(0, 3))
+def test_gains_rejects_non_finite(bad, field, channel):
+    if field in ("kp", "kd"):
+        value = np.full(4, 4.0)
+        value[channel] = bad
+    else:
+        value = bad
+    with pytest.raises(ValueError):
+        tr.Gains(**{field: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-0.5, 0.5), min_size=12, max_size=12),
+       alpha=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+       ref=st.lists(st.floats(-0.4, 0.4), min_size=4, max_size=4))
+def test_fl_core_saturation_matches_sat1(params, x, alpha, ref):
+    # the in-range shortcut and the clamp path give what clamping the
+    # unsaturated command with _sat1 gives, bit for bit, with its flags,
+    # for every band that cuts the n_lo smallest and n_hi largest magnitudes
+    att = kernels.attitude_trig(x[6], x[7], x[8])
+    tilt = kernels.tilt_trig(alpha)
+    args = (tuple(x), att, tilt, tuple(ref), (0.0,) * 4, (0.0,) * 4,
+            (4.0,) * 4, (4.0,) * 4, params.pack)
+    held = (-20.0, 20.0, -20.0, 20.0)
+    raw, det, sat, singular = fl_core(*args, 0.0, math.inf, 1e-4, held)
+    assume(not singular)
+    assert sat == (False,) * 4
+    mags = sorted(abs(v) for v in raw)
+    for n_lo in range(5):
+        for n_hi in range(5 - n_lo):
+            lo = mags[n_lo - 1] * (1.0 + 1e-9) if n_lo else 0.5 * mags[0]
+            hi = mags[4 - n_hi] * (1.0 - 1e-9) if n_hi else 2.0 * mags[3]
+            if not lo < hi:
+                continue
+            out, det2, sat2, singular2 = fl_core(*args, lo, hi, 1e-4, held)
+            assert (det2, singular2) == (det, False)
+            want = tuple(_sat1(v, lo, hi) for v in raw)
+            assert out == want
+            assert sat2 == tuple(o != v for o, v in zip(want, raw))
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = {
         "m": 1.1, "g": 9.81, "k_f": 8.048e-6, "k_m": 2.423e-7, "arm_length": 0.3,
@@ -236,7 +281,7 @@ def test_solve4_matches_numpy(rng):
         if np.linalg.cond(d) > 1e6:
             continue
         rhs = rng.normal(size=4)
-        got = kernels_py.solve4(tuple(d.ravel().tolist()), tuple(rhs.tolist()))
+        got = kernels.solve4(tuple(d.ravel().tolist()), tuple(rhs.tolist()))
         want = np.linalg.solve(d, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
         checked += 1
@@ -247,12 +292,15 @@ def test_solve4_decoupling_system(params, rng):
     for _ in range(200):
         phi, theta = rng.uniform(-1.2, 1.2, 2)
         alpha = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
-        d, _, det, _ = kernels_py.decoupling(phi, theta, 0.0, 0.0, 0.0, alpha, params.pack)
+        d, _, det, _, _ = kernels.decoupling(
+            kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
+            kernels.tilt_trig(alpha), params.pack,
+        )
         m = np.asarray(d).reshape(4, 4)
         if np.linalg.cond(m) > 1e6:
             continue
         rhs = rng.normal(size=4)
-        got = kernels_py.solve4(d, tuple(rhs.tolist()))
+        got = kernels.solve4(d, tuple(rhs.tolist()))
         np.testing.assert_allclose(m @ np.asarray(got), rhs, rtol=0, atol=1e-8)
 
 
@@ -269,4 +317,4 @@ def test_solve4_decoupling_system(params, rng):
 ])
 def test_solve4_raises_on_singular(d):
     with pytest.raises(ArithmeticError):
-        kernels_py.solve4(d, (1.0, 2.0, 3.0, 4.0))
+        kernels.solve4(d, (1.0, 2.0, 3.0, 4.0))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,9 @@ def rotor_params(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(a1=ANGLE, a2=ANGLE, params=rotor_params())
+# delta = 2 atan(k_m / (arm k_f)) lies 1.1e-3 rad from pi: |A| + |B| is flat
+# enough there to fall below the Newton tolerance 1e-3 rad from any root
+@example(a1=0.0, a2=1.0, params=tr.Params(k_f=1e-7, k_m=1e-5, arm_length=0.0546875))
 def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
     scale = abc_scale(params)
     blue, red = tr.solve_color_pair((a1, a2), params)
@@ -556,6 +560,24 @@ def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
     hits = [[k for k, r in enumerate(robust) if _mod2pi_dist(sol.alpha34, r) < 1e-2]
             for sol in (blue, red)]
     assert len(hits[0]) == 1 and len(hits[1]) == 1 and hits[0] != hits[1]
+
+
+def test_scan_roots_skips_flat_near_roots():
+    params = tr.Params(k_f=1e-7, k_m=1e-5, arm_length=0.0546875)
+    delta = 2.0 * math.atan(params.k_m / (params.arm_length * params.k_f))
+    clusters = scan_roots((0.0, 1.0), params)
+    # the robust set {0, pi} x {1, 1 + pi} and the rank-deficient set
+    # (delta - a1 + k pi, -delta - a2 + k pi), nothing else
+    robust = [(a3, a4) for a3 in (0.0, math.pi) for a4 in (1.0, 1.0 + math.pi)]
+    deficient = [(delta + k3 * math.pi, -delta - 1.0 + k4 * math.pi)
+                 for k3 in (0, 1) for k4 in (0, 1)]
+    assert len(clusters) == 8
+    for cl in clusters:
+        family = robust if cl["robust"] else deficient
+        assert min(_mod2pi_dist(cl["alpha34"], r) for r in family) < 1e-9
+    assert sum(cl["robust"] for cl in clusters) == 4
+    blue, red = tr.solve_color_pair((0.0, 1.0), params, verify=True)
+    assert blue.color == "blue" and red.color == "red"
 
 
 @st.composite
@@ -627,6 +649,30 @@ def test_rectangle_gait_rejects_non_finite_geometry(params, bad, slot, branch):
     geometry[slot] = bad
     with pytest.raises(ValueError, match="finite"):
         tr.make_rectangle_gait(geometry[:2], geometry[2:], 10.0, branch, params)
+
+
+@given(center=st.tuples(ANGLE, ANGLE), extent=st.floats(1e-6, 1.0), slot=st.integers(0, 1))
+def test_rectangle_gait_rejects_one_zero_half_extent(params, center, extent, slot):
+    half = [extent, extent]
+    half[slot] = 0.0
+    with pytest.raises(ValueError, match="one is zero"):
+        tr.make_rectangle_gait(center, half, 10.0, "blue", params)
+
+
+@pytest.mark.parametrize("stations", [0, -3, 2.0, 2.5, True, None])
+def test_rectangle_gait_rejects_bad_station_count(params, stations):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused up front, before any division
+        with pytest.raises(ValueError, match="stations_per_edge"):
+            tr.make_rectangle_gait((0.0, 0.0), (0.2, 0.3), 10.0, "red", params,
+                                   stations_per_edge=stations)
+
+
+@pytest.mark.parametrize("stations", [1, 2, 16])
+def test_rectangle_gait_station_counts(params, stations):
+    g = tr.make_rectangle_gait((0.1, -0.1), (0.2, 0.3), 10.0, "red", params,
+                               stations_per_edge=stations)
+    assert len(g.waypoints) == 4 * stations + 1
 
 
 @given(bad=NON_FINITE, slot=st.integers(0, 1))

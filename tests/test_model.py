@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiltrotor as tr
-from tiltrotor._core import kernels_py
+from tiltrotor._core import kernels
 from tiltrotor.errors import RepresentationSingular
 
 from _oracles import (
@@ -115,14 +115,13 @@ def test_rotation_orthonormality(rng):
 
 
 def test_rotation_third_row_formula(rng):
-    # the construction is literally (-s_theta, s_phi c_theta, c_phi c_theta);
-    # allow 1 ulp for the compiled backend's sin/cos evaluation order
+    # the construction is literally (-s_theta, s_phi c_theta, c_phi c_theta)
     for _ in range(200):
         phi, theta, psi = rng.uniform(-math.pi, math.pi, 3)
         R = tr.rotation_matrix([phi, theta, psi])
         row = [-math.sin(theta), math.sin(phi) * math.cos(theta),
                math.cos(phi) * math.cos(theta)]
-        np.testing.assert_allclose(R[2], row, rtol=3e-16, atol=3e-16)
+        np.testing.assert_array_equal(R[2], row)
 
 
 def test_euler_rate_matrix_properties():
@@ -225,7 +224,7 @@ def test_single_step_ballistic(params):
 def _textbook_rk4(x, alpha_0, alpha_mid, alpha_1, w_0, w_mid, w_1, dt, pp):
     # classical RK4 composed from the state derivative, inputs at the stage times
     def f(s, alpha, w):
-        return np.asarray(kernels_py.state_derivative(tuple(s), alpha, w, pp))
+        return np.asarray(kernels.state_derivative(tuple(s), alpha, w, pp))
 
     x = np.asarray(x)
     k1 = f(x, alpha_0, w_0)
@@ -246,7 +245,11 @@ def test_rk4_step_matches_textbook_composition(params, rng):
         a0, am, a1 = (tuple(rng.uniform(-math.pi, math.pi, 4).tolist()) for _ in range(3))
         w0, wm, w1 = (tuple(rng.uniform(-3e5, 3e5, 4).tolist()) for _ in range(3))
         x = tuple(x.tolist())
-        got = kernels_py.rk4_step(x, a0, am, a1, w0, wm, w1, dt, pp)
+        got = kernels.rk4_step(
+            x, kernels.attitude_trig(x[6], x[7], x[8]),
+            kernels.tilt_trig(a0), kernels.tilt_trig(am), kernels.tilt_trig(a1),
+            w0, wm, w1, dt, pp,
+        )
         want = _textbook_rk4(x, a0, am, a1, w0, wm, w1, dt, pp)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -309,6 +312,21 @@ def test_params_json_roundtrip(tmp_path, params):
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         tr.Params(**bad)
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(["m", "g", "k_f", "k_m", "arm_length", "omega_lo", "omega_hi"]))
+def test_params_rejects_non_finite(bad, field):
+    with pytest.raises(ValueError, match="finite"):
+        tr.Params(**{field: bad})
+
+
+@given(bad=st.sampled_from([math.nan, math.inf]), i=st.integers(0, 2))
+def test_params_rejects_non_finite_inertia(bad, i):
+    inertia = np.diag([0.01, 0.01, 0.02])
+    inertia[i, i] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.Params(inertia=inertia)
 
 
 def test_hover_feasibility_default(params):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import tiltrotor as tr
+from tiltrotor.control import InnerRefs
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.sim import TRACKLOG_HEADER
 
@@ -87,6 +90,39 @@ def test_determinism_bit_identical(params, gains, gait1, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("band", [None, (520.0, 600.0)])
+def test_run_tracking_matches_public_composition(gains, gait1, band):
+    # the loop shares sines and cosines between its layers and steps; the
+    # public operations take every one afresh, so both must agree row by row.
+    # The narrow speed band saturates two rotors on most rows.
+    params = tr.Params() if band is None else tr.Params(omega_lo=band[0], omega_hi=band[1])
+    dt = 1e-3
+    log = tr.run_tracking(tr.SimConfig(duration=0.5, dt=dt), params, gains, gait1)
+    assert len(log) == 501
+    state = tr.State()
+    last = params.spin_sign * (0.8 * params.hover_speed)
+    for i in range(len(log)):
+        t = i * dt
+        alpha = gait1.sample_raw(t)
+        ref = tr.circular_reference(t)
+        phi_ref, theta_ref = tr.position_decoupler(state, ref, gains, params)
+        out = tr.fl_inner_loop(state, alpha, InnerRefs(value=[phi_ref, theta_ref, 0.0, 0.0]),
+                               gains, params, last_command=last)
+        np.testing.assert_allclose(log.states[i], state.as_array(), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(log.alpha[i], alpha, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(log.ref_pos[i], ref.pos, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(log.varpi[i], out.varpi_cmd, rtol=1e-12)
+        np.testing.assert_allclose(log.det[i], out.det_delta, rtol=1e-12)
+        assert log.saturated[i].tolist() == out.saturated.tolist()
+        assert log.singular[i] == out.singular
+        if not out.singular:
+            last = out.varpi_cmd
+        # zero-order hold on the command
+        state = tr.integrate_step(state, gait1.sample_raw, lambda _t, v=out.varpi_cmd: v,
+                                  t, dt, params)
+    assert log.saturated.any() == (band is not None)
+
+
 def test_zero_order_hold_consistency(params, gains, gait1):
     base = tr.run_tracking(tr.SimConfig(duration=10.0, dt=1e-3), params, gains, gait1)
     fine = tr.run_tracking(tr.SimConfig(duration=10.0, dt=5e-4), params, gains, gait1)
@@ -151,3 +187,32 @@ def test_config_validation():
         tr.SimConfig(duration=0.0)
     with pytest.raises(ValueError):
         tr.SimConfig(dt=-1e-3)
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(["duration", "dt", "eps_sing"]))
+def test_config_rejects_non_finite(bad, field):
+    with pytest.raises(ValueError, match="finite"):
+        tr.SimConfig(**{field: bad})
+
+
+@given(duration=st.floats(1e-6, 1e3), over=st.floats(1.0, 1e3, exclude_min=True))
+def test_config_rejects_dt_above_duration(duration, over):
+    assume(duration * over > duration)
+    with pytest.raises(ValueError, match="exceeds"):
+        tr.SimConfig(duration=duration, dt=duration * over)
+
+
+def test_config_rejects_bad_initial_command():
+    with pytest.raises(ValueError):
+        tr.SimConfig(initial_varpi=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        tr.SimConfig(initial_varpi=[1.0, 2.0, math.nan, 4.0])
+
+
+@pytest.mark.parametrize("duration, rows", [(0.0105, 11), (0.0115, 13), (0.0104, 11),
+                                            (0.001, 2)])
+def test_duration_snaps_to_dt_grid(params, gains, gait1, duration, rows):
+    # round(duration / dt) steps, ties to even: 10.5 -> 10, 11.5 -> 12
+    log = tr.run_tracking(tr.SimConfig(duration=duration, dt=1e-3), params, gains, gait1)
+    assert len(log) == rows
