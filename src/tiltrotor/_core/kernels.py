@@ -280,12 +280,13 @@ def decoupling(att, p, q, r, tilt, pp):
     """Decoupling matrix, drift vector, determinant, row-norm scale, Euler rates.
 
     ``att`` is the attitude trig (only roll and pitch enter) and ``tilt``
-    the tilt trig.  Returns ``(delta, b, det, scale, eta_dot)`` where
-    ``delta`` is the row-major 4x4 matrix mapping signed squared rotor
-    speeds to (roll'', pitch'', yaw'', altitude'') contributions, ``b`` is
-    the matching drift 4-vector, ``scale`` is the geometric mean of the
-    four row norms of ``delta``, and ``eta_dot = T @ (p, q, r)`` are the
-    Euler-angle rates.
+    the tilt trig.  Returns ``(delta, b, det, scale, eta_dot, minors)``
+    where ``delta`` is the row-major 4x4 matrix mapping signed squared
+    rotor speeds to (roll'', pitch'', yaw'', altitude'') contributions,
+    ``b`` is the matching drift 4-vector, ``scale`` is the geometric mean
+    of the four row norms of ``delta``, ``eta_dot = T @ (p, q, r)`` are
+    the Euler-angle rates, and ``minors`` are the twelve 2x2 minors that
+    ``det`` is expanded from, for :func:`solve4` to reuse.
     """
     m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
@@ -339,7 +340,10 @@ def decoupling(att, p, q, r, tilt, pp):
         -g,
     )
 
-    det = _det4(d)
+    # Laplace expansion over the first two rows (2x2 complementary minors)
+    minors = _minors(d)
+    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = minors
+    det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
     n0 = sqrt(e00 * e00 + e01 * e01 + e02 * e02 + e03 * e03)
     n1 = sqrt(e10 * e10 + e11 * e11 + e12 * e12 + e13 * e13)
     n2 = sqrt(e20 * e20 + e21 * e21 + e22 * e22 + e23 * e23)
@@ -350,7 +354,7 @@ def decoupling(att, p, q, r, tilt, pp):
         scale = 0.0
     # the Euler rates summed row by row over the entries of T
     eta_dot = (p + t01 * q + t02 * r, dtheta, t21 * q + t22 * r)
-    return d, b, det, scale, eta_dot
+    return d, b, det, scale, eta_dot, minors
 
 
 def _minors(d):
@@ -372,20 +376,17 @@ def _minors(d):
     )
 
 
-def _det4(d):
-    # Laplace expansion over the first two rows (2x2 complementary minors)
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
-    return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-
-
-def solve4(d, rhs):
+def solve4(d, rhs, minors=None):
     """Solve the 4x4 system ``d @ x = rhs`` by the adjugate (Cramer's rule).
 
     The determinant and the adjugate are both formed from the 2x2 minors
-    of rows (0, 1) and rows (2, 3), the same minors :func:`_det4` expands.
+    of rows (0, 1) and rows (2, 3) (:func:`_minors`); a caller that has
+    them, such as :func:`decoupling`, passes them as ``minors``.
     Raises ``ArithmeticError`` when the determinant is exactly zero.
     """
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
+    if minors is None:
+        minors = _minors(d)
+    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = minors
     det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
     if det == 0.0:
         raise ArithmeticError("singular 4x4 system")

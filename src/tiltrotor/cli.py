@@ -11,9 +11,8 @@ digits, exact round-trip) plus simple SVG plots:
 * ``track``    -- the closed-loop tracking run and its logs.
 
 Exit codes: 0 success, 2 invalid input, 3 refused overwrite, 4 tracking
-aborted on a singular decoupling matrix.  Existing outputs are never
-overwritten without ``--force``.  ``TILTROTOR_WORKERS`` sets the process
-count for phase scans.
+aborted (singular decoupling matrix, or pitch in the Euler-representation
+guard band).  Existing outputs are never overwritten without ``--force``.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TILTROTOR_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_setup(args) -> tuple[Params, Gains, dict]:
@@ -184,19 +176,8 @@ def cmd_curves(args) -> int:
     csv_path, svg_path, json_path = _prepare_outputs(
         args, ["curves.csv", "curves.svg", "robustness.json"]
     )
-    workers = _workers()
-
-    def curve_sets(g):
-        out = []
-        for k in range(args.phases):
-            t = k * g.period_s / args.phases
-            out.append(gaitlab.singular_curves(tuple(g.sample_raw(t)), grid, params))
-        return out
-
-    base_sets = curve_sets(gait)
-    biased_sets = curve_sets(biased)
-    report = gaitlab.robustness_report(gait, grid, args.phases, params, workers=workers)
-    report_b = gaitlab.robustness_report(biased, grid, args.phases, params, workers=workers)
+    base_sets, report = gaitlab.curves_and_report(gait, grid, args.phases, params)
+    biased_sets, report_b = gaitlab.curves_and_report(biased, grid, args.phases, params)
 
     curve_id = 0
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -256,16 +237,18 @@ def cmd_track(args) -> int:
     paths = _prepare_outputs(
         args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"]
     )
-    aborted_at = None
+    aborted = None
     try:
         log = sim.run_tracking(config, params, gains, gait)
     except AbortedSingular as exc:
+        # keep the message, not the exception: its traceback holds the
+        # loop's frame, and with it memory the writers below could reuse
         log = exc.log
-        aborted_at = exc.time
+        aborted = str(exc)
 
     _write_track_outputs(log, paths)
-    if aborted_at is not None:
-        print(f"tracking aborted on singular decoupling matrix at t={aborted_at:.3f} s")
+    if aborted is not None:
+        print(aborted)
         return EXIT_ABORTED
     err = sim.error_series(log)
     print(f"wrote {paths[0]}; final position error {err.norm[-1]:.4f} m")

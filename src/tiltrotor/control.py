@@ -189,7 +189,7 @@ def fl_core(state, att, tilt,
     ``(varpi4, det, sat4, singular)``.
     """
     _, _, z, _, _, vz, phi, theta, psi, p, q, r = state
-    d, b, det, scale, eta_dot = kernels.decoupling(att, p, q, r, tilt, pack)
+    d, b, det, scale, eta_dot, minors = kernels.decoupling(att, p, q, r, tilt, pack)
     if det == 0.0 or abs(det) < eps_sing * scale**4:
         held = last_cmd
         out = (
@@ -209,7 +209,7 @@ def fl_core(state, att, tilt,
         ref_acc[2] + kd4[2] * (ref_rate[2] - yd2) + kp4[2] * (ref_val[2] - psi) - b[2],
         ref_acc[3] + kd4[3] * (ref_rate[3] - vz) + kp4[3] * (ref_val[3] - z) - b[3],
     )
-    w0, w1, w2, w3 = kernels.solve4(d, rhs)
+    w0, w1, w2, w3 = kernels.solve4(d, rhs, minors)
     v0 = math.copysign(math.sqrt(abs(w0)), w0) if w0 != 0.0 else 0.0
     v1 = math.copysign(math.sqrt(abs(w1)), w1) if w1 != 0.0 else 0.0
     v2 = math.copysign(math.sqrt(abs(w2)), w2) if w2 != 0.0 else 0.0

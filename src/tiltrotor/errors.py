@@ -42,14 +42,25 @@ class ContinuationBreak(TiltrotorError):
 
 
 class AbortedSingular(TiltrotorError):
-    """Closed-loop run stopped on a singular decoupling matrix.
+    """Closed-loop run stopped where the control law cannot be evaluated.
 
-    Carries the abort time, the last state, and the partial log collected
-    up to the abort.
+    ``reason`` says which test stopped it: ``"determinant"``, the
+    decoupling matrix failed the scale-aware determinant test, or
+    ``"pitch_guard"``, the pitch reached the band next to +/-pi/2 where
+    the Euler-rate map is not evaluated.  Carries the abort time, the
+    last state, and the partial log collected up to the abort.
     """
 
-    def __init__(self, time: float, state, log=None):
-        super().__init__(f"tracking aborted on singular decoupling matrix at t={time:.3f} s")
+    MESSAGES = {
+        "determinant": "tracking aborted on singular decoupling matrix",
+        "pitch_guard": "tracking aborted: pitch reached the Euler-representation guard band",
+    }
+
+    def __init__(self, time: float, state, log=None, reason: str = "determinant"):
+        if reason not in self.MESSAGES:
+            raise ValueError(f"unknown abort reason {reason!r}")
+        super().__init__(f"{self.MESSAGES[reason]} at t={time:.3f} s")
         self.time = time
         self.state = state
         self.log = log
+        self.reason = reason

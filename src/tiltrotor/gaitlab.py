@@ -28,7 +28,6 @@ import csv
 import json
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -53,7 +52,11 @@ AB_BOUND_FACTOR = 1e-8
 # largest final Newton step of a converged root [rad]
 NEWTON_STEP_TOL = 1e-10
 
-CLUSTER_RADIUS = 1e-3       # multi-start root clustering radius [rad]
+# multi-start root clustering radius [rad]: Newton pins a root to ~1e-9
+# rad, while distinct roots come closer than 1e-3 rad (a robust root and a
+# rank-deficient one, at alpha1, alpha2 near multiples of pi/2 with delta
+# near 0 or pi), which a wider radius merged into one cluster
+CLUSTER_RADIUS = 1e-6
 NEWTON_MAX_ITER = 60
 
 # (alpha3, alpha4) = (alpha1, alpha2) + offset on each robust branch
@@ -309,46 +312,52 @@ class Gait:
             raise ValueError("gait angles must be finite")
         if np.max(np.abs(al[0] - al[-1])) > 1e-6:
             raise ValueError("gait must close: first and last waypoints differ")
-        # own read-only copies, so the knot lists below cannot go stale
+        # own read-only copies: the samplers read them on every call
         object.__setattr__(self, "waypoints", _frozen(wp.copy()))
         object.__setattr__(self, "alphas", _frozen(al.copy()))
-        # plain-float knot lists for the samplers, built once; not a field,
-        # so equality is unaffected, and plain lists keep the gait picklable
-        object.__setattr__(self, "_knots", (wp.tolist(), *al.T.tolist()))
+
+    def sample_array(self, t) -> np.ndarray:
+        """Continuous-sheet angles at the times ``t``: shape ``t.shape + (4,)``.
+
+        The one implementation of the schedule's interpolation: phase
+        ``u = (t / period) % 1``, segment ``k`` with ``fr[k] <= u <
+        fr[k + 1]``, then ``a[k] + s (a[k + 1] - a[k])`` with ``s`` the
+        position of ``u`` within the segment.  Each element is the same
+        IEEE arithmetic on the same operands as a scalar evaluation, so a
+        block of times samples exactly as the times one by one.
+        """
+        fr, al = self.waypoints, self.alphas
+        u = (np.asarray(t, dtype=float) / self.period_s) % 1.0
+        # searching only the segment starts puts u = 1.0, which rounding
+        # can give, in the last segment
+        k = fr[:-1].searchsorted(u, "right") - 1
+        f0 = fr[k]
+        s = (u - f0) / (fr[k + 1] - f0)
+        a0 = al[k]
+        return a0 + s[..., None] * (al[k + 1] - a0)
 
     def sampler(self) -> Callable[[float], tuple]:
-        """Fast periodic piecewise-linear sampler returning 4-tuples."""
-        fr, a1, a2, a3, a4 = self._knots
-        period = self.period_s
-        last = len(fr) - 2
+        """Periodic piecewise-linear sampler returning 4-tuples of floats."""
+        sample_array = self.sample_array
 
         def sample(t: float) -> tuple:
-            u = (t / period) % 1.0
-            k = bisect_right(fr, u) - 1
-            if k > last:
-                k = last
-            s = (u - fr[k]) / (fr[k + 1] - fr[k])
-            return (
-                a1[k] + s * (a1[k + 1] - a1[k]),
-                a2[k] + s * (a2[k + 1] - a2[k]),
-                a3[k] + s * (a3[k + 1] - a3[k]),
-                a4[k] + s * (a4[k + 1] - a4[k]),
-            )
+            return tuple(sample_array(t).tolist())
 
         return sample
 
     def sample_raw(self, t: float) -> np.ndarray:
         """Continuous-sheet angles at time ``t`` (no wrapping)."""
-        return np.array(self.sampler()(float(t)))
+        return self.sample_array(float(t))
 
     def to_csv(self, path, n_samples: int = 200) -> None:
         """Write one period resampled at ``n_samples`` rows plus a JSON sidecar."""
-        sample = self.sampler()
+        fracs = np.linspace(0.0, 1.0, n_samples)
+        rows = self.sample_array(fracs * self.period_s)
+        rows[fracs >= 1.0] = self.alphas[-1]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_frac", "alpha1", "alpha2", "alpha3", "alpha4"])
-            for u in np.linspace(0.0, 1.0, n_samples):
-                a = sample(u * self.period_s) if u < 1.0 else tuple(self.alphas[-1])
+            for u, a in zip(fracs.tolist(), rows.tolist()):
                 writer.writerow([f"{u:.17g}"] + [f"{v:.17g}" for v in a])
         sidecar = str(path)
         sidecar = sidecar[: sidecar.rfind(".")] + ".json" if "." in sidecar else sidecar + ".json"
@@ -617,14 +626,19 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     segments stitch into polylines exactly.
     """
     S = _sign_grid(coeffs, grid)
+    return _stitch_curves(coeffs, grid, S, _changed_cells(S), _edge_zeros(coeffs, grid, S))
+
+
+def _stitch_curves(coeffs, grid, S, changed, zeros) -> SingularCurveSet:
+    """The curves of :func:`extract_zero_curves` from its sign grid and edge zeros."""
     phis, thetas = grid.phis, grid.thetas
-    (pi, pj), (ti, tj), vphi, vtheta = _edge_zeros(coeffs, grid, S)
+    (pi, pj), (ti, tj), vphi, vtheta = zeros
     # refined vertex per crossing grid edge, keyed by (axis, i, j)
     keys = [("p", i, j) for i, j in zip(pi.tolist(), pj.tolist())]
     keys += [("t", i, j) for i, j in zip(ti.tolist(), tj.tolist())]
     verts = dict(zip(keys, zip(vphi.tolist(), vtheta.tolist())))
 
-    ci, cj = np.nonzero(_changed_cells(S))
+    ci, cj = np.nonzero(changed)
     cases = S[ci, cj] + 2 * S[ci + 1, cj] + 4 * S[ci + 1, cj + 1] + 8 * S[ci, cj + 1]
     centre_pos = np.zeros(len(cases), dtype=bool)
     saddle = (cases == 5) | (cases == 10)
@@ -701,19 +715,44 @@ class RobustnessReport:
     singular_phases: int
 
 
-def _phase_metrics(args):
-    gait, grid, params, t = args
-    coeffs = det_decomposition(tuple(gait.sample_raw(t)), params)
+def _phase_alphas(gait: Gait, n_phases: int) -> list:
+    """The gait's angles at ``n_phases`` evenly spaced phases, as 4-tuples."""
+    if n_phases < 1:
+        raise ValueError(f"n_phases must be >= 1, got {n_phases}")
+    times = np.arange(n_phases) * gait.period_s / n_phases
+    return [tuple(a) for a in gait.sample_array(times).tolist()]
+
+
+def _phase_scan(coeffs: DetCoefficients, grid: AttitudeGrid, curves: bool):
+    """``(area fraction, hover margin or None, curve set or None)`` of one phase."""
     S = _sign_grid(coeffs, grid)
     changed = _changed_cells(S)
     frac = 1.0 - float(changed.sum()) / changed.size
-    margin = None
-    if changed.any():
-        # every crossing edge's vertex lies on a curve, so the nearest
-        # singular point needs the refined vertices but no stitching
-        _, _, phi, theta = _edge_zeros(coeffs, grid, S)
-        margin = float(np.min(np.hypot(phi, theta)))
+    if not changed.any():
+        empty = SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(coeffs))
+        return frac, None, empty if curves else None
+    # every crossing edge's vertex lies on a curve, so the nearest
+    # singular point needs the refined vertices but no stitching
+    zeros = _edge_zeros(coeffs, grid, S)
+    margin = float(np.min(np.hypot(zeros[2], zeros[3])))
+    return frac, margin, _stitch_curves(coeffs, grid, S, changed, zeros) if curves else None
+
+
+def _phase_metrics(args):
+    alpha, grid, params = args
+    frac, margin, _ = _phase_scan(det_decomposition(alpha, params), grid, curves=False)
     return frac, margin
+
+
+def _report(results, grid: AttitudeGrid) -> RobustnessReport:
+    area = min(frac for frac, _ in results)
+    margins = [m for _, m in results if m is not None]
+    return RobustnessReport(
+        area_fraction=area,
+        hover_margin=min(margins) if margins else grid.diagonal,
+        n_phases=len(results),
+        singular_phases=len(margins),
+    )
 
 
 def robustness_report(
@@ -728,9 +767,7 @@ def robustness_report(
     ``workers > 1`` distributes the (independent) phases over a process
     pool; results merge in phase order either way.
     """
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be >= 1, got {n_phases}")
-    tasks = [(gait, grid, params, k * gait.period_s / n_phases) for k in range(n_phases)]
+    tasks = [(alpha, grid, params) for alpha in _phase_alphas(gait, n_phases)]
     if workers > 1 and n_phases > 1:
         import multiprocessing
 
@@ -738,15 +775,23 @@ def robustness_report(
             results = pool.map(_phase_metrics, tasks)
     else:
         results = [_phase_metrics(t) for t in tasks]
+    return _report(results, grid)
 
-    area = min(frac for frac, _ in results)
-    margins = [m for _, m in results if m is not None]
-    return RobustnessReport(
-        area_fraction=area,
-        hover_margin=min(margins) if margins else grid.diagonal,
-        n_phases=n_phases,
-        singular_phases=sum(1 for _, m in results if m is not None),
-    )
+
+def curves_and_report(
+    gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
+) -> tuple[list[SingularCurveSet], RobustnessReport]:
+    """The singular curves of each phase and the :func:`robustness_report`, in one pass.
+
+    Each phase's determinant decomposition, sign grid and edge zeros
+    feed both its curves and its metrics.
+    """
+    results, curve_sets = [], []
+    for alpha in _phase_alphas(gait, n_phases):
+        frac, margin, cs = _phase_scan(det_decomposition(alpha, params), grid, curves=True)
+        results.append((frac, margin))
+        curve_sets.append(cs)
+    return curve_sets, _report(results, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """
     phi, theta = float(eta[0]), float(eta[1])
     check_pitch(theta)
-    d, _, det, scale, _ = kernels.decoupling(
+    d, _, det, scale, _, _ = kernels.decoupling(
         kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
         kernels.tilt_trig(_alpha4(alpha)), params.pack,
     )
@@ -97,7 +97,7 @@ def drift_vector(state: State, params: Params) -> np.ndarray:
     phi, theta = float(state.eta[0]), float(state.eta[1])
     check_pitch(theta)
     p, q, r = (float(v) for v in state.omega)
-    _, b, _, _, _ = kernels.decoupling(
+    _, b, *_ = kernels.decoupling(
         kernels.attitude_trig(phi, theta, 0.0), p, q, r,
         kernels.tilt_trig((0.0, 0.0, 0.0, 0.0)), params.pack,
     )

@@ -3,11 +3,17 @@
 One simulation step: sample the gait, turn horizontal position error into
 roll/pitch references, run the inner feedback-linearization loop, then
 advance the plant one Runge-Kutta step holding the rotor speeds constant
-(zero-order hold).  Control runs at the integration rate.  A step takes
-the sines and cosines of its start attitude once, for the outer and inner
-loops and the first Runge-Kutta stage, and those of each gait sample
-once: the end-stage tilts of one step are the start-stage tilts of the
-next.
+(zero-order hold).  Control runs at the integration rate.
+
+Nothing about the gait or the reference depends on the state, so the
+loop builds them ahead in blocks of :data:`TRACK_BLOCK` steps with numpy:
+the gait angles at the step starts (the logged ``alpha``), midpoints and
+ends, their sines and cosines, and the reference rows.  That arithmetic
+is elementwise, so the block size does not change a bit of the log.  The
+per-step work is what depends on the state:
+the attitude trig (taken once, for the outer and inner loops and the
+first Runge-Kutta stage), the two control loops, and the Runge-Kutta
+step.
 
 Identical configurations produce bit-identical logs.
 """
@@ -34,6 +40,13 @@ TRACKLOG_HEADER = (
 CIRCLE_RADIUS = 5.0
 CIRCLE_RATE = 0.1
 
+# steps per block of gait, tilt-trig and reference rows built ahead: the
+# per-block overhead is spread thin by 128 steps, and the block's Python
+# rows add no measurable peak memory
+TRACK_BLOCK = 128
+# reference columns the outer loop reads: position, velocity, acceleration in x and y
+_REF_XY = (0, 1, 3, 4, 6, 7)
+
 
 @dataclass(frozen=True)
 class Reference:
@@ -44,15 +57,21 @@ class Reference:
     acc: np.ndarray
 
 
-def _circle_floats(t: float) -> tuple:
+def _circle_rows(t: np.ndarray) -> np.ndarray:
+    """The circle's pos, vel and acc at every time of ``t``, one 9-float row each."""
     a = CIRCLE_RATE * t
-    c, s = math.cos(a), math.sin(a)
+    c, s = np.cos(a), np.sin(a)
     rv = CIRCLE_RADIUS * CIRCLE_RATE
-    return (
-        CIRCLE_RADIUS * c, CIRCLE_RADIUS * s, 0.0,
-        -rv * s, rv * c, 0.0,
-        0.0, 0.0, 0.0,
-    )
+    rows = np.zeros((len(t), 9))
+    rows[:, 0] = CIRCLE_RADIUS * c
+    rows[:, 1] = CIRCLE_RADIUS * s
+    rows[:, 3] = -rv * s
+    rows[:, 4] = rv * c
+    return rows
+
+
+def _circle_floats(t: float) -> tuple:
+    return tuple(_circle_rows(np.array([float(t)]))[0].tolist())
 
 
 def circular_reference(t: float) -> Reference:
@@ -61,23 +80,41 @@ def circular_reference(t: float) -> Reference:
     The commanded acceleration is zero: the tracking loops must absorb
     the centripetal term themselves.
     """
-    f = _circle_floats(t)
-    return Reference(pos=np.array(f[0:3]), vel=np.array(f[3:6]), acc=np.array(f[6:9]))
+    f = _circle_rows(np.array([float(t)]))[0]
+    return Reference(pos=f[0:3], vel=f[3:6], acc=f[6:9])
 
 
-circular_reference.floats = _circle_floats  # fast path for the tracking loop
+# float forms: one time, and an array of times (the one the tracking loop reads)
+circular_reference.floats = _circle_floats
+circular_reference.rows = _circle_rows
 
 
 def fixed_reference(pos) -> Callable[[float], Reference]:
     """Constant hover reference at ``pos`` (regulation experiments)."""
     p = tuple(float(v) for v in pos)
-    flo = (p[0], p[1], p[2], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    row = (p[0], p[1], p[2], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def ref(_t: float) -> Reference:
-        return Reference(pos=np.array(flo[0:3]), vel=np.zeros(3), acc=np.zeros(3))
+        return Reference(pos=np.array(row[0:3]), vel=np.zeros(3), acc=np.zeros(3))
 
-    ref.floats = lambda _t: flo
+    ref.rows = lambda t: np.tile(row, (len(t), 1))
     return ref
+
+
+def _reference_rows(ref_fn) -> Callable[[np.ndarray], np.ndarray]:
+    """The array form of a reference: ``(n, 9)`` rows of pos, vel, acc at ``n`` times.
+
+    A reference without a ``rows`` attribute is evaluated time by time.
+    """
+    rows = getattr(ref_fn, "rows", None)
+    if rows is not None:
+        return rows
+
+    def rows(t):
+        return np.array([np.concatenate((r.pos, r.vel, r.acc)) for r in map(ref_fn, t.tolist())],
+                        dtype=float)
+
+    return rows
 
 
 @dataclass(frozen=True)
@@ -176,8 +213,9 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
     Aborts with :class:`AbortedSingular` (partial log attached) when the
     decoupling matrix goes singular and ``config.abort_on_singular`` is
-    set, or whenever the pitch reaches the Euler-representation guard
-    band, after which the loop cannot be evaluated at all.
+    set (reason ``"determinant"``), or whenever the pitch reaches the
+    Euler-representation guard band, after which the loop cannot be
+    evaluated at all (reason ``"pitch_guard"``; that row logs ``det = 0``).
     """
     dt = float(config.dt)
     n_steps = int(round(config.duration / dt))
@@ -192,13 +230,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     sats = np.zeros((n_rows, 4), dtype=bool)
     sings = np.zeros(n_rows, dtype=bool)
 
-    sample = gait.sampler()
-    ref_fn = config.reference
-    ref_floats = getattr(ref_fn, "floats", None)
-    if ref_floats is None:
-        def ref_floats(t, _r=ref_fn):
-            rr = _r(t)
-            return (*map(float, rr.pos), *map(float, rr.vel), *map(float, rr.acc))
+    reference_rows = _reference_rows(config.reference)
 
     # plain floats here and in the gains below: numpy scalars would make
     # every kernel operation slower
@@ -216,72 +248,75 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     eps_sing = config.eps_sing
     theta_guard = math.pi / 2 - EPS_REP
     abort_on_singular = config.abort_on_singular
+    half_dt = 0.5 * dt
 
-    def finish(i, aborted, abort_time):
+    def abort(i, state, reason):
         k = i + 1
-        return TrackLog(
+        log = TrackLog(
             t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
             ref_pos=refs[:k], det=dets[:k], saturated=sats[:k], singular=sings[:k],
-            aborted=aborted, abort_time=abort_time,
+            aborted=True, abort_time=i * dt,
         )
+        return AbortedSingular(i * dt, State.from_array(np.asarray(state)), log=log,
+                               reason=reason)
 
-    attitude_trig, tilt_trig = kernels.attitude_trig, kernels.tilt_trig
+    attitude_trig = kernels.attitude_trig
     zero4 = (0.0, 0.0, 0.0, 0.0)
-    a_next = sample(0.0)
-    tilt_next = tilt_trig(a_next)
-    for i in range(n_rows):
-        t = i * dt
-        # the end-stage sample of the previous step, and its trig
-        a, tilt = a_next, tilt_next
-        rf = ref_floats(t)
-        states[i] = state
-        alphas[i] = a
-        refs[i, 0] = rf[0]; refs[i, 1] = rf[1]; refs[i, 2] = rf[2]
+    for i0 in range(0, n_rows, TRACK_BLOCK):
+        i1 = min(i0 + TRACK_BLOCK, n_rows)
+        n = i1 - i0
+        # the gait at the n step starts, the step end after the last, and
+        # the n midpoints; a step's end is the next step's start
+        starts = np.arange(i0, i1 + 1) * dt
+        alpha = gait.sample_array(np.concatenate((starts, starts[:-1] + half_dt)))
+        alphas[i0:i1] = alpha[:n]
+        tilts = np.hstack((np.sin(alpha), np.cos(alpha))).tolist()
+        ref = reference_rows(starts[:-1])
+        refs[i0:i1] = ref[:, 0:3]
+        for i, tilt, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
+            range(i0, i1), tilts, tilts[1:n + 1], tilts[n + 1:], ref[:, _REF_XY].tolist(),
+        ):
+            states[i] = state
+            if abs(state[7]) >= theta_guard:
+                # representation blow-up: the loop cannot be evaluated past here
+                varpis[i] = last_cmd
+                dets[i] = 0.0
+                sings[i] = True
+                raise abort(i, state, "pitch_guard")
 
-        if abs(state[7]) >= theta_guard:
-            # representation blow-up: the loop cannot be evaluated past here
-            varpis[i] = last_cmd
-            dets[i] = 0.0
-            sings[i] = True
-            raise AbortedSingular(t, State.from_array(np.asarray(state)),
-                                  log=finish(i, True, t))
-
-        att = attitude_trig(state[6], state[7], state[8])
-        phi_ref, theta_ref = decoupler_core(
-            state[0], state[1], state[3], state[4], att[4], att[5],
-            rf[0], rf[1], rf[3], rf[4], rf[6], rf[7],
-            kp_xy, kd_xy, clamp, g,
-        )
-        varpi, det, sat, singular = fl_core(
-            state, att, tilt, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
-            kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
-        )
-        varpis[i] = varpi
-        dets[i] = det
-        # the flag arrays start zeroed: write only rows with a flag set
-        if True in sat:
-            sats[i] = sat
-
-        if singular:
-            sings[i] = True
-            if abort_on_singular:
-                raise AbortedSingular(t, State.from_array(np.asarray(state)),
-                                      log=finish(i, True, t))
-        else:
-            last_cmd = varpi
-
-        if i < n_steps:
-            w = (
-                varpi[0] * abs(varpi[0]),
-                varpi[1] * abs(varpi[1]),
-                varpi[2] * abs(varpi[2]),
-                varpi[3] * abs(varpi[3]),
+            att = attitude_trig(state[6], state[7], state[8])
+            phi_ref, theta_ref = decoupler_core(
+                state[0], state[1], state[3], state[4], att[4], att[5],
+                rpx, rpy, rvx, rvy, rax, ray,
+                kp_xy, kd_xy, clamp, g,
             )
-            a_next = sample((i + 1) * dt)
-            tilt_next = tilt_trig(a_next)
-            state = kernels.rk4_step(
-                state, att, tilt, tilt_trig(sample(t + 0.5 * dt)), tilt_next,
-                w, w, w, dt, pack,
+            varpi, det, sat, singular = fl_core(
+                state, att, tilt, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
+                kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
             )
+            varpis[i] = varpi
+            dets[i] = det
+            # the flag arrays start zeroed: write only rows with a flag set
+            if True in sat:
+                sats[i] = sat
 
-    return finish(n_rows - 1, False, None)
+            if singular:
+                sings[i] = True
+                if abort_on_singular:
+                    raise abort(i, state, "determinant")
+            else:
+                last_cmd = varpi
+
+            if i < n_steps:
+                w = (
+                    varpi[0] * abs(varpi[0]),
+                    varpi[1] * abs(varpi[1]),
+                    varpi[2] * abs(varpi[2]),
+                    varpi[3] * abs(varpi[3]),
+                )
+                state = kernels.rk4_step(state, att, tilt, tilt_mid, tilt_end, w, w, w, dt, pack)
+
+    return TrackLog(
+        t=t_arr, states=states, alpha=alphas, varpi=varpis, ref_pos=refs, det=dets,
+        saturated=sats, singular=sings,
+    )

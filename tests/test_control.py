@@ -292,7 +292,7 @@ def test_solve4_decoupling_system(params, rng):
     for _ in range(200):
         phi, theta = rng.uniform(-1.2, 1.2, 2)
         alpha = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
-        d, _, det, _, _ = kernels.decoupling(
+        d, _, det, _, _, minors = kernels.decoupling(
             kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
             kernels.tilt_trig(alpha), params.pack,
         )
@@ -302,6 +302,8 @@ def test_solve4_decoupling_system(params, rng):
         rhs = rng.normal(size=4)
         got = kernels.solve4(d, tuple(rhs.tolist()))
         np.testing.assert_allclose(m @ np.asarray(got), rhs, rtol=0, atol=1e-8)
+        # the minors decoupling hands over are the ones solve4 would form
+        assert kernels.solve4(d, tuple(rhs.tolist()), minors) == got
 
 
 @pytest.mark.parametrize("d", [

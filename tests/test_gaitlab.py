@@ -1,3 +1,4 @@
+import bisect
 import math
 import pickle
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import tiltrotor as tr
+from tiltrotor import gaitlab
 from tiltrotor.gaitlab import GAIT_PRESETS, residual_scale, scan_roots
 from tiltrotor.linearization import DetCoefficients, abc_scale
 
@@ -504,6 +506,66 @@ def test_attitude_grid_axes_cached_and_read_only():
     np.testing.assert_array_equal(clone.phis, grid.phis)
 
 
+def _sample_scalar(gait, t):
+    # the schedule's interpolation written out for one time, in plain floats
+    fr = gait.waypoints.tolist()
+    al = gait.alphas.tolist()
+    u = (t / gait.period_s) % 1.0
+    k = min(bisect.bisect_right(fr, u) - 1, len(fr) - 2)
+    s = (u - fr[k]) / (fr[k + 1] - fr[k])
+    return [al[k][j] + s * (al[k + 1][j] - al[k][j]) for j in range(4)]
+
+
+@pytest.mark.parametrize("preset", sorted(GAIT_PRESETS))
+def test_sample_array_is_the_scalar_formula_bit_for_bit(params, preset):
+    g = tr.bias_gait(tr.build_preset(preset, params), 0.8)
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        np.arange(3001) * 1e-3 * 7.0,                 # the loop's step grid
+        g.waypoints * g.period_s,                      # exactly on the knots
+        g.waypoints * g.period_s + 5.0 * g.period_s,   # knots a few periods on
+        rng.uniform(-30.0, 200.0, 1000),
+    ])
+    got = g.sample_array(t)
+    assert got.shape == (len(t), 4)
+    want = np.array([_sample_scalar(g, v) for v in t.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert g.sample_array(t.reshape(-1, 1)).shape == (len(t), 1, 4)
+
+
+def test_sample_array_takes_the_segment_that_starts_at_a_knot():
+    # with a 1 s period, u is exactly each knot; a sample there is the
+    # knot's own angles, not the end of the segment before it
+    rng = np.random.default_rng(11)
+    fr = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
+    al = rng.uniform(-3.0, 3.0, (32, 4))
+    al[-1] = al[0]
+    g = _gait(period_s=1.0, waypoints=fr, alphas=al)
+    t = np.concatenate([fr[:-1], fr[:-1] + 3.0])
+    want = np.array([_sample_scalar(g, v) for v in t.tolist()])
+    assert g.sample_array(t).tobytes() == want.tobytes()
+    np.testing.assert_array_equal(g.sample_array(fr[:-1]), al[:-1])
+
+
+def test_curves_and_report_is_one_pass_of_both(params, monkeypatch):
+    g = tr.bias_gait(tr.build_preset("gait1", params), 0.8)
+    grid = tr.AttitudeGrid.symmetric(1.3, 61)
+    want_report = tr.robustness_report(g, grid, 8, params)
+    want_sets = [tr.singular_curves(tuple(g.sample_raw(k * g.period_s / 8)), grid, params)
+                 for k in range(8)]
+    calls = []
+    real = gaitlab.det_decomposition
+    monkeypatch.setattr(gaitlab, "det_decomposition", lambda *a: calls.append(a) or real(*a))
+    sets, report = gaitlab.curves_and_report(g, grid, 8, params)
+    assert len(calls) == 8
+    assert report == want_report and report.singular_phases > 0
+    assert [len(cs.curves) for cs in sets] == [len(cs.curves) for cs in want_sets]
+    for cs, want in zip(sets, want_sets):
+        assert cs.eps_curve == want.eps_curve
+        for poly, want_poly in zip(cs.curves, want.curves):
+            assert poly.tobytes() == want_poly.tobytes()
+
+
 def test_sample_raw_matches_sampler_and_survives_pickle(params):
     g = tr.bias_gait(tr.build_preset("gait3", params), 0.8)
     clone = pickle.loads(pickle.dumps(g))
@@ -512,7 +574,8 @@ def test_sample_raw_matches_sampler_and_survives_pickle(params):
         want = np.array(sample(float(t)))
         assert g.sample_raw(t).tobytes() == want.tobytes()
         assert clone.sample_raw(t).tobytes() == want.tobytes()
-    # the cached knots follow a replaced schedule, and the schedule itself
+        assert all(type(v) is float for v in sample(float(t)))
+    # the samplers follow a replaced schedule, and the schedule itself
     # cannot change under them
     flat = tr.bias_gait(g, 0.5)
     np.testing.assert_array_equal(flat.sample_raw(0.0)[2:], 0.5 * g.alphas[0, 2:])
@@ -545,6 +608,9 @@ def rotor_params(draw):
 # delta = 2 atan(k_m / (arm k_f)) lies 1.1e-3 rad from pi: |A| + |B| is flat
 # enough there to fall below the Newton tolerance 1e-3 rad from any root
 @example(a1=0.0, a2=1.0, params=tr.Params(k_f=1e-7, k_m=1e-5, arm_length=0.0546875))
+# delta = 4e-4 rad: the red root (pi, pi) lies 5.7e-4 rad from the
+# rank-deficient root (pi + delta, pi - delta)
+@example(a1=0.0, a2=0.0, params=tr.Params(k_f=1e-5, k_m=1e-9, arm_length=0.5))
 def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
     scale = abc_scale(params)
     blue, red = tr.solve_color_pair((a1, a2), params)

@@ -1,14 +1,18 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
+from tiltrotor import sim
 from tiltrotor.control import InnerRefs
 from tiltrotor.errors import AbortedSingular
-from tiltrotor.sim import TRACKLOG_HEADER
+from tiltrotor.model import EPS_REP
+from tiltrotor.sim import TRACKLOG_HEADER, TRACK_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +31,13 @@ def test_circular_reference_values():
     np.testing.assert_array_equal(r0.acc, [0.0, 0.0, 0.0])
     r = tr.circular_reference(5 * math.pi)
     np.testing.assert_allclose(r.pos, [0.0, 5.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(r.vel, [-0.5, 0.0, 0.0], atol=1e-12)
     for t in np.linspace(0.0, 100.0, 37):
         rr = tr.circular_reference(t)
         assert abs(np.linalg.norm(rr.pos) - 5.0) < 1e-12
-        assert abs(np.linalg.norm(rr.vel) - 0.5) < 1e-12
+        # counter-clockwise: the velocity is the position turned by +90 degrees
+        np.testing.assert_allclose(rr.vel, 0.1 * np.array([-rr.pos[1], rr.pos[0], 0.0]),
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +99,16 @@ def test_determinism_bit_identical(params, gains, gait1, tmp_path):
 
 @pytest.mark.parametrize("band", [None, (520.0, 600.0)])
 def test_run_tracking_matches_public_composition(gains, gait1, band):
-    # the loop shares sines and cosines between its layers and steps; the
-    # public operations take every one afresh, so both must agree row by row.
-    # The narrow speed band saturates two rotors on most rows.
+    # the loop shares sines and cosines between its layers and steps, and
+    # builds the gait, tilt trig and reference ahead in blocks; the public
+    # operations take every one afresh, so both must agree row by row,
+    # across a block boundary.  The narrow speed band saturates two rotors
+    # on most rows.
     params = tr.Params() if band is None else tr.Params(omega_lo=band[0], omega_hi=band[1])
     dt = 1e-3
-    log = tr.run_tracking(tr.SimConfig(duration=0.5, dt=dt), params, gains, gait1)
-    assert len(log) == 501
+    n_steps = max(500, TRACK_BLOCK + 10)
+    log = tr.run_tracking(tr.SimConfig(duration=n_steps * dt, dt=dt), params, gains, gait1)
+    assert len(log) == n_steps + 1 > TRACK_BLOCK
     state = tr.State()
     last = params.spin_sign * (0.8 * params.hover_speed)
     for i in range(len(log)):
@@ -159,6 +169,28 @@ def test_csv_roundtrip_full_precision(params, gains, gait1, tmp_path):
     assert np.array_equal(loaded.as_matrix(), log.as_matrix())
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rows=st.integers(1, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(float, (n, 25), elements=_finite),
+    hnp.arrays(bool, (n, 5)),
+)))
+def test_csv_roundtrip_any_log(rows):
+    # every finite float, flag and row count survives the 17-digit text
+    values, flags = rows
+    log = tr.TrackLog(
+        t=values[:, 0], states=values[:, 1:13], alpha=values[:, 13:17],
+        varpi=values[:, 17:21], ref_pos=values[:, 21:24], det=values[:, 24],
+        saturated=flags[:, 0:4], singular=flags[:, 4],
+    )
+    buf = io.StringIO()
+    log.to_csv(buf)
+    buf.seek(0)
+    loaded = tr.TrackLog.from_csv(buf)
+    assert loaded.as_matrix().tobytes() == log.as_matrix().tobytes()
+
+
 def test_abort_on_singular_gait(params, gains):
     gait2 = tr.build_preset("gait2", params)
     with pytest.raises(AbortedSingular) as exc_info:
@@ -168,6 +200,106 @@ def test_abort_on_singular_gait(params, gains):
     assert exc.log is not None and exc.log.aborted
     assert exc.log.singular[-1]
     assert len(exc.log) == int(round(exc.time / 1e-3)) + 1
+
+
+@pytest.mark.parametrize("preset, end", [("gait2", 0.799), ("gait3", 4.064)])
+def test_abort_reason_determinant(params, gains, preset, end):
+    with pytest.raises(AbortedSingular, match="singular decoupling matrix") as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, tr.build_preset(preset, params))
+    exc = exc_info.value
+    assert exc.reason == "determinant"
+    assert round(exc.time, 3) == end == exc.log.abort_time
+    assert len(exc.log) == round(end / 1e-3) + 1
+
+
+def test_abort_reason_pitch_guard(params, gains, gait1):
+    start = tr.State(eta=[0.0, math.pi / 2 - 0.5 * EPS_REP, 0.0])
+    with pytest.raises(AbortedSingular, match="guard band") as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=1.0, initial_state=start), params, gains, gait1)
+    exc = exc_info.value
+    assert exc.reason == "pitch_guard"
+    assert exc.time == 0.0 and len(exc.log) == 1
+    assert exc.log.singular[0] and exc.log.det[0] == 0.0
+    np.testing.assert_array_equal(exc.state.as_array(), start.as_array())
+
+
+def _det_identity(log, params):
+    # det Delta from the logged alpha and (phi, theta) alone, through the
+    # determinant decomposition, independent of the loop's 4x4 assembly
+    scale = params.m * np.linalg.det(params.inertia)
+    phi, theta = log.states[:, 6], log.states[:, 7]
+    return np.array([
+        float(tr.normalized_det(f, th, tr.det_decomposition(a, params))) / (scale * math.cos(th))
+        for f, th, a in zip(phi.tolist(), theta.tolist(), log.alpha)
+    ])
+
+
+def test_logged_det_matches_the_det_identity(params, gains, gait1):
+    log = tr.run_tracking(tr.SimConfig(duration=5.0), params, gains, gait1)
+    with pytest.raises(AbortedSingular) as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=120.0), params, gains,
+                        tr.build_preset("gait2", params))
+    for run in (log, exc_info.value.log):
+        err = np.abs(run.det - _det_identity(run, params))
+        assert err.max() <= 1e-12 * np.abs(run.det).max()
+
+
+# ---------------------------------------------------------------------------
+# block construction of the loop
+
+
+@pytest.mark.parametrize("n_steps", [TRACK_BLOCK - 1, TRACK_BLOCK, TRACK_BLOCK + 1,
+                                     2 * TRACK_BLOCK + 1])
+def test_alpha_column_is_the_gait_at_every_block_size(params, gains, gait1, n_steps):
+    dt = 1e-3
+    log = tr.run_tracking(tr.SimConfig(duration=n_steps * dt, dt=dt), params, gains, gait1)
+    assert len(log) == n_steps + 1
+    for i in range(len(log)):
+        np.testing.assert_array_equal(log.alpha[i], gait1.sample_raw(i * dt))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_log_does_not_depend_on_the_block_size(params, gains, gait1, monkeypatch, block):
+    config = tr.SimConfig(duration=0.6)
+    want = tr.run_tracking(config, params, gains, gait1).as_matrix()
+    monkeypatch.setattr(sim, "TRACK_BLOCK", block)
+    assert np.array_equal(tr.run_tracking(config, params, gains, gait1).as_matrix(), want)
+
+
+def test_abort_inside_a_block(params, gains, monkeypatch):
+    # the gait2 abort row is neither the first nor the last of its block
+    assert 799 % TRACK_BLOCK not in (0, TRACK_BLOCK - 1)
+    gait2 = tr.build_preset("gait2", params)
+
+    def run():
+        with pytest.raises(AbortedSingular) as exc_info:
+            tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait2)
+        return exc_info.value
+
+    exc = run()
+    assert exc.time == 799 * 1e-3 and len(exc.log) == 800
+    assert exc.log.singular[-1] and not exc.log.singular[:-1].any()
+    # one row per block: every row is a block boundary
+    monkeypatch.setattr(sim, "TRACK_BLOCK", 1)
+    one = run()
+    assert one.time == exc.time
+    assert one.log.as_matrix().tobytes() == exc.log.as_matrix().tobytes()
+
+
+def test_plain_callable_reference_matches_the_array_form(params, gains, gait1):
+    config = tr.SimConfig(duration=0.6)
+    plain = tr.SimConfig(duration=0.6, reference=lambda t: tr.circular_reference(t))
+    want = tr.run_tracking(config, params, gains, gait1)
+    got = tr.run_tracking(plain, params, gains, gait1)
+    t = np.arange(len(want)) * config.dt
+    rows = tr.circular_reference.rows(t)
+    np.testing.assert_allclose(got.ref_pos, rows[:, 0:3], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got.ref_pos, want.ref_pos, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-12)
+    # the single-time and array forms of both references agree
+    for ref in (tr.circular_reference, tr.fixed_reference((1.0, -2.0, 0.5))):
+        want = [np.concatenate((r.pos, r.vel, r.acc)) for r in map(ref, t.tolist())]
+        np.testing.assert_allclose(ref.rows(t), want, rtol=1e-12, atol=1e-15)
 
 
 def test_abort_flag_can_be_disabled(params, gains):
