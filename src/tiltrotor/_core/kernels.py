@@ -277,16 +277,17 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
 
 
 def decoupling(att, p, q, r, tilt, pp):
-    """Decoupling matrix, drift vector, determinant, row-norm scale, Euler rates.
+    """Decoupling matrix, drift vector, determinant and row-norm scale.
 
     ``att`` is the attitude trig (only roll and pitch enter) and ``tilt``
-    the tilt trig.  Returns ``(delta, b, det, scale, eta_dot, minors)``
-    where ``delta`` is the row-major 4x4 matrix mapping signed squared
-    rotor speeds to (roll'', pitch'', yaw'', altitude'') contributions,
-    ``b`` is the matching drift 4-vector, ``scale`` is the geometric mean
-    of the four row norms of ``delta``, ``eta_dot = T @ (p, q, r)`` are
-    the Euler-angle rates, and ``minors`` are the twelve 2x2 minors that
-    ``det`` is expanded from, for :func:`solve4` to reuse.
+    the tilt trig.  Returns ``(delta, b, det, scale)`` where ``delta`` is
+    the row-major 4x4 matrix mapping signed squared rotor speeds to
+    (roll'', pitch'', yaw'', altitude'') contributions, ``b`` is the
+    matching drift 4-vector and ``scale`` is the geometric mean of the
+    four row norms of ``delta``.  The tracking loop does not assemble
+    ``delta``: it evaluates the same law from tilt-only factors
+    (``control.tilt_factors``); this explicit form serves the public
+    ``decoupling_matrix`` and ``drift_vector``.
     """
     m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
@@ -341,8 +342,7 @@ def decoupling(att, p, q, r, tilt, pp):
     )
 
     # Laplace expansion over the first two rows (2x2 complementary minors)
-    minors = _minors(d)
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = minors
+    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
     det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
     n0 = sqrt(e00 * e00 + e01 * e01 + e02 * e02 + e03 * e03)
     n1 = sqrt(e10 * e10 + e11 * e11 + e12 * e12 + e13 * e13)
@@ -352,9 +352,7 @@ def decoupling(att, p, q, r, tilt, pp):
         scale = exp(0.25 * (log(n0) + log(n1) + log(n2) + log(n3)))
     else:
         scale = 0.0
-    # the Euler rates summed row by row over the entries of T
-    eta_dot = (p + t01 * q + t02 * r, dtheta, t21 * q + t22 * r)
-    return d, b, det, scale, eta_dot, minors
+    return d, b, det, scale
 
 
 def _minors(d):
@@ -376,17 +374,14 @@ def _minors(d):
     )
 
 
-def solve4(d, rhs, minors=None):
+def solve4(d, rhs):
     """Solve the 4x4 system ``d @ x = rhs`` by the adjugate (Cramer's rule).
 
     The determinant and the adjugate are both formed from the 2x2 minors
-    of rows (0, 1) and rows (2, 3) (:func:`_minors`); a caller that has
-    them, such as :func:`decoupling`, passes them as ``minors``.
-    Raises ``ArithmeticError`` when the determinant is exactly zero.
+    of rows (0, 1) and rows (2, 3) (:func:`_minors`).  Raises
+    ``ArithmeticError`` when the determinant is exactly zero.
     """
-    if minors is None:
-        minors = _minors(d)
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = minors
+    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
     det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
     if det == 0.0:
         raise ArithmeticError("singular 4x4 system")

@@ -248,10 +248,10 @@ def cmd_track(args) -> int:
 
     _write_track_outputs(log, paths)
     if aborted is not None:
-        print(aborted)
+        print(f"{aborted}; {log.summary()}")
         return EXIT_ABORTED
     err = sim.error_series(log)
-    print(f"wrote {paths[0]}; final position error {err.norm[-1]:.4f} m")
+    print(f"wrote {paths[0]}; final position error {err.norm[-1]:.4f} m; {log.summary()}")
     return EXIT_OK
 
 

@@ -16,6 +16,20 @@ determinant splits into attitude and tilt factors::
 where ``A``, ``B``, ``C`` depend on the tilting angles only (see
 :func:`det_decomposition`).  The zero set of the right-hand side is the
 set of attitudes at which feedback linearization breaks down.
+
+The identity comes from a factorization that the tracking loop uses
+directly::
+
+    Delta = blockdiag(T, 1) @ [Q; v],   Q = inv(I_B) @ torque_matrix(alpha)
+
+``Q`` (3x4) depends on the tilts only and ``v = R[2, :] @ thrust / m``
+on the tilts and roll and pitch.  With ``n`` the cofactor vector of
+``Q`` (``Q n = 0``), ``det Delta = (v . n) / cos(theta)``, and ``v . n *
+m * det(I_B)`` is the right-hand side above.  The loop builds ``n``, a
+right inverse of ``Q`` and its Gram matrix once per tilt
+(:func:`tiltrotor.control.tilt_factors`) and keeps only the attitude
+part per step; :func:`decoupling_matrix` still assembles ``Delta``
+entry by entry.
 """
 
 from __future__ import annotations
@@ -81,7 +95,7 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """
     phi, theta = float(eta[0]), float(eta[1])
     check_pitch(theta)
-    d, _, det, scale, _, _ = kernels.decoupling(
+    d, _, det, scale = kernels.decoupling(
         kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
         kernels.tilt_trig(_alpha4(alpha)), params.pack,
     )

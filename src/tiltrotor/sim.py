@@ -8,12 +8,17 @@ advance the plant one Runge-Kutta step holding the rotor speeds constant
 Nothing about the gait or the reference depends on the state, so the
 loop builds them ahead in blocks of :data:`TRACK_BLOCK` steps with numpy:
 the gait angles at the step starts (the logged ``alpha``), midpoints and
-ends, their sines and cosines, and the reference rows.  That arithmetic
-is elementwise, so the block size does not change a bit of the log.  The
-per-step work is what depends on the state:
-the attitude trig (taken once, for the outer and inner loops and the
-first Runge-Kutta stage), the two control loops, and the Runge-Kutta
-step.
+ends, their sines and cosines, the tilt-only factors of the decoupling
+matrix at the step starts (:func:`~tiltrotor.control.tilt_factors`), and
+the reference rows.  That arithmetic is elementwise, so the block size
+does not change a bit of the log.  The per-step work is what depends on
+the state: the attitude trig (taken once, for the outer and inner loops
+and the first Runge-Kutta stage), the outer loop, the attitude part of
+the inner loop's solve, and the Runge-Kutta step.
+
+The log records how the run ended and the least scale-free determinant
+ratio of its rows, which the singular test forms anyway; neither costs
+the step more than a comparison.
 
 Identical configurations produce bit-identical logs.
 """
@@ -27,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.control import Gains, decoupler_core, fl_core
+from tiltrotor.control import Gains, decoupler_core, fl_core, tilt_factors
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import EPS_REP, Params, State
 from tiltrotor.linearization import EPS_SING
@@ -166,9 +171,23 @@ class TrackLog:
     singular: np.ndarray      # (n,) bool
     aborted: bool = False
     abort_time: float | None = None
+    # how the run ended: "completed", or the AbortedSingular reason
+    # ("determinant", "pitch_guard"); a log read from CSV does not know
+    end_reason: str | None = None
+    # least scale-free determinant ratio |det| / prod(row norms) over the
+    # rows the control law was evaluated on, and the time of that row
+    min_det_ratio: float | None = None
+    min_det_ratio_time: float | None = None
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def summary(self) -> str:
+        """How the run ended and how close it came to the singular test."""
+        if self.min_det_ratio is None:
+            return f"ended: {self.end_reason}"
+        return (f"ended: {self.end_reason}; min det ratio {self.min_det_ratio:.4g} "
+                f"at t={self.min_det_ratio_time:.3f} s")
 
     def as_matrix(self) -> np.ndarray:
         """Rows in the CSV column order (flags as 0/1)."""
@@ -250,12 +269,20 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     abort_on_singular = config.abort_on_singular
     half_dt = 0.5 * dt
 
+    # running minimum of the squared determinant ratio, and its row
+    min_ratio_sq, min_row = math.inf, -1
+
+    def minimum():
+        if min_row < 0:
+            return {}
+        return {"min_det_ratio": math.sqrt(min_ratio_sq), "min_det_ratio_time": min_row * dt}
+
     def abort(i, state, reason):
         k = i + 1
         log = TrackLog(
             t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
             ref_pos=refs[:k], det=dets[:k], saturated=sats[:k], singular=sings[:k],
-            aborted=True, abort_time=i * dt,
+            aborted=True, abort_time=i * dt, end_reason=reason, **minimum(),
         )
         return AbortedSingular(i * dt, State.from_array(np.asarray(state)), log=log,
                                reason=reason)
@@ -270,11 +297,14 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         starts = np.arange(i0, i1 + 1) * dt
         alpha = gait.sample_array(np.concatenate((starts, starts[:-1] + half_dt)))
         alphas[i0:i1] = alpha[:n]
-        tilts = np.hstack((np.sin(alpha), np.cos(alpha))).tolist()
+        trig = np.hstack((np.sin(alpha), np.cos(alpha)))
+        tilts = trig.tolist()
+        factors = tilt_factors(trig[:n], pack).tolist()
         ref = reference_rows(starts[:-1])
         refs[i0:i1] = ref[:, 0:3]
-        for i, tilt, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
-            range(i0, i1), tilts, tilts[1:n + 1], tilts[n + 1:], ref[:, _REF_XY].tolist(),
+        for i, tilt, fac, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
+            range(i0, i1), tilts, factors, tilts[1:n + 1], tilts[n + 1:],
+            ref[:, _REF_XY].tolist(),
         ):
             states[i] = state
             if abs(state[7]) >= theta_guard:
@@ -290,12 +320,14 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                 rpx, rpy, rvx, rvy, rax, ray,
                 kp_xy, kd_xy, clamp, g,
             )
-            varpi, det, sat, singular = fl_core(
-                state, att, tilt, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
+            varpi, det, sat, singular, ratio_sq = fl_core(
+                state, att, tilt, fac, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
                 kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
             )
             varpis[i] = varpi
             dets[i] = det
+            if ratio_sq < min_ratio_sq:
+                min_ratio_sq, min_row = ratio_sq, i
             # the flag arrays start zeroed: write only rows with a flag set
             if True in sat:
                 sats[i] = sat
@@ -318,5 +350,5 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
     return TrackLog(
         t=t_arr, states=states, alpha=alphas, varpi=varpis, ref_pos=refs, det=dets,
-        saturated=sats, singular=sings,
+        saturated=sats, singular=sings, end_reason="completed", **minimum(),
     )

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import tiltrotor as tr
 from tiltrotor._core import kernels
-from tiltrotor.control import InnerLoop, _sat1, fl_core
+from tiltrotor.control import InnerLoop, _sat1, fl_core, tilt_factors
+from tiltrotor.linearization import abc_scale
 
 
 def _ref(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
@@ -228,10 +229,11 @@ def test_fl_core_saturation_matches_sat1(params, x, alpha, ref):
     # for every band that cuts the n_lo smallest and n_hi largest magnitudes
     att = kernels.attitude_trig(x[6], x[7], x[8])
     tilt = kernels.tilt_trig(alpha)
-    args = (tuple(x), att, tilt, tuple(ref), (0.0,) * 4, (0.0,) * 4,
+    fac = tilt_factors([tilt], params.pack)[0].tolist()
+    args = (tuple(x), att, tilt, fac, tuple(ref), (0.0,) * 4, (0.0,) * 4,
             (4.0,) * 4, (4.0,) * 4, params.pack)
     held = (-20.0, 20.0, -20.0, 20.0)
-    raw, det, sat, singular = fl_core(*args, 0.0, math.inf, 1e-4, held)
+    raw, det, sat, singular, ratio_sq = fl_core(*args, 0.0, math.inf, 1e-4, held)
     assume(not singular)
     assert sat == (False,) * 4
     mags = sorted(abs(v) for v in raw)
@@ -241,8 +243,8 @@ def test_fl_core_saturation_matches_sat1(params, x, alpha, ref):
             hi = mags[4 - n_hi] * (1.0 - 1e-9) if n_hi else 2.0 * mags[3]
             if not lo < hi:
                 continue
-            out, det2, sat2, singular2 = fl_core(*args, lo, hi, 1e-4, held)
-            assert (det2, singular2) == (det, False)
+            out, det2, sat2, singular2, ratio_sq2 = fl_core(*args, lo, hi, 1e-4, held)
+            assert (det2, singular2, ratio_sq2) == (det, False, ratio_sq)
             want = tuple(_sat1(v, lo, hi) for v in raw)
             assert out == want
             assert sat2 == tuple(o != v for o, v in zip(want, raw))
@@ -288,11 +290,11 @@ def test_solve4_matches_numpy(rng):
 
 
 def test_solve4_decoupling_system(params, rng):
-    # the systems the inner loop actually solves
+    # the decoupling systems, solved from the explicit matrix
     for _ in range(200):
         phi, theta = rng.uniform(-1.2, 1.2, 2)
         alpha = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
-        d, _, det, _, _, minors = kernels.decoupling(
+        d, _, det, _ = kernels.decoupling(
             kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
             kernels.tilt_trig(alpha), params.pack,
         )
@@ -302,8 +304,103 @@ def test_solve4_decoupling_system(params, rng):
         rhs = rng.normal(size=4)
         got = kernels.solve4(d, tuple(rhs.tolist()))
         np.testing.assert_allclose(m @ np.asarray(got), rhs, rtol=0, atol=1e-8)
-        # the minors decoupling hands over are the ones solve4 would form
-        assert kernels.solve4(d, tuple(rhs.tolist()), minors) == got
+        assert det == pytest.approx(np.linalg.det(m), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the factored law against the explicit decoupling matrix
+
+
+@st.composite
+def vehicles(draw):
+    """Rotor constants, mass and a random SPD inertia (eigenvalues within 20x)."""
+    eig = [draw(st.floats(0.005, 0.1)) for _ in range(3)]
+    assume(max(eig) <= 20.0 * min(eig))
+    yaw, pitch, roll = (draw(st.floats(-math.pi, math.pi)) for _ in range(3))
+    rot = tr.rotation_matrix((roll, pitch, yaw))
+    inertia = rot @ np.diag(eig) @ rot.T
+    return tr.Params(
+        m=draw(st.floats(0.3, 5.0)), k_f=draw(st.floats(1e-6, 1e-4)),
+        k_m=draw(st.floats(1e-8, 1e-5)), arm_length=draw(st.floats(0.1, 0.6)),
+        inertia=0.5 * (inertia + inertia.T),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=vehicles(),
+       eta=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.3, 1.3), st.floats(-math.pi, math.pi)),
+       omega=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       alpha=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+       ref=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       eps=st.floats(1e-6, 0.5))
+def test_factored_law_matches_the_explicit_matrix(params, eta, omega, alpha, ref, eps):
+    # fl_core evaluates the law from tilt-only factors; kernels.decoupling
+    # assembles Delta, b, det and the row-norm scale entry by entry
+    x = (0.3, -0.2, 0.1, 0.4, -0.1, 0.2, *eta, *omega)
+    att = kernels.attitude_trig(*eta)
+    tilt = kernels.tilt_trig(alpha)
+    fac = tilt_factors([tilt], params.pack)[0].tolist()
+    d, b, det, scale = kernels.decoupling(att, *omega, tilt, params.pack)
+    delta = np.asarray(d).reshape(4, 4)
+    norms = np.linalg.norm(delta, axis=1).prod()
+    ratio = abs(det) / norms
+    gains = (ref[0:4], ref[4:8], ref[8:12], (4.0,) * 4, (3.0,) * 4)
+    held = (-20.0, 20.0, -20.0, 20.0)
+    varpi, det2, sat, singular, ratio_sq = fl_core(
+        x, att, tilt, fac, *gains, params.pack, 0.0, math.inf, eps, held)
+
+    assert abs(det2 - det) <= 1e-12 * norms
+    assert math.sqrt(ratio_sq) == pytest.approx(ratio, rel=1e-9, abs=1e-12)
+    if abs(ratio - eps) > 1e-9:
+        assert singular == (det == 0.0 or abs(det) < eps * scale**4)
+    # v . n m det(I_B) is the attitude factor of the determinant identity
+    n = np.asarray(fac[12:16])
+    coeffs = tr.det_decomposition(alpha, params)
+    got = delta[3] @ n * params.m * np.linalg.det(params.inertia)
+    want = float(tr.normalized_det(eta[0], eta[1], coeffs))
+    assert abs(got - want) <= 1e-12 * abc_scale(params)
+    if singular:
+        assert varpi == held
+    elif ratio > 1e-6:
+        # the command solves Delta w = v - b with v the PD law on the outputs
+        eta_dot = tr.euler_rate_matrix(eta) @ np.asarray(omega)
+        y = np.array([eta[0], eta[1], eta[2], x[2]])
+        ydot = np.array([*eta_dot, x[5]])
+        rhs = np.asarray(ref[8:12]) + 3.0 * (np.asarray(ref[4:8]) - ydot) \
+            + 4.0 * (np.asarray(ref[0:4]) - y) - np.asarray(b)
+        w = tr.speeds_to_input(varpi)
+        residual = np.linalg.norm(delta @ w - rhs)
+        assert residual <= 1e-10 * (np.linalg.norm(delta) * np.linalg.norm(w) + np.linalg.norm(rhs))
+
+
+def test_rank_deficient_tilt_is_singular_and_holds(params, gains):
+    # the completion (delta - a1, -delta - a2) with delta = 2 atan2(k_m, l k_f)
+    # zeroes A, B and C: the torque map loses rank at every attitude
+    delta = 2.0 * math.atan2(params.k_m, params.arm_length * params.k_f)
+    a1, a2 = 0.3, -0.2
+    alpha = (a1, a2, delta - a1, -delta - a2)
+    coeffs = tr.det_decomposition(alpha, params)
+    assert max(abs(v) for v in coeffs.abc) <= 1e-12 * abc_scale(params)
+    tilt = kernels.tilt_trig(alpha)
+    fac = tilt_factors([tilt], params.pack)
+    assert np.all(np.isfinite(fac))
+    # a torque map of exact rank zero gives n = 0 and K = 0, with no division
+    # by n . n (a RuntimeWarning fails the suite)
+    zero = tilt_factors(np.zeros((1, 8)), params.pack)
+    np.testing.assert_array_equal(zero, np.zeros((1, 22)))
+    held = tuple((params.spin_sign * 400.0).tolist())
+    for eta in ((0.0, 0.0, 0.0), (0.2, -0.3, 1.0)):
+        state = tr.State(eta=np.array(eta))
+        out = tr.fl_inner_loop(state, alpha, tr.InnerRefs(), gains, params, last_command=held)
+        assert out.singular
+        np.testing.assert_array_equal(out.varpi_cmd, held)
+        x = tuple(state.as_array().tolist())
+        varpi, det, _, singular, ratio_sq = fl_core(
+            x, kernels.attitude_trig(*eta), tilt, fac[0].tolist(), (0.0,) * 4, (0.0,) * 4,
+            (0.0,) * 4, (4.0,) * 4, (4.0,) * 4, params.pack, params.omega_lo,
+            params.omega_hi, 1e-4, held)
+        assert singular and varpi == held
+        assert math.isfinite(det) and ratio_sq < 1e-8
 
 
 @pytest.mark.parametrize("d", [

@@ -221,6 +221,46 @@ def test_abort_reason_pitch_guard(params, gains, gait1):
     assert exc.time == 0.0 and len(exc.log) == 1
     assert exc.log.singular[0] and exc.log.det[0] == 0.0
     np.testing.assert_array_equal(exc.state.as_array(), start.as_array())
+    # the control law never ran, so there is no determinant ratio to report
+    assert exc.log.end_reason == "pitch_guard"
+    assert exc.log.min_det_ratio is None and exc.log.min_det_ratio_time is None
+
+
+# ---------------------------------------------------------------------------
+# how a run ended and how close it came to the singular test
+
+
+def test_gait1_completes_with_its_determinant_margin(params, gains, gait1):
+    log = tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait1)
+    assert log.end_reason == "completed" and not log.aborted
+    assert log.min_det_ratio >= 0.81
+    assert 0.0 <= log.min_det_ratio_time <= 120.0
+    assert "completed" in log.summary()
+
+
+def _least_row_ratio(log, params):
+    ratios = [tr.decoupling_matrix(x[6:9], a, params).ratio
+              for x, a in zip(log.states, log.alpha)]
+    i = int(np.argmin(ratios))
+    return ratios[i], log.t[i]
+
+
+def test_min_det_ratio_is_the_least_ratio_of_the_logged_rows(params, gains, gait1):
+    log = tr.run_tracking(tr.SimConfig(duration=12.0), params, gains, gait1)
+    ratio, t = _least_row_ratio(log, params)
+    assert abs(log.min_det_ratio - ratio) <= 1e-12
+    assert log.min_det_ratio_time == t
+
+
+def test_gait2_ends_on_the_determinant_test(params, gains):
+    with pytest.raises(AbortedSingular) as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=120.0), params, gains,
+                        tr.build_preset("gait2", params))
+    log = exc_info.value.log
+    assert log.end_reason == "determinant"
+    assert log.min_det_ratio < 1e-4 and log.min_det_ratio_time == 0.799
+    ratio, t = _least_row_ratio(log, params)
+    assert abs(log.min_det_ratio - ratio) <= 1e-12 and t == log.min_det_ratio_time
 
 
 def _det_identity(log, params):
