@@ -227,37 +227,124 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
     The input-dependent part of the derivative (:func:`_input_effect`) is
     state-free, so it is formed once per distinct stage input: stages 2
     and 3 share ``(tilt_mid, w_mid)``.  Each stage then only evaluates
-    the attitude-dependent rotation and Euler-rate terms.  The stage sums
-    are those of the textbook scheme written out per component.
+    the attitude-dependent rotation and Euler-rate terms
+    (:func:`_attitude_rates`).  The stage sums are those of the textbook
+    scheme written out per component.
+
+    The body is written out in straight lines: it performs the operations
+    of three :func:`_input_effect` calls, four :func:`_attitude_rates`
+    calls and three :func:`attitude_trig` calls in their order, without
+    the calls and their tuple packing, so it returns the same bits as the
+    composition of those helpers.
     """
-    m, g = pp[0], pp[1]
+    m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
+    lk = arm * kf
     half = 0.5 * dt
     x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
-    fx0, fy0, fz0, dp0, dq0, dr0 = _input_effect(tilt_0, w_0, pp)
-    fxm, fym, fzm, dpm, dqm, drm = _input_effect(tilt_mid, w_mid, pp)
-    fx1, fy1, fz1, dp1, dq1, dr1 = _input_effect(tilt_1, w_1, pp)
 
+    # input effect at the step start, midpoint and end, as in _input_effect:
+    # body force (fx, fy, fz) and body angular acceleration (dp, dq, dr)
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0
+    w1, w2, w3, w4 = w_0
+    sw1, sw2 = s1 * w1, s2 * w2
+    sw3, sw4 = s3 * w3, s4 * w4
+    cw1, cw2 = c1 * w1, c2 * w2
+    cw3, cw4 = c3 * w3, c4 * w4
+    s13, s24 = sw1 - sw3, sw2 - sw4
+    tx = lk * (cw2 - cw4) - km * s24
+    ty = lk * (cw1 - cw3) + km * s13
+    tz = lk * (sw1 - sw2 + sw3 - sw4) - km * (cw1 + cw2 + cw3 + cw4)
+    fx0, fy0, fz0 = kf * s24, kf * s13, kf * (cw2 + cw4 - cw1 - cw3)
+    dp0 = i00 * tx + i01 * ty + i02 * tz
+    dq0 = i10 * tx + i11 * ty + i12 * tz
+    dr0 = i20 * tx + i21 * ty + i22 * tz
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt_mid
+    w1, w2, w3, w4 = w_mid
+    sw1, sw2 = s1 * w1, s2 * w2
+    sw3, sw4 = s3 * w3, s4 * w4
+    cw1, cw2 = c1 * w1, c2 * w2
+    cw3, cw4 = c3 * w3, c4 * w4
+    s13, s24 = sw1 - sw3, sw2 - sw4
+    tx = lk * (cw2 - cw4) - km * s24
+    ty = lk * (cw1 - cw3) + km * s13
+    tz = lk * (sw1 - sw2 + sw3 - sw4) - km * (cw1 + cw2 + cw3 + cw4)
+    fxm, fym, fzm = kf * s24, kf * s13, kf * (cw2 + cw4 - cw1 - cw3)
+    dpm = i00 * tx + i01 * ty + i02 * tz
+    dqm = i10 * tx + i11 * ty + i12 * tz
+    drm = i20 * tx + i21 * ty + i22 * tz
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt_1
+    w1, w2, w3, w4 = w_1
+    sw1, sw2 = s1 * w1, s2 * w2
+    sw3, sw4 = s3 * w3, s4 * w4
+    cw1, cw2 = c1 * w1, c2 * w2
+    cw3, cw4 = c3 * w3, c4 * w4
+    s13, s24 = sw1 - sw3, sw2 - sw4
+    tx = lk * (cw2 - cw4) - km * s24
+    ty = lk * (cw1 - cw3) + km * s13
+    tz = lk * (sw1 - sw2 + sw3 - sw4) - km * (cw1 + cw2 + cw3 + cw4)
+    fx1, fy1, fz1 = kf * s24, kf * s13, kf * (cw2 + cw4 - cw1 - cw3)
+    dp1 = i00 * tx + i01 * ty + i02 * tz
+    dq1 = i10 * tx + i11 * ty + i12 * tz
+    dr1 = i20 * tx + i21 * ty + i22 * tz
+
+    # each stage as in _attitude_rates (ctd is its _safe_div of ct): R @ f
+    # one elementary rotation at a time, and the Euler rates through
+    # u = sf q + cf r
     # stage 1 at the step start; its body-rate slope is (dp0, dq0, dr0)
-    ax1, ay1, az1, ef1, et1, ep1 = _attitude_rates(
-        att_0, p, q, r, fx0, fy0, fz0, m, g)
+    sf, cf, st, ct, sp, cp = att_0
+    ry = cf * fy0 - sf * fz0
+    rz = sf * fy0 + cf * fz0
+    rx = ct * fx0 + st * rz
+    u = sf * q + cf * r
+    ctd = ct if ct != 0.0 else 1e-300
+    ax1, ay1 = (cp * rx - sp * ry) / m, (sp * rx + cp * ry) / m
+    az1 = (ct * rz - st * fx0) / m - g
+    ef1, et1, ep1 = p + st / ctd * u, cf * q - sf * r, u / ctd
     # stage 2 at the midpoint along k1
     vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
     p2, q2, r2 = p + half * dp0, q + half * dq0, r + half * dr0
-    ax2, ay2, az2, ef2, et2, ep2 = _attitude_rates(
-        attitude_trig(phi + half * ef1, theta + half * et1, psi + half * ep1),
-        p2, q2, r2, fxm, fym, fzm, m, g)
+    a, b, c = phi + half * ef1, theta + half * et1, psi + half * ep1
+    sf, cf = sin(a), cos(a)
+    st, ct = sin(b), cos(b)
+    sp, cp = sin(c), cos(c)
+    ry = cf * fym - sf * fzm
+    rz = sf * fym + cf * fzm
+    rx = ct * fxm + st * rz
+    u = sf * q2 + cf * r2
+    ctd = ct if ct != 0.0 else 1e-300
+    ax2, ay2 = (cp * rx - sp * ry) / m, (sp * rx + cp * ry) / m
+    az2 = (ct * rz - st * fxm) / m - g
+    ef2, et2, ep2 = p2 + st / ctd * u, cf * q2 - sf * r2, u / ctd
     # stage 3 at the midpoint along k2
     vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
     p3, q3, r3 = p + half * dpm, q + half * dqm, r + half * drm
-    ax3, ay3, az3, ef3, et3, ep3 = _attitude_rates(
-        attitude_trig(phi + half * ef2, theta + half * et2, psi + half * ep2),
-        p3, q3, r3, fxm, fym, fzm, m, g)
+    a, b, c = phi + half * ef2, theta + half * et2, psi + half * ep2
+    sf, cf = sin(a), cos(a)
+    st, ct = sin(b), cos(b)
+    sp, cp = sin(c), cos(c)
+    ry = cf * fym - sf * fzm
+    rz = sf * fym + cf * fzm
+    rx = ct * fxm + st * rz
+    u = sf * q3 + cf * r3
+    ctd = ct if ct != 0.0 else 1e-300
+    ax3, ay3 = (cp * rx - sp * ry) / m, (sp * rx + cp * ry) / m
+    az3 = (ct * rz - st * fxm) / m - g
+    ef3, et3, ep3 = p3 + st / ctd * u, cf * q3 - sf * r3, u / ctd
     # stage 4 at the step end along k3
     vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
     p4, q4, r4 = p + dt * dpm, q + dt * dqm, r + dt * drm
-    ax4, ay4, az4, ef4, et4, ep4 = _attitude_rates(
-        attitude_trig(phi + dt * ef3, theta + dt * et3, psi + dt * ep3),
-        p4, q4, r4, fx1, fy1, fz1, m, g)
+    a, b, c = phi + dt * ef3, theta + dt * et3, psi + dt * ep3
+    sf, cf = sin(a), cos(a)
+    st, ct = sin(b), cos(b)
+    sp, cp = sin(c), cos(c)
+    ry = cf * fy1 - sf * fz1
+    rz = sf * fy1 + cf * fz1
+    rx = ct * fx1 + st * rz
+    u = sf * q4 + cf * r4
+    ctd = ct if ct != 0.0 else 1e-300
+    ax4, ay4 = (cp * rx - sp * ry) / m, (sp * rx + cp * ry) / m
+    az4 = (ct * rz - st * fx1) / m - g
+    ef4, et4, ep4 = p4 + st / ctd * u, cf * q4 - sf * r4, u / ctd
 
     sixth = dt / 6.0
     return (

@@ -715,12 +715,14 @@ class RobustnessReport:
     singular_phases: int
 
 
-def _phase_alphas(gait: Gait, n_phases: int) -> list:
-    """The gait's angles at ``n_phases`` evenly spaced phases, as 4-tuples."""
+def _phase_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
+                 curves: bool) -> list:
+    """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases."""
     if n_phases < 1:
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     times = np.arange(n_phases) * gait.period_s / n_phases
-    return [tuple(a) for a in gait.sample_array(times).tolist()]
+    return [_phase_scan(det_decomposition(tuple(alpha), params), grid, curves)
+            for alpha in gait.sample_array(times).tolist()]
 
 
 def _phase_scan(coeffs: DetCoefficients, grid: AttitudeGrid, curves: bool):
@@ -738,44 +740,22 @@ def _phase_scan(coeffs: DetCoefficients, grid: AttitudeGrid, curves: bool):
     return frac, margin, _stitch_curves(coeffs, grid, S, changed, zeros) if curves else None
 
 
-def _phase_metrics(args):
-    alpha, grid, params = args
-    frac, margin, _ = _phase_scan(det_decomposition(alpha, params), grid, curves=False)
-    return frac, margin
-
-
-def _report(results, grid: AttitudeGrid) -> RobustnessReport:
-    area = min(frac for frac, _ in results)
-    margins = [m for _, m in results if m is not None]
+def _report(scans, grid: AttitudeGrid) -> RobustnessReport:
+    area = min(frac for frac, _, _ in scans)
+    margins = [m for _, m, _ in scans if m is not None]
     return RobustnessReport(
         area_fraction=area,
         hover_margin=min(margins) if margins else grid.diagonal,
-        n_phases=len(results),
+        n_phases=len(scans),
         singular_phases=len(margins),
     )
 
 
 def robustness_report(
-    gait: Gait,
-    grid: AttitudeGrid,
-    n_phases: int,
-    params: Params,
-    workers: int = 1,
+    gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
 ) -> RobustnessReport:
-    """Evaluate the singular set at evenly spaced gait phases.
-
-    ``workers > 1`` distributes the (independent) phases over a process
-    pool; results merge in phase order either way.
-    """
-    tasks = [(alpha, grid, params) for alpha in _phase_alphas(gait, n_phases)]
-    if workers > 1 and n_phases > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_phase_metrics, tasks)
-    else:
-        results = [_phase_metrics(t) for t in tasks]
-    return _report(results, grid)
+    """Evaluate the singular set at evenly spaced gait phases."""
+    return _report(_phase_scans(gait, grid, n_phases, params, curves=False), grid)
 
 
 def curves_and_report(
@@ -786,12 +766,8 @@ def curves_and_report(
     Each phase's determinant decomposition, sign grid and edge zeros
     feed both its curves and its metrics.
     """
-    results, curve_sets = [], []
-    for alpha in _phase_alphas(gait, n_phases):
-        frac, margin, cs = _phase_scan(det_decomposition(alpha, params), grid, curves=True)
-        results.append((frac, margin))
-        curve_sets.append(cs)
-    return curve_sets, _report(results, grid)
+    scans = _phase_scans(gait, grid, n_phases, params, curves=True)
+    return [cs for _, _, cs in scans], _report(scans, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ the reference rows.  That arithmetic is elementwise, so the block size
 does not change a bit of the log.  The per-step work is what depends on
 the state: the attitude trig (taken once, for the outer and inner loops
 and the first Runge-Kutta stage), the outer loop, the attitude part of
-the inner loop's solve, and the Runge-Kutta step.
+the inner loop's solve, and the Runge-Kutta step.  The step's state,
+rotor speeds and determinant go to flat Python lists, which reach the
+log arrays in one slice assignment per block (and once more, for the
+partial block, before an abort raises).
 
 The log records how the run ended and the least scale-free determinant
 ratio of its rows, which the singular test forms anyway; neither costs
@@ -41,6 +44,10 @@ TRACKLOG_HEADER = (
     "t,x,y,z,vx,vy,vz,phi,theta,psi,p,q,r,a1,a2,a3,a4,"
     "w1,w2,w3,w4,xr,yr,zr,det,sat1,sat2,sat3,sat4,singular"
 )
+
+# rows of the log formatted per write by TrackLog.to_csv: one chunk's text
+# is about 0.25 MB, and chunks of 128 to 4096 rows write equally fast
+CSV_CHUNK = 512
 
 CIRCLE_RADIUS = 5.0
 CIRCLE_RATE = 0.1
@@ -197,9 +204,24 @@ class TrackLog:
         ])
 
     def to_csv(self, path) -> None:
-        """Write the log with 17 significant digits so it round-trips exactly."""
-        np.savetxt(path, self.as_matrix(), fmt="%.17g", delimiter=",",
-                   header=TRACKLOG_HEADER, comments="")
+        """Write the log with 17 significant digits so it round-trips exactly.
+
+        ``path`` is a path or an open text stream.  The text is that of
+        ``np.savetxt(path, self.as_matrix(), fmt="%.17g", delimiter=",",
+        header=TRACKLOG_HEADER, comments="")``, formatted :data:`CSV_CHUNK`
+        rows at a time with one format string, so the whole text is never
+        held at once.
+        """
+        if not hasattr(path, "write"):
+            with open(path, "w") as fh:
+                self.to_csv(fh)
+            return
+        m = self.as_matrix()
+        row = ",".join(["%.17g"] * m.shape[1]) + "\n"
+        path.write(TRACKLOG_HEADER + "\n")
+        for i in range(0, len(m), CSV_CHUNK):
+            block = m[i:i + CSV_CHUNK]
+            path.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "TrackLog":
@@ -277,7 +299,23 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             return {}
         return {"min_det_ratio": math.sqrt(min_ratio_sq), "min_det_ratio_time": min_row * dt}
 
-    def abort(i, state, reason):
+    # this block's states, varpi and det, buffered as flat lists of floats:
+    # one slice assignment per block costs less than a numpy row write per
+    # step, and a flat list converts faster than a list of row tuples
+    row_states, row_varpis, row_dets = [], [], []
+    add_state, add_varpi, add_det = row_states.extend, row_varpis.extend, row_dets.append
+
+    def flush(i0):
+        k = i0 + len(row_dets)
+        states[i0:k] = np.reshape(row_states, (k - i0, 12))
+        varpis[i0:k] = np.reshape(row_varpis, (k - i0, 4))
+        dets[i0:k] = row_dets
+        row_states.clear()
+        row_varpis.clear()
+        row_dets.clear()
+
+    def abort(i0, i, state, reason):
+        flush(i0)
         k = i + 1
         log = TrackLog(
             t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
@@ -306,13 +344,13 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             range(i0, i1), tilts, factors, tilts[1:n + 1], tilts[n + 1:],
             ref[:, _REF_XY].tolist(),
         ):
-            states[i] = state
+            add_state(state)
             if abs(state[7]) >= theta_guard:
                 # representation blow-up: the loop cannot be evaluated past here
-                varpis[i] = last_cmd
-                dets[i] = 0.0
+                add_varpi(last_cmd)
+                add_det(0.0)
                 sings[i] = True
-                raise abort(i, state, "pitch_guard")
+                raise abort(i0, i, state, "pitch_guard")
 
             att = attitude_trig(state[6], state[7], state[8])
             phi_ref, theta_ref = decoupler_core(
@@ -324,8 +362,8 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                 state, att, tilt, fac, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
                 kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
             )
-            varpis[i] = varpi
-            dets[i] = det
+            add_varpi(varpi)
+            add_det(det)
             if ratio_sq < min_ratio_sq:
                 min_ratio_sq, min_row = ratio_sq, i
             # the flag arrays start zeroed: write only rows with a flag set
@@ -335,7 +373,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             if singular:
                 sings[i] = True
                 if abort_on_singular:
-                    raise abort(i, state, "determinant")
+                    raise abort(i0, i, state, "determinant")
             else:
                 last_cmd = varpi
 
@@ -347,6 +385,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                     varpi[3] * abs(varpi[3]),
                 )
                 state = kernels.rk4_step(state, att, tilt, tilt_mid, tilt_end, w, w, w, dt, pack)
+        flush(i0)
 
     return TrackLog(
         t=t_arr, states=states, alpha=alphas, varpi=varpis, ref_pos=refs, det=dets,

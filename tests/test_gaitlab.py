@@ -322,14 +322,6 @@ def test_robustness_reports(params):
         tr.robustness_report(g1, grid, 0, params)
 
 
-def test_robustness_report_parallel_matches_serial(params):
-    grid = tr.AttitudeGrid.symmetric(1.0, 101)
-    g = tr.bias_gait(tr.build_preset("gait3", params), 0.8)
-    serial = tr.robustness_report(g, grid, 8, params, workers=1)
-    parallel = tr.robustness_report(g, grid, 8, params, workers=2)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # curve extraction against the edge-by-edge oracle
 

@@ -254,6 +254,64 @@ def test_rk4_step_matches_textbook_composition(params, rng):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def _composed_rk4(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
+    # the Runge-Kutta step composed from the kernel's own helpers, stage by
+    # stage: the straight-line rk4_step must return these bits exactly
+    m, g = pp[0], pp[1]
+    half = 0.5 * dt
+    x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
+    fx0, fy0, fz0, dp0, dq0, dr0 = kernels._input_effect(tilt_0, w_0, pp)
+    fxm, fym, fzm, dpm, dqm, drm = kernels._input_effect(tilt_mid, w_mid, pp)
+    fx1, fy1, fz1, dp1, dq1, dr1 = kernels._input_effect(tilt_1, w_1, pp)
+    rates, trig = kernels._attitude_rates, kernels.attitude_trig
+    ax1, ay1, az1, ef1, et1, ep1 = rates(att_0, p, q, r, fx0, fy0, fz0, m, g)
+    vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
+    ax2, ay2, az2, ef2, et2, ep2 = rates(
+        trig(phi + half * ef1, theta + half * et1, psi + half * ep1),
+        p + half * dp0, q + half * dq0, r + half * dr0, fxm, fym, fzm, m, g)
+    vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
+    ax3, ay3, az3, ef3, et3, ep3 = rates(
+        trig(phi + half * ef2, theta + half * et2, psi + half * ep2),
+        p + half * dpm, q + half * dqm, r + half * drm, fxm, fym, fzm, m, g)
+    vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+    ax4, ay4, az4, ef4, et4, ep4 = rates(
+        trig(phi + dt * ef3, theta + dt * et3, psi + dt * ep3),
+        p + dt * dpm, q + dt * dqm, r + dt * drm, fx1, fy1, fz1, m, g)
+    sixth = dt / 6.0
+    return (
+        x + sixth * (vx + 2.0 * (vx2 + vx3) + vx4),
+        y + sixth * (vy + 2.0 * (vy2 + vy3) + vy4),
+        z + sixth * (vz + 2.0 * (vz2 + vz3) + vz4),
+        vx + sixth * (ax1 + 2.0 * (ax2 + ax3) + ax4),
+        vy + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4),
+        vz + sixth * (az1 + 2.0 * (az2 + az3) + az4),
+        phi + sixth * (ef1 + 2.0 * (ef2 + ef3) + ef4),
+        theta + sixth * (et1 + 2.0 * (et2 + et3) + et4),
+        psi + sixth * (ep1 + 2.0 * (ep2 + ep3) + ep4),
+        p + sixth * (dp0 + 2.0 * (dpm + dpm) + dp1),
+        q + sixth * (dq0 + 2.0 * (dqm + dqm) + dq1),
+        r + sixth * (dr0 + 2.0 * (drm + drm) + dr1),
+    )
+
+
+def test_rk4_step_is_the_helper_composition_bit_for_bit(params, rng):
+    # states over several magnitudes, distinct stage inputs, and a start
+    # attitude whose pitch cosine is exactly zero (the _safe_div guard)
+    pp = params.pack
+    for n in range(2000):
+        x = rng.uniform(-1, 1, 12) * 10.0 ** rng.integers(-3, 3, 12)
+        x = tuple(x.tolist())
+        att = kernels.attitude_trig(x[6], x[7], x[8])
+        if n % 100 == 0:
+            att = att[:3] + (0.0,) + att[4:]
+        tilts = [kernels.tilt_trig(tuple(rng.uniform(-4, 4, 4).tolist())) for _ in range(3)]
+        ws = [tuple(rng.uniform(-3e5, 3e5, 4).tolist()) for _ in range(3)]
+        dt = float(rng.choice([1e-3, 1e-2, 0.1]))
+        got = kernels.rk4_step(x, att, *tilts, *ws, dt, pp)
+        want = _composed_rk4(x, att, *tilts, *ws, dt, pp)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def _free_response_endpoint(params, dt, duration=1.0):
     # smooth, torque-active trajectory: constant unbalanced speeds; the
     # step sizes are chosen so truncation error dominates round-off

@@ -191,6 +191,36 @@ def test_csv_roundtrip_any_log(rows):
     assert loaded.as_matrix().tobytes() == log.as_matrix().tobytes()
 
 
+def test_csv_text_is_that_of_savetxt(tmp_path):
+    # the chunked writer against np.savetxt as the oracle, on a log longer
+    # than one chunk and not a multiple of it, through a path and a stream
+    rng = np.random.default_rng(7)
+    n = 2 * sim.CSV_CHUNK + 37
+    values = rng.standard_normal((n, 25)) * 10.0 ** rng.integers(-300, 300, (n, 25))
+    values[::5, 3] = 0.0
+    values[1::5, 4] = -0.0
+    values[2::7, 5] = 5e-324
+    flags = rng.random((n, 5)) < 0.3
+    log = tr.TrackLog(
+        t=values[:, 0], states=values[:, 1:13], alpha=values[:, 13:17],
+        varpi=values[:, 17:21], ref_pos=values[:, 21:24], det=values[:, 24],
+        saturated=flags[:, 0:4], singular=flags[:, 4],
+    )
+    oracle = io.StringIO()
+    np.savetxt(oracle, log.as_matrix(), fmt="%.17g", delimiter=",",
+               header=TRACKLOG_HEADER, comments="")
+    # compared as lists of lines: a failing comparison of the whole text
+    # makes pytest diff about a megabyte character by character
+    want = oracle.getvalue().split("\n")
+    assert len(want) == n + 2 and want[-1] == ""
+    buf = io.StringIO()
+    log.to_csv(buf)
+    assert buf.getvalue().split("\n") == want
+    path = tmp_path / "track.csv"
+    log.to_csv(path)
+    assert path.read_text().split("\n") == want
+
+
 def test_abort_on_singular_gait(params, gains):
     gait2 = tr.build_preset("gait2", params)
     with pytest.raises(AbortedSingular) as exc_info:
@@ -324,6 +354,50 @@ def test_abort_inside_a_block(params, gains, monkeypatch):
     one = run()
     assert one.time == exc.time
     assert one.log.as_matrix().tobytes() == exc.log.as_matrix().tobytes()
+
+
+def _assert_rows_equal(log, want, rows):
+    # every log column of the first ``rows`` rows, bit for bit
+    for name in ("t", "states", "alpha", "varpi", "ref_pos", "det", "saturated", "singular"):
+        assert np.array_equal(getattr(log, name)[:rows], getattr(want, name)[:rows]), name
+
+
+def test_determinant_abort_keeps_the_buffered_rows(params, gains):
+    # the abort row 799 is mid-block: the rows buffered since the block
+    # start reach the log, equal to those of a run that does not abort
+    gait2 = tr.build_preset("gait2", params)
+    with pytest.raises(AbortedSingular) as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait2)
+    log = exc_info.value.log
+    assert len(log) == 800 and 799 % TRACK_BLOCK not in (0, TRACK_BLOCK - 1)
+    full = tr.run_tracking(tr.SimConfig(duration=0.9, abort_on_singular=False),
+                           params, gains, gait2)
+    assert full.singular[799]
+    _assert_rows_equal(log, full, 799)
+    for name in ("states", "alpha", "ref_pos"):
+        assert np.array_equal(getattr(log, name)[799], getattr(full, name)[799]), name
+
+
+def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1):
+    # a pitch kick that reaches the guard band mid-block, many blocks in
+    dt = 1e-3
+    start = tr.State(eta=[0.0, 1.0, 0.0], omega=[0.0, 8.0, 0.0])
+    config = dict(initial_state=start, abort_on_singular=False)
+    with pytest.raises(AbortedSingular) as exc_info:
+        tr.run_tracking(tr.SimConfig(duration=3.0, **config), params, gains, gait1)
+    exc = exc_info.value
+    log, k = exc.log, len(exc.log) - 1
+    assert exc.reason == "pitch_guard" and k == 2496
+    assert k >= TRACK_BLOCK and k % TRACK_BLOCK not in (0, TRACK_BLOCK - 1)
+    done = tr.run_tracking(tr.SimConfig(duration=(k - 1) * dt, **config), params, gains, gait1)
+    assert done.end_reason == "completed" and len(done) == k
+    _assert_rows_equal(log, done, k)
+    # the abort row: the state that hit the guard, the gait and reference at its time
+    assert np.array_equal(log.states[k], exc.state.as_array())
+    assert abs(log.states[k, 7]) >= math.pi / 2 - EPS_REP
+    assert np.array_equal(log.alpha[k], gait1.sample_raw(k * dt))
+    assert np.array_equal(log.ref_pos[k], tr.circular_reference.rows(np.array([k * dt]))[0, :3])
+    assert log.det[k] == 0.0 and log.singular[k]
 
 
 def test_plain_callable_reference_matches_the_array_form(params, gains, gait1):
