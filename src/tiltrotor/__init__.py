@@ -11,14 +11,7 @@ The hot kernels are plain Python over floats and tuples, in one source
 """
 
 from tiltrotor._core import backend_name
-from tiltrotor.errors import (
-    AbortedSingular,
-    ContinuationBreak,
-    Degenerate,
-    NoRoot,
-    RepresentationSingular,
-    TiltrotorError,
-)
+from tiltrotor.errors import AbortedSingular, RepresentationSingular, TiltrotorError
 from tiltrotor.model import (
     Params,
     State,
@@ -85,9 +78,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbortedSingular", "AttitudeGrid", "ColorSolution", "ControlOutput",
-    "ContinuationBreak", "Degenerate", "DecouplingMatrix", "DetCoefficients",
-    "Gait", "Gains", "InnerLoop", "InnerRefs", "NoRoot", "Params",
-    "Reference", "RepresentationSingular", "RobustnessReport", "SimConfig",
+    "DecouplingMatrix", "DetCoefficients", "Gait", "Gains", "InnerLoop",
+    "InnerRefs", "Params", "Reference", "RepresentationSingular",
+    "RobustnessReport", "SimConfig",
     "SingularCurveSet", "State", "TiltAngles", "TiltrotorError", "TrackLog",
     "backend_name", "bias_gait", "build_preset", "circular_reference",
     "color_map", "decoupling_matrix", "det_decomposition", "drift_vector",

@@ -88,7 +88,7 @@ def det_coeffs(a1, a2, a3, a4, kf, km, arm):
 
 
 def ab_residual(a1, a2, a3, a4, kf, km, arm):
-    """Just the (A, B) pair of ``det_coeffs`` (hot path of the branch solver)."""
+    """Just the (A, B) pair of ``det_coeffs``: the residual of :func:`newton_ab`."""
     out = det_coeffs(a1, a2, a3, a4, kf, km, arm)
     return out[0], out[1]
 
@@ -101,6 +101,10 @@ def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
     means ``|A| + |B| < tol`` after a Newton step of at most ``step_tol``
     rad per coordinate: where |A| + |B| is very flat, the residual alone
     falls below ``tol`` far from any root.
+
+    The package itself finds no root numerically: ``gaitlab.scan_roots``
+    writes the whole root set down in closed form, and the test suite's
+    multi-start scan over this kernel is its independent oracle.
 
     Returns ``(a3, a4, residual, converged)`` with ``residual = |A| + |B|``.
     """

@@ -29,34 +29,6 @@ class RepresentationSingular(TiltrotorError):
         self.theta = theta
 
 
-class NoRoot(TiltrotorError):
-    """The branch solver found no root below tolerance."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best residual {best_residual:.3e})")
-        self.best_residual = best_residual
-
-
-class Degenerate(TiltrotorError):
-    """Branch solutions could not be separated into a blue/red pair."""
-
-    def __init__(self, message: str, roots):
-        super().__init__(message)
-        self.roots = list(roots)
-
-
-class ContinuationBreak(TiltrotorError):
-    """Branch tracking jumped too far between adjacent samples."""
-
-    def __init__(self, location, jump: float):
-        super().__init__(
-            f"branch continuation jumped {jump:.3f} rad near (alpha1, alpha2)="
-            f"({location[0]:.4f}, {location[1]:.4f})"
-        )
-        self.location = tuple(location)
-        self.jump = jump
-
-
 class AbortedSingular(TiltrotorError):
     """Closed-loop run stopped where the control law cannot be evaluated.
 

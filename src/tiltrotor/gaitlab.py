@@ -15,11 +15,13 @@ length:
 The solver writes them down in closed form, which keeps rectangle gaits
 exactly on-branch under linear interpolation.
 
-The raw root set of ``A = B = 0`` is larger: it also contains rank-
-deficient completions with ``A = B = C = 0`` (singular at *every*
-attitude) and a second robust pair of opposite residual parity.  A
-multi-start Newton scan of that set (:func:`scan_roots`) cross-checks the
-closed form on request (``verify=True``).
+The raw root set of ``A = B = 0`` is larger, and closed-form too
+(:func:`scan_roots`): with ``delta = 2 atan2(k_m, arm k_f)`` it is the
+four robust completions ``{alpha1, alpha1 + pi} x {alpha2, alpha2 + pi}``
+and four rank-deficient ones ``(delta - alpha1, -delta - alpha2) + {0,
+pi}^2``, where ``A = B = C = 0`` (singular at *every* attitude).  On a
+branch plane ``C`` itself is a product of three closed-form factors, so
+``color_map`` reads its sign without a determinant decomposition.
 """
 
 from __future__ import annotations
@@ -35,37 +37,29 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.errors import Degenerate
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
 from tiltrotor.model import Params, TiltAngles, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
-# |A| + |B| convergence target and acceptance bound, in units of
-# k_f * (arm * k_f + k_m)^2 (loose upper scale for the coefficients).
-# The gradient of (A, B) w.r.t. the completion is ~1e5 smaller than that
-# scale, so the convergence target must sit far below the acceptance
-# bound to pin roots to ~1e-9 rad (gait closure needs 1e-6).
-RES_SCALE_EXP = 2
-AB_TOL_FACTOR = 1e-14
-AB_BOUND_FACTOR = 1e-8
-# largest final Newton step of a converged root [rad]
-NEWTON_STEP_TOL = 1e-10
-
-# multi-start root clustering radius [rad]: Newton pins a root to ~1e-9
-# rad, while distinct roots come closer than 1e-3 rad (a robust root and a
-# rank-deficient one, at alpha1, alpha2 near multiples of pi/2 with delta
-# near 0 or pi), which a wider radius merged into one cluster
+# roots closer than this [rad] are reported once: the robust and rank-
+# deficient families meet where delta -> pi and on the on-branch C = 0
+# locus.  Distinct roots come within 1e-3 rad of each other (alpha1,
+# alpha2 near multiples of pi/2 with delta near 0 or pi), so the radius
+# stays far below that.
 CLUSTER_RADIUS = 1e-6
-NEWTON_MAX_ITER = 60
 
 # (alpha3, alpha4) = (alpha1, alpha2) + offset on each robust branch
 BRANCH_OFFSETS = {"blue": 0.0, "red": math.pi}
 
 
 def residual_scale(params: Params) -> float:
-    """Scale for A/B residual tolerances."""
-    return params.k_f * (params.arm_length * params.k_f + params.k_m) ** RES_SCALE_EXP
+    """Scale for A/B residual tolerances: ``k_f * (arm * k_f + k_m)**2``.
+
+    A loose upper scale for the coefficients; the gradient of ``(A, B)``
+    with respect to the completion is about 1e5 smaller.
+    """
+    return params.k_f * (params.arm_length * params.k_f + params.k_m) ** 2
 
 
 def _branch_offset(branch) -> float:
@@ -113,14 +107,6 @@ class ColorSolution:
         return TiltAngles(np.concatenate([self.alpha12, self.alpha34]))
 
 
-def _newton(a1, a2, seed34, params: Params, tol):
-    return kernels.newton_ab(
-        a1, a2, seed34[0], seed34[1],
-        params.k_f, params.k_m, params.arm_length,
-        tol, NEWTON_STEP_TOL, NEWTON_MAX_ITER,
-    )
-
-
 def _solution(a1: float, a2: float, color: str, params: Params) -> ColorSolution:
     a3, a4 = _completion(a1, a2, color)
     coeffs = det_decomposition((a1, a2, a3, a4), params)
@@ -133,76 +119,74 @@ def _solution(a1: float, a2: float, color: str, params: Params) -> ColorSolution
     )
 
 
-def scan_roots(alpha12, params: Params, seeds: int = 12) -> list[dict]:
-    """Multi-start Newton scan of the full ``A = B = 0`` root set.
+def _delta(params: Params) -> float:
+    """``delta = 2 atan2(k_m, arm k_f)``, the offset of the rank-deficient roots."""
+    return 2.0 * math.atan2(params.k_m, params.arm_length * params.k_f)
 
-    Seeds a ``seeds x seeds`` grid over ``[-pi, pi)^2``, clusters the
-    converged roots modulo 2 pi, and reports each cluster with its ``C``
-    coefficient and a robustness flag (``C`` bounded away from zero).
+
+def _on_branch_c(a1, a2, params: Params):
+    """``C`` on either branch plane at ``(a1, a2)``, scalars or arrays.
+
+    With ``u = delta / 2`` and ``rho = hypot(arm k_f, k_m)``::
+
+        C = 4 k_f rho^3 cos(a1 - u) cos(a2 + u)
+              (2 sin(u) cos(a1) cos(a2) - cos(u) sin(a1 - a2))
+
+    on the blue and the red plane alike, so ``C = 0`` is the union of
+    ``a1 = u + pi/2``, ``a2 = pi/2 - u`` (mod pi) and ``tan(a1) - tan(a2)
+    = 2 tan(u)``.
+    """
+    lk = params.arm_length * params.k_f
+    u = 0.5 * _delta(params)
+    scale = 4.0 * params.k_f * math.hypot(lk, params.k_m) ** 3
+    return (scale * np.cos(a1 - u) * np.cos(a2 + u)
+            * (2.0 * math.sin(u) * np.cos(a1) * np.cos(a2) - math.cos(u) * np.sin(a1 - a2)))
+
+
+def _angle_gap(p, q) -> float:
+    """Distance between two angle pairs, each coordinate taken modulo 2 pi."""
+    return math.hypot((p[0] - q[0] + math.pi) % TWO_PI - math.pi,
+                      (p[1] - q[1] + math.pi) % TWO_PI - math.pi)
+
+
+def scan_roots(alpha12, params: Params) -> list[dict]:
+    """The full ``A = B = 0`` root set at ``alpha12``, in closed form.
+
+    With ``delta = 2 atan2(k_m, arm k_f)`` the set is eight completions:
+    the robust ``{alpha1, alpha1 + pi} x {alpha2, alpha2 + pi}`` and the
+    rank-deficient ``(delta - alpha1, -delta - alpha2) + {0, pi}^2``.
+    Each is wrapped to ``[-pi, pi)``, and roots closer than
+    :data:`CLUSTER_RADIUS` are reported once.  Each root carries its
+    ``C`` coefficient and a robustness flag (``C`` bounded away from
+    zero), sorted by ``alpha34``.  Where the two families meet,
+    ``alpha12 = (delta/2, -delta/2)`` modulo ``pi/2``, they merge into
+    four roots, and ``A = B = 0`` holds on whole lines of completions
+    through them as well.
     """
     a1, a2 = float(alpha12[0]), float(alpha12[1])
-    tol = AB_TOL_FACTOR * residual_scale(params)
+    delta = _delta(params)
     c_floor = 1e-4 * abc_scale(params)
-    grid = np.linspace(-math.pi, math.pi, seeds, endpoint=False)
-    clusters: list[dict] = []
-    for s3 in grid:
-        for s4 in grid:
-            n3, n4, res, ok = _newton(a1, a2, (s3, s4), params, tol)
-            if not ok:
-                continue
-            w3, w4 = wrap_angle(n3), wrap_angle(n4)
-            for cl in clusters:
-                d3 = (w3 - cl["alpha34"][0] + math.pi) % TWO_PI - math.pi
-                d4 = (w4 - cl["alpha34"][1] + math.pi) % TWO_PI - math.pi
-                if math.hypot(d3, d4) < CLUSTER_RADIUS:
-                    cl["hits"] += 1
-                    if res < cl["residual"]:
-                        cl["alpha34"] = (w3, w4)
-                        cl["residual"] = res
-                    break
-            else:
-                clusters.append({"alpha34": (w3, w4), "residual": res, "hits": 1})
-    for cl in clusters:
-        coeffs = det_decomposition((a1, a2, cl["alpha34"][0], cl["alpha34"][1]), params)
-        cl["C"] = coeffs.C
-        cl["robust"] = abs(coeffs.C) >= c_floor
-    clusters.sort(key=lambda cl: (round(cl["alpha34"][0], 6), round(cl["alpha34"][1], 6)))
-    return clusters
+    roots: list[dict] = []
+    for b3, b4 in ((a1, a2), (delta - a1, -delta - a2)):
+        for k3 in (0.0, math.pi):
+            for k4 in (0.0, math.pi):
+                w3, w4 = float(wrap_angle(b3 + k3)), float(wrap_angle(b4 + k4))
+                if any(_angle_gap((w3, w4), r["alpha34"]) < CLUSTER_RADIUS for r in roots):
+                    continue
+                C = kernels.det_coeffs(a1, a2, w3, w4,
+                                       params.k_f, params.k_m, params.arm_length)[2]
+                roots.append({"alpha34": (w3, w4), "C": C, "robust": abs(C) >= c_floor})
+    roots.sort(key=lambda r: (round(r["alpha34"][0], 6), round(r["alpha34"][1], 6)))
+    return roots
 
 
-def solve_color_pair(alpha12, params: Params, verify: bool = False) -> list[ColorSolution]:
+def solve_color_pair(alpha12, params: Params) -> list[ColorSolution]:
     """The blue and red completions at ``alpha12``, in closed form.
 
-    Returns ``[blue, red]``; ``alpha12`` must be finite.  With
-    ``verify=True`` a multi-start Newton scan cross-checks the pair
-    against the clustered root set and raises :class:`Degenerate` when
-    either branch cannot be matched to a unique cluster (branch sheets
-    colliding).
+    Returns ``[blue, red]``; ``alpha12`` must be finite.
     """
     a1, a2 = _finite((alpha12[0], alpha12[1]), "alpha1, alpha2").tolist()
-    blue = _solution(a1, a2, "blue", params)
-    red = _solution(a1, a2, "red", params)
-
-    if verify:
-        clusters = scan_roots((a1, a2), params)
-
-        def match(sol):
-            w = wrap_angle(sol.alpha34)
-            found = []
-            for idx, cl in enumerate(clusters):
-                d3 = (w[0] - cl["alpha34"][0] + math.pi) % TWO_PI - math.pi
-                d4 = (w[1] - cl["alpha34"][1] + math.pi) % TWO_PI - math.pi
-                if math.hypot(d3, d4) < 10 * CLUSTER_RADIUS:
-                    found.append(idx)
-            return found
-
-        mb, mr = match(blue), match(red)
-        if len(mb) != 1 or len(mr) != 1 or mb[0] == mr[0]:
-            raise Degenerate(
-                f"branch pair at ({a1:.4f}, {a2:.4f}) is ambiguous",
-                [cl["alpha34"] for cl in clusters],
-            )
-    return [blue, red]
+    return [_solution(a1, a2, "blue", params), _solution(a1, a2, "red", params)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +232,14 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
     """One branch over a rectangular grid, with plane fits.
 
     The completions are the closed-form branch plane at every cell (the
-    fits confirm it to rounding); ``residual_sign`` is the sign of ``C``
-    there.  Grid values must be finite.
+    fits confirm it to rounding); ``residual_sign`` is the sign of the
+    closed-form on-branch ``C`` there.  Grid values must be finite.
     """
     a1v = _finite(alpha1_values, "alpha1 values")
     a2v = _finite(alpha2_values, "alpha2 values")
     a1g, a2g = np.meshgrid(a1v, a2v, indexing="ij")
     alpha3, alpha4 = _completion(a1g, a2g, branch)
-    C = [det_decomposition(alpha, params).C
-         for alpha in zip(a1g.ravel().tolist(), a2g.ravel().tolist(),
-                          alpha3.ravel().tolist(), alpha4.ravel().tolist())]
-    rsign = np.where(np.reshape(C, a1g.shape) >= 0, 1.0, -1.0)
+    rsign = np.where(_on_branch_c(a1g, a2g, params) >= 0, 1.0, -1.0)
     return ColorMapResult(
         branch=branch,
         alpha1_values=a1v,
@@ -774,13 +755,18 @@ def curves_and_report(
 # preset catalog
 
 GAIT_PRESETS = {
-    # blue rectangle placed clear of the on-branch C = 0 locus
-    # (alpha2 ~ alpha1 - 2 atan(k_m / (arm k_f))) so tracking stays
-    # well-conditioned, yet close enough that its 0.8-biased variant
-    # develops singular attitude curves
+    # The on-branch C = 0 locus, with u = atan2(k_m, arm k_f), is
+    # alpha1 = u + pi/2 (mod pi), alpha2 = pi/2 - u (mod pi) and
+    # tan(alpha1) - tan(alpha2) = 2 tan(u).  Margins below are the least
+    # |C| / (4 k_f rho^3), rho = hypot(arm k_f, k_m), over the waypoints
+    # at the default Params.
+    # blue rectangle clear of the locus (margin 0.265, C keeps its sign)
+    # so tracking stays well-conditioned, yet close enough that its
+    # 0.8-biased variant develops singular attitude curves
     "gait1": {"center": (-0.25, 0.85), "half_extents": (0.30, 0.30), "branch": "blue"},
-    # red rectangles crossing that locus: they lose control authority at
-    # two gait phases per period and fail in closed loop under input
+    # red rectangles crossing the locus (margins 0.0039 and 0.0002, C
+    # changes sign twice per period): they lose control authority at two
+    # gait phases per period and fail in closed loop under input
     # saturation
     "gait2": {"center": (0.0, 0.0), "half_extents": (0.30, 0.30), "branch": "red"},
     "gait3": {"center": (0.4, 0.4), "half_extents": (0.20, 0.20), "branch": "red"},

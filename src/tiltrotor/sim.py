@@ -198,9 +198,14 @@ class TrackLog:
 
     def as_matrix(self) -> np.ndarray:
         """Rows in the CSV column order (flags as 0/1)."""
+        return self._matrix(slice(None))
+
+    def _matrix(self, rows: slice) -> np.ndarray:
+        """The ``rows`` of :meth:`as_matrix`, built from slices of the log arrays."""
         return np.column_stack([
-            self.t, self.states, self.alpha, self.varpi, self.ref_pos,
-            self.det, self.saturated.astype(float), self.singular.astype(float),
+            self.t[rows], self.states[rows], self.alpha[rows], self.varpi[rows],
+            self.ref_pos[rows], self.det[rows], self.saturated[rows].astype(float),
+            self.singular[rows].astype(float),
         ])
 
     def to_csv(self, path) -> None:
@@ -209,18 +214,18 @@ class TrackLog:
         ``path`` is a path or an open text stream.  The text is that of
         ``np.savetxt(path, self.as_matrix(), fmt="%.17g", delimiter=",",
         header=TRACKLOG_HEADER, comments="")``, formatted :data:`CSV_CHUNK`
-        rows at a time with one format string, so the whole text is never
-        held at once.
+        rows at a time with one format string from slices of the log
+        arrays, so neither the whole text nor a copy of the whole log is
+        ever held at once.
         """
         if not hasattr(path, "write"):
             with open(path, "w") as fh:
                 self.to_csv(fh)
             return
-        m = self.as_matrix()
-        row = ",".join(["%.17g"] * m.shape[1]) + "\n"
+        row = ",".join(["%.17g"] * len(TRACKLOG_HEADER.split(","))) + "\n"
         path.write(TRACKLOG_HEADER + "\n")
-        for i in range(0, len(m), CSV_CHUNK):
-            block = m[i:i + CSV_CHUNK]
+        for i in range(0, len(self), CSV_CHUNK):
+            block = self._matrix(slice(i, i + CSV_CHUNK))
             path.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import tiltrotor as tr
-from tiltrotor.errors import (AbortedSingular, ContinuationBreak, Degenerate, NoRoot,
-                              RepresentationSingular)
+from tiltrotor.errors import AbortedSingular, RepresentationSingular
 
 
 def _short_log():
@@ -19,9 +18,6 @@ def _short_log():
 
 @pytest.mark.parametrize("exc", [
     RepresentationSingular(1.5),
-    NoRoot("no root below tolerance", 1e-3),
-    Degenerate("could not separate the branches", [(0.1, 0.2), (0.3, 0.4)]),
-    ContinuationBreak((0.1, -0.2), 0.7),
     AbortedSingular(0.5, None),
     AbortedSingular(1.25, tr.State(eta=np.array([0.1, 0.2, 0.3])), log=_short_log(),
                     reason="pitch_guard"),

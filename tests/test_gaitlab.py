@@ -11,7 +11,8 @@ from scipy.optimize import minimize
 
 import tiltrotor as tr
 from tiltrotor import gaitlab
-from tiltrotor.gaitlab import GAIT_PRESETS, residual_scale, scan_roots
+from tiltrotor._core import kernels
+from tiltrotor.gaitlab import CLUSTER_RADIUS, GAIT_PRESETS, residual_scale, scan_roots
 from tiltrotor.linearization import DetCoefficients, abc_scale
 
 from _oracles import ab_grid_direct, abc_direct, rectangle_stations, zero_curves_scalar
@@ -50,8 +51,7 @@ class BruteForceOracle:
             i, j = np.unravel_index(np.argmin(masked), masked.shape)
 
             def objective(x):
-                return float(ab_grid_direct(a1, a2, np.array(x[0]), np.array(x[1]),
-                                            self.params))
+                return float(ab_grid_direct(a1, a2, float(x[0]), float(x[1]), self.params))
 
             start = [float(self.a3[i, 0]), float(self.a4[0, j])]
             poly = minimize(objective, start, method="Nelder-Mead",
@@ -64,12 +64,56 @@ def brute_force_root(a1, a2, near, params, n=400):
     return BruteForceOracle(params, n=n).roots_near(a1, a2, [near])[0]
 
 
+# Newton convergence target in units of residual_scale: the gradient of
+# (A, B) with respect to the completion is ~1e5 below that scale, so the
+# target sits far below the 1e-8 acceptance bound to pin roots to ~1e-9 rad
+NEWTON_TOL_FACTOR = 1e-14
+NEWTON_STEP_TOL = 1e-10
+NEWTON_MAX_ITER = 60
+
+
+def newton_scan(alpha12, params, seeds=12):
+    """Multi-start Newton scan of the ``A = B = 0`` root set: the oracle of ``scan_roots``.
+
+    Seeds a ``seeds x seeds`` grid over ``[-pi, pi)^2``, clusters the
+    converged roots modulo 2 pi within ``CLUSTER_RADIUS`` (keeping each
+    cluster's least-residual member), and flags each cluster robust as
+    ``scan_roots`` does, by ``|C| >= 1e-4 abc_scale``.
+    """
+    a1, a2 = float(alpha12[0]), float(alpha12[1])
+    tol = NEWTON_TOL_FACTOR * residual_scale(params)
+    grid = np.linspace(-math.pi, math.pi, seeds, endpoint=False).tolist()
+    clusters = []
+    for s3 in grid:
+        for s4 in grid:
+            n3, n4, res, ok = kernels.newton_ab(
+                a1, a2, s3, s4, params.k_f, params.k_m, params.arm_length,
+                tol, NEWTON_STEP_TOL, NEWTON_MAX_ITER,
+            )
+            if not ok:
+                continue
+            w = (float(tr.wrap_angle(n3)), float(tr.wrap_angle(n4)))
+            for cl in clusters:
+                d3 = (w[0] - cl["alpha34"][0] + math.pi) % TWO_PI - math.pi
+                d4 = (w[1] - cl["alpha34"][1] + math.pi) % TWO_PI - math.pi
+                if math.hypot(d3, d4) < CLUSTER_RADIUS:
+                    if res < cl["residual"]:
+                        cl["alpha34"], cl["residual"] = w, res
+                    break
+            else:
+                clusters.append({"alpha34": w, "residual": res})
+    for cl in clusters:
+        cl["C"] = tr.det_decomposition((a1, a2) + cl["alpha34"], params).C
+        cl["robust"] = abs(cl["C"]) >= 1e-4 * abc_scale(params)
+    return clusters
+
+
 # ---------------------------------------------------------------------------
 # branch solving
 
 
 def test_pair_at_origin(params):
-    blue, red = tr.solve_color_pair((0.0, 0.0), params, verify=True)
+    blue, red = tr.solve_color_pair((0.0, 0.0), params)
     np.testing.assert_allclose(blue.alpha34, [0.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(red.alpha34, [math.pi, math.pi], atol=1e-9)
     assert blue.color == "blue" and red.color == "red"
@@ -114,6 +158,13 @@ def test_verify_mode_near_sheet_collision(params):
     np.testing.assert_allclose(blue.alpha34, [delta / 2, -delta / 2], atol=1e-6)
     np.testing.assert_allclose(red.alpha34, [delta / 2 + math.pi, -delta / 2 + math.pi],
                                atol=1e-6)
+    # there each robust root is also a rank-deficient one: four roots, all with C = 0
+    roots = scan_roots((delta / 2, -delta / 2), params)
+    assert len(roots) == 4 and not any(r["robust"] for r in roots)
+    for root in roots:
+        assert min(_mod2pi_dist(root["alpha34"], (delta / 2 + k3 * math.pi,
+                                                  -delta / 2 + k4 * math.pi))
+                   for k3 in (0, 1) for k4 in (0, 1)) < 1e-12
 
 
 def test_normalized_det_factorizes_on_solutions(params, rng):
@@ -595,14 +646,18 @@ def rotor_params(draw):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(a1=ANGLE, a2=ANGLE, params=rotor_params())
 # delta = 2 atan(k_m / (arm k_f)) lies 1.1e-3 rad from pi: |A| + |B| is flat
 # enough there to fall below the Newton tolerance 1e-3 rad from any root
-@example(a1=0.0, a2=1.0, params=tr.Params(k_f=1e-7, k_m=1e-5, arm_length=0.0546875))
+FLAT_NEAR_PI = dict(a1=0.0, a2=1.0, params=tr.Params(k_f=1e-7, k_m=1e-5, arm_length=0.0546875))
 # delta = 4e-4 rad: the red root (pi, pi) lies 5.7e-4 rad from the
 # rank-deficient root (pi + delta, pi - delta)
-@example(a1=0.0, a2=0.0, params=tr.Params(k_f=1e-5, k_m=1e-9, arm_length=0.5))
+NEAR_COLLISION = dict(a1=0.0, a2=0.0, params=tr.Params(k_f=1e-5, k_m=1e-9, arm_length=0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=ANGLE, a2=ANGLE, params=rotor_params())
+@example(**FLAT_NEAR_PI)
+@example(**NEAR_COLLISION)
 def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
     scale = abc_scale(params)
     blue, red = tr.solve_color_pair((a1, a2), params)
@@ -614,10 +669,45 @@ def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
     # off the on-branch C = 0 locus, where the scan flags the branch root
     # as rank-deficient
     assume(min(abs(co.C) for co in coeffs) > 1e-3 * scale)
-    robust = [c["alpha34"] for c in scan_roots((a1, a2), params) if c["robust"]]
+    robust = [c["alpha34"] for c in newton_scan((a1, a2), params) if c["robust"]]
     hits = [[k for k, r in enumerate(robust) if _mod2pi_dist(sol.alpha34, r) < 1e-2]
             for sol in (blue, red)]
     assert len(hits[0]) == 1 and len(hits[1]) == 1 and hits[0] != hits[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=ANGLE, a2=ANGLE, params=rotor_params())
+@example(**FLAT_NEAR_PI)
+@example(**NEAR_COLLISION)
+def test_scan_roots_matches_the_newton_oracle(a1, a2, params):
+    roots = scan_roots((a1, a2), params)
+    oracle = newton_scan((a1, a2), params)
+    assert len(roots) == len(oracle)
+    for root in roots:
+        near = [cl for cl in oracle if _mod2pi_dist(root["alpha34"], cl["alpha34"]) < 1e-8]
+        assert len(near) == 1 and near[0]["robust"] == root["robust"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a1=ANGLE, a2=ANGLE, params=rotor_params(), branch=st.sampled_from(sorted(OFFSETS)))
+def test_on_branch_c_is_that_of_det_coeffs(a1, a2, params, branch):
+    off = OFFSETS[branch]
+    k_f, k_m, arm = params.k_f, params.k_m, params.arm_length
+    want = kernels.det_coeffs(a1, a2, a1 + off, a2 + off, k_f, k_m, arm)[2]
+    rho = math.hypot(arm * k_f, k_m)
+    assert abs(gaitlab._on_branch_c(a1, a2, params) - want) <= 1e-13 * k_f * rho**3
+
+
+def test_preset_on_branch_margins(params):
+    # the margins and sign changes the GAIT_PRESETS comment gives
+    scale = 4.0 * params.k_f * math.hypot(params.arm_length * params.k_f, params.k_m) ** 3
+    for name, margin, changes in (("gait1", 0.265, 0), ("gait2", 0.0039, 2),
+                                  ("gait3", 0.0002, 2)):
+        alphas = tr.build_preset(name, params).alphas
+        C = gaitlab._on_branch_c(alphas[:, 0], alphas[:, 1], params) / scale
+        assert np.abs(C).min() == pytest.approx(margin, rel=0.05)
+        # the first and last waypoints coincide: one period of sign changes
+        assert np.count_nonzero(np.diff(np.sign(C))) == changes
 
 
 def test_scan_roots_skips_flat_near_roots():
@@ -634,7 +724,7 @@ def test_scan_roots_skips_flat_near_roots():
         family = robust if cl["robust"] else deficient
         assert min(_mod2pi_dist(cl["alpha34"], r) for r in family) < 1e-9
     assert sum(cl["robust"] for cl in clusters) == 4
-    blue, red = tr.solve_color_pair((0.0, 1.0), params, verify=True)
+    blue, red = tr.solve_color_pair((0.0, 1.0), params)
     assert blue.color == "blue" and red.color == "red"
 
 

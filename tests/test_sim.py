@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
-from tiltrotor import sim
+from tiltrotor import gaitlab, sim
 from tiltrotor.control import InnerRefs
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import EPS_REP
@@ -221,6 +222,33 @@ def test_csv_text_is_that_of_savetxt(tmp_path):
     assert path.read_text().split("\n") == want
 
 
+def test_csv_writer_holds_no_copy_of_the_log():
+    # a 20 s log's worth of rows: the writer's peak stays below half of one
+    # (n, 30) float64 matrix, so it never builds the whole as_matrix copy.
+    # Only memory is measured here (zeros format fastest under tracing);
+    # test_csv_text_is_that_of_savetxt checks the text.
+    n = 20_001
+    values = np.zeros((n, 25))
+    flags = np.zeros((n, 5), dtype=bool)
+    log = tr.TrackLog(
+        t=values[:, 0], states=values[:, 1:13], alpha=values[:, 13:17],
+        varpi=values[:, 17:21], ref_pos=values[:, 21:24], det=values[:, 24],
+        saturated=flags[:, 0:4], singular=flags[:, 4],
+    )
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        log.to_csv(Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * 30 * 8
+
+
 def test_abort_on_singular_gait(params, gains):
     gait2 = tr.build_preset("gait2", params)
     with pytest.raises(AbortedSingular) as exc_info:
@@ -312,6 +340,11 @@ def test_logged_det_matches_the_det_identity(params, gains, gait1):
     for run in (log, exc_info.value.log):
         err = np.abs(run.det - _det_identity(run, params))
         assert err.max() <= 1e-12 * np.abs(run.det).max()
+    # gait1 stays on the blue plane, where A = B = 0: det = cos(phi) C / (m det(I_B))
+    # with the closed-form on-branch C, without the determinant decomposition
+    C = gaitlab._on_branch_c(log.alpha[:, 0], log.alpha[:, 1], params)
+    on_branch = np.cos(log.states[:, 6]) * C / (params.m * np.linalg.det(params.inertia))
+    assert np.abs(log.det - on_branch).max() <= 1e-12 * np.abs(log.det).max()
 
 
 # ---------------------------------------------------------------------------
