@@ -19,7 +19,6 @@ from tiltrotor.model import (
     hover_speeds,
     input_to_speeds,
     integrate_step,
-    load_params,
     rotation_matrix,
     euler_rate_matrix,
     speeds_to_input,
@@ -43,7 +42,6 @@ from tiltrotor.control import (
     InnerRefs,
     fl_inner_loop,
     load_config,
-    load_gains,
     position_decoupler,
     saturate,
 )
@@ -87,7 +85,7 @@ __all__ = [
     "error_series", "euler_rate_matrix", "extract_zero_curves",
     "fixed_reference", "fl_inner_loop",
     "hover_speeds", "input_to_speeds", "integrate_step", "load_config",
-    "load_gains", "load_gait", "load_params", "make_rectangle_gait",
+    "load_gait", "make_rectangle_gait",
     "normalized_det", "position_decoupler", "robustness_report",
     "rotation_matrix", "run_tracking", "sample_gait", "saturate",
     "singular_curves", "solve_color_pair", "speeds_to_input",

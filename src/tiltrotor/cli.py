@@ -67,7 +67,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _load_gait_arg(args, params: Params, apply_bias: bool = True) -> gaitlab.Gait:
+def _bias_gait(gait: gaitlab.Gait, factor: float) -> gaitlab.Gait:
+    try:
+        return gaitlab.bias_gait(gait, factor)
+    except ValueError as exc:
+        raise CliError(f"--bias: {exc}", EXIT_INVALID) from exc
+
+
+def _load_gait_arg(args, params: Params) -> gaitlab.Gait:
     if getattr(args, "gait", None):
         try:
             gait = gaitlab.load_gait(args.gait)
@@ -77,11 +84,6 @@ def _load_gait_arg(args, params: Params, apply_bias: bool = True) -> gaitlab.Gai
         gait = gaitlab.build_preset(args.preset, params)
     else:
         raise CliError("need --gait FILE or --preset NAME", EXIT_INVALID)
-    bias = getattr(args, "bias", None)
-    if apply_bias and bias is not None:
-        if not 0.0 < bias <= 1.0:
-            raise CliError(f"bias must lie in (0, 1], got {bias}", EXIT_INVALID)
-        gait = gaitlab.bias_gait(gait, bias)
     return gait
 
 
@@ -150,9 +152,7 @@ def cmd_gaitgen(args) -> int:
         except ValueError as exc:
             raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
     if args.bias is not None:
-        if not 0.0 < args.bias <= 1.0:
-            raise CliError(f"bias must lie in (0, 1], got {args.bias}", EXIT_INVALID)
-        gait = gaitlab.bias_gait(gait, args.bias)
+        gait = _bias_gait(gait, args.bias)
 
     stem = args.output or f"gait_{name}"
     csv_path, _ = _prepare_outputs(args, [f"{stem}.csv", f"{stem}.json"])
@@ -165,10 +165,8 @@ def cmd_curves(args) -> int:
     params, _, _ = _load_setup(args)
     if args.phases < 1:
         raise CliError(f"--phases must be >= 1, got {args.phases}", EXIT_INVALID)
-    if not 0.0 < args.bias <= 1.0:
-        raise CliError(f"--bias must lie in (0, 1], got {args.bias}", EXIT_INVALID)
-    gait = _load_gait_arg(args, params, apply_bias=False)
-    biased = gaitlab.bias_gait(gait, args.bias)
+    gait = _load_gait_arg(args, params)
+    biased = _bias_gait(gait, args.bias)
     try:
         grid = gaitlab.AttitudeGrid.symmetric(args.grid_limit, args.grid_res)
     except ValueError as exc:
@@ -234,6 +232,8 @@ def cmd_track(args) -> int:
     except ValueError as exc:
         raise CliError(f"--duration/--dt: {exc}", EXIT_INVALID) from exc
     gait = _load_gait_arg(args, params)
+    if args.bias is not None:
+        gait = _bias_gait(gait, args.bias)
     paths = _prepare_outputs(
         args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"]
     )

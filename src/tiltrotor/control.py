@@ -71,21 +71,21 @@ class Gains:
                 kw[key] = float(d[key])
         return cls(**kw)
 
-    @classmethod
-    def from_json(cls, path) -> "Gains":
-        """Read the ``gains`` section of the shared configuration file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh).get("gains", {}))
-
-
-load_gains = Gains.from_json
-
 
 def load_config(path) -> tuple[Params, Gains, dict]:
-    """Load the shared JSON configuration.
+    """Load the shared JSON configuration file; the package's one reader of it.
 
-    Returns ``(params, gains, extras)`` where ``extras`` carries loop
-    options such as ``abort_on_singular`` (default True).
+    Recognised keys, each optional (a missing key keeps its default):
+
+    * vehicle parameters (:class:`~tiltrotor.model.Params`): ``m, g, k_f,
+      k_m, arm_length``, ``inertia`` (9 numbers, row-major), ``omega_lo,
+      omega_hi, spin_sign``;
+    * ``gains``, an object with the :class:`Gains` fields ``kp, kd`` (one
+      number or four), ``kp_xy, kd_xy, clamp``;
+    * ``abort_on_singular`` (default True).
+
+    Returns ``(params, gains, extras)`` with ``extras =
+    {"abort_on_singular": ...}``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
@@ -108,6 +108,8 @@ class InnerRefs:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (4,):
                 raise ValueError(f"{name} must be a 4-vector")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
 
 
@@ -361,15 +363,15 @@ def fl_inner_loop(
     gains: Gains,
     params: Params,
     last_command=None,
-    eps_sing: float = EPS_SING,
 ) -> ControlOutput:
     """One evaluation of the exact-linearization law on (roll, pitch, yaw, altitude).
 
     Computes ``v = r'' + kd (r' - y') + kp (r - y)``, solves ``Delta w =
     v - b`` for the signed squared speeds, converts to rotor speeds, and
-    saturates.  When the scale-aware determinant test fires, the output
-    is the last safe command (or the spin-sign pattern at the magnitude
-    floor if none is given) with ``singular=True``.
+    saturates.  When the scale-aware determinant test (threshold
+    :data:`~tiltrotor.linearization.EPS_SING`) fires, the output is the
+    last safe command (or the spin-sign pattern at the magnitude floor if
+    none is given) with ``singular=True``.
     """
     theta = float(state.eta[1])
     check_pitch(theta)
@@ -384,7 +386,7 @@ def fl_inner_loop(
         tilt_factors([tilt], params.pack)[0].tolist(),
         tuple(refs.value.tolist()), tuple(refs.rate.tolist()), tuple(refs.accel.tolist()),
         tuple(gains.kp.tolist()), tuple(gains.kd.tolist()),
-        params.pack, params.omega_lo, params.omega_hi, eps_sing, held,
+        params.pack, params.omega_lo, params.omega_hi, EPS_SING, held,
     )
     return ControlOutput(
         varpi_cmd=np.array(varpi),
@@ -400,18 +402,14 @@ class InnerLoop:
     Not safe to share across concurrent simulations; clone per run.
     """
 
-    def __init__(self, gains: Gains, params: Params, initial_command=None,
-                 eps_sing: float = EPS_SING):
+    def __init__(self, gains: Gains, params: Params):
         self.gains = gains
         self.params = params
-        self.eps_sing = eps_sing
-        self.last_safe = None if initial_command is None else np.asarray(initial_command, float)
+        self.last_safe = None
 
     def step(self, state: State, alpha, refs: InnerRefs) -> ControlOutput:
-        out = fl_inner_loop(
-            state, alpha, refs, self.gains, self.params,
-            last_command=self.last_safe, eps_sing=self.eps_sing,
-        )
+        out = fl_inner_loop(state, alpha, refs, self.gains, self.params,
+                            last_command=self.last_safe)
         if not out.singular:
             self.last_safe = out.varpi_cmd
         return out

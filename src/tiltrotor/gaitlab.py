@@ -52,6 +52,9 @@ CLUSTER_RADIUS = 1e-6
 # (alpha3, alpha4) = (alpha1, alpha2) + offset on each robust branch
 BRANCH_OFFSETS = {"blue": 0.0, "red": math.pi}
 
+# stations per edge of a rectangle gait's perimeter
+STATIONS_PER_EDGE = 16
+
 
 def residual_scale(params: Params) -> float:
     """Scale for A/B residual tolerances: ``k_f * (arm * k_f + k_m)**2``.
@@ -381,17 +384,15 @@ def make_rectangle_gait(
     period: float,
     branch: str,
     params: Params,
-    stations_per_edge: int = 16,
 ) -> Gait:
     """Rectangle gait: ``(alpha1, alpha2)`` traverses the perimeter CCW.
 
     The traversal starts at the lower-left corner and runs at constant
-    speed through ``stations_per_edge`` stations per edge;
+    speed through :data:`STATIONS_PER_EDGE` stations per edge;
     ``(alpha3, alpha4)`` sit on the requested branch plane at every
     station, so the gait is exactly on-branch and closes exactly.  The
     planes do not depend on ``params``.  Centre and half extents must be
-    finite, the half extents both positive or both zero (a fixed point);
-    ``stations_per_edge`` must be a positive integer.
+    finite, the half extents both positive or both zero (a fixed point).
     """
     cx, cy, hx, hy = _finite(
         (center[0], center[1], half_extents[0], half_extents[1]), "center and half extents"
@@ -403,9 +404,6 @@ def make_rectangle_gait(
             f"half extents ({hx}, {hy}): one is zero, so two edges have zero length; "
             "give both positive, or both zero for a fixed point"
         )
-    if (isinstance(stations_per_edge, bool) or not isinstance(stations_per_edge, numbers.Integral)
-            or stations_per_edge < 1):
-        raise ValueError(f"stations_per_edge must be a positive integer, got {stations_per_edge!r}")
 
     if hx == 0.0 and hy == 0.0:
         pts = np.array([[cx, cy], [cx, cy]])
@@ -419,8 +417,8 @@ def make_rectangle_gait(
         for k in range(4):
             x0, y0 = corners[k]
             x1, y1 = corners[(k + 1) % 4]
-            for s in range(stations_per_edge):
-                f = s / stations_per_edge
+            for s in range(STATIONS_PER_EDGE):
+                f = s / STATIONS_PER_EDGE
                 pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
         pts.append(corners[0])
         pts = np.asarray(pts)

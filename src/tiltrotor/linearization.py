@@ -83,8 +83,9 @@ class DecouplingMatrix:
             return 0.0
         return abs(self.det) / self.scale**4
 
-    def is_singular(self, eps: float = EPS_SING) -> bool:
-        return self.det == 0.0 or abs(self.det) < eps * self.scale**4
+    def is_singular(self) -> bool:
+        """The loop's singular test: ``|det| < EPS_SING * scale**4``."""
+        return self.det == 0.0 or abs(self.det) < EPS_SING * self.scale**4
 
 
 def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:

@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,20 +129,6 @@ class Params:
             kw["spin_sign"] = np.asarray(d["spin_sign"], dtype=float)
         return cls(**kw)
 
-    @classmethod
-    def from_json(cls, path) -> "Params":
-        """Load parameters from a JSON configuration file.
-
-        Recognized keys: ``m, g, k_f, k_m, arm_length, inertia`` (9 numbers,
-        row-major), ``omega_lo, omega_hi, spin_sign``; missing keys keep
-        their defaults.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-load_params = Params.from_json
-
 
 @dataclass(frozen=True)
 class State:
@@ -164,6 +149,8 @@ class State:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:

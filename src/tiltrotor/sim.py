@@ -138,15 +138,17 @@ class SimConfig:
     duration off the ``dt`` grid snaps to the nearest multiple of ``dt``,
     ties to an even step count (0.0105 s at ``dt = 1e-3`` runs 10 steps,
     to t = 0.010 s); the log has one row more than the step count.
+
+    Every run starts from the command 0.8 x the hover pattern and tests
+    the decoupling matrix against the fixed
+    :data:`~tiltrotor.linearization.EPS_SING`.
     """
 
     duration: float = 120.0
     dt: float = 1e-3
     initial_state: State = field(default_factory=State)
-    initial_varpi: np.ndarray | None = None  # default: 0.8 x hover pattern
     abort_on_singular: bool = True
     reference: Callable[[float], Reference] = circular_reference
-    eps_sing: float = EPS_SING
 
     def __post_init__(self):
         for name in ("duration", "dt"):
@@ -155,13 +157,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.dt > self.duration:
             raise ValueError(f"dt {self.dt} exceeds the duration {self.duration}")
-        if not (math.isfinite(self.eps_sing) and self.eps_sing >= 0):
-            raise ValueError(f"eps_sing must be non-negative and finite, got {self.eps_sing}")
-        if self.initial_varpi is not None:
-            varpi = np.asarray(self.initial_varpi, dtype=float)
-            if varpi.shape != (4,) or not np.all(np.isfinite(varpi)):
-                raise ValueError(f"initial_varpi must be four finite speeds, got {varpi}")
-            object.__setattr__(self, "initial_varpi", varpi)
 
 
 @dataclass
@@ -280,10 +275,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
     # plain floats here and in the gains below: numpy scalars would make
     # every kernel operation slower
-    if config.initial_varpi is None:
-        last_cmd = tuple((params.spin_sign * (0.8 * params.hover_speed)).tolist())
-    else:
-        last_cmd = tuple(float(v) for v in config.initial_varpi)
+    last_cmd = tuple((params.spin_sign * (0.8 * params.hover_speed)).tolist())
 
     state = tuple(config.initial_state.as_array().tolist())
     pack = params.pack
@@ -291,7 +283,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     kd4 = tuple(gains.kd.tolist())
     lo, hi = params.omega_lo, params.omega_hi
     kp_xy, kd_xy, clamp, g = gains.kp_xy, gains.kd_xy, gains.clamp, params.g
-    eps_sing = config.eps_sing
+    eps = EPS_SING
     theta_guard = math.pi / 2 - EPS_REP
     abort_on_singular = config.abort_on_singular
     half_dt = 0.5 * dt
@@ -365,7 +357,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             )
             varpi, det, sat, singular, ratio_sq = fl_core(
                 state, att, tilt, fac, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,
-                kp4, kd4, pack, lo, hi, eps_sing, last_cmd,
+                kp4, kd4, pack, lo, hi, eps, last_cmd,
             )
             add_varpi(varpi)
             add_det(det)

@@ -169,6 +169,15 @@ def test_track_rejects_bad_timing(tmp_path, gait_files, timing, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["gaitgen", "curves", "track"])
+@pytest.mark.parametrize("bias", ["0", "1.5", "nan"])
+def test_bad_bias_refused_before_any_output(tmp_path, command, bias, capsys):
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), command, "--preset", "gait1", "--bias", bias) == 2
+    assert "bias" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gaitgen_rejects_one_zero_half_extent(tmp_path, capsys):
     assert run_cli("--out", str(tmp_path), "gaitgen", "--branch", "blue",
                    "--center", "0.1", "0.1", "--half", "0.0", "0.3") == 2

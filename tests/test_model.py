@@ -353,9 +353,12 @@ def test_params_json_roundtrip(tmp_path, params):
         "arm_length": 0.25, "inertia": [0.02, 0, 0, 0, 0.02, 0, 0, 0, 0.03],
         "omega_lo": 10.0, "omega_hi": 900.0, "spin_sign": [-1, 1, -1, 1],
     }))
-    p = tr.load_params(path)
+    p, gains, extras = tr.load_config(path)
     assert p.m == 1.2 and p.arm_length == 0.25 and p.omega_lo == 10.0
     np.testing.assert_array_equal(p.inertia, np.diag([0.02, 0.02, 0.03]))
+    # absent sections keep their defaults
+    np.testing.assert_array_equal(gains.kp, tr.Gains().kp)
+    assert extras == {"abort_on_singular": True}
 
 
 @pytest.mark.parametrize("bad", [
@@ -385,6 +388,15 @@ def test_params_rejects_non_finite_inertia(bad, i):
     inertia[i, i] = bad
     with pytest.raises(ValueError, match="finite"):
         tr.Params(inertia=inertia)
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(["pos", "vel", "eta", "omega"]), axis=st.integers(0, 2))
+def test_state_rejects_non_finite(bad, field, axis):
+    value = np.zeros(3)
+    value[axis] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tr.State(**{field: value})
 
 
 def test_hover_feasibility_default(params):

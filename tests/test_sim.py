@@ -469,7 +469,7 @@ def test_config_validation():
 
 
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
-       field=st.sampled_from(["duration", "dt", "eps_sing"]))
+       field=st.sampled_from(["duration", "dt"]))
 def test_config_rejects_non_finite(bad, field):
     with pytest.raises(ValueError, match="finite"):
         tr.SimConfig(**{field: bad})
@@ -480,13 +480,6 @@ def test_config_rejects_dt_above_duration(duration, over):
     assume(duration * over > duration)
     with pytest.raises(ValueError, match="exceeds"):
         tr.SimConfig(duration=duration, dt=duration * over)
-
-
-def test_config_rejects_bad_initial_command():
-    with pytest.raises(ValueError):
-        tr.SimConfig(initial_varpi=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        tr.SimConfig(initial_varpi=[1.0, 2.0, math.nan, 4.0])
 
 
 @pytest.mark.parametrize("duration, rows", [(0.0105, 11), (0.0115, 13), (0.0104, 11),
