@@ -68,7 +68,6 @@ from tiltrotor.sim import (
     TrackLog,
     circular_reference,
     error_series,
-    fixed_reference,
     run_tracking,
 )
 
@@ -83,7 +82,7 @@ __all__ = [
     "backend_name", "bias_gait", "build_preset", "circular_reference",
     "color_map", "decoupling_matrix", "det_decomposition", "drift_vector",
     "error_series", "euler_rate_matrix", "extract_zero_curves",
-    "fixed_reference", "fl_inner_loop",
+    "fl_inner_loop",
     "hover_speeds", "input_to_speeds", "integrate_step", "load_config",
     "load_gait", "make_rectangle_gait",
     "normalized_det", "position_decoupler", "robustness_report",

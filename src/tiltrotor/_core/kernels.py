@@ -223,17 +223,18 @@ def state_derivative(state, alpha, w, pp):
     return (state[3], state[4], state[5], ax, ay, az, dphi, dtheta, dpsi, dp, dq, dr)
 
 
-def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
-    """One classical Runge-Kutta step with inputs sampled at the stage times.
+def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w, dt, pp):
+    """One classical Runge-Kutta step holding the input ``w`` over the step.
 
     ``att_0`` is the attitude trig of ``state``; ``tilt_0``, ``tilt_mid``
-    and ``tilt_1`` are the tilt trig at the step start, midpoint and end.
-    The input-dependent part of the derivative (:func:`_input_effect`) is
-    state-free, so it is formed once per distinct stage input: stages 2
-    and 3 share ``(tilt_mid, w_mid)``.  Each stage then only evaluates
-    the attitude-dependent rotation and Euler-rate terms
-    (:func:`_attitude_rates`).  The stage sums are those of the textbook
-    scheme written out per component.
+    and ``tilt_1`` are the tilt trig at the step start, midpoint and end;
+    ``w`` is the signed squared rotor-speed input, held constant (the
+    zero-order hold of the tracking loop).  The input-dependent part of
+    the derivative (:func:`_input_effect`) is state-free, so it is formed
+    once per stage tilt: stages 2 and 3 share ``tilt_mid``.  Each stage
+    then only evaluates the attitude-dependent rotation and Euler-rate
+    terms (:func:`_attitude_rates`).  The stage sums are those of the
+    textbook scheme written out per component.
 
     The body is written out in straight lines: it performs the operations
     of three :func:`_input_effect` calls, four :func:`_attitude_rates`
@@ -248,8 +249,8 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
 
     # input effect at the step start, midpoint and end, as in _input_effect:
     # body force (fx, fy, fz) and body angular acceleration (dp, dq, dr)
+    w1, w2, w3, w4 = w
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0
-    w1, w2, w3, w4 = w_0
     sw1, sw2 = s1 * w1, s2 * w2
     sw3, sw4 = s3 * w3, s4 * w4
     cw1, cw2 = c1 * w1, c2 * w2
@@ -263,7 +264,6 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
     dq0 = i10 * tx + i11 * ty + i12 * tz
     dr0 = i20 * tx + i21 * ty + i22 * tz
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt_mid
-    w1, w2, w3, w4 = w_mid
     sw1, sw2 = s1 * w1, s2 * w2
     sw3, sw4 = s3 * w3, s4 * w4
     cw1, cw2 = c1 * w1, c2 * w2
@@ -277,7 +277,6 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
     dqm = i10 * tx + i11 * ty + i12 * tz
     drm = i20 * tx + i21 * ty + i22 * tz
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt_1
-    w1, w2, w3, w4 = w_1
     sw1, sw2 = s1 * w1, s2 * w2
     sw3, sw4 = s3 * w3, s4 * w4
     cw1, cw2 = c1 * w1, c2 * w2

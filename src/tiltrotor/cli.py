@@ -46,7 +46,7 @@ def _load_setup(args) -> tuple[Params, Gains, dict]:
     if args.config:
         try:
             return load_config(args.config)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"bad config {args.config}: {exc}", EXIT_INVALID) from exc
     return Params(), Gains(), {"abort_on_singular": True}
 

@@ -60,39 +60,82 @@ class Gains:
         if not 0.0 < self.clamp < math.pi / 2:
             raise ValueError(f"clamp must lie in (0, pi/2), got {self.clamp}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gains":
-        kw = {}
-        for key in ("kp", "kd"):
-            if key in d:
-                kw[key] = np.asarray(d[key], dtype=float)
-        for key in ("kp_xy", "kd_xy", "clamp"):
-            if key in d:
-                kw[key] = float(d[key])
-        return cls(**kw)
+
+# the keys load_config reads and the forms their values may take: None for
+# one number, n for a list of n numbers
+_PARAM_KEYS = {
+    "m": (None,), "g": (None,), "k_f": (None,), "k_m": (None,), "arm_length": (None,),
+    "omega_lo": (None,), "omega_hi": (None,), "inertia": (9,), "spin_sign": (4,),
+}
+_GAIN_KEYS = {
+    "kp": (None, 4), "kd": (None, 4), "kp_xy": (None,), "kd_xy": (None,), "clamp": (None,),
+}
+
+
+def _fields(d, forms: dict, where: str) -> dict:
+    """The entries of the JSON object ``d`` as keyword arguments, each checked against ``forms``.
+
+    ``d`` is read with integers as floats, so a float is a JSON number and
+    a boolean is not.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(d)}")
+    kw = {}
+    for key, value in d.items():
+        if key not in forms:
+            raise ValueError(f"unknown key {key!r} in {where}")
+        if None in forms[key] and isinstance(value, float):
+            kw[key] = value
+        elif (isinstance(value, list) and len(value) in forms[key]
+              and all(isinstance(v, float) for v in value)):
+            kw[key] = np.array(value, dtype=float)
+        else:
+            form = " or ".join("a number" if n is None else f"a list of {n} numbers"
+                               for n in forms[key])
+            raise ValueError(f"{key} must be {form}, got {json.dumps(value)}")
+    return kw
 
 
 def load_config(path) -> tuple[Params, Gains, dict]:
     """Load the shared JSON configuration file; the package's one reader of it.
 
-    Recognised keys, each optional (a missing key keeps its default):
+    The file holds one JSON object.  Recognised keys, each optional (a
+    missing key keeps its default):
 
     * vehicle parameters (:class:`~tiltrotor.model.Params`): ``m, g, k_f,
-      k_m, arm_length``, ``inertia`` (9 numbers, row-major), ``omega_lo,
-      omega_hi, spin_sign``;
+      k_m, arm_length, omega_lo, omega_hi`` (numbers), ``inertia`` (a list
+      of 9 numbers, row-major) and ``spin_sign`` (a list of 4);
     * ``gains``, an object with the :class:`Gains` fields ``kp, kd`` (one
-      number or four), ``kp_xy, kd_xy, clamp``;
-    * ``abort_on_singular`` (default True).
+      number or a list of four), ``kp_xy, kd_xy, clamp`` (numbers);
+    * ``abort_on_singular``, ``true`` or ``false`` (default ``true``).
+
+    Anything else raises :class:`ValueError` naming the key: an unknown
+    or misspelt key, a value of the wrong form (a string, ``null``, a
+    boolean for a number, a list of the wrong length), a file that is not
+    one object, and values the constructors refuse.
 
     Returns ``(params, gains, extras)`` with ``extras =
     {"abort_on_singular": ...}``.
     """
+    # integers read as floats: one too large for a float reads as inf, which
+    # the constructors refuse, where float() of the int would overflow
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    params = Params.from_dict(d)
-    gains = Gains.from_dict(d.get("gains", {}))
-    extras = {"abort_on_singular": bool(d.get("abort_on_singular", True))}
-    return params, gains, extras
+        d = json.load(fh, parse_int=float)
+    if not isinstance(d, dict):
+        raise ValueError(f"the configuration must be a JSON object, got {json.dumps(d)}")
+    abort = d.pop("abort_on_singular", True)
+    if not isinstance(abort, bool):
+        raise ValueError(f"abort_on_singular must be true or false, got {json.dumps(abort)}")
+    gains = Gains(**_fields(d.pop("gains", {}), _GAIN_KEYS, "gains"))
+    kw = _fields(d, _PARAM_KEYS, "the configuration")
+    if "inertia" in kw:
+        kw["inertia"] = kw["inertia"].reshape(3, 3)
+    return Params(**kw), gains, {"abort_on_singular": abort}
+
+
+def _start_command(params: Params) -> tuple:
+    """The command held before any safe one exists: 0.8 x the hover pattern, as floats."""
+    return tuple((params.spin_sign * (0.8 * params.hover_speed)).tolist())
 
 
 @dataclass(frozen=True)
@@ -370,13 +413,13 @@ def fl_inner_loop(
     v - b`` for the signed squared speeds, converts to rotor speeds, and
     saturates.  When the scale-aware determinant test (threshold
     :data:`~tiltrotor.linearization.EPS_SING`) fires, the output is the
-    last safe command (or the spin-sign pattern at the magnitude floor if
-    none is given) with ``singular=True``.
+    last safe command, saturated, with ``singular=True``; with none given
+    it is the command a tracking run starts from, 0.8 x the hover pattern.
     """
     theta = float(state.eta[1])
     check_pitch(theta)
     if last_command is None:
-        held = tuple((params.spin_sign * params.omega_lo).tolist())
+        held = _start_command(params)
     else:
         held = tuple(float(v) for v in last_command)
     x = tuple(state.as_array().tolist())

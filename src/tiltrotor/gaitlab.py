@@ -30,6 +30,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -105,9 +106,6 @@ class ColorSolution:
     color: str
     residual_sign: float
     residual: float
-
-    def tilt_angles(self) -> TiltAngles:
-        return TiltAngles(np.concatenate([self.alpha12, self.alpha34]))
 
 
 def _solution(a1: float, a2: float, color: str, params: Params) -> ColorSolution:
@@ -343,11 +341,14 @@ class Gait:
             writer.writerow(["t_frac", "alpha1", "alpha2", "alpha3", "alpha4"])
             for u, a in zip(fracs.tolist(), rows.tolist()):
                 writer.writerow([f"{u:.17g}"] + [f"{v:.17g}" for v in a])
-        sidecar = str(path)
-        sidecar = sidecar[: sidecar.rfind(".")] + ".json" if "." in sidecar else sidecar + ".json"
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        with open(_sidecar(path), "w", encoding="utf-8") as fh:
             json.dump({"period_s": self.period_s, "color": self.color, "bias": self.bias}, fh)
             fh.write("\n")
+
+
+def _sidecar(path) -> str:
+    """The JSON sidecar of a gait CSV: its path with the extension, if any, replaced by ``.json``."""
+    return os.path.splitext(os.fspath(path))[0] + ".json"
 
 
 def load_gait(path) -> Gait:
@@ -365,9 +366,7 @@ def load_gait(path) -> Gait:
     if len(rows) < 2:
         raise ValueError(f"malformed gait file {path}: need at least two rows")
     m = np.asarray(rows)
-    sidecar = str(path)
-    sidecar = sidecar[: sidecar.rfind(".")] + ".json" if "." in sidecar else sidecar + ".json"
-    with open(sidecar, "r", encoding="utf-8") as fh:
+    with open(_sidecar(path), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     return Gait(
         period_s=float(meta["period_s"]),

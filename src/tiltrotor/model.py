@@ -117,18 +117,6 @@ class Params:
         """Rotor speed magnitude that balances gravity at level attitude."""
         return math.sqrt(self.m * self.g / (4.0 * self.k_f))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Params":
-        kw = {}
-        for key in ("m", "g", "k_f", "k_m", "arm_length", "omega_lo", "omega_hi"):
-            if key in d:
-                kw[key] = float(d[key])
-        if "inertia" in d:
-            kw["inertia"] = np.asarray(d["inertia"], dtype=float).reshape(3, 3)
-        if "spin_sign" in d:
-            kw["spin_sign"] = np.asarray(d["spin_sign"], dtype=float)
-        return cls(**kw)
-
 
 @dataclass(frozen=True)
 class State:
@@ -251,16 +239,17 @@ def state_derivative(state: State, alpha, w, params: Params) -> np.ndarray:
 def integrate_step(
     state: State,
     alpha_of_t: Callable[[float], Sequence[float]],
-    varpi_of_t: Callable[[float], Sequence[float]],
+    varpi: Sequence[float],
     t: float,
     dt: float,
     params: Params,
 ) -> State:
     """Advance the plant one fixed step with classical 4th-order Runge-Kutta.
 
-    ``alpha_of_t`` and ``varpi_of_t`` are evaluated at the three stage
-    times ``t``, ``t + dt/2``, ``t + dt``; pass constant-returning
-    callables for a zero-order hold.
+    The rotor speeds ``varpi`` are held over the step (zero-order hold,
+    as the tracking loop holds its command); the tilting angles
+    ``alpha_of_t`` are sampled at the stage times ``t``, ``t + dt/2`` and
+    ``t + dt``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -268,14 +257,11 @@ def integrate_step(
     a0 = _alpha4(alpha_of_t(t))
     am = _alpha4(alpha_of_t(t + 0.5 * dt))
     a1 = _alpha4(alpha_of_t(t + dt))
-    w0 = tuple(speeds_to_input(varpi_of_t(t)).tolist())
-    wm = tuple(speeds_to_input(varpi_of_t(t + 0.5 * dt)).tolist())
-    w1 = tuple(speeds_to_input(varpi_of_t(t + dt)).tolist())
     x = tuple(state.as_array().tolist())
     out = kernels.rk4_step(
         x, kernels.attitude_trig(x[6], x[7], x[8]),
         kernels.tilt_trig(a0), kernels.tilt_trig(am), kernels.tilt_trig(a1),
-        w0, wm, w1, float(dt), params.pack,
+        tuple(speeds_to_input(varpi).tolist()), float(dt), params.pack,
     )
     return State.from_array(out)
 

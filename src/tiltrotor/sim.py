@@ -10,14 +10,14 @@ loop builds them ahead in blocks of :data:`TRACK_BLOCK` steps with numpy:
 the gait angles at the step starts (the logged ``alpha``), midpoints and
 ends, their sines and cosines, the tilt-only factors of the decoupling
 matrix at the step starts (:func:`~tiltrotor.control.tilt_factors`), and
-the reference rows.  That arithmetic is elementwise, so the block size
-does not change a bit of the log.  The per-step work is what depends on
-the state: the attitude trig (taken once, for the outer and inner loops
-and the first Runge-Kutta stage), the outer loop, the attitude part of
-the inner loop's solve, and the Runge-Kutta step.  The step's state,
-rotor speeds and determinant go to flat Python lists, which reach the
-log arrays in one slice assignment per block (and once more, for the
-partial block, before an abort raises).
+the rows of the circular reference.  That arithmetic is elementwise, so
+the block size does not change a bit of the log.  The per-step work is
+what depends on the state: the attitude trig (taken once, for the outer
+and inner loops and the first Runge-Kutta stage), the outer loop, the
+attitude part of the inner loop's solve, and the Runge-Kutta step.  The
+step's state, rotor speeds and determinant go to flat Python lists,
+which reach the log arrays in one slice assignment per block (and once
+more, for the partial block, before an abort raises).
 
 The log records how the run ended and the least scale-free determinant
 ratio of its rows, which the singular test forms anyway; neither costs
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.control import Gains, decoupler_core, fl_core, tilt_factors
+from tiltrotor.control import Gains, _start_command, decoupler_core, fl_core, tilt_factors
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import EPS_REP, Params, State
 from tiltrotor.linearization import EPS_SING
@@ -101,34 +100,6 @@ circular_reference.floats = _circle_floats
 circular_reference.rows = _circle_rows
 
 
-def fixed_reference(pos) -> Callable[[float], Reference]:
-    """Constant hover reference at ``pos`` (regulation experiments)."""
-    p = tuple(float(v) for v in pos)
-    row = (p[0], p[1], p[2], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def ref(_t: float) -> Reference:
-        return Reference(pos=np.array(row[0:3]), vel=np.zeros(3), acc=np.zeros(3))
-
-    ref.rows = lambda t: np.tile(row, (len(t), 1))
-    return ref
-
-
-def _reference_rows(ref_fn) -> Callable[[np.ndarray], np.ndarray]:
-    """The array form of a reference: ``(n, 9)`` rows of pos, vel, acc at ``n`` times.
-
-    A reference without a ``rows`` attribute is evaluated time by time.
-    """
-    rows = getattr(ref_fn, "rows", None)
-    if rows is not None:
-        return rows
-
-    def rows(t):
-        return np.array([np.concatenate((r.pos, r.vel, r.acc)) for r in map(ref_fn, t.tolist())],
-                        dtype=float)
-
-    return rows
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Run configuration for :func:`run_tracking`.
@@ -139,7 +110,9 @@ class SimConfig:
     ties to an even step count (0.0105 s at ``dt = 1e-3`` runs 10 steps,
     to t = 0.010 s); the log has one row more than the step count.
 
-    Every run starts from the command 0.8 x the hover pattern and tests
+    Every run is the paper's experiment: it tracks
+    :func:`circular_reference`, starts from the command 0.8 x the hover
+    pattern, holds each rotor command over its Runge-Kutta step and tests
     the decoupling matrix against the fixed
     :data:`~tiltrotor.linearization.EPS_SING`.
     """
@@ -148,7 +121,6 @@ class SimConfig:
     dt: float = 1e-3
     initial_state: State = field(default_factory=State)
     abort_on_singular: bool = True
-    reference: Callable[[float], Reference] = circular_reference
 
     def __post_init__(self):
         for name in ("duration", "dt"):
@@ -271,11 +243,9 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     sats = np.zeros((n_rows, 4), dtype=bool)
     sings = np.zeros(n_rows, dtype=bool)
 
-    reference_rows = _reference_rows(config.reference)
-
     # plain floats here and in the gains below: numpy scalars would make
     # every kernel operation slower
-    last_cmd = tuple((params.spin_sign * (0.8 * params.hover_speed)).tolist())
+    last_cmd = _start_command(params)
 
     state = tuple(config.initial_state.as_array().tolist())
     pack = params.pack
@@ -335,7 +305,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         trig = np.hstack((np.sin(alpha), np.cos(alpha)))
         tilts = trig.tolist()
         factors = tilt_factors(trig[:n], pack).tolist()
-        ref = reference_rows(starts[:-1])
+        ref = _circle_rows(starts[:-1])
         refs[i0:i1] = ref[:, 0:3]
         for i, tilt, fac, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
             range(i0, i1), tilts, factors, tilts[1:n + 1], tilts[n + 1:],
@@ -381,7 +351,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                     varpi[2] * abs(varpi[2]),
                     varpi[3] * abs(varpi[3]),
                 )
-                state = kernels.rk4_step(state, att, tilt, tilt_mid, tilt_end, w, w, w, dt, pack)
+                state = kernels.rk4_step(state, att, tilt, tilt_mid, tilt_end, w, dt, pack)
         flush(i0)
 
     return TrackLog(

@@ -176,7 +176,7 @@ def test_criterion_07_exact_linearization():
         worst = np.maximum(worst, np.abs(y - expected))
         out = loop.step(state, alpha, tr.InnerRefs())
         varpi = out.varpi_cmd
-        state = tr.integrate_step(state, lambda _t: alpha, lambda _t: varpi, t, dt, params)
+        state = tr.integrate_step(state, lambda _t: alpha, varpi, t, dt, params)
     ok = bool(np.all(worst <= 0.02 * 0.1))
     _report(7, ok,
             "each inner channel follows the critically damped response within "
@@ -235,7 +235,7 @@ def test_criterion_10_numerics_hygiene(tmp_path):
         alpha = np.array([0.3, -0.2, 0.25, 0.1])
         state = tr.State()
         for k in range(int(round(1.0 / dt))):
-            state = tr.integrate_step(state, lambda t: alpha, lambda t: varpi,
+            state = tr.integrate_step(state, lambda t: alpha, varpi,
                                       k * dt, dt, PARAMS)
         return state.as_array()
 

@@ -206,6 +206,23 @@ def test_custom_config(tmp_path, gait_files):
                    str(gait_files / "gait_gait1.csv"), "--duration", "1") == 0
 
 
+@pytest.mark.parametrize("cfg", [
+    [1],
+    {"gains": 5},
+    {"abort_on_singular": "false"},
+    {"arm_lenght": 0.5},
+    {"m": None},
+], ids=["list", "gains-number", "abort-string", "misspelt-key", "null-mass"])
+def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--out", str(out), "track", "--preset", "gait1",
+                   "--duration", "0.01") == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config(tmp_path, gait_files):
     cfg = tmp_path / "config.json"
     cfg.write_text("{not json")

@@ -123,6 +123,19 @@ def test_inner_loop_singular_flag_and_hold(params, gains):
     np.testing.assert_array_equal(out.varpi_cmd, last)
 
 
+def test_inner_loop_without_memory_holds_the_start_command(params, gains):
+    # before any safe command, a singular step holds the command a
+    # tracking run starts from: 0.8 x the hover pattern
+    start = params.spin_sign * (0.8 * params.hover_speed)
+    alpha = _rank_deficient_completion(params)
+    out = tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, params)
+    assert out.singular
+    np.testing.assert_array_equal(out.varpi_cmd, start)
+    first = InnerLoop(gains, params).step(tr.State(), alpha, tr.InnerRefs())
+    assert first.singular
+    np.testing.assert_array_equal(first.varpi_cmd, start)
+
+
 def test_inner_loop_singular_on_degenerate_completion(params, gains):
     # on-branch completion with C = 0 is singular at level attitude
     def c_on_sheet(a2):
@@ -167,8 +180,8 @@ def test_closed_loop_identity_one_step(params_nosat, gains):
         return np.array([s.eta[0], s.eta[1], s.eta[2], s.pos[2]]), \
             np.array([eta_dot[0], eta_dot[1], eta_dot[2], s.vel[2]])
 
-    s_p = tr.integrate_step(state, lambda t: alpha, lambda t: varpi, 0.0, h, params_nosat)
-    s_pp = tr.integrate_step(s_p, lambda t: alpha, lambda t: varpi, h, h, params_nosat)
+    s_p = tr.integrate_step(state, lambda t: alpha, varpi, 0.0, h, params_nosat)
+    s_pp = tr.integrate_step(s_p, lambda t: alpha, varpi, h, h, params_nosat)
     y0, yd0 = outputs(state)
     y1, _ = outputs(s_p)
     y2, _ = outputs(s_pp)
@@ -193,7 +206,7 @@ def test_analytic_second_order_response(params_nosat, gains):
         worst = np.maximum(worst, np.abs(y - expected))
         out = loop.step(state, alpha, tr.InnerRefs())
         varpi = out.varpi_cmd
-        state = tr.integrate_step(state, lambda _t: alpha, lambda _t: varpi, t, dt, params_nosat)
+        state = tr.integrate_step(state, lambda _t: alpha, varpi, t, dt, params_nosat)
     assert np.all(worst <= 0.02 * 0.1)
 
 
@@ -280,6 +293,35 @@ def test_config_file_roundtrip(tmp_path):
     assert extras["abort_on_singular"] is False
     np.testing.assert_array_equal(gains.kd, [4, 4, 4, 4])
     assert (gains.kp_xy, gains.clamp) == (0.5, 0.35)
+
+
+# configurations load_config refuses, with the key its error must name
+BAD_CONFIGS = [
+    ([1], "configuration"),
+    ("gait1", "configuration"),
+    ({"gains": 5}, "gains"),
+    ({"gains": [4.0]}, "gains"),
+    ({"abort_on_singular": "false"}, "abort_on_singular"),
+    ({"abort_on_singular": 0}, "abort_on_singular"),
+    ({"arm_lenght": 0.5}, "arm_lenght"),
+    ({"gains": {"kp_yx": 0.5}}, "kp_yx"),
+    ({"m": "1.0"}, "m"),
+    ({"m": None}, "m"),
+    ({"m": True}, "m"),
+    ({"m": 10**400}, "m"),
+    ({"inertia": [0.01, 0, 0, 0, 0.01, 0, 0, 0]}, "inertia"),
+    ({"spin_sign": [-1, 1, -1, "1"]}, "spin_sign"),
+    ({"gains": {"kd": [4.0, 4.0]}}, "kd"),
+    ({"gains": {"clamp": [0.3]}}, "clamp"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", BAD_CONFIGS, ids=[k for _, k in BAD_CONFIGS])
+def test_load_config_refuses_what_it_does_not_read(tmp_path, cfg, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=key):
+        tr.load_config(path)
 
 
 # ---------------------------------------------------------------------------

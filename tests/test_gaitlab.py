@@ -323,6 +323,20 @@ def test_gait_csv_first_last_rows_match(tmp_path, params):
     np.testing.assert_allclose(first, last, atol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["runs.v2/mygait", "runs.v2/mygait.csv"])
+def test_gait_sidecar_stays_beside_its_csv(tmp_path, params, name):
+    # the sidecar replaces the file's extension, if any, never a dot in a directory
+    g = tr.build_preset("gait1", params)
+    (tmp_path / "runs.v2").mkdir()
+    path = tmp_path / name
+    g.to_csv(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.v2"]
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, "mygait.json"])
+    loaded = tr.load_gait(path)
+    assert (loaded.period_s, loaded.color, loaded.bias) == (g.period_s, g.color, g.bias)
+    np.testing.assert_array_equal(loaded.alphas[0], g.sample_raw(0.0))
+
+
 def test_load_gait_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a1,a2\n0,0\n")

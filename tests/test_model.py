@@ -206,63 +206,61 @@ def test_integrate_preserves_equilibrium(params):
     state = tr.State()
     varpi = tr.hover_speeds(params)
     alpha_fn = lambda t: np.zeros(4)
-    varpi_fn = lambda t: varpi
     for k in range(1000):
-        state = tr.integrate_step(state, alpha_fn, varpi_fn, k * 1e-3, 1e-3, params)
+        state = tr.integrate_step(state, alpha_fn, varpi, k * 1e-3, 1e-3, params)
     assert np.linalg.norm(state.as_array()) < 1e-8
 
 
 def test_single_step_ballistic(params):
     dt = 1e-2
-    state = tr.integrate_step(
-        tr.State(), lambda t: np.zeros(4), lambda t: np.zeros(4), 0.0, dt, params
-    )
+    state = tr.integrate_step(tr.State(), lambda t: np.zeros(4), np.zeros(4), 0.0, dt, params)
     assert abs(state.pos[2] - (-0.5 * params.g * dt**2)) < dt**4
     assert abs(state.vel[2] - (-params.g * dt)) < dt**4
 
 
-def _textbook_rk4(x, alpha_0, alpha_mid, alpha_1, w_0, w_mid, w_1, dt, pp):
-    # classical RK4 composed from the state derivative, inputs at the stage times
-    def f(s, alpha, w):
+def _textbook_rk4(x, alpha_0, alpha_mid, alpha_1, w, dt, pp):
+    # classical RK4 composed from the state derivative, the tilts at the
+    # stage times and the input held over the step
+    def f(s, alpha):
         return np.asarray(kernels.state_derivative(tuple(s), alpha, w, pp))
 
     x = np.asarray(x)
-    k1 = f(x, alpha_0, w_0)
-    k2 = f(x + 0.5 * dt * k1, alpha_mid, w_mid)
-    k3 = f(x + 0.5 * dt * k2, alpha_mid, w_mid)
-    k4 = f(x + dt * k3, alpha_1, w_1)
+    k1 = f(x, alpha_0)
+    k2 = f(x + 0.5 * dt * k1, alpha_mid)
+    k3 = f(x + 0.5 * dt * k2, alpha_mid)
+    k4 = f(x + dt * k3, alpha_1)
     return x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def test_rk4_step_matches_textbook_composition(params, rng):
-    # distinct tilt and input at every stage time, so a stage that picks up
-    # the wrong sample, or shares one it must not share, shows up
+    # a distinct tilt at every stage time, so a stage that picks up the
+    # wrong sample, or shares one it must not share, shows up
     pp = params.pack
     dt = 1e-2
     for _ in range(200):
         x = rng.uniform(-1, 1, 12)
         x[7] *= 0.9  # keep pitch clear of the guard
         a0, am, a1 = (tuple(rng.uniform(-math.pi, math.pi, 4).tolist()) for _ in range(3))
-        w0, wm, w1 = (tuple(rng.uniform(-3e5, 3e5, 4).tolist()) for _ in range(3))
+        w = tuple(rng.uniform(-3e5, 3e5, 4).tolist())
         x = tuple(x.tolist())
         got = kernels.rk4_step(
             x, kernels.attitude_trig(x[6], x[7], x[8]),
             kernels.tilt_trig(a0), kernels.tilt_trig(am), kernels.tilt_trig(a1),
-            w0, wm, w1, dt, pp,
+            w, dt, pp,
         )
-        want = _textbook_rk4(x, a0, am, a1, w0, wm, w1, dt, pp)
+        want = _textbook_rk4(x, a0, am, a1, w, dt, pp)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def _composed_rk4(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, pp):
+def _composed_rk4(state, att_0, tilt_0, tilt_mid, tilt_1, w, dt, pp):
     # the Runge-Kutta step composed from the kernel's own helpers, stage by
     # stage: the straight-line rk4_step must return these bits exactly
     m, g = pp[0], pp[1]
     half = 0.5 * dt
     x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
-    fx0, fy0, fz0, dp0, dq0, dr0 = kernels._input_effect(tilt_0, w_0, pp)
-    fxm, fym, fzm, dpm, dqm, drm = kernels._input_effect(tilt_mid, w_mid, pp)
-    fx1, fy1, fz1, dp1, dq1, dr1 = kernels._input_effect(tilt_1, w_1, pp)
+    fx0, fy0, fz0, dp0, dq0, dr0 = kernels._input_effect(tilt_0, w, pp)
+    fxm, fym, fzm, dpm, dqm, drm = kernels._input_effect(tilt_mid, w, pp)
+    fx1, fy1, fz1, dp1, dq1, dr1 = kernels._input_effect(tilt_1, w, pp)
     rates, trig = kernels._attitude_rates, kernels.attitude_trig
     ax1, ay1, az1, ef1, et1, ep1 = rates(att_0, p, q, r, fx0, fy0, fz0, m, g)
     vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
@@ -295,7 +293,7 @@ def _composed_rk4(state, att_0, tilt_0, tilt_mid, tilt_1, w_0, w_mid, w_1, dt, p
 
 
 def test_rk4_step_is_the_helper_composition_bit_for_bit(params, rng):
-    # states over several magnitudes, distinct stage inputs, and a start
+    # states over several magnitudes, distinct stage tilts, and a start
     # attitude whose pitch cosine is exactly zero (the _safe_div guard)
     pp = params.pack
     for n in range(2000):
@@ -305,10 +303,10 @@ def test_rk4_step_is_the_helper_composition_bit_for_bit(params, rng):
         if n % 100 == 0:
             att = att[:3] + (0.0,) + att[4:]
         tilts = [kernels.tilt_trig(tuple(rng.uniform(-4, 4, 4).tolist())) for _ in range(3)]
-        ws = [tuple(rng.uniform(-3e5, 3e5, 4).tolist()) for _ in range(3)]
+        w = tuple(rng.uniform(-3e5, 3e5, 4).tolist())
         dt = float(rng.choice([1e-3, 1e-2, 0.1]))
-        got = kernels.rk4_step(x, att, *tilts, *ws, dt, pp)
-        want = _composed_rk4(x, att, *tilts, *ws, dt, pp)
+        got = kernels.rk4_step(x, att, *tilts, w, dt, pp)
+        want = _composed_rk4(x, att, *tilts, w, dt, pp)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -320,9 +318,7 @@ def _free_response_endpoint(params, dt, duration=1.0):
     state = tr.State()
     n = int(round(duration / dt))
     for k in range(n):
-        state = tr.integrate_step(
-            state, lambda t: alpha, lambda t: varpi, k * dt, dt, params
-        )
+        state = tr.integrate_step(state, lambda t: alpha, varpi, k * dt, dt, params)
     return state.as_array()
 
 
@@ -339,7 +335,7 @@ def test_rk4_convergence(params):
 
 def test_integrate_step_rejects_bad_dt(params):
     with pytest.raises(ValueError):
-        tr.integrate_step(tr.State(), lambda t: np.zeros(4), lambda t: np.zeros(4), 0.0, 0.0, params)
+        tr.integrate_step(tr.State(), lambda t: np.zeros(4), np.zeros(4), 0.0, 0.0, params)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,6 @@ def test_circular_reference_values():
 # closed-loop runs
 
 
-def test_regulation_to_hover(params, gains):
-    gait = tr.make_rectangle_gait((-0.25, 0.85), (0.0, 0.0), 10.0, "blue", params)
-    config = tr.SimConfig(duration=25.0, reference=tr.fixed_reference((0.0, 0.0, 0.0)))
-    log = tr.run_tracking(config, params, gains, gait)
-    err = tr.error_series(log)
-    assert np.all(err.norm[log.t > 20.0] < 1e-3)
-
-
 def test_initial_lift_deficit_and_recovery(params, gains, gait1):
     config = tr.SimConfig(duration=30.0)
     log = tr.run_tracking(config, params, gains, gait1)
@@ -129,8 +121,7 @@ def test_run_tracking_matches_public_composition(gains, gait1, band):
         if not out.singular:
             last = out.varpi_cmd
         # zero-order hold on the command
-        state = tr.integrate_step(state, gait1.sample_raw, lambda _t, v=out.varpi_cmd: v,
-                                  t, dt, params)
+        state = tr.integrate_step(state, gait1.sample_raw, out.varpi_cmd, t, dt, params)
     assert log.saturated.any() == (band is not None)
 
 
@@ -433,20 +424,18 @@ def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1):
     assert log.det[k] == 0.0 and log.singular[k]
 
 
-def test_plain_callable_reference_matches_the_array_form(params, gains, gait1):
+def test_run_tracks_the_circle_rows(params, gains, gait1):
+    # the run logs the circle's array form, and the single-time and float
+    # forms of the circle agree with it
     config = tr.SimConfig(duration=0.6)
-    plain = tr.SimConfig(duration=0.6, reference=lambda t: tr.circular_reference(t))
-    want = tr.run_tracking(config, params, gains, gait1)
-    got = tr.run_tracking(plain, params, gains, gait1)
-    t = np.arange(len(want)) * config.dt
+    log = tr.run_tracking(config, params, gains, gait1)
+    t = np.arange(len(log)) * config.dt
     rows = tr.circular_reference.rows(t)
-    np.testing.assert_allclose(got.ref_pos, rows[:, 0:3], rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(got.ref_pos, want.ref_pos, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-12)
-    # the single-time and array forms of both references agree
-    for ref in (tr.circular_reference, tr.fixed_reference((1.0, -2.0, 0.5))):
-        want = [np.concatenate((r.pos, r.vel, r.acc)) for r in map(ref, t.tolist())]
-        np.testing.assert_allclose(ref.rows(t), want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(log.ref_pos, rows[:, 0:3], rtol=1e-12, atol=1e-15)
+    want = [np.concatenate((r.pos, r.vel, r.acc)) for r in map(tr.circular_reference, t.tolist())]
+    np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-15)
+    floats = [tr.circular_reference.floats(v) for v in t.tolist()]
+    np.testing.assert_allclose(rows, floats, rtol=1e-12, atol=1e-15)
 
 
 def test_abort_flag_can_be_disabled(params, gains):
