@@ -78,7 +78,7 @@ def _load_gait_arg(args, params: Params) -> gaitlab.Gait:
     if getattr(args, "gait", None):
         try:
             gait = gaitlab.load_gait(args.gait)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"bad gait file {args.gait}: {exc}", EXIT_INVALID) from exc
     elif getattr(args, "preset", None):
         gait = gaitlab.build_preset(args.preset, params)

@@ -16,9 +16,10 @@ take the sines and cosines of the attitude and tilts (the kernels'
 
 ``fl_core`` does not assemble the decoupling matrix.  It writes it as
 ``Delta = blockdiag(T, 1) @ [Q; v]`` (see :mod:`tiltrotor.linearization`)
-and takes the tilt-only part from a row of :func:`tilt_factors`: the
-tracking loop builds those rows with numpy for a block of steps at once,
-and :func:`fl_inner_loop` builds its single row the same way.
+and takes the tilt-only part from a row of :func:`tilt_factors`, one
+straight-line body of arithmetic: given the floats of one tilt it
+returns one row of floats, for :func:`fl_inner_loop`, and given numpy
+columns it returns the columns of a block of rows, for the tracking loop.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from tiltrotor._core import kernels
 from tiltrotor.linearization import EPS_SING
-from tiltrotor.model import Params, State, _alpha4, check_pitch
+from tiltrotor.model import Params, State, _alpha4, _finite4, check_pitch
 
 
 @dataclass(frozen=True)
@@ -228,78 +229,78 @@ def position_decoupler(state: State, ref, gains: Gains, params: Params) -> tuple
 
 _UNSATURATED = (False, False, False, False)
 
-# Plücker coordinates (01, 02, 03, 12, 13, 23) of a pair of 4-vectors (a, b)
-# are a_j b_k - a_k b_j over these column pairs
-_PAIR_J = np.array([0, 0, 0, 1, 1, 2])
-_PAIR_K = np.array([1, 2, 3, 2, 3, 3])
-# the 4-vector x with d . x = det[a; b; c; d], from the Plücker coordinates
-# P of (a, b): x_l = sum over m of sign * P[plucker] * c[column], three terms
-_CROSS_P = np.array([5, 4, 3, 5, 2, 1, 4, 2, 0, 3, 1, 0])
-_CROSS_C = np.array([1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2])
-_CROSS_SIGN = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0] * 2)[:, None]
-# the Gram matrix's upper triangle, row by row: 00, 01, 02, 11, 12, 22
-_GRAM_I = np.array([0, 0, 0, 1, 1, 2])
-_GRAM_K = np.array([0, 1, 2, 1, 2, 2])
-_ALTERNATE = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 
+def tilt_factors(tilt, pack) -> tuple:
+    """The tilt-only factors of the decoupling matrix: 22 values per tilt.
 
-def _cross(pl, c):
-    """``x`` with ``d . x = det[a; b; c; d]``, given the Plücker coordinates ``pl`` of (a, b).
-
-    ``pl`` has shape ``(..., 6, n)`` and ``c`` ``(..., 4, n)``; the result
-    ``(..., 4, n)``.  Each entry is a 3-term sum taken in a fixed order.
-    """
-    t = pl.take(_CROSS_P, -2) * c.take(_CROSS_C, -2) * _CROSS_SIGN
-    t = t.reshape(t.shape[:-2] + (4, 3, t.shape[-1]))
-    return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
-
-
-def tilt_factors(tilts, pack) -> np.ndarray:
-    """The tilt-only factors of the decoupling matrix, one 22-float row per tilt.
-
-    ``tilts`` is an ``(n, 8)`` array of tilt trig rows (the kernels'
-    ``tilt_trig`` order: four sines, then four cosines).  With ``Q =
-    inv(I_B) @ torque_map`` (3x4) the decoupling matrix is
+    ``tilt`` is the kernels' ``tilt_trig`` (four sines, then four
+    cosines) as eight floats, giving 22 floats, or as eight numpy columns
+    (``trig.T`` of an ``(n, 8)`` block), giving 22 columns.  One body of
+    ``+ - * /`` serves both, so a block row is the float row bit for bit.
+    With ``Q = inv(I_B) @ torque_map`` (3x4) the decoupling matrix is
     ``blockdiag(T, 1) @ [Q; v]``, ``T`` the Euler-rate map and ``v`` the
-    attitude-dependent vertical row.  Each row holds, for :func:`fl_core`:
+    attitude-dependent vertical row.  The values are, for :func:`fl_core`:
 
-    * ``K = Q^T (Q Q^T)^-1`` (12 floats, row by row): a right inverse of ``Q``;
-    * ``n`` (4 floats), the cofactors of the fourth row of ``[Q; v]``, so
+    * ``K = Q^T (Q Q^T)^-1`` (12 values, row by row): a right inverse of ``Q``;
+    * ``n`` (4 values), the cofactors of the fourth row of ``[Q; v]``, so
       ``Q n = 0`` and ``det [Q; v] = v . n``;
-    * ``G = Q Q^T`` (6 floats, upper triangle row by row), for the row norms.
+    * ``G = Q Q^T`` (6 values, upper triangle row by row), for the row norms.
 
     ``K`` is formed from cofactors, not by inverting ``G``: its column
     ``i`` is the vector orthogonal to the other two rows of ``Q`` and to
     ``n``, over ``n . n``, which keeps it as accurate as ``Q`` is
     conditioned, not ``G``.  Where ``Q`` is rank-deficient (``n = 0``)
-    ``K`` is zero; the determinant is then zero and the step holds.  The
-    arithmetic is elementwise in the rows, so no row depends on another.
+    the divisor ``n . n`` becomes 1, with no branch on the input's type:
+    ``K`` is linear in ``n``, so it is zero there, and the zero
+    determinant makes the step hold.
     """
-    _, _, kf, km, arm, *inv_inertia = pack
-    trig = np.ascontiguousarray(np.asarray(tilts, dtype=float).T)
-    s, c = trig[0:4], trig[4:8]
+    _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pack
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
     lk = arm * kf
-    lkc, kms = lk * c, km * s
-    # the torque map of kernels.torque_entries: tx = (0, lk c2 - km s2, 0,
-    # -(lk c4 - km s4)), ty = (lk c1 + km s1, 0, -(lk c3 + km s3), 0) and
-    # tz_j = +-lk s_j - km c_j, the sign alternating from +
-    torque = np.zeros((3, 4, trig.shape[1]))
-    torque[0, 1::2] = (lkc - kms)[1::2] * _ALTERNATE[0:2]
-    torque[1, 0::2] = (lkc + kms)[0::2] * _ALTERNATE[0:2]
-    torque[2] = lk * s * _ALTERNATE - km * c
-    ii = np.asarray(inv_inertia).reshape(3, 3, 1, 1)
-    q = ii[:, 0] * torque[0] + ii[:, 1] * torque[1] + ii[:, 2] * torque[2]
-    # Plücker coordinates of the row pairs (q1, q2), (q2, q0), (q0, q1)
-    a, b = q.take([1, 2, 0], 0), q.take([2, 0, 1], 0)
-    pl = a.take(_PAIR_J, 1) * b.take(_PAIR_K, 1) - a.take(_PAIR_K, 1) * b.take(_PAIR_J, 1)
-    n = _cross(pl[2], q[2])
-    nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2] + n[3] * n[3]
-    scale = np.divide(-1.0, nn, out=np.zeros_like(nn), where=nn != 0.0)
-    # column i of K is -cross(q_(i+1), q_(i+2), n) / (n . n)
-    k = _cross(pl, n) * scale
-    g = q.take(_GRAM_I, 0) * q.take(_GRAM_K, 0)
-    gram = g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]
-    return np.concatenate((k.transpose(1, 0, 2).reshape(12, -1), n, gram)).T
+    # the nonzero entries of the torque map of kernels.torque_entries, rows
+    # tx = (0, x1, 0, x3), ty = (y0, 0, y2, 0) and tz = (z0, z1, z2, z3)
+    x1, x3 = lk * c2 - km * s2, -(lk * c4 - km * s4)
+    y0, y2 = lk * c1 + km * s1, -(lk * c3 + km * s3)
+    z0, z1 = lk * s1 - km * c1, -(lk * s2) - km * c2
+    z2, z3 = lk * s3 - km * c3, -(lk * s4) - km * c4
+    # Q = inv(I_B) @ torque, column by column: q_ij = I_i0 tx_j + I_i1 ty_j + I_i2 tz_j
+    q00, q10, q20 = i01 * y0 + i02 * z0, i11 * y0 + i12 * z0, i21 * y0 + i22 * z0
+    q01, q11, q21 = i00 * x1 + i02 * z1, i10 * x1 + i12 * z1, i20 * x1 + i22 * z1
+    q02, q12, q22 = i01 * y2 + i02 * z2, i11 * y2 + i12 * z2, i21 * y2 + i22 * z2
+    q03, q13, q23 = i00 * x3 + i02 * z3, i10 * x3 + i12 * z3, i20 * x3 + i22 * z3
+    # Plücker coordinates p_jk = a_j b_k - a_k b_j of the row pairs (a, b):
+    # (q1, q2) in a, (q2, q0) in b and (q0, q1) in d
+    a01, a02, a03 = q10 * q21 - q11 * q20, q10 * q22 - q12 * q20, q10 * q23 - q13 * q20
+    a12, a13, a23 = q11 * q22 - q12 * q21, q11 * q23 - q13 * q21, q12 * q23 - q13 * q22
+    b01, b02, b03 = q20 * q01 - q21 * q00, q20 * q02 - q22 * q00, q20 * q03 - q23 * q00
+    b12, b13, b23 = q21 * q02 - q22 * q01, q21 * q03 - q23 * q01, q22 * q03 - q23 * q02
+    d01, d02, d03 = q00 * q11 - q01 * q10, q00 * q12 - q02 * q10, q00 * q13 - q03 * q10
+    d12, d13, d23 = q01 * q12 - q02 * q11, q01 * q13 - q03 * q11, q02 * q13 - q03 * q12
+    # cross(p, c), the x with e . x = det[a; b; c; e] for every e, is
+    # (p13 c2 - p23 c1 - p12 c3, p23 c0 - p03 c2 + p02 c3,
+    #  p03 c1 - p13 c0 - p01 c3, p12 c0 - p02 c1 + p01 c2); n = cross(d, q2)
+    n0 = d13 * q22 - d23 * q21 - d12 * q23
+    n1 = d23 * q20 - d03 * q22 + d02 * q23
+    n2 = d03 * q21 - d13 * q20 - d01 * q23
+    n3 = d12 * q20 - d02 * q21 + d01 * q22
+    nn = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+    h = -1.0 / (nn + (nn == 0.0))
+    # column i of K is cross(p, n) * -1 / (n . n), p the pair of the other two rows
+    return (
+        (a13 * n2 - a23 * n1 - a12 * n3) * h, (b13 * n2 - b23 * n1 - b12 * n3) * h,
+        (d13 * n2 - d23 * n1 - d12 * n3) * h, (a23 * n0 - a03 * n2 + a02 * n3) * h,
+        (b23 * n0 - b03 * n2 + b02 * n3) * h, (d23 * n0 - d03 * n2 + d02 * n3) * h,
+        (a03 * n1 - a13 * n0 - a01 * n3) * h, (b03 * n1 - b13 * n0 - b01 * n3) * h,
+        (d03 * n1 - d13 * n0 - d01 * n3) * h, (a12 * n0 - a02 * n1 + a01 * n2) * h,
+        (b12 * n0 - b02 * n1 + b01 * n2) * h, (d12 * n0 - d02 * n1 + d01 * n2) * h,
+        n0, n1, n2, n3,
+        q00 * q00 + q01 * q01 + q02 * q02 + q03 * q03,
+        q00 * q10 + q01 * q11 + q02 * q12 + q03 * q13,
+        q00 * q20 + q01 * q21 + q02 * q22 + q03 * q23,
+        q10 * q10 + q11 * q11 + q12 * q12 + q13 * q13,
+        q10 * q20 + q11 * q21 + q12 * q22 + q13 * q23,
+        q20 * q20 + q21 * q21 + q22 * q22 + q23 * q23,
+    )
 
 
 def fl_core(state, att, tilt, fac,
@@ -415,18 +416,16 @@ def fl_inner_loop(
     :data:`~tiltrotor.linearization.EPS_SING`) fires, the output is the
     last safe command, saturated, with ``singular=True``; with none given
     it is the command a tracking run starts from, 0.8 x the hover pattern.
+    A tilt or ``last_command`` other than four finite numbers raises :class:`ValueError`.
     """
-    theta = float(state.eta[1])
-    check_pitch(theta)
-    if last_command is None:
-        held = _start_command(params)
-    else:
-        held = tuple(float(v) for v in last_command)
-    x = tuple(state.as_array().tolist())
+    held = (_start_command(params) if last_command is None
+            else _finite4(last_command, "last_command"))
     tilt = kernels.tilt_trig(_alpha4(alpha))
+    check_pitch(float(state.eta[1]))
+    x = tuple(state.as_array().tolist())
     varpi, det, sat, singular, _ = fl_core(
         x, kernels.attitude_trig(x[6], x[7], x[8]), tilt,
-        tilt_factors([tilt], params.pack)[0].tolist(),
+        tilt_factors(tilt, params.pack),
         tuple(refs.value.tolist()), tuple(refs.rate.tolist()), tuple(refs.accel.tolist()),
         tuple(gains.kp.tolist()), tuple(gains.kd.tolist()),
         params.pack, params.omega_lo, params.omega_hi, EPS_SING, held,

@@ -351,8 +351,19 @@ def _sidecar(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".json"
 
 
+# the keys of a gait sidecar and the JSON type of each value; period_s is required
+_SIDECAR_TYPES = {"period_s": (float, "a number"), "color": (str, "a string"),
+                  "bias": (float, "a number")}
+
+
 def load_gait(path) -> Gait:
-    """Read a gait CSV (with its JSON sidecar) back into a :class:`Gait`."""
+    """Read a gait CSV (with its JSON sidecar) back into a :class:`Gait`.
+
+    The sidecar is one JSON object: ``period_s`` (a number, required),
+    ``color`` (a string, default ``"blue"``) and ``bias`` (a number,
+    default 1).  Any other key or form raises :class:`ValueError` naming
+    the key.
+    """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -366,15 +377,20 @@ def load_gait(path) -> Gait:
     if len(rows) < 2:
         raise ValueError(f"malformed gait file {path}: need at least two rows")
     m = np.asarray(rows)
+    # integers read as floats, so a float is a JSON number and a boolean is not
     with open(_sidecar(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return Gait(
-        period_s=float(meta["period_s"]),
-        color=str(meta.get("color", "blue")),
-        bias=float(meta.get("bias", 1.0)),
-        waypoints=m[:, 0],
-        alphas=m[:, 1:5],
-    )
+        meta = json.load(fh, parse_int=float)
+    if not isinstance(meta, dict):
+        raise ValueError(f"the gait sidecar must be a JSON object, got {json.dumps(meta)}")
+    for key, value in meta.items():
+        if key not in _SIDECAR_TYPES:
+            raise ValueError(f"unknown key {key!r} in the gait sidecar")
+        kind, form = _SIDECAR_TYPES[key]
+        if not isinstance(value, kind):
+            raise ValueError(f"{key} must be {form}, got {json.dumps(value)}")
+    if "period_s" not in meta:
+        raise ValueError("the gait sidecar has no period_s")
+    return Gait(**{"color": "blue", "bias": 1.0, **meta}, waypoints=m[:, 0], alphas=m[:, 1:5])
 
 
 def make_rectangle_gait(

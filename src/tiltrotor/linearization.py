@@ -25,11 +25,11 @@ directly::
 ``Q`` (3x4) depends on the tilts only and ``v = R[2, :] @ thrust / m``
 on the tilts and roll and pitch.  With ``n`` the cofactor vector of
 ``Q`` (``Q n = 0``), ``det Delta = (v . n) / cos(theta)``, and ``v . n *
-m * det(I_B)`` is the right-hand side above.  The loop builds ``n``, a
-right inverse of ``Q`` and its Gram matrix once per tilt
-(:func:`tiltrotor.control.tilt_factors`) and keeps only the attitude
-part per step; :func:`decoupling_matrix` still assembles ``Delta``
-entry by entry.
+m * det(I_B)`` is the right-hand side above.  The inner loop builds
+``n``, a right inverse of ``Q`` and its Gram matrix once per tilt
+(:func:`tiltrotor.control.tilt_factors`, one body for a float row and
+for a block of rows) and keeps only the attitude part per step;
+:func:`decoupling_matrix` still assembles ``Delta`` entry by entry.
 """
 
 from __future__ import annotations

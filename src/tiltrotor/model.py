@@ -13,7 +13,9 @@ Conventions:
 * The Euler-rate map ``euler_rate_matrix`` is valid for ``|theta| <
   pi/2 - EPS_REP`` and raises :class:`RepresentationSingular` outside.
 * All tilting angles are wrapped to ``[-pi, pi)`` when stored in
-  :class:`TiltAngles`.
+  :class:`TiltAngles`.  Every function that takes the tilting angles
+  takes a :class:`TiltAngles` or four finite numbers, and raises
+  :class:`ValueError` for anything else.
 """
 
 from __future__ import annotations
@@ -158,23 +160,25 @@ class TiltAngles:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.shape != (4,):
-            raise ValueError("alpha must be a 4-vector")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("tilting angles must be finite")
-        object.__setattr__(self, "alpha", wrap_angle(a))
+        object.__setattr__(self, "alpha", wrap_angle(np.array(_finite4(self.alpha, "alpha"))))
 
     def __iter__(self):
         return iter(self.alpha)
 
 
+def _finite4(values, name: str) -> tuple:
+    """``values`` as four floats; anything but four finite numbers raises :class:`ValueError`."""
+    v = np.asarray(values, dtype=float)
+    if v.shape == (4,):
+        a1, a2, a3, a4 = v.tolist()
+        if math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(a4):
+            return a1, a2, a3, a4
+    raise ValueError(f"{name} must be four finite numbers, got {values!r}")
+
+
 def _alpha4(alpha) -> tuple:
-    if isinstance(alpha, TiltAngles):
-        a = alpha.alpha
-    else:
-        a = np.asarray(alpha, dtype=float)
-    return (float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+    """The tilt angles of every public function: a :class:`TiltAngles` or four finite numbers."""
+    return _finite4(alpha.alpha if isinstance(alpha, TiltAngles) else alpha, "alpha")
 
 
 def speeds_to_input(varpi) -> np.ndarray:

@@ -223,6 +223,23 @@ def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("meta", [
+    [1],
+    {"period_s": None},
+    {"period_s": 10, "bias": [1]},
+    {"period_s": 10, "colour": "red"},
+    "{not json",
+], ids=["list", "null-period", "list-bias", "misspelt-key", "not-json"])
+def test_bad_gait_sidecar_exits_2_before_any_output(tmp_path, capsys, gait_files, meta):
+    gait = tmp_path / "gait.csv"
+    gait.write_bytes((gait_files / "gait_gait1.csv").read_bytes())
+    (tmp_path / "gait.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "track", "--gait", str(gait), "--duration", "0.01") == 2
+    assert "bad gait file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config(tmp_path, gait_files):
     cfg = tmp_path / "config.json"
     cfg.write_text("{not json")

@@ -123,6 +123,21 @@ def test_inner_loop_singular_flag_and_hold(params, gains):
     np.testing.assert_array_equal(out.varpi_cmd, last)
 
 
+BAD_FOUR = [[math.nan, 500.0, -500.0, 500.0], [-500.0, math.inf, -500.0, 500.0],
+            [-500.0, 500.0, -math.inf, 500.0], [-500.0, 500.0, -500.0],
+            [-500.0, 500.0, -500.0, 500.0, 500.0]]
+BAD_FOUR_IDS = ["nan", "inf", "-inf", "three", "five"]
+
+
+@pytest.mark.parametrize("path", ["singular", "regular"])
+@pytest.mark.parametrize("last", BAD_FOUR, ids=BAD_FOUR_IDS)
+def test_last_command_must_be_four_finite_numbers(params, gains, path, last):
+    # refused at entry, whether or not the step would hold it
+    alpha = _rank_deficient_completion(params) if path == "singular" else np.zeros(4)
+    with pytest.raises(ValueError, match="last_command must be four finite numbers"):
+        tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, params, last_command=last)
+
+
 def test_inner_loop_without_memory_holds_the_start_command(params, gains):
     # before any safe command, a singular step holds the command a
     # tracking run starts from: 0.8 x the hover pattern
@@ -255,7 +270,7 @@ def test_fl_core_saturation_matches_sat1(params, x, alpha, ref):
     # for every band that cuts the n_lo smallest and n_hi largest magnitudes
     att = kernels.attitude_trig(x[6], x[7], x[8])
     tilt = kernels.tilt_trig(alpha)
-    fac = tilt_factors([tilt], params.pack)[0].tolist()
+    fac = tilt_factors(tilt, params.pack)
     args = (tuple(x), att, tilt, fac, tuple(ref), (0.0,) * 4, (0.0,) * 4,
             (4.0,) * 4, (4.0,) * 4, params.pack)
     held = (-20.0, 20.0, -20.0, 20.0)
@@ -391,7 +406,7 @@ def test_factored_law_matches_the_explicit_matrix(params, eta, omega, alpha, ref
     x = (0.3, -0.2, 0.1, 0.4, -0.1, 0.2, *eta, *omega)
     att = kernels.attitude_trig(*eta)
     tilt = kernels.tilt_trig(alpha)
-    fac = tilt_factors([tilt], params.pack)[0].tolist()
+    fac = tilt_factors(tilt, params.pack)
     d, b, det, scale = kernels.decoupling(att, *omega, tilt, params.pack)
     delta = np.asarray(d).reshape(4, 4)
     norms = np.linalg.norm(delta, axis=1).prod()
@@ -434,12 +449,12 @@ def test_rank_deficient_tilt_is_singular_and_holds(params, gains):
     coeffs = tr.det_decomposition(alpha, params)
     assert max(abs(v) for v in coeffs.abc) <= 1e-12 * abc_scale(params)
     tilt = kernels.tilt_trig(alpha)
-    fac = tilt_factors([tilt], params.pack)
-    assert np.all(np.isfinite(fac))
+    fac = tilt_factors(tilt, params.pack)
+    assert all(math.isfinite(v) for v in fac)
     # a torque map of exact rank zero gives n = 0 and K = 0, with no division
     # by n . n (a RuntimeWarning fails the suite)
-    zero = tilt_factors(np.zeros((1, 8)), params.pack)
-    np.testing.assert_array_equal(zero, np.zeros((1, 22)))
+    zero = tilt_factors((0.0,) * 8, params.pack)
+    assert zero == (0.0,) * 22
     held = tuple((params.spin_sign * 400.0).tolist())
     for eta in ((0.0, 0.0, 0.0), (0.2, -0.3, 1.0)):
         state = tr.State(eta=np.array(eta))
@@ -448,11 +463,30 @@ def test_rank_deficient_tilt_is_singular_and_holds(params, gains):
         np.testing.assert_array_equal(out.varpi_cmd, held)
         x = tuple(state.as_array().tolist())
         varpi, det, _, singular, ratio_sq = fl_core(
-            x, kernels.attitude_trig(*eta), tilt, fac[0].tolist(), (0.0,) * 4, (0.0,) * 4,
+            x, kernels.attitude_trig(*eta), tilt, fac, (0.0,) * 4, (0.0,) * 4,
             (0.0,) * 4, (4.0,) * 4, (4.0,) * 4, params.pack, params.omega_lo,
             params.omega_hi, 1e-4, held)
         assert singular and varpi == held
         assert math.isfinite(det) and ratio_sq < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=vehicles(),
+       alphas=st.lists(st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+                       min_size=1, max_size=40))
+def test_tilt_factor_block_rows_are_the_float_rows(params, alphas):
+    # one body serves a float row and a block of columns: each block row is
+    # the float row, bit for bit, here with the rank-deficient completion
+    # and the all-zero trig row (n = 0, so K = 0) in every block
+    trig = [kernels.tilt_trig(a) for a in alphas]
+    trig += [kernels.tilt_trig(_rank_deficient_completion(params).tolist()), (0.0,) * 8]
+    block = np.array(tilt_factors(np.array(trig).T, params.pack)).T
+    assert block.shape == (len(trig), 22)
+    for row, tilt in zip(block, trig):
+        fac = tilt_factors(tilt, params.pack)
+        assert all(type(v) is float for v in fac)
+        assert row.tobytes() == np.array(fac).tobytes(), (row, fac)
+    np.testing.assert_array_equal(block[-1], np.zeros(22))
 
 
 @pytest.mark.parametrize("d", [

@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 import pickle
 
@@ -335,6 +336,34 @@ def test_gait_sidecar_stays_beside_its_csv(tmp_path, params, name):
     loaded = tr.load_gait(path)
     assert (loaded.period_s, loaded.color, loaded.bias) == (g.period_s, g.color, g.bias)
     np.testing.assert_array_equal(loaded.alphas[0], g.sample_raw(0.0))
+
+
+# gait sidecars load_gait refuses, with the key its error must name
+BAD_SIDECARS = [
+    ([1], "sidecar"),
+    ("gait1", "sidecar"),
+    ({}, "period_s"),
+    ({"period_s": None}, "period_s"),
+    ({"period_s": "10"}, "period_s"),
+    ({"period_s": True}, "period_s"),
+    ({"period_s": 10, "bias": [1]}, "bias"),
+    ({"period_s": 10, "bias": False}, "bias"),
+    ({"period_s": 10, "color": 1}, "color"),
+    ({"period_s": 10, "colour": "red"}, "colour"),
+]
+
+
+@pytest.mark.parametrize("meta, key", BAD_SIDECARS, ids=[repr(m) for m, _ in BAD_SIDECARS])
+def test_load_gait_refuses_a_bad_sidecar(tmp_path, params, meta, key):
+    path = tmp_path / "gait.csv"
+    tr.build_preset("gait1", params).to_csv(path)
+    sidecar = tmp_path / "gait.json"
+    sidecar.write_text(json.dumps({"period_s": 10}))
+    loaded = tr.load_gait(path)
+    assert (loaded.period_s, loaded.color, loaded.bias) == (10.0, "blue", 1.0)
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=key):
+        tr.load_gait(path)
 
 
 def test_load_gait_rejects_malformed(tmp_path):

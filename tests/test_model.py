@@ -412,3 +412,31 @@ def test_tilt_angles_wrap():
     assert np.all(t.alpha >= -math.pi) and np.all(t.alpha < math.pi)
     with pytest.raises(ValueError):
         tr.TiltAngles(np.array([np.inf, 0, 0, 0]))
+
+
+# every public function that reads the tilting angles, called with alpha
+TILT_READERS = {
+    "TiltAngles": lambda a, p: tr.TiltAngles(a),
+    "thrust_matrix": lambda a, p: tr.thrust_matrix(a, p),
+    "torque_matrix": lambda a, p: tr.torque_matrix(a, p),
+    "state_derivative": lambda a, p: tr.state_derivative(tr.State(), a, np.zeros(4), p),
+    "integrate_step": lambda a, p: tr.integrate_step(
+        tr.State(), lambda t: a, tr.hover_speeds(p), 0.0, 1e-3, p),
+    "decoupling_matrix": lambda a, p: tr.decoupling_matrix((0.0, 0.0, 0.0), a, p),
+    "det_decomposition": lambda a, p: tr.det_decomposition(a, p),
+    "fl_inner_loop": lambda a, p: tr.fl_inner_loop(tr.State(), a, tr.InnerRefs(), tr.Gains(), p),
+    "InnerLoop.step": lambda a, p: tr.InnerLoop(tr.Gains(), p).step(tr.State(), a, tr.InnerRefs()),
+}
+BAD_TILTS = {
+    "nan": [0.1, math.nan, 0.0, 0.0], "inf": [math.inf, 0.0, 0.0, 0.0],
+    "-inf": [0.0, 0.0, 0.0, -math.inf], "three": [0.1, 0.2, 0.3],
+    "five": [0.1, 0.2, 0.3, 0.4, 0.5],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TILTS.values(), ids=BAD_TILTS.keys())
+@pytest.mark.parametrize("reader", TILT_READERS.values(), ids=TILT_READERS.keys())
+def test_tilt_arguments_must_be_four_finite_numbers(params, reader, bad):
+    reader(np.zeros(4), params)
+    with pytest.raises(ValueError, match="alpha must be four finite numbers"):
+        reader(bad, params)
