@@ -342,8 +342,11 @@ def test_logged_det_matches_the_det_identity(params, gains, gait1):
 # block construction of the loop
 
 
-@pytest.mark.parametrize("n_steps", [TRACK_BLOCK - 1, TRACK_BLOCK, TRACK_BLOCK + 1,
-                                     2 * TRACK_BLOCK + 1])
+# runs that end around half a block (inside the first block), around one
+# block, and just past two blocks
+@pytest.mark.parametrize("n_steps", sorted({
+    TRACK_BLOCK // 2 - 1, TRACK_BLOCK // 2, TRACK_BLOCK // 2 + 1,
+    TRACK_BLOCK - 1, TRACK_BLOCK, TRACK_BLOCK + 1, 2 * TRACK_BLOCK + 1}))
 def test_alpha_column_is_the_gait_at_every_block_size(params, gains, gait1, n_steps):
     dt = 1e-3
     log = tr.run_tracking(tr.SimConfig(duration=n_steps * dt, dt=dt), params, gains, gait1)
