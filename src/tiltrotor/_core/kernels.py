@@ -37,10 +37,9 @@ def _safe_div(c: float) -> float:
     return c
 
 
-def thrust_entries(a1, a2, a3, a4, kf):
+def thrust_entries(tilt, kf):
     """Row-major 3x4 map from signed squared rotor speeds to body force."""
-    s1, s2, s3, s4 = sin(a1), sin(a2), sin(a3), sin(a4)
-    c1, c2, c3, c4 = cos(a1), cos(a2), cos(a3), cos(a4)
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
     return (
         0.0, kf * s2, 0.0, -kf * s4,
         kf * s1, 0.0, -kf * s3, 0.0,
@@ -48,10 +47,9 @@ def thrust_entries(a1, a2, a3, a4, kf):
     )
 
 
-def torque_entries(a1, a2, a3, a4, kf, km, arm):
+def torque_entries(tilt, kf, km, arm):
     """Row-major 3x4 map from signed squared rotor speeds to body torque."""
-    s1, s2, s3, s4 = sin(a1), sin(a2), sin(a3), sin(a4)
-    c1, c2, c3, c4 = cos(a1), cos(a2), cos(a3), cos(a4)
+    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
     lk = arm * kf
     return (
         0.0, lk * c2 - km * s2, 0.0, -lk * c4 + km * s4,
@@ -67,23 +65,24 @@ def det_coeffs(a1, a2, a3, a4, kf, km, arm):
     the torque map with column ``j`` removed and ``A``, ``B``, ``C`` are the
     cofactor sums of the three thrust-map rows against those minors.
     """
-    F = thrust_entries(a1, a2, a3, a4, kf)
-    t = torque_entries(a1, a2, a3, a4, kf, km, arm)
-
-    def minor3(c0, c1, c2):
-        # det of the 3x3 whose columns are torque columns c0, c1, c2
-        a, b, c = t[0 + c0], t[0 + c1], t[0 + c2]
-        d, e, f = t[4 + c0], t[4 + c1], t[4 + c2]
-        g, h, i = t[8 + c0], t[8 + c1], t[8 + c2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    d1 = minor3(1, 2, 3)
-    d2 = minor3(0, 2, 3)
-    d3 = minor3(0, 1, 3)
-    d4 = minor3(0, 1, 2)
-    A = -F[0] * d1 + F[1] * d2 - F[2] * d3 + F[3] * d4
-    B = -F[4] * d1 + F[5] * d2 - F[6] * d3 + F[7] * d4
-    C = -F[8] * d1 + F[9] * d2 - F[10] * d3 + F[11] * d4
+    tilt = tilt_trig((a1, a2, a3, a4))
+    f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23 = thrust_entries(tilt, kf)
+    t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23 = torque_entries(tilt, kf, km, arm)
+    # each minor expanded along the torque map's first row, with the 2x2
+    # minors mPQ of its lower rows (columns P and Q) formed once
+    m01 = t10 * t21 - t11 * t20
+    m02 = t10 * t22 - t12 * t20
+    m03 = t10 * t23 - t13 * t20
+    m12 = t11 * t22 - t12 * t21
+    m13 = t11 * t23 - t13 * t21
+    m23 = t12 * t23 - t13 * t22
+    d1 = t01 * m23 - t02 * m13 + t03 * m12
+    d2 = t00 * m23 - t02 * m03 + t03 * m02
+    d3 = t00 * m13 - t01 * m03 + t03 * m01
+    d4 = t00 * m12 - t01 * m02 + t02 * m01
+    A = -f00 * d1 + f01 * d2 - f02 * d3 + f03 * d4
+    B = -f10 * d1 + f11 * d2 - f12 * d3 + f13 * d4
+    C = -f20 * d1 + f21 * d2 - f22 * d3 + f23 * d4
     return A, B, C, d1, d2, d3, d4
 
 

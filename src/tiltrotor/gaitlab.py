@@ -508,6 +508,24 @@ class AttitudeGrid:
     def thetas(self) -> np.ndarray:
         return _frozen(np.linspace(self.theta_min, self.theta_max, self.n_theta))
 
+    @cached_property
+    def _axis_trig(self) -> tuple:
+        """``(sin phi, cos phi, sin theta, cos theta)`` along the axes."""
+        return tuple(_frozen(f(axis)) for axis in (self.phis, self.thetas)
+                     for f in (np.sin, np.cos))
+
+    @cached_property
+    def _g_terms(self) -> tuple:
+        """The attitude terms of ``g`` at every node.
+
+        ``-sin(theta)`` as a ``(1, n_theta)`` row, then ``sin(phi)
+        cos(theta)`` and ``cos(phi) cos(theta)`` as ``(n_phi, n_theta)``
+        arrays, each formed as :func:`normalized_det` forms it.
+        """
+        sin_phi, cos_phi, sin_theta, cos_theta = self._axis_trig
+        return (_frozen(-sin_theta[None, :]), _frozen(sin_phi[:, None] * cos_theta[None, :]),
+                _frozen(cos_phi[:, None] * cos_theta[None, :]))
+
     @property
     def diagonal(self) -> float:
         return math.hypot(self.phi_max - self.phi_min, self.theta_max - self.theta_min)
@@ -527,16 +545,38 @@ class SingularCurveSet:
         return np.vstack(self.curves)
 
 
+# the edges of a cell (i, j), as indices into its edge ids: bottom (phi
+# edge (i, j)), top (phi edge (i, j + 1)), left (theta edge (i, j)) and
+# right (theta edge (i + 1, j))
+_B, _T, _L, _R = range(4)
 _SEGMENTS = {
-    1: (("l", "b"),), 2: (("b", "r"),), 3: (("l", "r"),), 4: (("t", "r"),),
-    6: (("b", "t"),), 7: (("l", "t"),), 8: (("l", "t"),), 9: (("b", "t"),),
-    11: (("t", "r"),), 12: (("l", "r"),), 13: (("b", "r"),), 14: (("l", "b"),),
+    1: ((_L, _B),), 2: ((_B, _R),), 3: ((_L, _R),), 4: ((_T, _R),),
+    6: ((_B, _T),), 7: ((_L, _T),), 8: ((_L, _T),), 9: ((_B, _T),),
+    11: ((_T, _R),), 12: ((_L, _R),), 13: ((_B, _R),), 14: ((_L, _B),),
 }
 # saddle cases: (pairs if the cell centre is positive, pairs otherwise)
 _SADDLES = {
-    5: ((("b", "r"), ("l", "t")), (("l", "b"), ("t", "r"))),
-    10: ((("l", "b"), ("t", "r")), (("b", "r"), ("l", "t"))),
+    5: (((_B, _R), (_L, _T)), ((_L, _B), (_T, _R))),
+    10: (((_L, _B), (_T, _R)), ((_B, _R), (_L, _T))),
 }
+
+
+def _segment_slots() -> np.ndarray:
+    """The pairs of every case as one ``(32, 2, 2)`` table.
+
+    Row ``case`` holds the pairs of a cell whose centre is not positive,
+    row ``case + 16`` those of a saddle cell whose centre is; a case of
+    one pair has ``(-1, -1)`` as its second.
+    """
+    table = np.full((32, 2, 2), -1)
+    for case, pairs in _SEGMENTS.items():
+        table[case, 0] = pairs[0]
+    for case, (positive, other) in _SADDLES.items():
+        table[case + 16], table[case] = positive, other
+    return table
+
+
+_SEGMENT_SLOTS = _segment_slots()
 
 
 def _curve_eps(coeffs: DetCoefficients) -> float:
@@ -545,39 +585,41 @@ def _curve_eps(coeffs: DetCoefficients) -> float:
 
 
 def _sign_grid(coeffs: DetCoefficients, grid: AttitudeGrid) -> np.ndarray:
-    """``g > 0`` at every grid node."""
-    return normalized_det(grid.phis[:, None], grid.thetas[None, :], coeffs) > 0.0
-
-
-def _changed_cells(S: np.ndarray) -> np.ndarray:
-    """Cells whose four corners do not all share one sign."""
-    c00 = S[:-1, :-1]
-    return (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
+    """``g > 0`` at every grid node, from the grid's cached attitude terms."""
+    minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
+    # normalized_det's sum (-sin(theta) A + sin(phi) cos(theta) B) + cos(phi)
+    # cos(theta) C, its first addition with the operands swapped, which
+    # rounds the same
+    g = sin_phi_cos_theta * coeffs.B
+    g += minus_sin_theta * coeffs.A
+    g += cos_phi_cos_theta * coeffs.C
+    return g > 0.0
 
 
 def _nearest_root(lo, hi, roots, period):
-    """The root ``r + k * period`` (``r`` from ``roots``) nearest each edge middle.
+    """The root ``r + k * period`` (``r`` from a row of ``roots``) nearest each edge middle.
 
-    Clipped into ``[lo, hi]``, which only rounding can leave.  An edge
-    whose ends differ in sign holds a root, and every candidate within
-    half an edge of its middle lies on it, so the nearest candidate is
-    a root on the edge.
+    ``roots`` holds one row of candidate roots per family, a column per
+    edge; ties go to the first row.  Clipped into ``[lo, hi]``, which
+    only rounding can leave.  An edge whose ends differ in sign holds a
+    root, and every candidate within half an edge of its middle lies on
+    it, so the nearest candidate is a root on the edge.
     """
     mid = 0.5 * (lo + hi)
-    best = np.full_like(mid, np.inf)
-    for r in roots:
-        cand = r + period * np.round((mid - r) / period)
-        best = np.where(np.abs(cand - mid) < np.abs(best - mid), cand, best)
-    return np.clip(best, lo, hi)
+    cand = roots + period * np.rint((mid - roots) / period)
+    return cand[np.abs(cand - mid).argmin(axis=0), np.arange(len(mid))].clip(lo, hi)
 
 
-def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, S: np.ndarray):
+def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, cross_phi, cross_theta):
     """Exact zero of ``g`` on every crossing grid edge.
 
-    Returns ``(p_edges, t_edges, phi, theta)``: the ``(i, j)`` index
-    arrays of the crossing edges along phi (node ``(i, j)`` to
-    ``(i + 1, j)``) and along theta (to ``(i, j + 1)``), both row-major,
-    and the vertex coordinates, phi edges first.
+    ``cross_phi`` and ``cross_theta`` mark the crossing edges along phi
+    (node ``(i, j)`` to ``(i + 1, j)``) and along theta (to ``(i, j +
+    1)``).  Returns ``(ids, phi, theta)``: the integer id of each
+    crossing edge, ascending, and its vertex.  Phi edge ``(i, j)`` has
+    id ``i * n_theta + j`` and theta edge ``(i, j)`` the id ``(n_phi -
+    1) * n_theta + i * (n_theta - 1) + j``, so the phi edges come first,
+    each kind row-major.
 
     Along phi, at fixed ``theta``, ``g = 0`` reads ``cos(theta) R
     sin(phi + psi) = A sin(theta)`` with ``R = hypot(B, C)`` and ``psi =
@@ -588,19 +630,23 @@ def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, S: np.ndarray):
     """
     A, B, C = coeffs.A, coeffs.B, coeffs.C
     phis, thetas = grid.phis, grid.thetas
-    pi, pj = np.nonzero(S[:-1, :] != S[1:, :])
-    ti, tj = np.nonzero(S[:, :-1] != S[:, 1:])
+    sin_phi, cos_phi, sin_theta, cos_theta = grid._axis_trig
+    n = grid.n_theta
+    # the flat index of a crossing edge in its mask is its id, less the
+    # count of phi edges for a theta edge
+    kp = cross_phi.ravel().nonzero()[0]
+    kt = cross_theta.ravel().nonzero()[0]
+    pi, pj = kp // n, kp % n
+    ti, tj = kt // (n - 1), kt % (n - 1)
 
-    theta_p = thetas[pj]
     psi = math.atan2(C, B)
-    u = np.arcsin(np.clip(A * np.sin(theta_p) / (math.hypot(B, C) * np.cos(theta_p)),
-                          -1.0, 1.0))
-    phi_p = _nearest_root(phis[pi], phis[pi + 1], (u - psi, math.pi - u - psi), TWO_PI)
+    u = np.arcsin((A * sin_theta[pj] / (math.hypot(B, C) * cos_theta[pj])).clip(-1.0, 1.0))
+    phi_p = _nearest_root(phis[pi], phis[pi + 1], np.array((u - psi, math.pi - u - psi)), TWO_PI)
 
-    phi_t = phis[ti]
-    K = B * np.sin(phi_t) + C * np.cos(phi_t)
-    theta_t = _nearest_root(thetas[tj], thetas[tj + 1], (np.arctan2(K, A),), math.pi)
-    return (pi, pj), (ti, tj), np.concatenate([phi_p, phi_t]), np.concatenate([theta_p, theta_t])
+    K = B * sin_phi[ti] + C * cos_phi[ti]
+    theta_t = _nearest_root(thetas[tj], thetas[tj + 1], np.arctan2(K, A)[None], math.pi)
+    return (np.concatenate([kp, cross_phi.size + kt]), np.concatenate([phi_p, phis[ti]]),
+            np.concatenate([thetas[pj], theta_t]))
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -619,77 +665,81 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
     segments stitch into polylines exactly.
     """
-    S = _sign_grid(coeffs, grid)
-    return _stitch_curves(coeffs, grid, S, _changed_cells(S), _edge_zeros(coeffs, grid, S))
+    return _phase_scan(coeffs, grid, curves=True)[2]
 
 
 def _stitch_curves(coeffs, grid, S, changed, zeros) -> SingularCurveSet:
-    """The curves of :func:`extract_zero_curves` from its sign grid and edge zeros."""
-    phis, thetas = grid.phis, grid.thetas
-    (pi, pj), (ti, tj), vphi, vtheta = zeros
-    # refined vertex per crossing grid edge, keyed by (axis, i, j)
-    keys = [("p", i, j) for i, j in zip(pi.tolist(), pj.tolist())]
-    keys += [("t", i, j) for i, j in zip(ti.tolist(), tj.tolist())]
-    verts = dict(zip(keys, zip(vphi.tolist(), vtheta.tolist())))
+    """The curves of :func:`extract_zero_curves` from its sign grid and edge zeros.
 
-    ci, cj = np.nonzero(changed)
-    cases = S[ci, cj] + 2 * S[ci + 1, cj] + 4 * S[ci + 1, cj + 1] + 8 * S[ci, cj + 1]
-    centre_pos = np.zeros(len(cases), dtype=bool)
+    Vertex ``v`` is the zero on the ``v``-th crossing edge in id order
+    (see :func:`_edge_zeros`), so sorting vertices sorts their edges.
+    """
+    phis, thetas = grid.phis, grid.thetas
+    ids, vphi, vtheta = zeros
+    n = grid.n_theta
+    kc = changed.ravel().nonzero()[0]
+    ci, cj = kc // (n - 1), kc % (n - 1)
+    bottom = ci * n + cj
+    s = S.ravel()
+    cases = s[bottom] + 2 * s[bottom + n] + 4 * s[bottom + n + 1] + 8 * s[bottom + 1]
     saddle = (cases == 5) | (cases == 10)
     if saddle.any():
         si, sj = ci[saddle], cj[saddle]
         centre = normalized_det(0.5 * (phis[si] + phis[si + 1]),
                                 0.5 * (thetas[sj] + thetas[sj + 1]), coeffs)
-        centre_pos[saddle] = centre > 0.0
+        cases[saddle] += 16 * (centre > 0.0)
 
-    segments = []
-    for i, j, case, pos in zip(ci.tolist(), cj.tolist(), cases.tolist(), centre_pos.tolist()):
-        edge_keys = {
-            "b": ("p", i, j),
-            "t": ("p", i, j + 1),
-            "l": ("t", i, j),
-            "r": ("t", i + 1, j),
-        }
-        pairs = _SADDLES[case][0 if pos else 1] if case in _SADDLES else _SEGMENTS[case]
-        for ea, eb in pairs:
-            segments.append((edge_keys[ea], edge_keys[eb]))
+    # each cell's segments as pairs of its edge ids, in cell order, then
+    # as pairs of vertices; a slot of -1 pads a cell of one segment
+    left = (grid.n_phi - 1) * n + kc
+    slots = _SEGMENT_SLOTS[cases].reshape(len(cases), 4)
+    cell_edges = np.array((bottom, bottom + 1, left, left + (n - 1)))
+    edges = cell_edges[slots, np.arange(len(cases))[:, None]]
+    segments = ids.searchsorted(edges[slots >= 0]).reshape(-1, 2).tolist()
 
-    # stitch segments into polylines (every vertex has degree <= 2)
-    adjacency: dict = {}
-    for ka, kb in segments:
-        adjacency.setdefault(ka, []).append(kb)
-        adjacency.setdefault(kb, []).append(ka)
+    # the neighbours of each vertex in the order its segments come; every
+    # vertex has one or two
+    first = [-1] * ids.size
+    second = [-1] * ids.size
+    for a, b in segments:
+        if first[a] < 0:
+            first[a] = b
+        else:
+            second[a] = b
+        if first[b] < 0:
+            first[b] = a
+        else:
+            second[b] = a
 
-    visited = set()
-    curves = []
+    visited = [False] * ids.size
+    chains = []
 
-    def walk(start):
-        chain = [start]
-        visited.add(start)
-        prev = None
-        node = start
+    def walk(v):
+        chain = [v]
+        visited[v] = True
+        node = v
         while True:
-            nxt = [k for k in adjacency[node] if k != prev and k not in visited]
-            if not nxt:
+            a, b = first[node], second[node]
+            if not visited[a]:
+                node = a
+            elif b >= 0 and not visited[b]:
+                node = b
+            else:
                 # allow closing back to the start of a cycle
-                if prev is not None and start in adjacency[node] and len(chain) > 2:
-                    chain.append(start)
-                break
-            prev, node = node, nxt[0]
-            visited.add(node)
+                if v in (a, b) and len(chain) > 2:
+                    chain.append(v)
+                return chain
+            visited[node] = True
             chain.append(node)
-        return chain
 
-    endpoints = sorted(k for k, nb in adjacency.items() if len(nb) == 1)
-    for key in endpoints:
-        if key not in visited:
-            curves.append(walk(key))
-    for key in sorted(adjacency):
-        if key not in visited:
-            curves.append(walk(key))
+    # paths from their lower end, then cycles from their lowest vertex
+    for v in [v for v in range(ids.size) if second[v] < 0] + list(range(ids.size)):
+        if not visited[v]:
+            chains.append(walk(v))
 
-    polylines = [np.array([verts[k] for k in chain]) for chain in curves]
-    return SingularCurveSet(curves=polylines, grid=grid, eps_curve=_curve_eps(coeffs))
+    verts = np.column_stack([vphi, vtheta])
+    return SingularCurveSet(curves=[verts[chain] for chain in chains], grid=grid,
+                            eps_curve=_curve_eps(coeffs))
 
 
 @dataclass(frozen=True)
@@ -722,15 +772,19 @@ def _phase_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
 def _phase_scan(coeffs: DetCoefficients, grid: AttitudeGrid, curves: bool):
     """``(area fraction, hover margin or None, curve set or None)`` of one phase."""
     S = _sign_grid(coeffs, grid)
-    changed = _changed_cells(S)
-    frac = 1.0 - float(changed.sum()) / changed.size
-    if not changed.any():
+    cross_phi, cross_theta = S[:-1] != S[1:], S[:, :-1] != S[:, 1:]
+    # a cell's corners differ in sign iff one of its edges crosses; if its
+    # bottom, top and left edges do not, all four corners agree
+    changed = cross_phi[:, :-1] | cross_phi[:, 1:] | cross_theta[:-1]
+    n_changed = np.count_nonzero(changed)
+    frac = 1.0 - n_changed / changed.size
+    if not n_changed:
         empty = SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(coeffs))
         return frac, None, empty if curves else None
     # every crossing edge's vertex lies on a curve, so the nearest
     # singular point needs the refined vertices but no stitching
-    zeros = _edge_zeros(coeffs, grid, S)
-    margin = float(np.min(np.hypot(zeros[2], zeros[3])))
+    zeros = _edge_zeros(coeffs, grid, cross_phi, cross_theta)
+    margin = float(np.min(np.hypot(zeros[1], zeros[2])))
     return frac, margin, _stitch_curves(coeffs, grid, S, changed, zeros) if curves else None
 
 

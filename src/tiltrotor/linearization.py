@@ -40,7 +40,7 @@ import numpy as np
 
 from tiltrotor._core import kernels
 from tiltrotor.errors import RepresentationSingular  # noqa: F401  (re-exported for callers)
-from tiltrotor.model import Params, State, _alpha4, check_pitch
+from tiltrotor.model import Params, State, _alpha4, _finite_euler, check_pitch
 
 # Delta is declared singular when |det| < EPS_SING * scale**4 with scale the
 # geometric mean of its row norms.  Ratios near 1 mean well-separated rows;
@@ -92,9 +92,10 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """Assemble the decoupling matrix at attitude ``eta`` and tilt ``alpha``.
 
     Depends only on ``(phi, theta)`` and ``alpha``; raises
-    :class:`RepresentationSingular` inside the pitch guard band.
+    :class:`RepresentationSingular` inside the pitch guard band and
+    :class:`ValueError` for a non-finite roll or pitch.
     """
-    phi, theta = float(eta[0]), float(eta[1])
+    phi, theta = _finite_euler(float(eta[0]), float(eta[1]))
     check_pitch(theta)
     d, _, det, scale = kernels.decoupling(
         kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,

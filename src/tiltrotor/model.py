@@ -12,6 +12,9 @@ Conventions:
   rotation is ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.
 * The Euler-rate map ``euler_rate_matrix`` is valid for ``|theta| <
   pi/2 - EPS_REP`` and raises :class:`RepresentationSingular` outside.
+  It, :func:`rotation_matrix` and
+  :func:`tiltrotor.linearization.decoupling_matrix` raise
+  :class:`ValueError` for a non-finite Euler angle that they read.
 * All tilting angles are wrapped to ``[-pi, pi)`` when stored in
   :class:`TiltAngles`.  Every function that takes the tilting angles
   takes a :class:`TiltAngles` or four finite numbers, and raises
@@ -195,21 +198,28 @@ def input_to_speeds(w) -> np.ndarray:
 
 def thrust_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame force."""
-    a1, a2, a3, a4 = _alpha4(alpha)
-    return np.asarray(kernels.thrust_entries(a1, a2, a3, a4, params.k_f)).reshape(3, 4)
+    tilt = kernels.tilt_trig(_alpha4(alpha))
+    return np.asarray(kernels.thrust_entries(tilt, params.k_f)).reshape(3, 4)
 
 
 def torque_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame torque."""
-    a1, a2, a3, a4 = _alpha4(alpha)
+    tilt = kernels.tilt_trig(_alpha4(alpha))
     return np.asarray(
-        kernels.torque_entries(a1, a2, a3, a4, params.k_f, params.k_m, params.arm_length)
+        kernels.torque_entries(tilt, params.k_f, params.k_m, params.arm_length)
     ).reshape(3, 4)
+
+
+def _finite_euler(*angles: float) -> tuple:
+    """``angles``, Euler angles as floats; a non-finite one raises :class:`ValueError`."""
+    if not all(math.isfinite(a) for a in angles):
+        raise ValueError(f"attitude angles must be finite, got {angles}")
+    return angles
 
 
 def rotation_matrix(eta) -> np.ndarray:
     """Body-to-world rotation for Z-Y-X Euler angles ``eta = (phi, theta, psi)``."""
-    phi, theta, psi = (float(v) for v in eta)
+    phi, theta, psi = _finite_euler(*(float(v) for v in eta))
     return np.asarray(kernels.rotation_entries(phi, theta, psi)).reshape(3, 3)
 
 
@@ -221,7 +231,7 @@ def check_pitch(theta: float) -> None:
 
 def euler_rate_matrix(eta) -> np.ndarray:
     """Matrix ``T`` with ``eta_dot = T @ omega_body``; requires ``|theta| < pi/2``."""
-    phi, theta = float(eta[0]), float(eta[1])
+    phi, theta = _finite_euler(float(eta[0]), float(eta[1]))
     check_pitch(theta)
     return np.asarray(kernels.euler_rate_entries(phi, theta)).reshape(3, 3)
 

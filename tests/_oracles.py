@@ -5,6 +5,8 @@ maps and kinematic conventions, kept free of the package's kernel code so
 the two paths can disagree.
 """
 
+import math
+
 import numpy as np
 
 
@@ -237,6 +239,116 @@ def zero_curves_scalar(A, B, C, phis, thetas):
             chains.append(walk(key))
     return ([np.array([verts[k] for k in chain]) for chain in chains], eps,
             [np.array([ends[k] for k in chain]) for chain in chains])
+
+
+# ---------------------------------------------------------------------------
+# one phase's grid scan as the package wrote it before its scans cached
+# the grid's trigonometry and keyed edges by integer ids: each step
+# rebuilds its arrays, crossing edges are keyed by ('p' | 't', i, j)
+
+
+_SADDLE_PAIRS = {
+    5: ((("b", "r"), ("l", "t")), (("l", "b"), ("t", "r"))),
+    10: ((("l", "b"), ("t", "r")), (("b", "r"), ("l", "t"))),
+}
+
+
+def _changed_cells(S):
+    c00 = S[:-1, :-1]
+    return (S[1:, :-1] != c00) | (S[:-1, 1:] != c00) | (S[1:, 1:] != c00)
+
+
+def _nearest_root(lo, hi, roots, period):
+    mid = 0.5 * (lo + hi)
+    best = np.full_like(mid, np.inf)
+    for r in roots:
+        cand = r + period * np.round((mid - r) / period)
+        best = np.where(np.abs(cand - mid) < np.abs(best - mid), cand, best)
+    return np.clip(best, lo, hi)
+
+
+def _edge_zeros(A, B, C, phis, thetas, S):
+    pi, pj = np.nonzero(S[:-1, :] != S[1:, :])
+    ti, tj = np.nonzero(S[:, :-1] != S[:, 1:])
+    theta_p = thetas[pj]
+    psi = math.atan2(C, B)
+    u = np.arcsin(np.clip(A * np.sin(theta_p) / (math.hypot(B, C) * np.cos(theta_p)),
+                          -1.0, 1.0))
+    phi_p = _nearest_root(phis[pi], phis[pi + 1], (u - psi, math.pi - u - psi), 2.0 * math.pi)
+    phi_t = phis[ti]
+    K = B * np.sin(phi_t) + C * np.cos(phi_t)
+    theta_t = _nearest_root(thetas[tj], thetas[tj + 1], (np.arctan2(K, A),), math.pi)
+    return (pi, pj), (ti, tj), np.concatenate([phi_p, phi_t]), np.concatenate([theta_p, theta_t])
+
+
+def _stitch_curves(A, B, C, phis, thetas, S, changed, zeros):
+    (pi, pj), (ti, tj), vphi, vtheta = zeros
+    keys = [("p", i, j) for i, j in zip(pi.tolist(), pj.tolist())]
+    keys += [("t", i, j) for i, j in zip(ti.tolist(), tj.tolist())]
+    verts = dict(zip(keys, zip(vphi.tolist(), vtheta.tolist())))
+
+    ci, cj = np.nonzero(changed)
+    cases = S[ci, cj] + 2 * S[ci + 1, cj] + 4 * S[ci + 1, cj + 1] + 8 * S[ci, cj + 1]
+    centre_pos = np.zeros(len(cases), dtype=bool)
+    saddle = (cases == 5) | (cases == 10)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
+        centre = _g_direct(0.5 * (phis[si] + phis[si + 1]),
+                           0.5 * (thetas[sj] + thetas[sj + 1]), A, B, C)
+        centre_pos[saddle] = centre > 0.0
+
+    adjacency = {}
+    for i, j, case, pos in zip(ci.tolist(), cj.tolist(), cases.tolist(), centre_pos.tolist()):
+        edge_keys = {"b": ("p", i, j), "t": ("p", i, j + 1),
+                     "l": ("t", i, j), "r": ("t", i + 1, j)}
+        if case in _SADDLE_PAIRS:
+            pairs = _SADDLE_PAIRS[case][0 if pos else 1]
+        else:
+            pairs = _MS_SEGMENTS[case]
+        for ea, eb in pairs:
+            adjacency.setdefault(edge_keys[ea], []).append(edge_keys[eb])
+            adjacency.setdefault(edge_keys[eb], []).append(edge_keys[ea])
+
+    visited = set()
+    chains = []
+
+    def walk(start):
+        chain = [start]
+        visited.add(start)
+        prev, node = None, start
+        while True:
+            nxt = [k for k in adjacency[node] if k != prev and k not in visited]
+            if not nxt:
+                if prev is not None and start in adjacency[node] and len(chain) > 2:
+                    chain.append(start)
+                return chain
+            prev, node = node, nxt[0]
+            visited.add(node)
+            chain.append(node)
+
+    for key in sorted(k for k, nb in adjacency.items() if len(nb) == 1):
+        if key not in visited:
+            chains.append(walk(key))
+    for key in sorted(adjacency):
+        if key not in visited:
+            chains.append(walk(key))
+    return [np.array([verts[k] for k in chain]) for chain in chains]
+
+
+def phase_scan_reference(A, B, C, phis, thetas):
+    """``(area fraction, hover margin or None, polylines)`` of one phase.
+
+    The package's robustness metrics and marching-squares curves of the
+    attitude factor ``g`` on the grid ``phis x thetas``, step by step.
+    """
+    S = _g_direct(phis[:, None], thetas[None, :], A, B, C) > 0.0
+    changed = _changed_cells(S)
+    frac = 1.0 - float(changed.sum()) / changed.size
+    if not changed.any():
+        return frac, None, []
+    zeros = _edge_zeros(A, B, C, phis, thetas, S)
+    margin = float(np.min(np.hypot(zeros[2], zeros[3])))
+    return frac, margin, _stitch_curves(A, B, C, phis, thetas, S, changed, zeros)
 
 
 # ---------------------------------------------------------------------------

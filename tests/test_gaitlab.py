@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import json
 import math
 import pickle
@@ -15,7 +16,13 @@ from tiltrotor._core import kernels
 from tiltrotor.gaitlab import CLUSTER_RADIUS, GAIT_PRESETS, residual_scale, scan_roots
 from tiltrotor.linearization import DetCoefficients, abc_scale
 
-from _oracles import ab_grid_direct, abc_direct, rectangle_stations, zero_curves_scalar
+from _oracles import (
+    ab_grid_direct,
+    abc_direct,
+    phase_scan_reference,
+    rectangle_stations,
+    zero_curves_scalar,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -516,6 +523,7 @@ def test_extract_zero_curves_matches_edge_by_edge_oracle(case):
     (A, B, C), grid = case
     coeffs = DetCoefficients(A=A, B=B, C=C, D=np.zeros(4))
     cs = tr.extract_zero_curves(coeffs, grid)
+    _assert_same_polylines(cs.curves, phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2])
     expected, eps, edges = zero_curves_scalar(A, B, C, grid.phis, grid.thetas)
     assert cs.eps_curve == eps
     assert len(cs.curves) == len(expected)
@@ -540,6 +548,106 @@ def test_saddle_example_has_saddle_cells():
     S = (np.cos(grid.thetas)[None, :] * np.sin(grid.phis)[:, None]) > 0.0
     cases = S[:-1, :-1] + 2 * S[1:, :-1] + 4 * S[1:, 1:] + 8 * S[:-1, 1:]
     assert np.any((cases == 5) | (cases == 10))
+
+
+# ---------------------------------------------------------------------------
+# robustness reports and curves against the step-by-step reference scan
+
+
+def _assert_same_polylines(got, want):
+    assert len(got) == len(want)
+    for poly, expected in zip(got, want):
+        assert poly.shape == expected.shape and poly.tobytes() == expected.tobytes()
+
+
+def _reference_scans(gait, grid, n_phases, params):
+    """The report and each phase's polylines, from ``phase_scan_reference``."""
+    times = np.arange(n_phases) * gait.period_s / n_phases
+    scans = []
+    for alpha in gait.sample_array(times).tolist():
+        c = tr.det_decomposition(tuple(alpha), params)
+        scans.append(phase_scan_reference(c.A, c.B, c.C, grid.phis, grid.thetas))
+    margins = [m for _, m, _ in scans if m is not None]
+    report = tr.RobustnessReport(
+        area_fraction=min(frac for frac, _, _ in scans),
+        hover_margin=min(margins) if margins else grid.diagonal,
+        n_phases=n_phases, singular_phases=len(margins))
+    return report, [polylines for _, _, polylines in scans]
+
+
+def _report_bytes(report):
+    return np.array(dataclasses.astuple(report), dtype=float).tobytes()
+
+
+def _assert_scans_match_reference(gait, grid, n_phases, params):
+    want_report, want_curves = _reference_scans(gait, grid, n_phases, params)
+    report = tr.robustness_report(gait, grid, n_phases, params)
+    sets, both = gaitlab.curves_and_report(gait, grid, n_phases, params)
+    assert _report_bytes(report) == _report_bytes(both) == _report_bytes(want_report)
+    assert len(sets) == n_phases
+    times = np.arange(n_phases) * gait.period_s / n_phases
+    for cs, alpha, want in zip(sets, gait.sample_array(times).tolist(), want_curves):
+        _assert_same_polylines(cs.curves, want)
+        _assert_same_polylines(tr.singular_curves(tuple(alpha), grid, params).curves, want)
+    return want_report
+
+
+@pytest.mark.parametrize("bias", [1.0, 0.8])
+@pytest.mark.parametrize("branch", ["blue", "red"])
+def test_scans_match_the_reference_on_seeded_rectangles(params, branch, bias):
+    rng = np.random.default_rng([9301, branch == "red", int(bias * 10)])
+    grid = tr.AttitudeGrid.symmetric(1.3, 41)
+    singular = 0
+    for _ in range(12):
+        gait = tr.make_rectangle_gait(rng.uniform(-1.2, 1.2, 2), rng.uniform(0.05, 0.4, 2),
+                                      10.0, branch, params)
+        singular += _assert_scans_match_reference(tr.bias_gait(gait, bias), grid, 8,
+                                                  params).singular_phases
+    # the biased gaits exercise the curves, the unbiased ones the empty sets
+    assert (singular > 0) == (bias < 1.0)
+
+
+def test_scans_match_the_reference_on_the_241_grid(params):
+    grid = tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, 241, 241)
+    for name in ("gait1", "gait3"):
+        gait = tr.bias_gait(tr.build_preset(name, params), 0.8)
+        assert _assert_scans_match_reference(gait, grid, 8, params).singular_phases > 0
+
+
+@pytest.mark.parametrize("coeffs, grid, n_curves", [
+    # the saddle example, with cells of cases 5 and 10
+    ((0.0, 1.0, 0.0), tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23), 2),
+    # g = cos(phi) cos(theta) > 0 on the whole grid: an empty curve set
+    ((0.0, 0.0, 1.0), tr.AttitudeGrid.symmetric(1.2, 41), 0),
+    (*THETA_LINE, 1),
+    # zero lines phi = 0.5, 0.5 + pi and theta = +-pi/2 bound a rectangle
+    # whose four saddle corners close it into a loop
+    ((0.0, math.cos(0.5), -math.sin(0.5)),
+     tr.AttitudeGrid(0.1, 0.5 + math.pi + 0.5, -2.0, 2.0, 31, 31), 5),
+], ids=["saddle", "empty", "theta-line", "closed-loop"])
+def test_extract_zero_curves_matches_the_reference(coeffs, grid, n_curves):
+    A, B, C = coeffs
+    cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
+    want = phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2]
+    _assert_same_polylines(cs.curves, want)
+    assert len(want) == n_curves
+
+
+def test_extract_zero_curves_matches_the_reference_where_g_vanishes_at_a_node():
+    # A puts g at a grid node within a few ulp of zero, so its sign there
+    # is that of the rounding: the sign grid must round as normalized_det
+    grid = tr.AttitudeGrid.symmetric(1.3, 41)
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        i, j = rng.integers(0, 41, 2)
+        if j == 20:  # theta = 0: no A puts g to zero there
+            continue
+        B, C = rng.normal(size=2)
+        phi, theta = grid.phis[i], grid.thetas[j]
+        A = math.cos(theta) * (math.sin(phi) * B + math.cos(phi) * C) / math.sin(theta)
+        cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
+        want = phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2]
+        _assert_same_polylines(cs.curves, want)
 
 
 # robustness reports of the presets and their 0.8-biased variants on the
@@ -600,10 +708,24 @@ def test_attitude_grid_axes_cached_and_read_only():
     np.testing.assert_array_equal(grid.thetas, np.linspace(-0.5, 0.7, 17))
     with pytest.raises(ValueError):
         grid.phis[0] = 0.0
+    # the attitude terms of g, and the axis sines and cosines under them,
+    # are formed once per grid, as normalized_det forms them
+    phi, theta = grid.phis[:, None], grid.thetas[None, :]
+    want_terms = (-np.sin(theta), np.sin(phi) * np.cos(theta), np.cos(phi) * np.cos(theta))
+    want_trig = (np.sin(grid.phis), np.cos(grid.phis), np.sin(grid.thetas), np.cos(grid.thetas))
+    for cached, want in ((grid._g_terms, want_terms), (grid._axis_trig, want_trig)):
+        assert len(cached) == len(want)
+        for got, expected in zip(cached, want):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                got.flat[0] = 0.0
+    assert grid._g_terms is grid._g_terms and grid._axis_trig is grid._axis_trig
     assert grid == tr.AttitudeGrid(-1.0, 1.2, -0.5, 0.7, 31, 17)
     clone = pickle.loads(pickle.dumps(grid))
     assert clone == grid
     np.testing.assert_array_equal(clone.phis, grid.phis)
+    for got, want in zip(clone._g_terms, grid._g_terms):
+        np.testing.assert_array_equal(got, want)
 
 
 def _sample_scalar(gait, t):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tiltrotor as tr
+from tiltrotor._core import kernels
 from tiltrotor.errors import RepresentationSingular
 from tiltrotor.linearization import DetCoefficients
 
@@ -103,6 +104,33 @@ def test_cofactor_sums_match_minors(params, rng):
         np.testing.assert_allclose(coeffs.A, np.sum(signs * F[0] * coeffs.D), rtol=1e-12, atol=1e-40)
         np.testing.assert_allclose(coeffs.B, np.sum(signs * F[1] * coeffs.D), rtol=1e-12, atol=1e-40)
         np.testing.assert_allclose(coeffs.C, np.sum(signs * F[2] * coeffs.D), rtol=1e-12, atol=1e-40)
+
+
+def _minor3(t, c0, c1, c2):
+    # det of the 3x3 whose columns are torque columns c0, c1, c2
+    a, b, c = t[0 + c0], t[0 + c1], t[0 + c2]
+    d, e, f = t[4 + c0], t[4 + c1], t[4 + c2]
+    g, h, i = t[8 + c0], t[8 + c1], t[8 + c2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize("k_m, arm", [(2.423e-7, 0.3), (3e-6, 0.12)])
+def test_det_coeffs_is_the_maps_and_minors_composed(rng, k_m, arm):
+    # the kernel bit for bit against thrust_entries, torque_entries and
+    # the minors, each taken on its own
+    k_f = 8.048e-6
+    tilts = [tuple(rng.uniform(-4.0, 4.0, 4).tolist()) for _ in range(2000)]
+    tilts += [(0.0,) * 4, (math.pi / 2,) * 4, (0.3, -0.2, 0.3, -0.2),
+              (0.3, -0.2, 0.3 + math.pi, -0.2)]
+    for alpha in tilts:
+        tilt = kernels.tilt_trig(alpha)
+        F = kernels.thrust_entries(tilt, k_f)
+        t = kernels.torque_entries(tilt, k_f, k_m, arm)
+        D = (_minor3(t, 1, 2, 3), _minor3(t, 0, 2, 3), _minor3(t, 0, 1, 3), _minor3(t, 0, 1, 2))
+        want = tuple(-F[r] * D[0] + F[r + 1] * D[1] - F[r + 2] * D[2] + F[r + 3] * D[3]
+                     for r in (0, 4, 8)) + D
+        got = kernels.det_coeffs(*alpha, k_f, k_m, arm)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), alpha
 
 
 def test_drift_zero_rates(params, rng):

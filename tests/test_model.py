@@ -440,3 +440,27 @@ def test_tilt_arguments_must_be_four_finite_numbers(params, reader, bad):
     reader(np.zeros(4), params)
     with pytest.raises(ValueError, match="alpha must be four finite numbers"):
         reader(bad, params)
+
+
+# every public function that reads Euler angles, called with eta, and the
+# angles it reads
+ATTITUDE_READERS = {
+    "rotation_matrix": (lambda eta, p: tr.rotation_matrix(eta), ("phi", "theta", "psi")),
+    "euler_rate_matrix": (lambda eta, p: tr.euler_rate_matrix(eta), ("phi", "theta")),
+    "decoupling_matrix": (lambda eta, p: tr.decoupling_matrix(eta, np.zeros(4), p),
+                          ("phi", "theta")),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, angle", [
+    pytest.param(name, angle, id=f"{name}-{angle}")
+    for name, (_, angles) in ATTITUDE_READERS.items() for angle in angles
+])
+def test_attitude_arguments_must_be_finite(params, name, angle, bad):
+    reader = ATTITUDE_READERS[name][0]
+    eta = [0.1, -0.2, 0.3]
+    reader(eta, params)
+    eta[("phi", "theta", "psi").index(angle)] = bad
+    with pytest.raises(ValueError, match="attitude angles must be finite"):
+        reader(eta, params)
