@@ -42,13 +42,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_setup(args) -> tuple[Params, Gains, dict]:
+def _load_setup(args) -> tuple[Params, Gains]:
     if args.config:
         try:
             return load_config(args.config)
         except (OSError, ValueError) as exc:
             raise CliError(f"bad config {args.config}: {exc}", EXIT_INVALID) from exc
-    return Params(), Gains(), {"abort_on_singular": True}
+    return Params(), Gains()
 
 
 def _prepare_outputs(args, names) -> list[str]:
@@ -75,23 +75,21 @@ def _bias_gait(gait: gaitlab.Gait, factor: float) -> gaitlab.Gait:
 
 
 def _load_gait_arg(args, params: Params) -> gaitlab.Gait:
-    if getattr(args, "gait", None):
+    if args.gait:
         try:
-            gait = gaitlab.load_gait(args.gait)
+            return gaitlab.load_gait(args.gait)
         except (OSError, ValueError) as exc:
             raise CliError(f"bad gait file {args.gait}: {exc}", EXIT_INVALID) from exc
-    elif getattr(args, "preset", None):
-        gait = gaitlab.build_preset(args.preset, params)
-    else:
-        raise CliError("need --gait FILE or --preset NAME", EXIT_INVALID)
-    return gait
+    if args.preset:
+        return gaitlab.build_preset(args.preset, params)
+    raise CliError("need --gait FILE or --preset NAME", EXIT_INVALID)
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_colormap(args) -> int:
-    params, _, _ = _load_setup(args)
+    params, _ = _load_setup(args)
     if not 0.0 < args.range <= 1.5707:
         raise CliError(f"--range must lie in (0, pi/2), got {args.range}", EXIT_INVALID)
     if args.res < 2:
@@ -134,7 +132,9 @@ def cmd_colormap(args) -> int:
 
 
 def cmd_gaitgen(args) -> int:
-    params, _, _ = _load_setup(args)
+    params, _ = _load_setup(args)
+    if args.samples < 2:
+        raise CliError(f"--samples must be >= 2, got {args.samples}", EXIT_INVALID)
     if args.preset:
         name = args.preset
         try:
@@ -162,7 +162,7 @@ def cmd_gaitgen(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    params, _, _ = _load_setup(args)
+    params, _ = _load_setup(args)
     if args.phases < 1:
         raise CliError(f"--phases must be >= 1, got {args.phases}", EXIT_INVALID)
     gait = _load_gait_arg(args, params)
@@ -222,13 +222,9 @@ def cmd_curves(args) -> int:
 
 
 def cmd_track(args) -> int:
-    params, gains, extras = _load_setup(args)
+    params, gains = _load_setup(args)
     try:
-        config = sim.SimConfig(
-            duration=args.duration,
-            dt=args.dt,
-            abort_on_singular=extras.get("abort_on_singular", True),
-        )
+        config = sim.SimConfig(duration=args.duration, dt=args.dt)
     except ValueError as exc:
         raise CliError(f"--duration/--dt: {exc}", EXIT_INVALID) from exc
     gait = _load_gait_arg(args, params)

@@ -6,7 +6,8 @@ references through the gravity coupling; the inner loop linearizes the
 matrix, then saturates the rotor-speed commands.
 
 A singular decoupling matrix is flagged rather than raised: the loop
-holds the last safe command and lets the caller decide whether to abort.
+holds the last safe command, and the tracking run
+(:func:`~tiltrotor.sim.run_tracking`) stops at the flagged row.
 
 The float-tuple helpers ``decoupler_core`` and ``fl_core`` are the single
 implementation of the control laws; the public operations wrap them and
@@ -97,7 +98,7 @@ def _fields(d, forms: dict, where: str) -> dict:
     return kw
 
 
-def load_config(path) -> tuple[Params, Gains, dict]:
+def load_config(path) -> tuple[Params, Gains]:
     """Load the shared JSON configuration file; the package's one reader of it.
 
     The file holds one JSON object.  Recognised keys, each optional (a
@@ -107,16 +108,14 @@ def load_config(path) -> tuple[Params, Gains, dict]:
       k_m, arm_length, omega_lo, omega_hi`` (numbers), ``inertia`` (a list
       of 9 numbers, row-major) and ``spin_sign`` (a list of 4);
     * ``gains``, an object with the :class:`Gains` fields ``kp, kd`` (one
-      number or a list of four), ``kp_xy, kd_xy, clamp`` (numbers);
-    * ``abort_on_singular``, ``true`` or ``false`` (default ``true``).
+      number or a list of four), ``kp_xy, kd_xy, clamp`` (numbers).
 
     Anything else raises :class:`ValueError` naming the key: an unknown
     or misspelt key, a value of the wrong form (a string, ``null``, a
     boolean for a number, a list of the wrong length), a file that is not
     one object, and values the constructors refuse.
 
-    Returns ``(params, gains, extras)`` with ``extras =
-    {"abort_on_singular": ...}``.
+    Returns ``(params, gains)``.
     """
     # integers read as floats: one too large for a float reads as inf, which
     # the constructors refuse, where float() of the int would overflow
@@ -124,14 +123,11 @@ def load_config(path) -> tuple[Params, Gains, dict]:
         d = json.load(fh, parse_int=float)
     if not isinstance(d, dict):
         raise ValueError(f"the configuration must be a JSON object, got {json.dumps(d)}")
-    abort = d.pop("abort_on_singular", True)
-    if not isinstance(abort, bool):
-        raise ValueError(f"abort_on_singular must be true or false, got {json.dumps(abort)}")
     gains = Gains(**_fields(d.pop("gains", {}), _GAIN_KEYS, "gains"))
     kw = _fields(d, _PARAM_KEYS, "the configuration")
     if "inertia" in kw:
         kw["inertia"] = kw["inertia"].reshape(3, 3)
-    return Params(**kw), gains, {"abort_on_singular": abort}
+    return Params(**kw), gains
 
 
 def _start_command(params: Params) -> tuple:

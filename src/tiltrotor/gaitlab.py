@@ -332,7 +332,9 @@ class Gait:
         return self.sample_array(float(t))
 
     def to_csv(self, path, n_samples: int = 200) -> None:
-        """Write one period resampled at ``n_samples`` rows plus a JSON sidecar."""
+        """Write one period resampled at ``n_samples >= 2`` rows plus a JSON sidecar."""
+        if n_samples < 2:
+            raise ValueError(f"need at least 2 samples, got {n_samples}")
         fracs = np.linspace(0.0, 1.0, n_samples)
         rows = self.sample_array(fracs * self.period_s)
         rows[fracs >= 1.0] = self.alphas[-1]
@@ -462,9 +464,9 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
 
 
 def sample_gait(gait: Gait, t: float) -> TiltAngles:
-    """Piecewise-linear periodic sample of the gait at ``t >= 0``."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    """Piecewise-linear periodic sample of the gait at a finite ``t >= 0``."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be non-negative and finite, got {t}")
     return TiltAngles(gait.sample_raw(t))
 
 
@@ -762,6 +764,8 @@ class RobustnessReport:
 def _phase_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
                  curves: bool) -> list:
     """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases."""
+    if isinstance(n_phases, bool) or not isinstance(n_phases, numbers.Integral):
+        raise TypeError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 1:
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     times = np.arange(n_phases) * gait.period_s / n_phases

@@ -113,15 +113,14 @@ class SimConfig:
 
     Every run is the paper's experiment: it tracks
     :func:`circular_reference`, starts from the command 0.8 x the hover
-    pattern, holds each rotor command over its Runge-Kutta step and tests
-    the decoupling matrix against the fixed
-    :data:`~tiltrotor.linearization.EPS_SING`.
+    pattern, holds each rotor command over its Runge-Kutta step and stops
+    at the first row whose decoupling matrix fails the test against the
+    fixed :data:`~tiltrotor.linearization.EPS_SING`.
     """
 
     duration: float = 120.0
     dt: float = 1e-3
     initial_state: State = field(default_factory=State)
-    abort_on_singular: bool = True
 
     def __post_init__(self):
         for name in ("duration", "dt"):
@@ -144,10 +143,9 @@ class TrackLog:
     det: np.ndarray           # (n,) decoupling-matrix determinant
     saturated: np.ndarray     # (n, 4) bool
     singular: np.ndarray      # (n,) bool
-    aborted: bool = False
-    abort_time: float | None = None
     # how the run ended: "completed", or the AbortedSingular reason
-    # ("determinant", "pitch_guard"); a log read from CSV does not know
+    # ("determinant", "pitch_guard"); a log read from CSV does not know.
+    # aborted and abort_time (the last row's time) are read from it
     end_reason: str | None = None
     # least scale-free determinant ratio |det| / prod(row norms) over the
     # rows the control law was evaluated on, and the time of that row
@@ -156,6 +154,14 @@ class TrackLog:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def aborted(self) -> bool:
+        return self.end_reason in AbortedSingular.MESSAGES
+
+    @property
+    def abort_time(self) -> float | None:
+        return float(self.t[-1]) if self.aborted else None
 
     def summary(self) -> str:
         """How the run ended and how close it came to the singular test."""
@@ -225,11 +231,11 @@ def error_series(log: TrackLog) -> ErrorSeries:
 def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> TrackLog:
     """Run the closed-loop experiment and return the step-by-step log.
 
-    Aborts with :class:`AbortedSingular` (partial log attached) when the
-    decoupling matrix goes singular and ``config.abort_on_singular`` is
-    set (reason ``"determinant"``), or whenever the pitch reaches the
-    Euler-representation guard band, after which the loop cannot be
-    evaluated at all (reason ``"pitch_guard"``; that row logs ``det = 0``).
+    Aborts with :class:`AbortedSingular` (partial log attached, the failed
+    row last) at the first row whose decoupling matrix is singular (reason
+    ``"determinant"``; the row logs the held command) or whose pitch is in
+    the Euler-representation guard band, where the loop cannot be evaluated
+    at all (reason ``"pitch_guard"``; the row logs ``det = 0``).
     """
     dt = float(config.dt)
     n_steps = int(round(config.duration / dt))
@@ -256,7 +262,6 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     kp_xy, kd_xy, clamp, g = gains.kp_xy, gains.kd_xy, gains.clamp, params.g
     eps = EPS_SING
     theta_guard = math.pi / 2 - EPS_REP
-    abort_on_singular = config.abort_on_singular
     half_dt = 0.5 * dt
 
     # running minimum of the squared determinant ratio, and its row
@@ -288,7 +293,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         log = TrackLog(
             t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
             ref_pos=refs[:k], det=dets[:k], saturated=sats[:k], singular=sings[:k],
-            aborted=True, abort_time=i * dt, end_reason=reason, **minimum(),
+            end_reason=reason, **minimum(),
         )
         return AbortedSingular(i * dt, State.from_array(np.asarray(state)), log=log,
                                reason=reason)
@@ -340,10 +345,8 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
             if singular:
                 sings[i] = True
-                if abort_on_singular:
-                    raise abort(i0, i, state, "determinant")
-            else:
-                last_cmd = varpi
+                raise abort(i0, i, state, "determinant")
+            last_cmd = varpi
 
             if i < n_steps:
                 w = (

@@ -185,6 +185,15 @@ def test_gaitgen_rejects_one_zero_half_extent(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_gaitgen_refuses_fewer_than_two_samples(tmp_path, capsys, samples):
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "gaitgen", "--preset", "gait1",
+                   "--samples", samples) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_csv_roundtrip_precision(tmp_path, gait_files):
     out = tmp_path / "rt"
     assert run_cli("--out", str(out), "track", "--gait",
@@ -199,7 +208,6 @@ def test_custom_config(tmp_path, gait_files):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "m": 1.0, "gains": {"kp_xy": 0.5, "kd_xy": 1.5},
-        "abort_on_singular": True,
     }))
     out = tmp_path / "cc"
     assert run_cli("--config", str(cfg), "--out", str(out), "track", "--gait",
@@ -210,9 +218,10 @@ def test_custom_config(tmp_path, gait_files):
     [1],
     {"gains": 5},
     {"abort_on_singular": "false"},
+    {"abort_on_singular": True},
     {"arm_lenght": 0.5},
     {"m": None},
-], ids=["list", "gains-number", "abort-string", "misspelt-key", "null-mass"])
+], ids=["list", "gains-number", "abort-string", "abort-retired", "misspelt-key", "null-mass"])
 def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

@@ -297,15 +297,13 @@ def test_config_file_roundtrip(tmp_path):
         "inertia": [0.01, 0, 0, 0, 0.01, 0, 0, 0, 0.02],
         "omega_lo": 12.0, "omega_hi": 850.0, "spin_sign": [-1, 1, -1, 1],
         "gains": {"kp": [4, 4, 4, 4], "kd": 4.0, "kp_xy": 0.5, "kd_xy": 1.5, "clamp": 0.35},
-        "abort_on_singular": False,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    params, gains, extras = tr.load_config(path)
+    params, gains = tr.load_config(path)
     assert params.m == 1.1 and params.omega_lo == 12.0
     np.testing.assert_array_equal(gains.kp, [4, 4, 4, 4])
     assert gains.kd_xy == 1.5
-    assert extras["abort_on_singular"] is False
     np.testing.assert_array_equal(gains.kd, [4, 4, 4, 4])
     assert (gains.kp_xy, gains.clamp) == (0.5, 0.35)
 
@@ -316,8 +314,9 @@ BAD_CONFIGS = [
     ("gait1", "configuration"),
     ({"gains": 5}, "gains"),
     ({"gains": [4.0]}, "gains"),
-    ({"abort_on_singular": "false"}, "abort_on_singular"),
-    ({"abort_on_singular": 0}, "abort_on_singular"),
+    # retired: every tracking run stops at its first singular row
+    ({"abort_on_singular": True}, "abort_on_singular"),
+    ({"abort_on_singular": False}, "abort_on_singular"),
     ({"arm_lenght": 0.5}, "arm_lenght"),
     ({"gains": {"kp_yx": 0.5}}, "kp_yx"),
     ({"m": "1.0"}, "m"),

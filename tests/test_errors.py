@@ -12,7 +12,7 @@ def _short_log():
         t=np.zeros(1), states=np.zeros((1, 12)), alpha=np.zeros((1, 4)),
         varpi=np.zeros((1, 4)), ref_pos=np.zeros((1, 3)), det=np.zeros(1),
         saturated=np.zeros((1, 4), dtype=bool), singular=np.ones(1, dtype=bool),
-        aborted=True, abort_time=0.0, end_reason="pitch_guard",
+        end_reason="pitch_guard",
     )
 
 

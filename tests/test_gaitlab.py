@@ -300,6 +300,17 @@ def test_sample_gait_wraps_and_validates(params):
     assert np.all(t.alpha >= -math.pi) and np.all(t.alpha < math.pi)
     with pytest.raises(ValueError):
         tr.sample_gait(g, -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t must be"):
+            tr.sample_gait(g, bad)
+
+
+def test_gait_csv_needs_two_samples(tmp_path, params):
+    g = tr.build_preset("gait1", params)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            g.to_csv(tmp_path / "gait.csv", n_samples=n)
+    assert not any(tmp_path.iterdir())
 
 
 def test_gait_csv_roundtrip(tmp_path, params):
@@ -435,6 +446,11 @@ def test_robustness_reports(params):
     assert biased.hover_margin < grid.diagonal
     with pytest.raises(ValueError):
         tr.robustness_report(g1, grid, 0, params)
+    # a phase count is a whole number: 2.5 would scan np.arange(2.5), three phases
+    for bad in (2.5, 3.0, True):
+        for scan in (tr.robustness_report, gaitlab.curves_and_report):
+            with pytest.raises(TypeError, match="n_phases"):
+                scan(g1, grid, bad, params)
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,11 @@ def test_params_json_roundtrip(tmp_path, params):
         "arm_length": 0.25, "inertia": [0.02, 0, 0, 0, 0.02, 0, 0, 0, 0.03],
         "omega_lo": 10.0, "omega_hi": 900.0, "spin_sign": [-1, 1, -1, 1],
     }))
-    p, gains, extras = tr.load_config(path)
+    p, gains = tr.load_config(path)
     assert p.m == 1.2 and p.arm_length == 0.25 and p.omega_lo == 10.0
     np.testing.assert_array_equal(p.inertia, np.diag([0.02, 0.02, 0.03]))
     # absent sections keep their defaults
     np.testing.assert_array_equal(gains.kp, tr.Gains().kp)
-    assert extras == {"abort_on_singular": True}
 
 
 @pytest.mark.parametrize("bad", [

@@ -312,6 +312,34 @@ def test_gait2_ends_on_the_determinant_test(params, gains):
     assert abs(log.min_det_ratio - ratio) <= 1e-12 and t == log.min_det_ratio_time
 
 
+def test_end_fields_agree(params, gains, gait1, tmp_path):
+    # aborted and abort_time are read from end_reason and the last row, for
+    # a completed run, each abort reason, and a log read back from CSV
+    def aborted_log(config, gait):
+        with pytest.raises(AbortedSingular) as exc_info:
+            tr.run_tracking(config, params, gains, gait)
+        exc = exc_info.value
+        assert exc.log.end_reason == exc.reason and exc.log.abort_time == exc.time
+        return exc.log
+
+    done = tr.run_tracking(tr.SimConfig(duration=0.05), params, gains, gait1)
+    determinant = aborted_log(tr.SimConfig(duration=1.0), tr.build_preset("gait2", params))
+    kick = tr.State(eta=[0.0, 1.2, 0.0], omega=[0.0, 10.0, 0.0])
+    pitch = aborted_log(tr.SimConfig(duration=1.0, initial_state=kick), gait1)
+    done.to_csv(tmp_path / "done.csv")
+    read = tr.TrackLog.from_csv(tmp_path / "done.csv")
+    cases = [(done, "completed", False, None), (determinant, "determinant", True, 0.799),
+             (pitch, "pitch_guard", True, 0.037), (read, None, False, None)]
+    for log, reason, aborted, at in cases:
+        assert (log.end_reason, log.aborted, log.abort_time) == (reason, aborted, at), reason
+    # the stored fields are gone from the constructor
+    arrays = {name: getattr(done, name) for name in
+              ("t", "states", "alpha", "varpi", "ref_pos", "det", "saturated", "singular")}
+    for extra in ({"aborted": True}, {"abort_time": 0.05}):
+        with pytest.raises(TypeError):
+            tr.TrackLog(**arrays, **extra)
+
+
 def _det_identity(log, params):
     # det Delta from the logged alpha and (phi, theta) alone, through the
     # determinant decomposition, independent of the loop's 4x4 assembly
@@ -389,42 +417,50 @@ def _assert_rows_equal(log, want, rows):
         assert np.array_equal(getattr(log, name)[:rows], getattr(want, name)[:rows]), name
 
 
+def _assert_abort_row(log, exc, gait, dt):
+    # the abort row: the state the run stopped in, the gait and reference at its time
+    k = len(log) - 1
+    assert np.array_equal(log.states[k], exc.state.as_array())
+    assert np.array_equal(log.alpha[k], gait.sample_raw(k * dt))
+    assert np.array_equal(log.ref_pos[k], tr.circular_reference.rows(np.array([k * dt]))[0, :3])
+    assert log.singular[k]
+
+
 def test_determinant_abort_keeps_the_buffered_rows(params, gains):
     # the abort row 799 is mid-block: the rows buffered since the block
-    # start reach the log, equal to those of a run that does not abort
+    # start reach the log, equal to those of a run that ends just before it
     gait2 = tr.build_preset("gait2", params)
     with pytest.raises(AbortedSingular) as exc_info:
         tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait2)
-    log = exc_info.value.log
+    exc = exc_info.value
+    log = exc.log
     assert len(log) == 800 and 799 % TRACK_BLOCK not in (0, TRACK_BLOCK - 1)
-    full = tr.run_tracking(tr.SimConfig(duration=0.9, abort_on_singular=False),
-                           params, gains, gait2)
-    assert full.singular[799]
-    _assert_rows_equal(log, full, 799)
-    for name in ("states", "alpha", "ref_pos"):
-        assert np.array_equal(getattr(log, name)[799], getattr(full, name)[799]), name
+    done = tr.run_tracking(tr.SimConfig(duration=0.798), params, gains, gait2)
+    assert done.end_reason == "completed" and len(done) == 799
+    _assert_rows_equal(log, done, 799)
+    _assert_abort_row(log, exc, gait2, 1e-3)
 
 
-def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1):
-    # a pitch kick that reaches the guard band mid-block, many blocks in
+def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1, monkeypatch):
+    # a pitch kick that reaches the guard band mid-block, three blocks in,
+    # with no singular row before it
     dt = 1e-3
-    start = tr.State(eta=[0.0, 1.0, 0.0], omega=[0.0, 8.0, 0.0])
-    config = dict(initial_state=start, abort_on_singular=False)
+    monkeypatch.setattr(sim, "TRACK_BLOCK", 16)
+    start = tr.State(eta=[0.0, 1.2, 0.0], omega=[0.0, 10.0, 0.0])
     with pytest.raises(AbortedSingular) as exc_info:
-        tr.run_tracking(tr.SimConfig(duration=3.0, **config), params, gains, gait1)
+        tr.run_tracking(tr.SimConfig(duration=3.0, initial_state=start), params, gains, gait1)
     exc = exc_info.value
     log, k = exc.log, len(exc.log) - 1
-    assert exc.reason == "pitch_guard" and k == 2496
-    assert k >= TRACK_BLOCK and k % TRACK_BLOCK not in (0, TRACK_BLOCK - 1)
-    done = tr.run_tracking(tr.SimConfig(duration=(k - 1) * dt, **config), params, gains, gait1)
+    assert exc.reason == "pitch_guard" and k == 37
+    assert k // 16 == 2 and k % 16 not in (0, 15)
+    assert not log.singular[:k].any()
+    done = tr.run_tracking(tr.SimConfig(duration=(k - 1) * dt, initial_state=start),
+                           params, gains, gait1)
     assert done.end_reason == "completed" and len(done) == k
     _assert_rows_equal(log, done, k)
-    # the abort row: the state that hit the guard, the gait and reference at its time
-    assert np.array_equal(log.states[k], exc.state.as_array())
+    _assert_abort_row(log, exc, gait1, dt)
     assert abs(log.states[k, 7]) >= math.pi / 2 - EPS_REP
-    assert np.array_equal(log.alpha[k], gait1.sample_raw(k * dt))
-    assert np.array_equal(log.ref_pos[k], tr.circular_reference.rows(np.array([k * dt]))[0, :3])
-    assert log.det[k] == 0.0 and log.singular[k]
+    assert log.det[k] == 0.0
 
 
 def test_run_tracks_the_circle_rows(params, gains, gait1):
@@ -439,18 +475,6 @@ def test_run_tracks_the_circle_rows(params, gains, gait1):
     np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-15)
     floats = [tr.circular_reference.floats(v) for v in t.tolist()]
     np.testing.assert_allclose(rows, floats, rtol=1e-12, atol=1e-15)
-
-
-def test_abort_flag_can_be_disabled(params, gains):
-    gait2 = tr.build_preset("gait2", params)
-    config = tr.SimConfig(duration=1.0, abort_on_singular=False)
-    try:
-        log = tr.run_tracking(config, params, gains, gait2)
-    except AbortedSingular as exc:
-        # a representation blow-up still ends the run
-        log = exc.log
-        assert exc.time <= 1.0
-    assert log.singular.any()
 
 
 def test_config_validation():
