@@ -15,9 +15,7 @@ from tiltrotor.errors import AbortedSingular, RepresentationSingular, TiltrotorE
 from tiltrotor.model import (
     Params,
     State,
-    TiltAngles,
     hover_speeds,
-    input_to_speeds,
     integrate_step,
     rotation_matrix,
     euler_rate_matrix,
@@ -42,8 +40,6 @@ from tiltrotor.control import (
     InnerRefs,
     fl_inner_loop,
     load_config,
-    position_decoupler,
-    saturate,
 )
 from tiltrotor.gaitlab import (
     AttitudeGrid,
@@ -58,7 +54,6 @@ from tiltrotor.gaitlab import (
     load_gait,
     make_rectangle_gait,
     robustness_report,
-    sample_gait,
     singular_curves,
     solve_color_pair,
 )
@@ -77,16 +72,12 @@ __all__ = [
     "AbortedSingular", "AttitudeGrid", "ColorSolution", "ControlOutput",
     "DecouplingMatrix", "DetCoefficients", "Gait", "Gains", "InnerLoop",
     "InnerRefs", "Params", "Reference", "RepresentationSingular",
-    "RobustnessReport", "SimConfig",
-    "SingularCurveSet", "State", "TiltAngles", "TiltrotorError", "TrackLog",
-    "backend_name", "bias_gait", "build_preset", "circular_reference",
+    "RobustnessReport", "SimConfig", "SingularCurveSet", "State", "TiltrotorError",
+    "TrackLog", "backend_name", "bias_gait", "build_preset", "circular_reference",
     "color_map", "decoupling_matrix", "det_decomposition", "drift_vector",
-    "error_series", "euler_rate_matrix", "extract_zero_curves",
-    "fl_inner_loop",
-    "hover_speeds", "input_to_speeds", "integrate_step", "load_config",
-    "load_gait", "make_rectangle_gait",
-    "normalized_det", "position_decoupler", "robustness_report",
-    "rotation_matrix", "run_tracking", "sample_gait", "saturate",
-    "singular_curves", "solve_color_pair", "speeds_to_input",
+    "error_series", "euler_rate_matrix", "extract_zero_curves", "fl_inner_loop",
+    "hover_speeds", "integrate_step", "load_config", "load_gait",
+    "make_rectangle_gait", "normalized_det", "robustness_report", "rotation_matrix",
+    "run_tracking", "singular_curves", "solve_color_pair", "speeds_to_input",
     "state_derivative", "thrust_matrix", "torque_matrix", "wrap_angle",
 ]

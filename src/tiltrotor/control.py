@@ -10,10 +10,11 @@ holds the last safe command, and the tracking run
 (:func:`~tiltrotor.sim.run_tracking`) stops at the flagged row.
 
 The float-tuple helpers ``decoupler_core`` and ``fl_core`` are the single
-implementation of the control laws; the public operations wrap them and
-the simulation loop calls them directly to avoid per-step overhead.  They
-take the sines and cosines of the attitude and tilts (the kernels'
-``attitude_trig``/``tilt_trig`` sets), so that one step takes each once.
+implementation of the control laws; :func:`fl_inner_loop` wraps
+``fl_core``, and the simulation loop calls both directly to avoid
+per-step overhead.  They take the sines and cosines of the attitude and
+tilts (the kernels' ``attitude_trig``/``tilt_trig`` sets), so that one
+step takes each once.
 
 ``fl_core`` does not assemble the decoupling matrix.  It writes it as
 ``Delta = blockdiag(T, 1) @ [Q; v]`` (see :mod:`tiltrotor.linearization`)
@@ -33,7 +34,7 @@ import numpy as np
 
 from tiltrotor._core import kernels
 from tiltrotor.linearization import EPS_SING
-from tiltrotor.model import Params, State, _alpha4, _finite4, check_pitch
+from tiltrotor.model import Params, State, _finite4, check_pitch
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,6 @@ class ControlOutput:
     singular: bool
 
 
-def saturate(varpi, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp each speed magnitude into ``[omega_lo, omega_hi]``, keeping sign.
-
-    Returns ``(varpi_sat, flags)``; a flag is set iff clamping changed
-    the value.  Idempotent.
-    """
-    v = np.asarray(varpi, dtype=float)
-    mag = np.clip(np.abs(v), params.omega_lo, params.omega_hi)
-    out = np.copysign(mag, v)
-    return out, out != v
-
-
 def _sat1(v: float, lo: float, hi: float) -> float:
     mag = abs(v)
     if mag < lo:
@@ -202,25 +191,6 @@ def decoupler_core(px, py, vx, vy, sp, cp,
     elif theta_ref < -clamp:
         theta_ref = -clamp
     return phi_ref, theta_ref
-
-
-def position_decoupler(state: State, ref, gains: Gains, params: Params) -> tuple[float, float]:
-    """Roll/pitch references that steer horizontal position along ``ref``.
-
-    ``ref`` provides ``pos``, ``vel``, ``acc`` 3-vectors.  The commanded
-    horizontal accelerations are rotated by the current yaw, scaled by
-    gravity, then clamped to ``+/- gains.clamp``.
-    """
-    psi = float(state.eta[2])
-    return decoupler_core(
-        float(state.pos[0]), float(state.pos[1]),
-        float(state.vel[0]), float(state.vel[1]),
-        math.sin(psi), math.cos(psi),
-        float(ref.pos[0]), float(ref.pos[1]),
-        float(ref.vel[0]), float(ref.vel[1]),
-        float(ref.acc[0]), float(ref.acc[1]),
-        gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
-    )
 
 
 _UNSATURATED = (False, False, False, False)
@@ -416,7 +386,7 @@ def fl_inner_loop(
     """
     held = (_start_command(params) if last_command is None
             else _finite4(last_command, "last_command"))
-    tilt = kernels.tilt_trig(_alpha4(alpha))
+    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
     check_pitch(float(state.eta[1]))
     x = tuple(state.as_array().tolist())
     varpi, det, sat, singular, _ = fl_core(

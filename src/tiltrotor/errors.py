@@ -2,23 +2,7 @@
 
 
 class TiltrotorError(Exception):
-    """Base class for all package-specific errors.
-
-    The subclasses take other constructor arguments than the message they
-    pass on as ``args``, so the default pickling, which calls the class
-    with ``args``, cannot rebuild them.  They pickle as their class,
-    ``args`` and attributes instead.
-    """
-
-    def __reduce__(self):
-        return _rebuild, (type(self), self.args, self.__dict__)
-
-
-def _rebuild(cls, args, attributes):
-    exc = cls.__new__(cls, *args)
-    exc.args = args
-    exc.__dict__.update(attributes)
-    return exc
+    """Base class for all package-specific errors."""
 
 
 class RepresentationSingular(TiltrotorError):

@@ -39,7 +39,7 @@ import numpy as np
 
 from tiltrotor._core import kernels
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
-from tiltrotor.model import Params, TiltAngles, wrap_angle
+from tiltrotor.model import Params, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,9 +162,9 @@ def scan_roots(alpha12, params: Params) -> list[dict]:
     zero), sorted by ``alpha34``.  Where the two families meet,
     ``alpha12 = (delta/2, -delta/2)`` modulo ``pi/2``, they merge into
     four roots, and ``A = B = 0`` holds on whole lines of completions
-    through them as well.
+    through them as well.  ``alpha12`` must be finite.
     """
-    a1, a2 = float(alpha12[0]), float(alpha12[1])
+    a1, a2 = _finite((alpha12[0], alpha12[1]), "alpha1, alpha2").tolist()
     delta = _delta(params)
     c_floor = 1e-4 * abc_scale(params)
     roots: list[dict] = []
@@ -201,9 +201,6 @@ class PlaneFit:
     coeffs: np.ndarray
     rms: float
     max_abs: float
-
-    def evaluate(self, a1, a2):
-        return self.coeffs[0] + self.coeffs[1] * np.asarray(a1) + self.coeffs[2] * np.asarray(a2)
 
 
 @dataclass(frozen=True)
@@ -461,13 +458,6 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
     alphas[:, 2] *= factor
     alphas[:, 3] *= factor
     return replace(gait, bias=gait.bias * factor, alphas=alphas)
-
-
-def sample_gait(gait: Gait, t: float) -> TiltAngles:
-    """Piecewise-linear periodic sample of the gait at a finite ``t >= 0``."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be non-negative and finite, got {t}")
-    return TiltAngles(gait.sample_raw(t))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.errors import RepresentationSingular  # noqa: F401  (re-exported for callers)
-from tiltrotor.model import Params, State, _alpha4, _finite_euler, check_pitch
+from tiltrotor.model import Params, State, _finite4, _finite_euler, check_pitch
 
 # Delta is declared singular when |det| < EPS_SING * scale**4 with scale the
 # geometric mean of its row norms.  Ratios near 1 mean well-separated rows;
@@ -92,14 +91,14 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """Assemble the decoupling matrix at attitude ``eta`` and tilt ``alpha``.
 
     Depends only on ``(phi, theta)`` and ``alpha``; raises
-    :class:`RepresentationSingular` inside the pitch guard band and
+    :class:`~tiltrotor.errors.RepresentationSingular` inside the pitch guard band and
     :class:`ValueError` for a non-finite roll or pitch.
     """
     phi, theta = _finite_euler(float(eta[0]), float(eta[1]))
     check_pitch(theta)
     d, _, det, scale = kernels.decoupling(
         kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
-        kernels.tilt_trig(_alpha4(alpha)), params.pack,
+        kernels.tilt_trig(_finite4(alpha, "alpha")), params.pack,
     )
     return DecouplingMatrix(delta=np.asarray(d).reshape(4, 4), det=float(det), scale=float(scale))
 
@@ -128,7 +127,7 @@ def det_decomposition(alpha, params: Params) -> DetCoefficients:
         det(Delta) = (-sin(theta) * A + sin(phi) cos(theta) * B
                       + cos(phi) cos(theta) * C) / (m * cos(theta) * det(I_B))
     """
-    a1, a2, a3, a4 = _alpha4(alpha)
+    a1, a2, a3, a4 = _finite4(alpha, "alpha")
     A, B, C, d1, d2, d3, d4 = kernels.det_coeffs(
         a1, a2, a3, a4, params.k_f, params.k_m, params.arm_length
     )

@@ -15,10 +15,8 @@ Conventions:
   It, :func:`rotation_matrix` and
   :func:`tiltrotor.linearization.decoupling_matrix` raise
   :class:`ValueError` for a non-finite Euler angle that they read.
-* All tilting angles are wrapped to ``[-pi, pi)`` when stored in
-  :class:`TiltAngles`.  Every function that takes the tilting angles
-  takes a :class:`TiltAngles` or four finite numbers, and raises
-  :class:`ValueError` for anything else.
+* Every function that takes the tilting angles takes them as four
+  finite numbers, and raises :class:`ValueError` for anything else.
 """
 
 from __future__ import annotations
@@ -156,19 +154,6 @@ class State:
         return cls(pos=x[0:3].copy(), vel=x[3:6].copy(), eta=x[6:9].copy(), omega=x[9:12].copy())
 
 
-@dataclass(frozen=True)
-class TiltAngles:
-    """The four tilting angles, wrapped to ``[-pi, pi)``."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", wrap_angle(np.array(_finite4(self.alpha, "alpha"))))
-
-    def __iter__(self):
-        return iter(self.alpha)
-
-
 def _finite4(values, name: str) -> tuple:
     """``values`` as four floats; anything but four finite numbers raises :class:`ValueError`."""
     v = np.asarray(values, dtype=float)
@@ -179,32 +164,21 @@ def _finite4(values, name: str) -> tuple:
     raise ValueError(f"{name} must be four finite numbers, got {values!r}")
 
 
-def _alpha4(alpha) -> tuple:
-    """The tilt angles of every public function: a :class:`TiltAngles` or four finite numbers."""
-    return _finite4(alpha.alpha if isinstance(alpha, TiltAngles) else alpha, "alpha")
-
-
 def speeds_to_input(varpi) -> np.ndarray:
     """Signed squared speeds ``w_i = varpi_i * |varpi_i|``."""
     v = np.asarray(varpi, dtype=float)
     return v * np.abs(v)
 
 
-def input_to_speeds(w) -> np.ndarray:
-    """Inverse of :func:`speeds_to_input`: ``varpi_i = sign(w_i) sqrt(|w_i|)``."""
-    w = np.asarray(w, dtype=float)
-    return np.sign(w) * np.sqrt(np.abs(w))
-
-
 def thrust_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame force."""
-    tilt = kernels.tilt_trig(_alpha4(alpha))
+    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
     return np.asarray(kernels.thrust_entries(tilt, params.k_f)).reshape(3, 4)
 
 
 def torque_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame torque."""
-    tilt = kernels.tilt_trig(_alpha4(alpha))
+    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
     return np.asarray(
         kernels.torque_entries(tilt, params.k_f, params.k_m, params.arm_length)
     ).reshape(3, 4)
@@ -239,13 +213,13 @@ def euler_rate_matrix(eta) -> np.ndarray:
 def state_derivative(state: State, alpha, w, params: Params) -> np.ndarray:
     """Time derivative of the state as a 12-vector.
 
-    ``w`` is the signed squared rotor-speed input.  Raises
-    :class:`RepresentationSingular` inside the pitch guard band.
+    ``w`` is the signed squared rotor-speed input, four finite numbers.
+    Raises :class:`RepresentationSingular` inside the pitch guard band.
     """
     check_pitch(float(state.eta[1]))
     out = kernels.state_derivative(
-        tuple(state.as_array().tolist()), _alpha4(alpha),
-        tuple(np.asarray(w, dtype=float).tolist()), params.pack,
+        tuple(state.as_array().tolist()), _finite4(alpha, "alpha"), _finite4(w, "w"),
+        params.pack,
     )
     return np.asarray(out)
 
@@ -263,14 +237,16 @@ def integrate_step(
     The rotor speeds ``varpi`` are held over the step (zero-order hold,
     as the tracking loop holds its command); the tilting angles
     ``alpha_of_t`` are sampled at the stage times ``t``, ``t + dt/2`` and
-    ``t + dt``.
+    ``t + dt``.  ``varpi`` must be four finite numbers and ``dt`` positive
+    and finite.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    varpi = _finite4(varpi, "varpi")
     check_pitch(float(state.eta[1]))
-    a0 = _alpha4(alpha_of_t(t))
-    am = _alpha4(alpha_of_t(t + 0.5 * dt))
-    a1 = _alpha4(alpha_of_t(t + dt))
+    a0 = _finite4(alpha_of_t(t), "alpha")
+    am = _finite4(alpha_of_t(t + 0.5 * dt), "alpha")
+    a1 = _finite4(alpha_of_t(t + dt), "alpha")
     x = tuple(state.as_array().tolist())
     out = kernels.rk4_step(
         x, kernels.attitude_trig(x[6], x[7], x[8]),

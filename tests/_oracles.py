@@ -128,6 +128,106 @@ def decoupling_direct(eta, alpha, params):
     return np.vstack([top, bottom])
 
 
+def euler_rate_dot_direct(eta, eta_dot):
+    """Time derivative of the Euler-rate map T = inv(W): Tdot = -T Wdot T."""
+    phi, theta, _ = eta
+    dphi, dtheta, _ = eta_dot
+    cf, sf = np.cos(phi), np.sin(phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    # Wdot = dW/dphi * dphi + dW/dtheta * dtheta, W = body_rate_map_direct
+    w_dot = np.array([
+        [0.0, 0.0, -ct * dtheta],
+        [0.0, -sf * dphi, cf * ct * dphi - sf * st * dtheta],
+        [0.0, -cf * dphi, -sf * ct * dphi - cf * st * dtheta],
+    ])
+    T = np.linalg.inv(body_rate_map_direct(eta))
+    return -T @ w_dot @ T
+
+
+def track_direct(gait, params, gains, n_steps, dt, eps_sing):
+    """The closed-loop circular tracking run, row by row, from the oracles above.
+
+    Each row: the circle of radius 5 m at 0.1 rad/s from its formula (no
+    acceleration is fed forward); the outer decoupler, the horizontal
+    acceleration demand turned by the yaw over ``g`` and clamped; the
+    inner law ``Delta w = v - b`` with ``Delta`` from
+    :func:`decoupling_direct`, the drift ``b = (Tdot omega, -g)``, the
+    singular test ``|det Delta| / prod(row norms) < eps_sing`` through
+    ``np.linalg.det`` (the row holds the last safe command and ends the
+    run), then ``np.linalg.solve``, ``sign(w) sqrt|w|`` and the speed
+    clamp; then textbook RK4 of :func:`state_derivative_direct` with the
+    command held and the gait read through ``gait.sample_raw``.  The run
+    starts at rest at the origin from 0.8 x the hover pattern, and must
+    stay out of the pitch guard band, which is not modelled.
+
+    Returns the log's columns as arrays, ``det_scale`` (the product of
+    the row norms of each row's ``Delta``) and ``end_reason``
+    (``"completed"`` or ``"determinant"``).
+    """
+    radius, rate = 5.0, 0.1
+    lo, hi, g = params.omega_lo, params.omega_hi, params.g
+    last = params.spin_sign * (0.8 * params.hover_speed)
+    x = np.zeros(12)
+    rows = {k: [] for k in ("t", "states", "alpha", "varpi", "ref_pos", "det", "det_scale",
+                            "saturated", "singular")}
+    end = "completed"
+
+    def f(x, alpha, w):
+        return state_derivative_direct(x, alpha, w, params)
+
+    for i in range(n_steps + 1):
+        t = i * dt
+        assert abs(x[7]) < math.pi / 2 - 1e-3, "the pitch guard band is not modelled"
+        alpha = np.asarray(gait.sample_raw(t), dtype=float)
+        c, s = math.cos(rate * t), math.sin(rate * t)
+        ref_pos = np.array([radius * c, radius * s, 0.0])
+        ref_vel = np.array([-radius * rate * s, radius * rate * c, 0.0])
+
+        eta, omega = x[6:9], x[9:12]
+        cp, sp = math.cos(eta[2]), math.sin(eta[2])
+        ux, uy = (gains.kd_xy * (ref_vel[0:2] - x[3:5])
+                  + gains.kp_xy * (ref_pos[0:2] - x[0:2]))
+        theta_ref = min(max((ux * cp + uy * sp) / g, -gains.clamp), gains.clamp)
+        phi_ref = min(max((ux * sp - uy * cp) / g, -gains.clamp), gains.clamp)
+
+        eta_dot = np.linalg.solve(body_rate_map_direct(eta), omega)
+        y = np.array([eta[0], eta[1], eta[2], x[2]])
+        y_dot = np.append(eta_dot, x[5])
+        v = gains.kd * -y_dot + gains.kp * (np.array([phi_ref, theta_ref, 0.0, 0.0]) - y)
+        b = np.append(euler_rate_dot_direct(eta, eta_dot) @ omega, -g)
+        delta = decoupling_direct(eta, alpha, params)
+        det = np.linalg.det(delta)
+        det_scale = np.prod(np.linalg.norm(delta, axis=1))
+        singular = bool(abs(det) / det_scale < eps_sing)
+        if singular:
+            raw = last
+        else:
+            w = np.linalg.solve(delta, v - b)
+            raw = np.sign(w) * np.sqrt(np.abs(w))
+        cmd = np.copysign(np.clip(np.abs(raw), lo, hi), raw)
+
+        for key, value in (("t", t), ("states", x), ("alpha", alpha), ("varpi", cmd),
+                           ("ref_pos", ref_pos), ("det", det), ("det_scale", det_scale),
+                           ("saturated", cmd != raw), ("singular", singular)):
+            rows[key].append(value)
+        if singular:
+            end = "determinant"
+            break
+        last = cmd
+        if i < n_steps:
+            wq = cmd * np.abs(cmd)
+            a_mid = gait.sample_raw(t + 0.5 * dt)
+            a_end = gait.sample_raw(t + dt)
+            k1 = f(x, alpha, wq)
+            k2 = f(x + 0.5 * dt * k1, a_mid, wq)
+            k3 = f(x + 0.5 * dt * k2, a_mid, wq)
+            k4 = f(x + dt * k3, a_end, wq)
+            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = {k: np.array(v) for k, v in rows.items()}
+    out["end_reason"] = end
+    return out
+
+
 # ---------------------------------------------------------------------------
 # singular-curve extraction, one edge at a time
 

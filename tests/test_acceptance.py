@@ -184,12 +184,10 @@ def test_criterion_07_exact_linearization():
             f"worst channel deviation {worst.max():.2e} (limit 2e-3)")
 
 
-def test_criterion_08_tracking_reproduction():
-    gait = tr.build_preset("gait1", PARAMS)
-    config = tr.SimConfig()  # 120 s, dt 1e-3, 0.8 x hover start
-    t0 = time.perf_counter()
-    log = tr.run_tracking(config, PARAMS, GAINS, gait)
-    elapsed = time.perf_counter() - t0
+def test_criterion_08_tracking_reproduction(gait1_run):
+    # preset gait1 for 120 s at dt 1e-3 from 0.8 x hover, with the wall time
+    # of run_tracking; the session runs it once, for this and tests/test_sim.py
+    log, elapsed = gait1_run
     err = tr.error_series(log)
     late = err.norm[log.t > 80.0]
     period = 2 * math.pi / 0.1

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 import tiltrotor as tr
 from tiltrotor._core import kernels
-from tiltrotor.control import InnerLoop, _sat1, fl_core, tilt_factors
+from tiltrotor.control import InnerLoop, _sat1, decoupler_core, fl_core, tilt_factors
 from tiltrotor.linearization import abc_scale
-
-
-def _ref(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
-    return tr.Reference(pos=np.asarray(pos, float), vel=np.asarray(vel, float),
-                        acc=np.asarray(acc, float))
 
 
 # ---------------------------------------------------------------------------
@@ -22,31 +17,39 @@ def _ref(pos=(0, 0, 0), vel=(0, 0, 0), acc=(0, 0, 0)):
 
 
 def test_decoupler_zero_error(params, gains):
-    state = tr.State(pos=np.array([1.0, 2.0, 0.0]))
-    phi_r, theta_r = tr.position_decoupler(state, _ref(pos=(1, 2, 0)), gains, params)
+    # at the reference position, at rest, with no reference motion
+    phi_r, theta_r = decoupler_core(
+        1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0,
+        gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
+    )
     assert phi_r == 0.0 and theta_r == 0.0
 
 
 def test_decoupler_axis_alignment(params, gains):
     # pure x-acceleration request of 0.1 g with zero yaw -> pitch reference
-    state = tr.State()
-    phi_r, theta_r = tr.position_decoupler(
-        state, _ref(acc=(0.1 * params.g, 0, 0)), gains, params
-    )
+    def request(psi):
+        return decoupler_core(
+            0.0, 0.0, 0.0, 0.0, math.sin(psi), math.cos(psi),
+            0.0, 0.0, 0.0, 0.0, 0.1 * params.g, 0.0,
+            gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
+        )
+
+    phi_r, theta_r = request(0.0)
     assert abs(theta_r - 0.1) < 1e-15 and abs(phi_r) < 1e-15
     # same request at yaw pi/2 -> roll reference
-    state = tr.State(eta=np.array([0.0, 0.0, math.pi / 2]))
-    phi_r, theta_r = tr.position_decoupler(
-        state, _ref(acc=(0.1 * params.g, 0, 0)), gains, params
-    )
+    phi_r, theta_r = request(math.pi / 2)
     assert abs(phi_r - 0.1) < 1e-15 and abs(theta_r) < 1e-15
 
 
 def test_decoupler_clamped(params, gains, rng):
     for _ in range(50):
-        state = tr.State(pos=rng.uniform(-50, 50, 3), vel=rng.uniform(-20, 20, 3),
-                         eta=np.array([0, 0, rng.uniform(-math.pi, math.pi)]))
-        phi_r, theta_r = tr.position_decoupler(state, _ref(), gains, params)
+        px, py = rng.uniform(-50, 50, 2).tolist()
+        vx, vy = rng.uniform(-20, 20, 2).tolist()
+        psi = float(rng.uniform(-math.pi, math.pi))
+        phi_r, theta_r = decoupler_core(
+            px, py, vx, vy, math.sin(psi), math.cos(psi), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
+        )
         assert abs(phi_r) <= gains.clamp and abs(theta_r) <= gains.clamp
 
 
@@ -54,19 +57,21 @@ def test_decoupler_clamped(params, gains, rng):
 # saturation
 
 
-def test_saturate_examples(params):
-    p = tr.Params(omega_lo=15.0, omega_hi=900.0)
-    out, flags = tr.saturate([1000.0, -10.0, 500.0, -950.0], p)
-    np.testing.assert_array_equal(out, [900.0, -15.0, 500.0, -900.0])
-    np.testing.assert_array_equal(flags, [True, True, False, True])
+def test_saturate_examples():
+    # each speed magnitude is clamped into [lo, hi], its sign kept
+    got = [_sat1(v, 15.0, 900.0) for v in (1000.0, -10.0, 500.0, -950.0, 0.0, -0.0)]
+    assert got == [900.0, -15.0, 500.0, -900.0, 15.0, -15.0]
+    assert [math.copysign(1.0, v) for v in got[4:]] == [1.0, -1.0]
 
 
 def test_saturate_idempotent(params, rng):
-    v = rng.uniform(-1200, 1200, 4)
-    once, _ = tr.saturate(v, params)
-    twice, flags = tr.saturate(once, params)
-    np.testing.assert_array_equal(once, twice)
-    assert not flags.any()
+    lo, hi = params.omega_lo, params.omega_hi
+    for v in rng.uniform(-1200, 1200, 200).tolist():
+        once = _sat1(v, lo, hi)
+        assert lo <= abs(once) <= hi
+        # the loop's flag, once != v, is set iff v lies outside the band
+        assert (once != v) == (not lo <= abs(v) <= hi)
+        assert _sat1(once, lo, hi) == once
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,12 @@ def test_color_map_plane_anchors(params):
     vals = np.linspace(-0.5, 0.5, 9)
     blue = tr.color_map(vals, vals, "blue", params)
     red = tr.color_map(vals, vals, "red", params)
-    assert abs(blue.plane3.evaluate(0.0, 0.0)) < max(1e-6, 10 * blue.plane3.rms)
-    assert abs(blue.plane4.evaluate(0.0, 0.0)) < max(1e-6, 10 * blue.plane4.rms)
-    assert abs(red.plane3.evaluate(0.0, 0.0) - math.pi) < max(1e-6, 10 * red.plane3.rms)
-    assert abs(red.plane4.evaluate(0.0, 0.0) - math.pi) < max(1e-6, 10 * red.plane4.rms)
+    # each fit's value c0 + c1 alpha1 + c2 alpha2 at the origin
+    origin = (1.0, 0.0, 0.0)
+    assert abs(blue.plane3.coeffs @ origin) < max(1e-6, 10 * blue.plane3.rms)
+    assert abs(blue.plane4.coeffs @ origin) < max(1e-6, 10 * blue.plane4.rms)
+    assert abs(red.plane3.coeffs @ origin - math.pi) < max(1e-6, 10 * red.plane3.rms)
+    assert abs(red.plane4.coeffs @ origin - math.pi) < max(1e-6, 10 * red.plane4.rms)
     for fit in (blue.plane3, blue.plane4, red.plane3, red.plane4):
         assert fit.rms < 1e-3
 
@@ -250,8 +252,9 @@ def test_gait_stays_near_branch_plane(params):
     cmap = tr.color_map(vals, vals, "blue", params)
     for t in np.linspace(0.0, 10.0, 23):
         a = g.sample_raw(t)
-        assert abs(a[2] - cmap.plane3.evaluate(a[0], a[1])) < 0.5
-        assert abs(a[3] - cmap.plane4.evaluate(a[0], a[1])) < 0.5
+        at = (1.0, a[0], a[1])
+        assert abs(a[2] - cmap.plane3.coeffs @ at) < 0.5
+        assert abs(a[3] - cmap.plane4.coeffs @ at) < 0.5
 
 
 def test_edge_midpoint_interpolation(params):
@@ -292,17 +295,6 @@ def test_biased_gait_leaves_branch(params):
         A, Bc, _ = abc_direct(b.sample_raw(t), params)
         violations += (abs(A) > bound or abs(Bc) > bound)
     assert violations > 8
-
-
-def test_sample_gait_wraps_and_validates(params):
-    g = tr.make_rectangle_gait((0.0, 0.0), (0.3, 0.3), 10.0, "red", params)
-    t = tr.sample_gait(g, 2.5)
-    assert np.all(t.alpha >= -math.pi) and np.all(t.alpha < math.pi)
-    with pytest.raises(ValueError):
-        tr.sample_gait(g, -1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="t must be"):
-            tr.sample_gait(g, bad)
 
 
 def test_gait_csv_needs_two_samples(tmp_path, params):
@@ -1016,6 +1008,15 @@ def test_solve_color_pair_rejects_non_finite(params, bad, slot):
     a12[slot] = bad
     with pytest.raises(ValueError, match="finite"):
         tr.solve_color_pair(a12, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_scan_roots_rejects_non_finite(params, bad, slot):
+    a12 = [0.4, -0.3]
+    a12[slot] = bad
+    with pytest.raises(ValueError, match="alpha1, alpha2 must be finite"):
+        scan_roots(a12, params)
 
 
 @given(bad=NON_FINITE, axis=st.integers(0, 1), index=st.integers(0, 4))

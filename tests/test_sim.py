@@ -10,10 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
 from tiltrotor import gaitlab, sim
-from tiltrotor.control import InnerRefs
+from tiltrotor.control import InnerRefs, decoupler_core
 from tiltrotor.errors import AbortedSingular
+from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import EPS_REP
 from tiltrotor.sim import TRACKLOG_HEADER, TRACK_BLOCK
+
+from _oracles import track_direct
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +97,9 @@ def test_determinism_bit_identical(params, gains, gait1, tmp_path):
 def test_run_tracking_matches_public_composition(gains, gait1, band):
     # the loop shares sines and cosines between its layers and steps, and
     # builds the gait, tilt trig and reference ahead in blocks; the public
-    # operations take every one afresh, so both must agree row by row,
-    # across a block boundary.  The narrow speed band saturates two rotors
-    # on most rows.
+    # operations, and the decoupler core on the yaw's own sine and cosine,
+    # take every one afresh, so both must agree row by row, across a block
+    # boundary.  The narrow speed band saturates two rotors on most rows.
     params = tr.Params() if band is None else tr.Params(omega_lo=band[0], omega_hi=band[1])
     dt = 1e-3
     n_steps = max(500, TRACK_BLOCK + 10)
@@ -108,7 +111,12 @@ def test_run_tracking_matches_public_composition(gains, gait1, band):
         t = i * dt
         alpha = gait1.sample_raw(t)
         ref = tr.circular_reference(t)
-        phi_ref, theta_ref = tr.position_decoupler(state, ref, gains, params)
+        x = state.as_array().tolist()
+        phi_ref, theta_ref = decoupler_core(
+            x[0], x[1], x[3], x[4], math.sin(x[8]), math.cos(x[8]),
+            *ref.pos[0:2].tolist(), *ref.vel[0:2].tolist(), *ref.acc[0:2].tolist(),
+            gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
+        )
         out = tr.fl_inner_loop(state, alpha, InnerRefs(value=[phi_ref, theta_ref, 0.0, 0.0]),
                                gains, params, last_command=last)
         np.testing.assert_allclose(log.states[i], state.as_array(), rtol=1e-12, atol=1e-15)
@@ -123,6 +131,47 @@ def test_run_tracking_matches_public_composition(gains, gait1, band):
         # zero-order hold on the command
         state = tr.integrate_step(state, gait1.sample_raw, out.varpi_cmd, t, dt, params)
     assert log.saturated.any() == (band is not None)
+
+
+@pytest.mark.parametrize("preset, band", [
+    ("gait1", None), ("gait1", (520.0, 600.0)), ("gait2", None),
+], ids=["gait1", "gait1-saturating", "gait2"])
+def test_run_tracking_matches_the_direct_oracle(gains, preset, band):
+    # track_direct shares none of the loop's kernels: numpy matrices, det and
+    # solve, and textbook RK4 of the oracle derivative.  gait1 runs across a
+    # block boundary in the default band and in a narrow band that saturates
+    # two rotors on most rows; gait2 runs to its determinant abort at row 799
+    params = tr.Params() if band is None else tr.Params(omega_lo=band[0], omega_hi=band[1])
+    gait = tr.build_preset(preset, params)
+    dt = 1e-3
+    n_steps = max(500, TRACK_BLOCK + 10) if preset == "gait1" else 1000
+    want = track_direct(gait, params, gains, n_steps, dt, EPS_SING)
+    try:
+        log = tr.run_tracking(tr.SimConfig(duration=n_steps * dt, dt=dt), params, gains, gait)
+    except AbortedSingular as exc:
+        log = exc.log
+    if preset == "gait2":
+        assert log.end_reason == want["end_reason"] == "determinant"
+        assert len(log) == len(want["t"]) == 800
+    else:
+        assert log.end_reason == want["end_reason"] == "completed"
+        assert len(log) == len(want["t"]) == n_steps + 1 > TRACK_BLOCK + 10
+    np.testing.assert_array_equal(log.t, want["t"])
+    for name in ("states", "alpha", "ref_pos"):
+        np.testing.assert_allclose(getattr(log, name), want[name], rtol=1e-12, atol=1e-15,
+                                   err_msg=name)
+    np.testing.assert_allclose(log.varpi, want["varpi"], rtol=1e-12)
+    # det to 1e-12 of the matrix's scale, the product of its row norms: the
+    # plain relative error of a determinant grows as 1 / ratio near a
+    # singular row (1.3e-12 at gait2's row 799, ratio 9.8e-5)
+    assert np.all(np.abs(log.det - want["det"]) <= 1e-12 * want["det_scale"])
+    ratios = np.abs(want["det"]) / want["det_scale"]
+    assert abs(log.min_det_ratio - ratios.min()) <= 1e-12
+    assert log.min_det_ratio_time == want["t"][np.argmin(ratios)]
+    np.testing.assert_array_equal(log.saturated, want["saturated"])
+    np.testing.assert_array_equal(log.singular, want["singular"])
+    # gait2 saturates before it turns singular; gait1 only in the narrow band
+    assert log.saturated.any() == (preset == "gait2" or band is not None)
 
 
 def test_zero_order_hold_consistency(params, gains, gait1):
@@ -279,8 +328,8 @@ def test_abort_reason_pitch_guard(params, gains, gait1):
 # how a run ended and how close it came to the singular test
 
 
-def test_gait1_completes_with_its_determinant_margin(params, gains, gait1):
-    log = tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait1)
+def test_gait1_completes_with_its_determinant_margin(gait1_run):
+    log, _ = gait1_run
     assert log.end_reason == "completed" and not log.aborted
     assert log.min_det_ratio >= 0.81
     assert 0.0 <= log.min_det_ratio_time <= 120.0
