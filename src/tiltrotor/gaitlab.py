@@ -22,6 +22,15 @@ and four rank-deficient ones ``(delta - alpha1, -delta - alpha2) + {0,
 pi}^2``, where ``A = B = C = 0`` (singular at *every* attitude).  On a
 branch plane ``C`` itself is a product of three closed-form factors, so
 ``color_map`` reads its sign without a determinant decomposition.
+
+The robustness metrics scan the normalized determinant ``g`` over an
+attitude grid at each sampled gait phase.  A phase on which ``g`` keeps
+one strict sign over the whole grid box forms no grid: the range of ``g
+/ cos(theta)`` over the box has a closed form.  On a branch plane ``g =
+cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
+0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  The
+other phases are scanned together, their sign grids stacked into one
+array.
 """
 
 from __future__ import annotations
@@ -325,8 +334,11 @@ class Gait:
         return sample
 
     def sample_raw(self, t: float) -> np.ndarray:
-        """Continuous-sheet angles at time ``t`` (no wrapping)."""
-        return self.sample_array(float(t))
+        """Continuous-sheet angles at time ``t`` (no wrapping); ``t`` must be finite."""
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        return self.sample_array(t)
 
     def to_csv(self, path, n_samples: int = 200) -> None:
         """Write one period resampled at ``n_samples >= 2`` rows plus a JSON sidecar."""
@@ -518,6 +530,21 @@ class AttitudeGrid:
         return (_frozen(-sin_theta[None, :]), _frozen(sin_phi[:, None] * cos_theta[None, :]),
                 _frozen(cos_phi[:, None] * cos_theta[None, :]))
 
+    @cached_property
+    def _box(self):
+        """The box terms of :func:`_one_sign`, or ``None`` if ``cos(theta)`` is not positive on it.
+
+        ``(tan theta_min, tan theta_max, 1 / min cos(theta), phi_min,
+        phi_max, sin phi_min, cos phi_min, sin phi_max, cos phi_max)``
+        as floats.
+        """
+        if not (-0.5 * math.pi < self.theta_min and self.theta_max < 0.5 * math.pi):
+            return None
+        lo, hi = self.phi_min, self.phi_max
+        return (math.tan(self.theta_min), math.tan(self.theta_max),
+                1.0 / math.cos(max(-self.theta_min, self.theta_max)), lo, hi,
+                math.sin(lo), math.cos(lo), math.sin(hi), math.cos(hi))
+
     @property
     def diagonal(self) -> float:
         return math.hypot(self.phi_max - self.phi_min, self.theta_max - self.theta_min)
@@ -576,16 +603,39 @@ def _curve_eps(coeffs: DetCoefficients) -> float:
     return 1e-10 * scale if scale > 0.0 else 1e-300
 
 
-def _sign_grid(coeffs: DetCoefficients, grid: AttitudeGrid) -> np.ndarray:
-    """``g > 0`` at every grid node, from the grid's cached attitude terms."""
-    minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
-    # normalized_det's sum (-sin(theta) A + sin(phi) cos(theta) B) + cos(phi)
-    # cos(theta) C, its first addition with the operands swapped, which
-    # rounds the same
-    g = sin_phi_cos_theta * coeffs.B
-    g += minus_sin_theta * coeffs.A
-    g += cos_phi_cos_theta * coeffs.C
-    return g > 0.0
+def _no_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> SingularCurveSet:
+    return SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(coeffs))
+
+
+def _one_sign(coeffs: DetCoefficients, grid: AttitudeGrid) -> bool:
+    """Whether ``g`` keeps one strict sign on the grid's box, proved in closed form.
+
+    Where ``cos(theta) > 0`` on the box, ``g = cos(theta) h`` with ``h =
+    -A tan(theta) + R sin(phi + psi)``, ``R = hypot(B, C)`` and ``psi =
+    atan2(C, B)``.  The two terms vary independently, so the range of
+    ``h`` is the sum of theirs: ``-A tan(theta)`` is monotone, with its
+    extremes at the box's theta ends, and ``R sin(phi + psi)`` has its
+    extremes at the box's phi ends, or ``+-R`` where ``phi = +-pi/2 -
+    psi`` (mod 2 pi) falls inside the box.  The sign is proved when the
+    range clears zero by ``1e-12 (|A| + |B| + |C|) / min cos(theta)``:
+    then ``|g|`` at every node exceeds the rounding of the sign grid by
+    some thousand times, and no cell changes sign.  Never proved on a box
+    that reaches ``|theta| >= pi/2``.
+    """
+    box = grid._box
+    if box is None:
+        return False
+    tan_lo, tan_hi, sec, lo, hi, sin_lo, cos_lo, sin_hi, cos_hi = box
+    A, B, C = coeffs.A, coeffs.B, coeffs.C
+    t_lo, t_hi = -A * tan_lo, -A * tan_hi
+    end_lo, end_hi = B * sin_lo + C * cos_lo, B * sin_hi + C * cos_hi
+    r, psi = math.hypot(B, C), math.atan2(C, B)
+    # +-R where top (bottom) + 2 pi k lies in [lo, hi] for some k
+    top, bottom = 0.5 * math.pi - psi, -0.5 * math.pi - psi
+    h_max = r if top + TWO_PI * math.ceil((lo - top) / TWO_PI) <= hi else max(end_lo, end_hi)
+    h_min = -r if bottom + TWO_PI * math.ceil((lo - bottom) / TWO_PI) <= hi else min(end_lo, end_hi)
+    margin = 1e-12 * (abs(A) + abs(B) + abs(C)) * sec
+    return min(t_lo, t_hi) + h_min > margin or max(t_lo, t_hi) + h_max < -margin
 
 
 def _nearest_root(lo, hi, roots, period):
@@ -602,16 +652,18 @@ def _nearest_root(lo, hi, roots, period):
     return cand[np.abs(cand - mid).argmin(axis=0), np.arange(len(mid))].clip(lo, hi)
 
 
-def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, cross_phi, cross_theta):
-    """Exact zero of ``g`` on every crossing grid edge.
+def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta):
+    """Exact zero of ``g`` on every crossing grid edge of a stack of phases.
 
-    ``cross_phi`` and ``cross_theta`` mark the crossing edges along phi
-    (node ``(i, j)`` to ``(i + 1, j)``) and along theta (to ``(i, j +
-    1)``).  Returns ``(ids, phi, theta)``: the integer id of each
-    crossing edge, ascending, and its vertex.  Phi edge ``(i, j)`` has
-    id ``i * n_theta + j`` and theta edge ``(i, j)`` the id ``(n_phi -
-    1) * n_theta + i * (n_theta - 1) + j``, so the phi edges come first,
-    each kind row-major.
+    ``table`` holds a column ``(B, C, A, hypot(B, C), atan2(C, B))`` per
+    phase; ``cross_phi`` and ``cross_theta`` mark each phase's crossing
+    edges along phi (node ``(i, j)`` to ``(i + 1, j)``) and along theta
+    (to ``(i, j + 1)``).  Returns ``(keys, phi, theta)``: the key of each
+    crossing edge, ascending, and its vertex.  Within a phase, phi edge
+    ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i, j)`` the
+    id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the phi
+    edges come first, each kind row-major; an edge of phase ``k`` has
+    the key ``k * E + id``, with ``E`` the edges of one phase.
 
     Along phi, at fixed ``theta``, ``g = 0`` reads ``cos(theta) R
     sin(phi + psi) = A sin(theta)`` with ``R = hypot(B, C)`` and ``psi =
@@ -620,25 +672,31 @@ def _edge_zeros(coeffs: DetCoefficients, grid: AttitudeGrid, cross_phi, cross_th
     ``theta = atan2(K, A) + k pi``.  ``R > 0`` on every crossing phi
     edge: with ``B = C = 0``, ``g`` is the same at both of its ends.
     """
-    A, B, C = coeffs.A, coeffs.B, coeffs.C
     phis, thetas = grid.phis, grid.thetas
     sin_phi, cos_phi, sin_theta, cos_theta = grid._axis_trig
     n = grid.n_theta
-    # the flat index of a crossing edge in its mask is its id, less the
-    # count of phi edges for a theta edge
+    n_p, n_t = cross_phi[0].size, cross_theta[0].size
+    # the flat index of a crossing edge in its stacked mask is its phase
+    # times the phase's edges of that kind, plus its id, less the count
+    # of phi edges for a theta edge
     kp = cross_phi.ravel().nonzero()[0]
     kt = cross_theta.ravel().nonzero()[0]
-    pi, pj = kp // n, kp % n
-    ti, tj = kt // (n - 1), kt % (n - 1)
+    hp, ip = np.divmod(kp, n_p)
+    ht, it = np.divmod(kt, n_t)
+    pi, pj = np.divmod(ip, n)
+    ti, tj = np.divmod(it, n - 1)
 
-    psi = math.atan2(C, B)
-    u = np.arcsin((A * sin_theta[pj] / (math.hypot(B, C) * cos_theta[pj])).clip(-1.0, 1.0))
+    A, R, psi = table[2:].take(hp, axis=1)
+    u = np.arcsin((A * sin_theta[pj] / (R * cos_theta[pj])).clip(-1.0, 1.0))
     phi_p = _nearest_root(phis[pi], phis[pi + 1], np.array((u - psi, math.pi - u - psi)), TWO_PI)
 
+    B, C, A = table[:3].take(ht, axis=1)
     K = B * sin_phi[ti] + C * cos_phi[ti]
     theta_t = _nearest_root(thetas[tj], thetas[tj + 1], np.arctan2(K, A)[None], math.pi)
-    return (np.concatenate([kp, cross_phi.size + kt]), np.concatenate([phi_p, phis[ti]]),
-            np.concatenate([thetas[pj], theta_t]))
+    keys = np.concatenate([kp + hp * n_t, kt + (ht + 1) * n_p])
+    order = keys.argsort()
+    return (keys[order], np.concatenate([phi_p, phis[ti]])[order],
+            np.concatenate([thetas[pj], theta_t])[order])
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -657,7 +715,7 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
     segments stitch into polylines exactly.
     """
-    return _phase_scan(coeffs, grid, curves=True)[2]
+    return _phase_scan([coeffs], grid, curves=True)[0][2]
 
 
 def _stitch_curves(coeffs, grid, S, changed, zeros) -> SingularCurveSet:
@@ -751,35 +809,96 @@ class RobustnessReport:
     singular_phases: int
 
 
-def _phase_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
-                 curves: bool) -> list:
+def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
+                curves: bool) -> list:
     """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases."""
     if isinstance(n_phases, bool) or not isinstance(n_phases, numbers.Integral):
         raise TypeError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 1:
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     times = np.arange(n_phases) * gait.period_s / n_phases
-    return [_phase_scan(det_decomposition(tuple(alpha), params), grid, curves)
-            for alpha in gait.sample_array(times).tolist()]
+    return _phase_scan([det_decomposition(tuple(alpha), params)
+                        for alpha in gait.sample_array(times).tolist()], grid, curves)
 
 
-def _phase_scan(coeffs: DetCoefficients, grid: AttitudeGrid, curves: bool):
-    """``(area fraction, hover margin or None, curve set or None)`` of one phase."""
-    S = _sign_grid(coeffs, grid)
-    cross_phi, cross_theta = S[:-1] != S[1:], S[:, :-1] != S[:, 1:]
+# the most grid nodes one stacked scan holds: a 41 x 41 report of up to
+# 9 phases is one stack, and a 241 x 241 grid is scanned one phase at a
+# time.  Measured on 0.8-biased rectangle gaits (shared 2-vCPU x86-64,
+# numpy 2.4): a 64-phase 41 x 41 report took 7.4 ms scanned phase by
+# phase, 2.3 ms at 2**14 and 1.8 ms at 2**16; stacking two 241 x 241
+# phases (2**17) took the 64-phase biased gait2 and gait3 reports from
+# 52 ms to 100 ms.
+_SCAN_NODES = 1 << 14
+
+
+def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
+    """``(area fraction, hover margin or None, curve set or None)`` of each phase.
+
+    A phase whose sign :func:`_one_sign` proves forms no grid.  The rest
+    are scanned in stacks of at most :data:`_SCAN_NODES` grid nodes.
+    """
+    scans = [None] * len(phases)
+    rest = []
+    for k, coeffs in enumerate(phases):
+        if _one_sign(coeffs, grid):
+            scans[k] = (np.float64(1.0), None, _no_curves(coeffs, grid) if curves else None)
+        else:
+            rest.append(k)
+    size = max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))
+    for start in range(0, len(rest), size):
+        stack = rest[start:start + size]
+        for k, scan in zip(stack, _scan_stack([phases[k] for k in stack], grid, curves)):
+            scans[k] = scan
+    return scans
+
+
+def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
+    """:func:`_phase_scan` of each phase, with one sign grid of shape ``(phases, n_phi, n_theta)``.
+
+    The sign grid, the crossing masks, the counts, the edge zeros and
+    the hover margins are each one set of numpy calls over the stack;
+    each phase's curves are stitched from its own slice.
+    """
+    table = np.array([(c.B, c.C, c.A, math.hypot(c.B, c.C), math.atan2(c.C, c.B))
+                      for c in phases]).T
+    B, C, A = table[:3, :, None, None]
+    minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
+    # normalized_det's sum (-sin(theta) A + sin(phi) cos(theta) B) + cos(phi)
+    # cos(theta) C, its first addition with the operands swapped, which
+    # rounds the same
+    g = sin_phi_cos_theta * B
+    g += minus_sin_theta * A
+    g += cos_phi_cos_theta * C
+    S = g > 0.0
+    cross_phi, cross_theta = S[:, :-1] != S[:, 1:], S[:, :, :-1] != S[:, :, 1:]
     # a cell's corners differ in sign iff one of its edges crosses; if its
     # bottom, top and left edges do not, all four corners agree
-    changed = cross_phi[:, :-1] | cross_phi[:, 1:] | cross_theta[:-1]
-    n_changed = np.count_nonzero(changed)
-    frac = 1.0 - n_changed / changed.size
-    if not n_changed:
-        empty = SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(coeffs))
-        return frac, None, empty if curves else None
-    # every crossing edge's vertex lies on a curve, so the nearest
-    # singular point needs the refined vertices but no stitching
-    zeros = _edge_zeros(coeffs, grid, cross_phi, cross_theta)
-    margin = float(np.min(np.hypot(zeros[1], zeros[2])))
-    return frac, margin, _stitch_curves(coeffs, grid, S, changed, zeros) if curves else None
+    changed = cross_phi[:, :, :-1] | cross_phi[:, :, 1:] | cross_theta[:, :-1]
+    n_changed = changed.reshape(len(phases), -1).sum(axis=1)
+    fracs = 1.0 - n_changed / changed[0].size
+    counts = n_changed.tolist()
+    if any(counts):
+        keys, vphi, vtheta = _edge_zeros(table, grid, cross_phi, cross_theta)
+        n_edges = cross_phi[0].size + cross_theta[0].size
+        bounds = keys.searchsorted(np.arange(0, (len(phases) + 1) * n_edges, n_edges)).tolist()
+        # every crossing edge's vertex lies on a curve, so the nearest
+        # singular point needs the refined vertices but no stitching; a
+        # phase without crossings has no keys, so each singular phase's
+        # run ends where the next one's starts
+        starts = [bounds[k] for k, n in enumerate(counts) if n]
+        margins = iter(np.minimum.reduceat(np.hypot(vphi, vtheta), starts).tolist())
+    scans = []
+    for k, (coeffs, n) in enumerate(zip(phases, counts)):
+        if not n:
+            scans.append((fracs[k], None, _no_curves(coeffs, grid) if curves else None))
+            continue
+        cs = None
+        if curves:
+            lo, hi = bounds[k], bounds[k + 1]
+            zeros = (keys[lo:hi] - k * n_edges, vphi[lo:hi], vtheta[lo:hi])
+            cs = _stitch_curves(coeffs, grid, S[k], changed[k], zeros)
+        scans.append((fracs[k], next(margins), cs))
+    return scans
 
 
 def _report(scans, grid: AttitudeGrid) -> RobustnessReport:
@@ -796,8 +915,18 @@ def _report(scans, grid: AttitudeGrid) -> RobustnessReport:
 def robustness_report(
     gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
 ) -> RobustnessReport:
-    """Evaluate the singular set at evenly spaced gait phases."""
-    return _report(_phase_scans(gait, grid, n_phases, params, curves=False), grid)
+    """Evaluate the singular set at ``n_phases`` evenly spaced gait phases.
+
+    A phase whose ``g`` keeps one strict sign over the grid box, proved
+    in closed form (:func:`_one_sign`), counts as robust without a sign
+    grid: on a box inside ``|phi|, |theta| < pi/2``, every phase with
+    ``C != 0`` of a gait on a branch plane, where the Two Color Map
+    Theorem keeps the decoupling matrix invertible.  The other
+    phases are scanned together as one stack of sign grids (at most
+    :data:`_SCAN_NODES` nodes per stack), and the metrics stay the
+    grid's: area fraction and hover margin.
+    """
+    return _report(_gait_scans(gait, grid, n_phases, params, curves=False), grid)
 
 
 def curves_and_report(
@@ -806,9 +935,10 @@ def curves_and_report(
     """The singular curves of each phase and the :func:`robustness_report`, in one pass.
 
     Each phase's determinant decomposition, sign grid and edge zeros
-    feed both its curves and its metrics.
+    feed both its curves and its metrics; a phase proved robust in
+    closed form has an empty curve set and forms no grid.
     """
-    scans = _phase_scans(gait, grid, n_phases, params, curves=True)
+    scans = _gait_scans(gait, grid, n_phases, params, curves=True)
     return [cs for _, _, cs in scans], _report(scans, grid)
 
 

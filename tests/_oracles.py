@@ -435,13 +435,18 @@ def _stitch_curves(A, B, C, phis, thetas, S, changed, zeros):
     return [np.array([verts[k] for k in chain]) for chain in chains]
 
 
+def sign_grid_reference(A, B, C, phis, thetas):
+    """``g > 0`` at every node of the grid ``phis x thetas``."""
+    return _g_direct(phis[:, None], thetas[None, :], A, B, C) > 0.0
+
+
 def phase_scan_reference(A, B, C, phis, thetas):
     """``(area fraction, hover margin or None, polylines)`` of one phase.
 
     The package's robustness metrics and marching-squares curves of the
     attitude factor ``g`` on the grid ``phis x thetas``, step by step.
     """
-    S = _g_direct(phis[:, None], thetas[None, :], A, B, C) > 0.0
+    S = sign_grid_reference(A, B, C, phis, thetas)
     changed = _changed_cells(S)
     frac = 1.0 - float(changed.sum()) / changed.size
     if not changed.any():

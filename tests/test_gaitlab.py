@@ -21,6 +21,7 @@ from _oracles import (
     abc_direct,
     phase_scan_reference,
     rectangle_stations,
+    sign_grid_reference,
     zero_curves_scalar,
 )
 
@@ -592,6 +593,7 @@ def _assert_scans_match_reference(gait, grid, n_phases, params):
     report = tr.robustness_report(gait, grid, n_phases, params)
     sets, both = gaitlab.curves_and_report(gait, grid, n_phases, params)
     assert _report_bytes(report) == _report_bytes(both) == _report_bytes(want_report)
+    assert type(report.area_fraction) is type(both.area_fraction) is np.float64
     assert len(sets) == n_phases
     times = np.arange(n_phases) * gait.period_s / n_phases
     for cs, alpha, want in zip(sets, gait.sample_array(times).tolist(), want_curves):
@@ -620,6 +622,115 @@ def test_scans_match_the_reference_on_the_241_grid(params):
     for name in ("gait1", "gait3"):
         gait = tr.bias_gait(tr.build_preset(name, params), 0.8)
         assert _assert_scans_match_reference(gait, grid, 8, params).singular_phases > 0
+
+
+@pytest.mark.parametrize("name, n", [("gait2", 41), ("gait1", 41), ("gait1", 241)])
+def test_scans_match_the_reference_across_stacks(params, name, n):
+    # 0.8-biased gait2 is singular at all 64 phases, several stacks of a
+    # 41 x 41 grid; gait1's robust and singular phases interleave, in
+    # stacks of 41 x 41 grids and on a grid larger than one stack
+    grid = tr.AttitudeGrid.symmetric(1.2, n)
+    per_stack = gaitlab._SCAN_NODES // (n * n)
+    gait = tr.bias_gait(tr.build_preset(name, params), 0.8)
+    report = _assert_scans_match_reference(gait, grid, 64, params)
+    if name == "gait2":
+        assert report.singular_phases == 64 > 2 * per_stack
+    else:
+        assert 0 < report.singular_phases < 64
+    assert (per_stack == 0) == (n == 241)
+
+
+def test_robust_phases_form_no_grid(params, monkeypatch):
+    # on a branch plane every phase is robust (the Two Color Map Theorem),
+    # and the closed form proves it without a sign grid
+    def no_grid(*args):
+        raise AssertionError("a robust phase formed a sign grid")
+
+    monkeypatch.setattr(gaitlab, "_scan_stack", no_grid)
+    grid = tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, 241, 241)
+    for name in sorted(GAIT_PRESETS):
+        gait = tr.build_preset(name, params)
+        report = tr.robustness_report(gait, grid, 64, params)
+        assert dataclasses.astuple(report) == PRESET_REPORTS[(name, 1.0)]
+        sets, both = gaitlab.curves_and_report(gait, grid, 64, params)
+        assert both == report and not any(cs.curves for cs in sets)
+
+
+# coefficient magnitudes from 1e-20 to 1e5, either sign; A and B may be
+# exactly zero
+MAGNITUDES = st.builds(lambda m, s: m * s, st.floats(1e-20, 1e5), st.sampled_from([1.0, -1.0]))
+ABC = st.tuples(st.one_of(st.just(0.0), MAGNITUDES), st.one_of(st.just(0.0), MAGNITUDES),
+                MAGNITUDES)
+NODES = st.integers(2, 30)
+HALF_PI = 0.5 * math.pi
+
+
+@st.composite
+def theta_ranges(draw):
+    """A theta range inside +-pi/2 (up to its last float), or reaching across it."""
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.floats(-HALF_PI, HALF_PI)) for _ in range(2))
+    else:
+        lo = draw(st.floats(-3.5, 1.5))
+        hi = lo + draw(st.floats(0.01, 4.0))
+    assume(lo < hi)
+    return lo, hi
+
+
+@st.composite
+def random_boxes(draw):
+    """Random phases on a grid whose phi span may exceed 2 pi."""
+    phi_lo = draw(st.floats(-10.0, 10.0))
+    phi_hi = phi_lo + draw(st.floats(0.01, 15.0))
+    grid = tr.AttitudeGrid(phi_lo, phi_hi, *draw(theta_ranges()), draw(NODES), draw(NODES))
+    return draw(st.lists(ABC, min_size=1, max_size=4)), grid
+
+
+@st.composite
+def grazing_boxes(draw):
+    """A phase whose ``g`` vanishes within rounding of the box's phi end.
+
+    With ``A`` zero or tiny, ``h = -A tan(theta) + R sin(phi + psi)``
+    changes sign at ``phi = -psi``; the box ends a few ulp to 1e-9 rad
+    either side of it, so the closed form must not prove a sign that
+    the grid's rounding can break.
+    """
+    _, B, C = draw(ABC)
+    A = draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9])) * math.hypot(B, C)
+    zero = -math.atan2(C, B)
+    offset = draw(st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-12, -1e-12, 1e-9, -1e-9]))
+    phi_hi = zero + offset * (1.0 + abs(zero))
+    grid = tr.AttitudeGrid(phi_hi - draw(st.floats(0.01, 3.0)), phi_hi, *draw(theta_ranges()),
+                           draw(NODES), draw(NODES))
+    return [(A, B, C)] + draw(st.lists(ABC, max_size=2)), grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_boxes(), grazing_boxes()))
+# g vanishes at the box's phi end, and the sign grid's rounding puts the
+# nodes there on the other side of zero than the closed form's: without
+# its margin the closed form would prove a sign the grid does not keep
+@example(([(0.0, 0.000684160573506065, -4.186227276732718e-05)],
+          tr.AttitudeGrid(-1.8206576727654822, 0.06111159876077652,
+                          0.0997590374324826, 0.6778856070334761, 23, 23)))
+@example(([(0.0, 6.713638611086307, -16.139511715605895)],
+          tr.AttitudeGrid(-1.3517219150006559, 1.1765944249021885,
+                          1.3759404349767292, 1.4867476846913172, 7, 17)))
+def test_phase_scan_matches_the_reference_and_proves_only_one_sign(case):
+    phases, grid = case
+    coeffs = [DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)) for A, B, C in phases]
+    scans = gaitlab._phase_scan(coeffs, grid, curves=True)
+    assert len(scans) == len(phases)
+    for (A, B, C), c, (frac, margin, cs) in zip(phases, coeffs, scans):
+        want_frac, want_margin, want_curves = phase_scan_reference(A, B, C, grid.phis,
+                                                                   grid.thetas)
+        assert type(frac) is np.float64 and frac.tobytes() == np.float64(want_frac).tobytes()
+        assert margin == want_margin
+        _assert_same_polylines(cs.curves, want_curves)
+        _assert_same_polylines(tr.extract_zero_curves(c, grid).curves, want_curves)
+        if gaitlab._one_sign(c, grid):
+            S = sign_grid_reference(A, B, C, grid.phis, grid.thetas)
+            assert S.all() or not S.any()
 
 
 @pytest.mark.parametrize("coeffs, grid, n_curves", [
@@ -813,6 +924,15 @@ def test_sample_raw_matches_sampler_and_survives_pickle(params):
         g.alphas[0, 2] = 0.0
     with pytest.raises(ValueError):
         g.waypoints[1] = 0.5
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_sample_raw_rejects_non_finite_time(params, t):
+    g = tr.build_preset("gait1", params)
+    with pytest.raises(ValueError, match="t must be finite"):
+        g.sample_raw(t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        g.sample_raw(np.float64(t))
 
 
 # ---------------------------------------------------------------------------
