@@ -30,7 +30,11 @@ one strict sign over the whole grid box forms no grid: the range of ``g
 cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
 0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  The
 other phases are scanned together, their sign grids stacked into one
-array.
+array.  A gait's angles are checked finite when it is built, so each
+phase's ``(A, B, C)`` comes straight from the coefficient kernel as
+three floats.  A report keeps only each phase's area fraction and the
+least distance from level attitude to a zero on a crossing grid edge,
+so only the curves sort and stitch those zeros.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -47,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
+from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition
 from tiltrotor.model import Params, wrap_angle
 
 TWO_PI = 2.0 * math.pi
@@ -285,8 +290,9 @@ class Gait:
     alphas: np.ndarray         # (n, 4)
 
     def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float)
-        al = np.asarray(self.alphas, dtype=float)
+        # own read-only copies: the samplers read them on every call
+        wp = np.array(self.waypoints, dtype=float)
+        al = np.array(self.alphas, dtype=float)
         _branch_offset(self.color)
         if not (math.isfinite(self.period_s) and self.period_s > 0):
             raise ValueError(f"period must be positive and finite, got {self.period_s}")
@@ -294,15 +300,16 @@ class Gait:
             raise ValueError(f"bias factor must lie in (0, 1], got {self.bias}")
         if wp.ndim != 1 or len(wp) < 2 or al.shape != (len(wp), 4):
             raise ValueError("need matching waypoint fractions and (n, 4) angles")
-        if wp[0] != 0.0 or wp[-1] != 1.0 or not np.all(np.diff(wp) > 0):
+        if wp[0] != 0.0 or wp[-1] != 1.0 or not (wp[1:] > wp[:-1]).all():
             raise ValueError("time fractions must increase strictly from 0 to 1")
-        if not np.all(np.isfinite(al)):
-            raise ValueError("gait angles must be finite")
-        if np.max(np.abs(al[0] - al[-1])) > 1e-6:
+        # within half the float range each step between rows, and so
+        # every interpolated sample, is finite too
+        if not abs(al).max() <= 0.5 * sys.float_info.max:
+            raise ValueError("gait angles must be finite, within half the float range")
+        if abs(al[0] - al[-1]).max() > 1e-6:
             raise ValueError("gait must close: first and last waypoints differ")
-        # own read-only copies: the samplers read them on every call
-        object.__setattr__(self, "waypoints", _frozen(wp.copy()))
-        object.__setattr__(self, "alphas", _frozen(al.copy()))
+        object.__setattr__(self, "waypoints", _frozen(wp))
+        object.__setattr__(self, "alphas", _frozen(al))
 
     def sample_array(self, t) -> np.ndarray:
         """Continuous-sheet angles at the times ``t``: shape ``t.shape + (4,)``.
@@ -435,26 +442,22 @@ def make_rectangle_gait(
         pts = np.array([[cx, cy], [cx, cy]])
         fracs = np.array([0.0, 1.0])
     else:
-        corners = [
+        corners = np.array([
             (cx - hx, cy - hy), (cx + hx, cy - hy),
             (cx + hx, cy + hy), (cx - hx, cy + hy),
-        ]
-        pts = []
-        for k in range(4):
-            x0, y0 = corners[k]
-            x1, y1 = corners[(k + 1) % 4]
-            for s in range(STATIONS_PER_EDGE):
-                f = s / STATIONS_PER_EDGE
-                pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-        pts.append(corners[0])
-        pts = np.asarray(pts)
+        ])
+        # station s of edge k is x0 + f * (x1 - x0) with f = s / stations
+        # and x0, x1 the edge's corners, then the first corner closes it
+        f = np.arange(STATIONS_PER_EDGE)[:, None] / STATIONS_PER_EDGE
+        edges = corners[[1, 2, 3, 0]] - corners
+        pts = np.concatenate([(corners[:, None] + f * edges[:, None]).reshape(-1, 2),
+                              corners[:1]])
 
         seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
         cum = np.concatenate([[0.0], np.cumsum(seglen)])
         fracs = cum / cum[-1]
 
-    a3, a4 = _completion(pts[:, 0], pts[:, 1], branch)
-    alphas = np.column_stack([pts[:, 0], pts[:, 1], a3, a4])
+    alphas = np.hstack([pts, pts + _branch_offset(branch)])
     return Gait(period_s=period, color=branch, bias=1.0, waypoints=fracs, alphas=alphas)
 
 
@@ -467,8 +470,7 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"bias factor must lie in (0, 1], got {factor}")
     alphas = gait.alphas.copy()
-    alphas[:, 2] *= factor
-    alphas[:, 3] *= factor
+    alphas[:, 2:] *= factor
     return replace(gait, bias=gait.bias * factor, alphas=alphas)
 
 
@@ -531,6 +533,25 @@ class AttitudeGrid:
                 _frozen(cos_phi[:, None] * cos_theta[None, :]))
 
     @cached_property
+    def _edge_ends(self) -> tuple:
+        """``(lower end, upper end, middle)`` of every edge along phi, then along theta."""
+        return tuple(_frozen(a) for axis in (self.phis, self.thetas)
+                     for a in (axis[:-1], axis[1:], 0.5 * (axis[:-1] + axis[1:])))
+
+    @cached_property
+    def _cell_edges(self) -> np.ndarray:
+        """The ids of each cell's bottom, top, left and right edges, a row per cell.
+
+        Cell ``(i, j)``, row ``c = i * (n_theta - 1) + j``, has the phi
+        edges ``(i, j)`` and ``(i, j + 1)`` and the theta edges ``(i, j)``
+        and ``(i + 1, j)``, with the ids of :func:`_edge_zeros`.
+        """
+        c = np.arange((self.n_phi - 1) * (self.n_theta - 1))
+        bottom = c + c // (self.n_theta - 1)
+        left = c + (self.n_phi - 1) * self.n_theta
+        return _frozen(np.column_stack([bottom, bottom + 1, left, left + (self.n_theta - 1)]))
+
+    @cached_property
     def _box(self):
         """The box terms of :func:`_one_sign`, or ``None`` if ``cos(theta)`` is not positive on it.
 
@@ -564,69 +585,45 @@ class SingularCurveSet:
         return np.vstack(self.curves)
 
 
-# the edges of a cell (i, j), as indices into its edge ids: bottom (phi
-# edge (i, j)), top (phi edge (i, j + 1)), left (theta edge (i, j)) and
-# right (theta edge (i + 1, j))
-_B, _T, _L, _R = range(4)
-_SEGMENTS = {
-    1: ((_L, _B),), 2: ((_B, _R),), 3: ((_L, _R),), 4: ((_T, _R),),
-    6: ((_B, _T),), 7: ((_L, _T),), 8: ((_L, _T),), 9: ((_B, _T),),
-    11: ((_T, _R),), 12: ((_L, _R),), 13: ((_B, _R),), 14: ((_L, _B),),
-}
-# saddle cases: (pairs if the cell centre is positive, pairs otherwise)
-_SADDLES = {
-    5: (((_B, _R), (_L, _T)), ((_L, _B), (_T, _R))),
-    10: (((_L, _B), (_T, _R)), ((_B, _R), (_L, _T))),
-}
+# a saddle cell crosses on all four edges.  Its row of edge ids (bottom,
+# top, left, right) taken in the order of row ``corner == centre`` (whether
+# its lower-left corner has the sign of its centre) reads as its two
+# pairs: left-bottom and top-right where the signs differ, bottom-right
+# and left-top where they agree.  Each pair cuts off a corner whose sign
+# is not the centre's.
+_SADDLE_PAIRS = np.array([[2, 0, 1, 3], [0, 3, 2, 1]])
 
 
-def _segment_slots() -> np.ndarray:
-    """The pairs of every case as one ``(32, 2, 2)`` table.
-
-    Row ``case`` holds the pairs of a cell whose centre is not positive,
-    row ``case + 16`` those of a saddle cell whose centre is; a case of
-    one pair has ``(-1, -1)`` as its second.
-    """
-    table = np.full((32, 2, 2), -1)
-    for case, pairs in _SEGMENTS.items():
-        table[case, 0] = pairs[0]
-    for case, (positive, other) in _SADDLES.items():
-        table[case + 16], table[case] = positive, other
-    return table
-
-
-_SEGMENT_SLOTS = _segment_slots()
-
-
-def _curve_eps(coeffs: DetCoefficients) -> float:
-    scale = max(abs(coeffs.A), abs(coeffs.B), abs(coeffs.C))
+def _curve_eps(abc) -> float:
+    scale = max(map(abs, abc))
     return 1e-10 * scale if scale > 0.0 else 1e-300
 
 
-def _no_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> SingularCurveSet:
-    return SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(coeffs))
+def _no_curves(abc, grid: AttitudeGrid) -> SingularCurveSet:
+    return SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(abc))
 
 
-def _one_sign(coeffs: DetCoefficients, grid: AttitudeGrid) -> bool:
+def _one_sign(abc, grid: AttitudeGrid) -> bool:
     """Whether ``g`` keeps one strict sign on the grid's box, proved in closed form.
 
-    Where ``cos(theta) > 0`` on the box, ``g = cos(theta) h`` with ``h =
-    -A tan(theta) + R sin(phi + psi)``, ``R = hypot(B, C)`` and ``psi =
-    atan2(C, B)``.  The two terms vary independently, so the range of
-    ``h`` is the sum of theirs: ``-A tan(theta)`` is monotone, with its
-    extremes at the box's theta ends, and ``R sin(phi + psi)`` has its
-    extremes at the box's phi ends, or ``+-R`` where ``phi = +-pi/2 -
-    psi`` (mod 2 pi) falls inside the box.  The sign is proved when the
-    range clears zero by ``1e-12 (|A| + |B| + |C|) / min cos(theta)``:
-    then ``|g|`` at every node exceeds the rounding of the sign grid by
-    some thousand times, and no cell changes sign.  Never proved on a box
-    that reaches ``|theta| >= pi/2``.
+    ``abc`` is the phase's ``(A, B, C)``.  Where ``cos(theta) > 0`` on
+    the box, ``g = cos(theta) h`` with ``h = -A tan(theta) + R sin(phi +
+    psi)``, ``R = hypot(B, C)`` and ``psi = atan2(C, B)``.  The two terms
+    vary independently, so the range of ``h`` is the sum of theirs: ``-A
+    tan(theta)`` is monotone, with its extremes at the box's theta ends,
+    and ``R sin(phi + psi)`` has its extremes at the box's phi ends, or
+    ``+-R`` where ``phi = +-pi/2 - psi`` (mod 2 pi) falls inside the box.
+    The sign is proved when the range clears zero by ``1e-12 (|A| + |B|
+    + |C|) / min cos(theta)``: then ``|g|`` at every node exceeds the
+    rounding of the sign grid by some thousand times, and no cell
+    changes sign.  Never proved on a box that reaches ``|theta| >=
+    pi/2``.
     """
     box = grid._box
     if box is None:
         return False
     tan_lo, tan_hi, sec, lo, hi, sin_lo, cos_lo, sin_hi, cos_hi = box
-    A, B, C = coeffs.A, coeffs.B, coeffs.C
+    A, B, C = abc
     t_lo, t_hi = -A * tan_lo, -A * tan_hi
     end_lo, end_hi = B * sin_lo + C * cos_lo, B * sin_hi + C * cos_hi
     r, psi = math.hypot(B, C), math.atan2(C, B)
@@ -638,32 +635,43 @@ def _one_sign(coeffs: DetCoefficients, grid: AttitudeGrid) -> bool:
     return min(t_lo, t_hi) + h_min > margin or max(t_lo, t_hi) + h_max < -margin
 
 
-def _nearest_root(lo, hi, roots, period):
-    """The root ``r + k * period`` (``r`` from a row of ``roots``) nearest each edge middle.
+def _nearest_root(k, ends, roots, period):
+    """The root ``r + j * period`` (``r`` from a row of ``roots``) nearest each edge ``k``'s middle.
 
-    ``roots`` holds one row of candidate roots per family, a column per
-    edge; ties go to the first row.  Clipped into ``[lo, hi]``, which
-    only rounding can leave.  An edge whose ends differ in sign holds a
-    root, and every candidate within half an edge of its middle lies on
-    it, so the nearest candidate is a root on the edge.
+    ``ends`` holds the ``(lower end, upper end, middle)`` of every edge
+    of one kind (:attr:`AttitudeGrid._edge_ends`); ``roots`` holds one
+    row of candidate roots per family, a column per edge, and
+    ``np.where`` keeps ties on the first row.  Clamped into the edge
+    with ``np.maximum`` and ``np.minimum``, which only rounding needs.
+    An edge whose ends differ in sign holds a root, and every candidate
+    within half an edge of its middle lies on it, so the nearest
+    candidate is a root on the edge.
     """
-    mid = 0.5 * (lo + hi)
+    lo, hi, mid = (a[k] for a in ends)
     cand = roots + period * np.rint((mid - roots) / period)
-    return cand[np.abs(cand - mid).argmin(axis=0), np.arange(len(mid))].clip(lo, hi)
+    if len(cand) == 2:
+        off = abs(cand - mid)
+        cand = np.where(off[1] < off[0], cand[1], cand[0])
+    else:
+        cand = cand[0]
+    return np.minimum(np.maximum(cand, lo), hi)
 
 
-def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta):
+def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool):
     """Exact zero of ``g`` on every crossing grid edge of a stack of phases.
 
     ``table`` holds a column ``(B, C, A, hypot(B, C), atan2(C, B))`` per
     phase; ``cross_phi`` and ``cross_theta`` mark each phase's crossing
     edges along phi (node ``(i, j)`` to ``(i + 1, j)``) and along theta
-    (to ``(i, j + 1)``).  Returns ``(keys, phi, theta)``: the key of each
-    crossing edge, ascending, and its vertex.  Within a phase, phi edge
-    ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i, j)`` the
-    id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the phi
-    edges come first, each kind row-major; an edge of phase ``k`` has
-    the key ``k * E + id``, with ``E`` the edges of one phase.
+    (to ``(i, j + 1)``).  Returns ``(margins, zeros)``.  ``margins``
+    lists each phase's least distance from level attitude to a zero
+    (``inf`` for a phase without crossings); a report needs no more, so
+    it forms no keys and sorts nothing.  ``zeros`` is ``None`` unless
+    ``curves``; then it lists each phase's ``(ids, phi, theta)``: the id
+    of each of its crossing edges, ascending, and the edge's vertex.
+    Phi edge ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i,
+    j)`` the id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the
+    phi edges come first, each kind row-major.
 
     Along phi, at fixed ``theta``, ``g = 0`` reads ``cos(theta) R
     sin(phi + psi) = A sin(theta)`` with ``R = hypot(B, C)`` and ``psi =
@@ -675,28 +683,52 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta):
     phis, thetas = grid.phis, grid.thetas
     sin_phi, cos_phi, sin_theta, cos_theta = grid._axis_trig
     n = grid.n_theta
+    n_phases = table.shape[1]
     n_p, n_t = cross_phi[0].size, cross_theta[0].size
     # the flat index of a crossing edge in its stacked mask is its phase
     # times the phase's edges of that kind, plus its id, less the count
-    # of phi edges for a theta edge
+    # of phi edges for a theta edge.  A lone phase needs no phase index:
+    # its coefficients are scalars
     kp = cross_phi.ravel().nonzero()[0]
     kt = cross_theta.ravel().nonzero()[0]
-    hp, ip = np.divmod(kp, n_p)
-    ht, it = np.divmod(kt, n_t)
+    if n_phases == 1:
+        hp = ht = 0
+        ip, it = kp, kt
+    else:
+        hp, ip = np.divmod(kp, n_p)
+        ht, it = np.divmod(kt, n_t)
     pi, pj = np.divmod(ip, n)
     ti, tj = np.divmod(it, n - 1)
 
+    ends = grid._edge_ends
     A, R, psi = table[2:].take(hp, axis=1)
-    u = np.arcsin((A * sin_theta[pj] / (R * cos_theta[pj])).clip(-1.0, 1.0))
-    phi_p = _nearest_root(phis[pi], phis[pi + 1], np.array((u - psi, math.pi - u - psi)), TWO_PI)
+    u = np.arcsin(np.minimum(np.maximum(A * sin_theta[pj] / (R * cos_theta[pj]), -1.0), 1.0))
+    phi_p = _nearest_root(pi, ends[:3], np.subtract((u, math.pi - u), psi), TWO_PI)
 
     B, C, A = table[:3].take(ht, axis=1)
     K = B * sin_phi[ti] + C * cos_phi[ti]
-    theta_t = _nearest_root(thetas[tj], thetas[tj + 1], np.arctan2(K, A)[None], math.pi)
+    theta_t = _nearest_root(tj, ends[3:], np.arctan2(K, A)[None], math.pi)
+
+    vphi = np.concatenate([phi_p, phis[ti]])
+    vtheta = np.concatenate([thetas[pj], theta_t])
+    dist = np.hypot(vphi, vtheta)
+    if n_phases == 1:
+        # the phi edges' ids, then the theta edges': already ascending
+        zeros = [(np.concatenate([kp, kt + n_p]), vphi, vtheta)] if curves else None
+        return [dist.min().item()], zeros
+    least = np.full(n_phases, np.inf)
+    np.minimum.at(least, np.concatenate([hp, ht]), dist)
+    if not curves:
+        return least.tolist(), None
+    # an edge of phase k has the key k * E + its id, with E the edges of
+    # one phase, so one sort orders every phase's edges
+    n_edges = n_p + n_t
     keys = np.concatenate([kp + hp * n_t, kt + (ht + 1) * n_p])
     order = keys.argsort()
-    return (keys[order], np.concatenate([phi_p, phis[ti]])[order],
-            np.concatenate([thetas[pj], theta_t])[order])
+    keys, vphi, vtheta = keys[order], vphi[order], vtheta[order]
+    bounds = keys.searchsorted(np.arange(0, (n_phases + 1) * n_edges, n_edges)).tolist()
+    return least.tolist(), [(keys[lo:hi] - k * n_edges, vphi[lo:hi], vtheta[lo:hi])
+                            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -713,39 +745,46 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     Each vertex is the closed-form zero of ``g`` on its crossing grid
     edge, so ``|g|`` there is rounding error, well below ``eps_curve =
     1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
-    segments stitch into polylines exactly.
+    segments stitch into polylines exactly.  ``A``, ``B`` and ``C`` must
+    be finite.
     """
-    return _phase_scan([coeffs], grid, curves=True)[0][2]
+    abc = coeffs.abc
+    for name, value in zip("ABC", abc):
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {name} must be finite, got {value!r}")
+    return _phase_scan([abc], grid, curves=True)[0][2]
 
 
-def _stitch_curves(coeffs, grid, S, changed, zeros) -> SingularCurveSet:
+def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
     """The curves of :func:`extract_zero_curves` from its sign grid and edge zeros.
 
     Vertex ``v`` is the zero on the ``v``-th crossing edge in id order
-    (see :func:`_edge_zeros`), so sorting vertices sorts their edges.
+    (see :func:`_edge_zeros`), so sorting vertices sorts their edges.  A
+    changed cell crosses on two of its edges, which form its segment, or
+    on all four at a saddle, which pair up by the sign of ``g`` at its
+    centre.  The segments come in cell order; within a cell the order of
+    a pair, or of two pairs, leaves the curves as they are, since no
+    vertex lies on two segments of one cell.
     """
-    phis, thetas = grid.phis, grid.thetas
     ids, vphi, vtheta = zeros
-    n = grid.n_theta
     kc = changed.ravel().nonzero()[0]
-    ci, cj = kc // (n - 1), kc % (n - 1)
-    bottom = ci * n + cj
-    s = S.ravel()
-    cases = s[bottom] + 2 * s[bottom + n] + 4 * s[bottom + n + 1] + 8 * s[bottom + 1]
-    saddle = (cases == 5) | (cases == 10)
-    if saddle.any():
-        si, sj = ci[saddle], cj[saddle]
-        centre = normalized_det(0.5 * (phis[si] + phis[si + 1]),
-                                0.5 * (thetas[sj] + thetas[sj + 1]), coeffs)
-        cases[saddle] += 16 * (centre > 0.0)
-
-    # each cell's segments as pairs of its edge ids, in cell order, then
-    # as pairs of vertices; a slot of -1 pads a cell of one segment
-    left = (grid.n_phi - 1) * n + kc
-    slots = _SEGMENT_SLOTS[cases].reshape(len(cases), 4)
-    cell_edges = np.array((bottom, bottom + 1, left, left + (n - 1)))
-    edges = cell_edges[slots, np.arange(len(cases))[:, None]]
-    segments = ids.searchsorted(edges[slots >= 0]).reshape(-1, 2).tolist()
+    edges = grid._cell_edges[kc]
+    # each cell edge's vertex, where the edge crosses
+    pos = ids.searchsorted(edges)
+    crossing = ids[np.minimum(pos, ids.size - 1)] == edges
+    segments = pos[crossing]
+    if segments.size > 2 * kc.size:
+        saddle = crossing.all(axis=1).nonzero()[0]
+        si, sj = np.divmod(kc[saddle], grid.n_theta - 1)
+        # g at the cell centres, formed as normalized_det forms it
+        A, B, C = abc
+        phi, theta = grid._edge_ends[2][si], grid._edge_ends[5][sj]
+        ct = np.cos(theta)
+        centre = -np.sin(theta) * A + np.sin(phi) * ct * B + np.cos(phi) * ct * C
+        pairs = _SADDLE_PAIRS[(S[si, sj] == (centre > 0.0)).astype(np.intp)]
+        pos[saddle] = np.take_along_axis(pos[saddle], pairs, axis=1)
+        segments = pos[crossing]
+    segments = segments.reshape(-1, 2).tolist()
 
     # the neighbours of each vertex in the order its segments come; every
     # vertex has one or two
@@ -789,7 +828,7 @@ def _stitch_curves(coeffs, grid, S, changed, zeros) -> SingularCurveSet:
 
     verts = np.column_stack([vphi, vtheta])
     return SingularCurveSet(curves=[verts[chain] for chain in chains], grid=grid,
-                            eps_curve=_curve_eps(coeffs))
+                            eps_curve=_curve_eps(abc))
 
 
 @dataclass(frozen=True)
@@ -811,14 +850,20 @@ class RobustnessReport:
 
 def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
                 curves: bool) -> list:
-    """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases."""
+    """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases.
+
+    A gait's angles are checked finite when it is built, so each phase's
+    ``(A, B, C)`` comes straight from :func:`kernels.det_coeffs` on the
+    float rows of :meth:`Gait.sample_array`.
+    """
     if isinstance(n_phases, bool) or not isinstance(n_phases, numbers.Integral):
         raise TypeError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 1:
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     times = np.arange(n_phases) * gait.period_s / n_phases
-    return _phase_scan([det_decomposition(tuple(alpha), params)
-                        for alpha in gait.sample_array(times).tolist()], grid, curves)
+    kf, km, arm = params.k_f, params.k_m, params.arm_length
+    return _phase_scan([kernels.det_coeffs(a1, a2, a3, a4, kf, km, arm)[:3]
+                        for a1, a2, a3, a4 in gait.sample_array(times).tolist()], grid, curves)
 
 
 # the most grid nodes one stacked scan holds: a 41 x 41 report of up to
@@ -830,18 +875,18 @@ def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
 # 52 ms to 100 ms.
 _SCAN_NODES = 1 << 14
 
-
 def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     """``(area fraction, hover margin or None, curve set or None)`` of each phase.
 
-    A phase whose sign :func:`_one_sign` proves forms no grid.  The rest
-    are scanned in stacks of at most :data:`_SCAN_NODES` grid nodes.
+    Each phase is its ``(A, B, C)``.  A phase whose sign :func:`_one_sign`
+    proves forms no grid.  The rest are scanned in stacks of at most
+    :data:`_SCAN_NODES` grid nodes.
     """
     scans = [None] * len(phases)
     rest = []
-    for k, coeffs in enumerate(phases):
-        if _one_sign(coeffs, grid):
-            scans[k] = (np.float64(1.0), None, _no_curves(coeffs, grid) if curves else None)
+    for k, abc in enumerate(phases):
+        if _one_sign(abc, grid):
+            scans[k] = (np.float64(1.0), None, _no_curves(abc, grid) if curves else None)
         else:
             rest.append(k)
     size = max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))
@@ -859,8 +904,7 @@ def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     the hover margins are each one set of numpy calls over the stack;
     each phase's curves are stitched from its own slice.
     """
-    table = np.array([(c.B, c.C, c.A, math.hypot(c.B, c.C), math.atan2(c.C, c.B))
-                      for c in phases]).T
+    table = np.array([(B, C, A, math.hypot(B, C), math.atan2(C, B)) for A, B, C in phases]).T
     B, C, A = table[:3, :, None, None]
     minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
     # normalized_det's sum (-sin(theta) A + sin(phi) cos(theta) B) + cos(phi)
@@ -878,26 +922,16 @@ def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     fracs = 1.0 - n_changed / changed[0].size
     counts = n_changed.tolist()
     if any(counts):
-        keys, vphi, vtheta = _edge_zeros(table, grid, cross_phi, cross_theta)
-        n_edges = cross_phi[0].size + cross_theta[0].size
-        bounds = keys.searchsorted(np.arange(0, (len(phases) + 1) * n_edges, n_edges)).tolist()
         # every crossing edge's vertex lies on a curve, so the nearest
-        # singular point needs the refined vertices but no stitching; a
-        # phase without crossings has no keys, so each singular phase's
-        # run ends where the next one's starts
-        starts = [bounds[k] for k, n in enumerate(counts) if n]
-        margins = iter(np.minimum.reduceat(np.hypot(vphi, vtheta), starts).tolist())
+        # singular point needs the refined vertices but no stitching
+        margins, zeros = _edge_zeros(table, grid, cross_phi, cross_theta, curves)
     scans = []
-    for k, (coeffs, n) in enumerate(zip(phases, counts)):
+    for k, (abc, n) in enumerate(zip(phases, counts)):
         if not n:
-            scans.append((fracs[k], None, _no_curves(coeffs, grid) if curves else None))
+            scans.append((fracs[k], None, _no_curves(abc, grid) if curves else None))
             continue
-        cs = None
-        if curves:
-            lo, hi = bounds[k], bounds[k + 1]
-            zeros = (keys[lo:hi] - k * n_edges, vphi[lo:hi], vtheta[lo:hi])
-            cs = _stitch_curves(coeffs, grid, S[k], changed[k], zeros)
-        scans.append((fracs[k], next(margins), cs))
+        cs = _stitch_curves(abc, grid, S[k], changed[k], zeros[k]) if curves else None
+        scans.append((fracs[k], margins[k], cs))
     return scans
 
 

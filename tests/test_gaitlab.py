@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -656,6 +657,36 @@ def test_robust_phases_form_no_grid(params, monkeypatch):
         assert both == report and not any(cs.curves for cs in sets)
 
 
+def test_reports_reach_no_public_det_decomposition(params, monkeypatch):
+    # a gait's angles are checked finite when it is built, so its phases
+    # take their coefficients from the kernel, without the public call
+    def no_public_call(*args):
+        raise AssertionError("a report called det_decomposition")
+
+    monkeypatch.setattr(gaitlab, "det_decomposition", no_public_call)
+    grid = tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, 241, 241)
+    for (name, bias), fields in PRESET_REPORTS.items():
+        gait = tr.bias_gait(tr.build_preset(name, params), bias)
+        report = tr.robustness_report(gait, grid, 64, params)
+        assert dataclasses.astuple(report) == fields, (name, bias)
+        sets, both = gaitlab.curves_and_report(gait, grid, 64, params)
+        assert both == report and len(sets) == 64
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", "ABC")
+def test_extract_zero_curves_rejects_non_finite_coefficients(monkeypatch, bad, slot):
+    def no_grid(*args):
+        raise AssertionError("a non-finite coefficient reached the scan")
+
+    monkeypatch.setattr(gaitlab, "_scan_stack", no_grid)
+    abc = dict(A=0.3, B=-0.2, C=0.7)
+    abc[slot] = bad
+    with pytest.raises(ValueError, match=f"coefficient {slot} must be finite"):
+        tr.extract_zero_curves(DetCoefficients(**abc, D=np.zeros(4)),
+                               tr.AttitudeGrid.symmetric(1.2, 41))
+
+
 # coefficient magnitudes from 1e-20 to 1e5, either sign; A and B may be
 # exactly zero
 MAGNITUDES = st.builds(lambda m, s: m * s, st.floats(1e-20, 1e5), st.sampled_from([1.0, -1.0]))
@@ -718,17 +749,17 @@ def grazing_boxes(draw):
                           1.3759404349767292, 1.4867476846913172, 7, 17)))
 def test_phase_scan_matches_the_reference_and_proves_only_one_sign(case):
     phases, grid = case
-    coeffs = [DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)) for A, B, C in phases]
-    scans = gaitlab._phase_scan(coeffs, grid, curves=True)
+    scans = gaitlab._phase_scan(phases, grid, curves=True)
     assert len(scans) == len(phases)
-    for (A, B, C), c, (frac, margin, cs) in zip(phases, coeffs, scans):
+    for (A, B, C), (frac, margin, cs) in zip(phases, scans):
         want_frac, want_margin, want_curves = phase_scan_reference(A, B, C, grid.phis,
                                                                    grid.thetas)
         assert type(frac) is np.float64 and frac.tobytes() == np.float64(want_frac).tobytes()
         assert margin == want_margin
         _assert_same_polylines(cs.curves, want_curves)
-        _assert_same_polylines(tr.extract_zero_curves(c, grid).curves, want_curves)
-        if gaitlab._one_sign(c, grid):
+        coeffs = DetCoefficients(A=A, B=B, C=C, D=np.zeros(4))
+        _assert_same_polylines(tr.extract_zero_curves(coeffs, grid).curves, want_curves)
+        if gaitlab._one_sign((A, B, C), grid):
             S = sign_grid_reference(A, B, C, grid.phis, grid.thetas)
             assert S.all() or not S.any()
 
@@ -894,9 +925,10 @@ def test_curves_and_report_is_one_pass_of_both(params, monkeypatch):
     want_report = tr.robustness_report(g, grid, 8, params)
     want_sets = [tr.singular_curves(tuple(g.sample_raw(k * g.period_s / 8)), grid, params)
                  for k in range(8)]
+    # one coefficient kernel call per phase feeds both the curves and the report
     calls = []
-    real = gaitlab.det_decomposition
-    monkeypatch.setattr(gaitlab, "det_decomposition", lambda *a: calls.append(a) or real(*a))
+    real = kernels.det_coeffs
+    monkeypatch.setattr(kernels, "det_coeffs", lambda *a: calls.append(a) or real(*a))
     sets, report = gaitlab.curves_and_report(g, grid, 8, params)
     assert len(calls) == 8
     assert report == want_report and report.singular_phases > 0
@@ -1184,6 +1216,52 @@ def test_gait_rejects_non_finite_angles(bad, row, col):
         _gait(alphas=alphas)
 
 
+def test_gait_rejects_angles_whose_steps_overflow():
+    # each angle is finite, but a step of -2e308 is not, and samples
+    # between the rows would be infinite or NaN
+    alphas = np.full((3, 4), 1e308)
+    alphas[1] = -1e308
+    with pytest.raises(ValueError, match="within half the float range"):
+        _gait(alphas=alphas)
+    alphas[1] = -0.5 * sys.float_info.max
+    alphas[[0, 2]] = 0.5 * sys.float_info.max
+    assert np.isfinite(_gait(alphas=alphas).sample_array(np.arange(10.0))).all()
+
+
 def test_gait_rejects_nan_time_fraction():
     with pytest.raises(ValueError, match="time fractions"):
         _gait(waypoints=[0.0, math.nan, 1.0])
+
+
+@pytest.mark.parametrize("waypoints", [
+    [0.0, 0.5, 0.5, 1.0],     # equal consecutive fractions
+    [0.0, 0.6, 0.4, 1.0],     # decreasing
+    [0.1, 0.4, 0.6, 1.0],     # the first is not 0
+    [0.0, 0.4, 0.6, 0.9],     # the last is not 1
+], ids=["equal", "decreasing", "first", "last"])
+def test_gait_rejects_bad_time_fractions(waypoints):
+    alphas = np.zeros((4, 4))
+    alphas[1:3] = 0.2
+    with pytest.raises(ValueError, match="time fractions must increase strictly from 0 to 1"):
+        _gait(waypoints=waypoints, alphas=alphas)
+
+
+def test_gait_rejects_three_angle_columns():
+    with pytest.raises(ValueError, match=r"need matching waypoint fractions and \(n, 4\) angles"):
+        _gait(alphas=np.zeros((3, 3)))
+
+
+def test_gait_must_close_within_1e6():
+    alphas = np.zeros((3, 4))
+    alphas[1] = 0.2
+    alphas[-1, 2] = 1e-6
+    assert _gait(alphas=alphas).alphas[-1, 2] == 1e-6
+    alphas[-1, 2] = 2e-6
+    with pytest.raises(ValueError, match="gait must close: first and last waypoints differ"):
+        _gait(alphas=alphas)
+
+
+@pytest.mark.parametrize("bias", [0.0, 1.5])
+def test_gait_rejects_bias_outside_the_unit_interval(bias):
+    with pytest.raises(ValueError, match=r"bias factor must lie in \(0, 1\], got"):
+        _gait(bias=bias)
