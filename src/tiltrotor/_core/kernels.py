@@ -4,6 +4,13 @@ Every function here operates on plain floats and tuples, without numpy
 call overhead: arithmetic on ``numpy.float64`` scalars would cost about
 twice as much per operation.
 
+The input maps are written once, in :func:`thrust_entries` and
+:func:`torque_entries`; :func:`det_coeffs`, :func:`decoupling` and
+``control.tilt_factors`` unpack them (the last also on numpy columns).
+:func:`rk4_step` is the one hand-written form of the plant: it forms the
+maps times the input grouped by sine and cosine, and the public
+``model.state_derivative`` composes the same model from the public maps.
+
 Conventions baked into the kernels:
 
 * Euler angles are Z-Y-X (yaw, pitch, roll), ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.
@@ -31,7 +38,7 @@ def tilt_trig(alpha):
 
 
 def _safe_div(c: float) -> float:
-    # keeps 1/cos(theta) finite if an integrator stage lands exactly on pi/2
+    # keeps 1/cos(theta) finite at exactly pi/2 (rk4_step guards its stages inline)
     if c == 0.0:
         return 1e-300
     return c
@@ -61,9 +68,9 @@ def torque_entries(tilt, kf, km, arm):
 def det_coeffs(a1, a2, a3, a4, kf, km, arm):
     """Attitude-independent coefficients of the decoupling-matrix determinant.
 
-    Returns ``(A, B, C, D1, D2, D3, D4)`` where ``Dj`` is the 3x3 minor of
-    the torque map with column ``j`` removed and ``A``, ``B``, ``C`` are the
-    cofactor sums of the three thrust-map rows against those minors.
+    Returns ``(A, B, C)``: the cofactor sums of the three thrust-map rows
+    against the 3x3 minors ``Dj`` of the torque map with column ``j``
+    removed.
     """
     tilt = tilt_trig((a1, a2, a3, a4))
     f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23 = thrust_entries(tilt, kf)
@@ -83,7 +90,7 @@ def det_coeffs(a1, a2, a3, a4, kf, km, arm):
     A = -f00 * d1 + f01 * d2 - f02 * d3 + f03 * d4
     B = -f10 * d1 + f11 * d2 - f12 * d3 + f13 * d4
     C = -f20 * d1 + f21 * d2 - f22 * d3 + f23 * d4
-    return A, B, C, d1, d2, d3, d4
+    return A, B, C
 
 
 def ab_residual(a1, a2, a3, a4, kf, km, arm):
@@ -161,93 +168,33 @@ def euler_rate_entries(phi, theta):
     )
 
 
-def _input_effect(tilt, w, pp):
-    """Body force and body angular acceleration of input ``w`` at tilt trig ``tilt``.
-
-    Returns ``(fx, fy, fz, dp, dq, dr)``: the thrust map times ``w`` and
-    ``inv(I_B)`` times the torque map times ``w``.  These are the only
-    parts of the state derivative that depend on the inputs, and they do
-    not depend on the state.
-    """
-    _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
-    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
-    w1, w2, w3, w4 = w
-    sw1, sw2, sw3, sw4 = s1 * w1, s2 * w2, s3 * w3, s4 * w4
-    cw1, cw2, cw3, cw4 = c1 * w1, c2 * w2, c3 * w3, c4 * w4
-    lk = arm * kf
-    s13, s24 = sw1 - sw3, sw2 - sw4
-    # rows of thrust_entries / torque_entries times w, grouped by sin and cos
-    tx = lk * (cw2 - cw4) - km * s24
-    ty = lk * (cw1 - cw3) + km * s13
-    tz = lk * (sw1 - sw2 + sw3 - sw4) - km * (cw1 + cw2 + cw3 + cw4)
-    return (
-        kf * s24, kf * s13, kf * (cw2 + cw4 - cw1 - cw3),
-        i00 * tx + i01 * ty + i02 * tz,
-        i10 * tx + i11 * ty + i12 * tz,
-        i20 * tx + i21 * ty + i22 * tz,
-    )
-
-
-def _attitude_rates(att, p, q, r, fx, fy, fz, m, g):
-    """World acceleration and Euler-angle rates at one attitude, given its trig.
-
-    Returns ``(ax, ay, az, dphi, dtheta, dpsi)`` for body force
-    ``(fx, fy, fz)`` and body rates ``(p, q, r)``.
-    """
-    sf, cf, st, ct, sp, cp = att
-    # R @ f applied one elementary rotation at a time: Rx(phi), Ry(theta), Rz(psi)
-    fy1 = cf * fy - sf * fz
-    fz1 = sf * fy + cf * fz
-    fx2 = ct * fx + st * fz1
-    # Euler rates: dphi = p + tan(theta) u, dtheta = cf q - sf r, dpsi = u / cos(theta)
-    u = sf * q + cf * r
-    ctd = _safe_div(ct)
-    return (
-        (cp * fx2 - sp * fy1) / m,
-        (sp * fx2 + cp * fy1) / m,
-        (ct * fz1 - st * fx) / m - g,
-        p + st / ctd * u,
-        cf * q - sf * r,
-        u / ctd,
-    )
-
-
-def state_derivative(state, alpha, w, pp):
-    """Time derivative of the 12-dimensional rigid-body state."""
-    fx, fy, fz, dp, dq, dr = _input_effect(tilt_trig(alpha), w, pp)
-    ax, ay, az, dphi, dtheta, dpsi = _attitude_rates(
-        attitude_trig(state[6], state[7], state[8]), state[9], state[10], state[11],
-        fx, fy, fz, pp[0], pp[1],
-    )
-    return (state[3], state[4], state[5], ax, ay, az, dphi, dtheta, dpsi, dp, dq, dr)
-
-
 def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w, dt, pp):
     """One classical Runge-Kutta step holding the input ``w`` over the step.
 
     ``att_0`` is the attitude trig of ``state``; ``tilt_0``, ``tilt_mid``
     and ``tilt_1`` are the tilt trig at the step start, midpoint and end;
     ``w`` is the signed squared rotor-speed input, held constant (the
-    zero-order hold of the tracking loop).  The input-dependent part of
-    the derivative (:func:`_input_effect`) is state-free, so it is formed
-    once per stage tilt: stages 2 and 3 share ``tilt_mid``.  Each stage
-    then only evaluates the attitude-dependent rotation and Euler-rate
-    terms (:func:`_attitude_rates`).  The stage sums are those of the
-    textbook scheme written out per component.
+    zero-order hold of the tracking loop).  This is the package's one
+    hand-written form of the plant; ``model.state_derivative`` states the
+    same model over the public maps, and the tests check this step
+    against textbook RK4 of it.
 
-    The body is written out in straight lines: it performs the operations
-    of three :func:`_input_effect` calls, four :func:`_attitude_rates`
-    calls and three :func:`attitude_trig` calls in their order, without
-    the calls and their tuple packing, so it returns the same bits as the
-    composition of those helpers.
+    The input-dependent part of the derivative, body force and ``inv(I_B)``
+    times body torque (:func:`thrust_entries` and :func:`torque_entries`
+    times ``w``, grouped by sine and cosine), is state-free, so it is
+    formed once per stage tilt: stages 2 and 3 share ``tilt_mid``.  Each
+    stage then only evaluates the attitude-dependent rotation and
+    Euler-rate terms.  The stage sums are those of the textbook scheme
+    written out per component.  A stage whose pitch cosine is exactly
+    zero divides by 1e-300 instead, so the step stays finite.
     """
     m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
     lk = arm * kf
     half = 0.5 * dt
     x, y, z, vx, vy, vz, phi, theta, psi, p, q, r = state
 
-    # input effect at the step start, midpoint and end, as in _input_effect:
-    # body force (fx, fy, fz) and body angular acceleration (dp, dq, dr)
+    # input effect at the step start, midpoint and end: body force
+    # (fx, fy, fz) and body angular acceleration (dp, dq, dr)
     w1, w2, w3, w4 = w
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0
     sw1, sw2 = s1 * w1, s2 * w2
@@ -289,9 +236,10 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w, dt, pp):
     dq1 = i10 * tx + i11 * ty + i12 * tz
     dr1 = i20 * tx + i21 * ty + i22 * tz
 
-    # each stage as in _attitude_rates (ctd is its _safe_div of ct): R @ f
-    # one elementary rotation at a time, and the Euler rates through
-    # u = sf q + cf r
+    # each stage: R @ f one elementary rotation at a time, Rx(phi), Ry(theta)
+    # and Rz(psi), and the Euler rates dphi = p + tan(theta) u, dtheta =
+    # cf q - sf r and dpsi = u / cos(theta) through u = sf q + cf r, with
+    # the cosine ctd kept off zero
     # stage 1 at the step start; its body-rate slope is (dp0, dq0, dr0)
     sf, cf, st, ct, sp, cp = att_0
     ry = cf * fy0 - sf * fz0
@@ -396,13 +344,10 @@ def decoupling(att, p, q, r, tilt, pp):
     m21 = t21 * i11 + t22 * i21
     m22 = t21 * i12 + t22 * i22
 
-    # nonzero entries of the torque map (rows tx, ty, tz) and thrust map
+    # nonzero entries of the torque map: rows tx = (0, tx1, 0, tx3),
+    # ty = (ty0, 0, ty2, 0) and tz
+    _, tx1, _, tx3, ty0, _, ty2, _, tz0, tz1, tz2, tz3 = torque_entries(tilt, kf, km, arm)
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt
-    lk = arm * kf
-    tx1, tx3 = lk * c2 - km * s2, -lk * c4 + km * s4
-    ty0, ty2 = lk * c1 + km * s1, -lk * c3 - km * s3
-    tz0, tz1 = lk * s1 - km * c1, -lk * s2 - km * c2
-    tz2, tz3 = lk * s3 - km * c3, -lk * s4 - km * c4
     # fourth row: world vertical acceleration per unit input, R[2, :] @ F / m
     r30, r31, r32 = -st, ct * sf, ct * cf
     e00, e01 = m01 * ty0 + m02 * tz0, m00 * tx1 + m02 * tz1

@@ -52,7 +52,13 @@ def _load_setup(args) -> tuple[Params, Gains]:
 
 
 def _prepare_outputs(args, names) -> list[str]:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise CliError(
+            f"--out {args.out}: cannot use it as the output directory ({exc.strerror})",
+            EXIT_INVALID,
+        ) from exc
     paths = [os.path.join(args.out, n) for n in names]
     if not args.force:
         existing = [p for p in paths if os.path.exists(p)]

@@ -221,14 +221,9 @@ def tilt_factors(tilt, pack) -> tuple:
     determinant makes the step hold.
     """
     _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pack
-    s1, s2, s3, s4, c1, c2, c3, c4 = tilt
-    lk = arm * kf
-    # the nonzero entries of the torque map of kernels.torque_entries, rows
-    # tx = (0, x1, 0, x3), ty = (y0, 0, y2, 0) and tz = (z0, z1, z2, z3)
-    x1, x3 = lk * c2 - km * s2, -(lk * c4 - km * s4)
-    y0, y2 = lk * c1 + km * s1, -(lk * c3 + km * s3)
-    z0, z1 = lk * s1 - km * c1, -(lk * s2) - km * c2
-    z2, z3 = lk * s3 - km * c3, -(lk * s4) - km * c4
+    # the nonzero entries of the torque map, rows tx = (0, x1, 0, x3),
+    # ty = (y0, 0, y2, 0) and tz = (z0, z1, z2, z3)
+    _, x1, _, x3, y0, _, y2, _, z0, z1, z2, z3 = kernels.torque_entries(tilt, kf, km, arm)
     # Q = inv(I_B) @ torque, column by column: q_ij = I_i0 tx_j + I_i1 ty_j + I_i2 tz_j
     q00, q10, q20 = i01 * y0 + i02 * z0, i11 * y0 + i12 * z0, i21 * y0 + i22 * z0
     q01, q11, q21 = i00 * x1 + i02 * z1, i10 * x1 + i12 * z1, i20 * x1 + i22 * z1

@@ -52,15 +52,13 @@ EPS_SING = 1e-4
 class DetCoefficients:
     """Tilt-dependent coefficients of the determinant decomposition.
 
-    ``D`` holds the four 3x3 minors of the torque map (column ``j``
-    removed); ``A``, ``B``, ``C`` are the cofactor sums of the three
-    thrust-map rows against those minors.
+    ``A``, ``B``, ``C`` are the cofactor sums of the three thrust-map rows
+    against the four 3x3 minors of the torque map (column ``j`` removed).
     """
 
     A: float
     B: float
     C: float
-    D: np.ndarray
 
     @property
     def abc(self) -> tuple:
@@ -120,7 +118,7 @@ def drift_vector(state: State, params: Params) -> np.ndarray:
 
 
 def det_decomposition(alpha, params: Params) -> DetCoefficients:
-    """Tilt-only coefficients ``(A, B, C, D)`` of the determinant identity.
+    """Tilt-only coefficients ``(A, B, C)`` of the determinant identity.
 
     For all attitudes with ``|theta| < pi/2``::
 
@@ -128,10 +126,8 @@ def det_decomposition(alpha, params: Params) -> DetCoefficients:
                       + cos(phi) cos(theta) * C) / (m * cos(theta) * det(I_B))
     """
     a1, a2, a3, a4 = _finite4(alpha, "alpha")
-    A, B, C, d1, d2, d3, d4 = kernels.det_coeffs(
-        a1, a2, a3, a4, params.k_f, params.k_m, params.arm_length
-    )
-    return DetCoefficients(A=A, B=B, C=C, D=np.array([d1, d2, d3, d4]))
+    A, B, C = kernels.det_coeffs(a1, a2, a3, a4, params.k_f, params.k_m, params.arm_length)
+    return DetCoefficients(A=A, B=B, C=C)
 
 
 def normalized_det(phi, theta, coeffs: DetCoefficients):

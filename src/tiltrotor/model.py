@@ -4,6 +4,10 @@ The vehicle is a quadrotor whose four thrust units tilt about their arms:
 the plant input is the 4-vector of signed squared rotor speeds ``w`` with
 ``w_i = varpi_i * |varpi_i|``, and the four tilting angles enter through
 the force and torque maps ``thrust_matrix`` / ``torque_matrix``.
+:func:`state_derivative` states the model over these public maps;
+:func:`integrate_step` and the tracking loop integrate it with
+``kernels.rk4_step``, the one hand-written form of the plant, which the
+tests check against textbook RK4 of :func:`state_derivative`.
 
 Conventions:
 
@@ -211,17 +215,23 @@ def euler_rate_matrix(eta) -> np.ndarray:
 
 
 def state_derivative(state: State, alpha, w, params: Params) -> np.ndarray:
-    """Time derivative of the state as a 12-vector.
+    """Time derivative of the state as a 12-vector: the paper's model.
 
-    ``w`` is the signed squared rotor-speed input, four finite numbers.
-    Raises :class:`RepresentationSingular` inside the pitch guard band.
+    ``(vel, R @ F @ w / m - (0, 0, g), T @ omega, inv(I_B) @ tau @ w)``
+    with ``F``, ``tau`` the thrust and torque maps at tilt ``alpha``, ``R``
+    the rotation and ``T`` the Euler-rate map.  ``w`` is the signed squared
+    rotor-speed input, four finite numbers.  Raises
+    :class:`RepresentationSingular` inside the pitch guard band.
     """
     check_pitch(float(state.eta[1]))
-    out = kernels.state_derivative(
-        tuple(state.as_array().tolist()), _finite4(alpha, "alpha"), _finite4(w, "w"),
-        params.pack,
-    )
-    return np.asarray(out)
+    w = np.array(_finite4(w, "w"))
+    return np.concatenate([
+        state.vel,
+        rotation_matrix(state.eta) @ (thrust_matrix(alpha, params) @ w) / params.m
+        - (0.0, 0.0, params.g),
+        euler_rate_matrix(state.eta) @ state.omega,
+        params.inertia_inv @ (torque_matrix(alpha, params) @ w),
+    ])
 
 
 def integrate_step(

@@ -89,6 +89,24 @@ def test_overwrite_guard(tmp_path):
     assert run_cli("--force", *args) == 0
 
 
+OUT_COMMANDS = {
+    "colormap": ["colormap", "--branch", "blue", "--range", "0.2", "--res", "3"],
+    "gaitgen": ["gaitgen", "--preset", "gait1"],
+    "curves": ["curves", "--preset", "gait1", "--phases", "2", "--grid-res", "5"],
+    "track": ["track", "--preset", "gait1", "--duration", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert run_cli("--out", str(taken), *command) == 2
+    assert f"--out {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_colormap_invalid_args(tmp_path):
     assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
                    "--range", "-1") == 2

@@ -402,7 +402,7 @@ def test_branch_gait_curves_empty(params, rng):
 
 def test_dimensionless_theta_curve():
     grid = tr.AttitudeGrid.symmetric(1.2, 121)
-    cs = tr.extract_zero_curves(DetCoefficients(A=1.0, B=0.0, C=0.0, D=np.zeros(4)), grid)
+    cs = tr.extract_zero_curves(DetCoefficients(A=1.0, B=0.0, C=0.0), grid)
     v = cs.vertices()
     assert len(v) > 0
     cell = 2.4 / 120
@@ -531,7 +531,7 @@ THETA_LINE = ((1.0, 0.0, 0.0), tr.AttitudeGrid.symmetric(1.2, 121))
 @example(((0.0, 1.0, 0.0), tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23)))
 def test_extract_zero_curves_matches_edge_by_edge_oracle(case):
     (A, B, C), grid = case
-    coeffs = DetCoefficients(A=A, B=B, C=C, D=np.zeros(4))
+    coeffs = DetCoefficients(A=A, B=B, C=C)
     cs = tr.extract_zero_curves(coeffs, grid)
     _assert_same_polylines(cs.curves, phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2])
     expected, eps, edges = zero_curves_scalar(A, B, C, grid.phis, grid.thetas)
@@ -683,7 +683,7 @@ def test_extract_zero_curves_rejects_non_finite_coefficients(monkeypatch, bad, s
     abc = dict(A=0.3, B=-0.2, C=0.7)
     abc[slot] = bad
     with pytest.raises(ValueError, match=f"coefficient {slot} must be finite"):
-        tr.extract_zero_curves(DetCoefficients(**abc, D=np.zeros(4)),
+        tr.extract_zero_curves(DetCoefficients(**abc),
                                tr.AttitudeGrid.symmetric(1.2, 41))
 
 
@@ -757,7 +757,7 @@ def test_phase_scan_matches_the_reference_and_proves_only_one_sign(case):
         assert type(frac) is np.float64 and frac.tobytes() == np.float64(want_frac).tobytes()
         assert margin == want_margin
         _assert_same_polylines(cs.curves, want_curves)
-        coeffs = DetCoefficients(A=A, B=B, C=C, D=np.zeros(4))
+        coeffs = DetCoefficients(A=A, B=B, C=C)
         _assert_same_polylines(tr.extract_zero_curves(coeffs, grid).curves, want_curves)
         if gaitlab._one_sign((A, B, C), grid):
             S = sign_grid_reference(A, B, C, grid.phis, grid.thetas)
@@ -777,7 +777,7 @@ def test_phase_scan_matches_the_reference_and_proves_only_one_sign(case):
 ], ids=["saddle", "empty", "theta-line", "closed-loop"])
 def test_extract_zero_curves_matches_the_reference(coeffs, grid, n_curves):
     A, B, C = coeffs
-    cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
+    cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C), grid)
     want = phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2]
     _assert_same_polylines(cs.curves, want)
     assert len(want) == n_curves
@@ -795,7 +795,7 @@ def test_extract_zero_curves_matches_the_reference_where_g_vanishes_at_a_node():
         B, C = rng.normal(size=2)
         phi, theta = grid.phis[i], grid.thetas[j]
         A = math.cos(theta) * (math.sin(phi) * B + math.cos(phi) * C) / math.sin(theta)
-        cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C, D=np.zeros(4)), grid)
+        cs = tr.extract_zero_curves(DetCoefficients(A=A, B=B, C=C), grid)
         want = phase_scan_reference(A, B, C, grid.phis, grid.thetas)[2]
         _assert_same_polylines(cs.curves, want)
 

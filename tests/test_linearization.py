@@ -80,30 +80,18 @@ def test_coefficients_at_zero_tilt(params):
 
 
 def test_normalized_det_examples():
-    c = DetCoefficients(A=0.3, B=-0.2, C=0.7, D=np.zeros(4))
+    c = DetCoefficients(A=0.3, B=-0.2, C=0.7)
     assert float(tr.normalized_det(0.0, 0.0, c)) == 0.7
     # factorized form when A = B = 0
-    c2 = DetCoefficients(A=0.0, B=0.0, C=0.7, D=np.zeros(4))
+    c2 = DetCoefficients(A=0.0, B=0.0, C=0.7)
     phi, theta = 0.35, -0.8
     g = float(tr.normalized_det(phi, theta, c2))
     assert abs(g - 0.7 * math.cos(phi) * math.cos(theta)) < 1e-15
     # zero curve of (A, B, C) = (1, 0, 1) satisfies tan(theta) = cos(phi)
-    c3 = DetCoefficients(A=1.0, B=0.0, C=1.0, D=np.zeros(4))
+    c3 = DetCoefficients(A=1.0, B=0.0, C=1.0)
     for phi in np.linspace(-1.2, 1.2, 13):
         theta = math.atan(math.cos(phi))
         assert abs(float(tr.normalized_det(phi, theta, c3))) < 1e-15
-
-
-def test_cofactor_sums_match_minors(params, rng):
-    # A, B, C are the cofactor sums of the thrust rows against the minors
-    for _ in range(50):
-        alpha = rng.uniform(-math.pi, math.pi, 4)
-        coeffs = tr.det_decomposition(alpha, params)
-        F = tr.thrust_matrix(alpha, params)
-        signs = np.array([-1.0, 1.0, -1.0, 1.0])
-        np.testing.assert_allclose(coeffs.A, np.sum(signs * F[0] * coeffs.D), rtol=1e-12, atol=1e-40)
-        np.testing.assert_allclose(coeffs.B, np.sum(signs * F[1] * coeffs.D), rtol=1e-12, atol=1e-40)
-        np.testing.assert_allclose(coeffs.C, np.sum(signs * F[2] * coeffs.D), rtol=1e-12, atol=1e-40)
 
 
 def _minor3(t, c0, c1, c2):
@@ -112,6 +100,26 @@ def _minor3(t, c0, c1, c2):
     d, e, f = t[4 + c0], t[4 + c1], t[4 + c2]
     g, h, i = t[8 + c0], t[8 + c1], t[8 + c2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _torque_minors(tilt, k_f, k_m, arm):
+    # the four 3x3 minors of the torque map, column j removed
+    t = kernels.torque_entries(tilt, k_f, k_m, arm)
+    return (_minor3(t, 1, 2, 3), _minor3(t, 0, 2, 3), _minor3(t, 0, 1, 3), _minor3(t, 0, 1, 2))
+
+
+def test_cofactor_sums_match_minors(params, rng):
+    # A, B, C are the cofactor sums of the thrust rows against the minors
+    for _ in range(50):
+        alpha = rng.uniform(-math.pi, math.pi, 4)
+        coeffs = tr.det_decomposition(alpha, params)
+        F = tr.thrust_matrix(alpha, params)
+        D = np.array(_torque_minors(kernels.tilt_trig(tuple(alpha.tolist())),
+                                    params.k_f, params.k_m, params.arm_length))
+        signs = np.array([-1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_allclose(coeffs.A, np.sum(signs * F[0] * D), rtol=1e-12, atol=1e-40)
+        np.testing.assert_allclose(coeffs.B, np.sum(signs * F[1] * D), rtol=1e-12, atol=1e-40)
+        np.testing.assert_allclose(coeffs.C, np.sum(signs * F[2] * D), rtol=1e-12, atol=1e-40)
 
 
 @pytest.mark.parametrize("k_m, arm", [(2.423e-7, 0.3), (3e-6, 0.12)])
@@ -125,10 +133,9 @@ def test_det_coeffs_is_the_maps_and_minors_composed(rng, k_m, arm):
     for alpha in tilts:
         tilt = kernels.tilt_trig(alpha)
         F = kernels.thrust_entries(tilt, k_f)
-        t = kernels.torque_entries(tilt, k_f, k_m, arm)
-        D = (_minor3(t, 1, 2, 3), _minor3(t, 0, 2, 3), _minor3(t, 0, 1, 3), _minor3(t, 0, 1, 2))
+        D = _torque_minors(tilt, k_f, k_m, arm)
         want = tuple(-F[r] * D[0] + F[r + 1] * D[1] - F[r + 2] * D[2] + F[r + 3] * D[3]
-                     for r in (0, 4, 8)) + D
+                     for r in (0, 4, 8))
         got = kernels.det_coeffs(*alpha, k_f, k_m, arm)
         assert np.array(got).tobytes() == np.array(want).tobytes(), alpha
 
