@@ -58,7 +58,6 @@ from tiltrotor.gaitlab import (
     solve_color_pair,
 )
 from tiltrotor.sim import (
-    Reference,
     SimConfig,
     TrackLog,
     circular_reference,
@@ -71,9 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AbortedSingular", "AttitudeGrid", "ColorSolution", "ControlOutput",
     "DecouplingMatrix", "DetCoefficients", "Gait", "Gains", "InnerLoop",
-    "InnerRefs", "Params", "Reference", "RepresentationSingular",
-    "RobustnessReport", "SimConfig", "SingularCurveSet", "State", "TiltrotorError",
-    "TrackLog", "backend_name", "bias_gait", "build_preset", "circular_reference",
+    "InnerRefs", "Params", "RepresentationSingular", "RobustnessReport",
+    "SimConfig", "SingularCurveSet", "State", "TiltrotorError", "TrackLog",
+    "backend_name", "bias_gait", "build_preset", "circular_reference",
     "color_map", "decoupling_matrix", "det_decomposition", "drift_vector",
     "error_series", "euler_rate_matrix", "extract_zero_curves", "fl_inner_loop",
     "hover_speeds", "integrate_step", "load_config", "load_gait",

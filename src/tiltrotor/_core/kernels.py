@@ -21,6 +21,10 @@ Conventions baked into the kernels:
 * The step kernels take sines and cosines, not angles, so that a caller
   can take them once and share them: ``att`` is the attitude set of
   :func:`attitude_trig` and ``tilt`` the tilt set of :func:`tilt_trig`.
+* :func:`euler_rate_entries` and :func:`decoupling` divide by the pitch
+  cosine as it is: their callers refuse a pitch in the guard band first
+  (``model.check_pitch``).  :func:`rk4_step` keeps each stage's cosine
+  off zero itself, since a stage's pitch is not checked.
 """
 
 from math import cos, exp, log, sin, sqrt
@@ -35,13 +39,6 @@ def tilt_trig(alpha):
     """``(s1, s2, s3, s4, c1, c2, c3, c4)``: sines and cosines of the four tilts."""
     a1, a2, a3, a4 = alpha
     return sin(a1), sin(a2), sin(a3), sin(a4), cos(a1), cos(a2), cos(a3), cos(a4)
-
-
-def _safe_div(c: float) -> float:
-    # keeps 1/cos(theta) finite at exactly pi/2 (rk4_step guards its stages inline)
-    if c == 0.0:
-        return 1e-300
-    return c
 
 
 def thrust_entries(tilt, kf):
@@ -93,12 +90,6 @@ def det_coeffs(a1, a2, a3, a4, kf, km, arm):
     return A, B, C
 
 
-def ab_residual(a1, a2, a3, a4, kf, km, arm):
-    """Just the (A, B) pair of ``det_coeffs``: the residual of :func:`newton_ab`."""
-    out = det_coeffs(a1, a2, a3, a4, kf, km, arm)
-    return out[0], out[1]
-
-
 def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
     """Damped 2-D Newton for A(a3, a4) = B(a3, a4) = 0 at fixed (a1, a2).
 
@@ -116,11 +107,11 @@ def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
     """
     h = 1e-6
     x0, x1 = s3, s4
-    fa, fb = ab_residual(a1, a2, x0, x1, kf, km, arm)
+    fa, fb, _ = det_coeffs(a1, a2, x0, x1, kf, km, arm)
     res = abs(fa) + abs(fb)
     for _ in range(max_iter):
-        ga0, gb0 = ab_residual(a1, a2, x0 + h, x1, kf, km, arm)
-        ga1, gb1 = ab_residual(a1, a2, x0, x1 + h, kf, km, arm)
+        ga0, gb0, _ = det_coeffs(a1, a2, x0 + h, x1, kf, km, arm)
+        ga1, gb1, _ = det_coeffs(a1, a2, x0, x1 + h, kf, km, arm)
         j00 = (ga0 - fa) / h
         j10 = (gb0 - fb) / h
         j01 = (ga1 - fa) / h
@@ -133,7 +124,7 @@ def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
         lam = 1.0
         for _ in range(8):
             y0, y1 = x0 + lam * d0, x1 + lam * d1
-            na, nb = ab_residual(a1, a2, y0, y1, kf, km, arm)
+            na, nb, _ = det_coeffs(a1, a2, y0, y1, kf, km, arm)
             nres = abs(na) + abs(nb)
             if nres <= res:
                 break
@@ -159,7 +150,7 @@ def rotation_entries(phi, theta, psi):
 def euler_rate_entries(phi, theta):
     """Row-major map from body rates to Euler-angle rates (yaw-independent)."""
     cf, sf = cos(phi), sin(phi)
-    ct = _safe_div(cos(theta))
+    ct = cos(theta)
     tt = sin(theta) / ct
     return (
         1.0, sf * tt, cf * tt,
@@ -328,11 +319,10 @@ def decoupling(att, p, q, r, tilt, pp):
     """
     m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
-    ctd = _safe_div(ct)
-    tt = st / ctd
+    tt = st / ct
     # Euler-rate map T (rows: 1, sf*tt, cf*tt / 0, cf, -sf / 0, sf/ct, cf/ct)
     t01, t02 = sf * tt, cf * tt
-    t21, t22 = sf / ctd, cf / ctd
+    t21, t22 = sf / ct, cf / ct
     # M = T @ inv(I_B)
     m00 = i00 + t01 * i10 + t02 * i20
     m01 = i01 + t01 * i11 + t02 * i21
@@ -367,11 +357,11 @@ def decoupling(att, p, q, r, tilt, pp):
     u = sf * q + cf * r
     dtheta = cf * q - sf * r
     dphi = p + tt * u
-    tu = dtheta * u / (ctd * ctd)
+    tu = dtheta * u / (ct * ct)
     b = (
         tt * dphi * dtheta + tu,
         -dphi * u,
-        dphi * dtheta / ctd + st * tu,
+        dphi * dtheta / ct + st * tu,
         -g,
     )
 

@@ -18,6 +18,7 @@ guard band).  Existing outputs are never overwritten without ``--force``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -81,6 +82,11 @@ def _bias_gait(gait: gaitlab.Gait, factor: float) -> gaitlab.Gait:
 
 
 def _load_gait_arg(args, params: Params) -> gaitlab.Gait:
+    if args.gait and args.preset:
+        raise CliError(
+            f"--gait {args.gait} and --preset {args.preset} both name a gait; give one",
+            EXIT_INVALID,
+        )
     if args.gait:
         try:
             return gaitlab.load_gait(args.gait)
@@ -114,21 +120,14 @@ def cmd_colormap(args) -> int:
                     f"{_fmt(a1)},{_fmt(a2)},{_fmt(result.alpha3[i, j])},"
                     f"{_fmt(result.alpha4[i, j])},{int(result.residual_sign[i, j])}\n"
                 )
+
+    def plane(fit):
+        return {**dataclasses.asdict(fit), "coeffs": fit.coeffs.tolist()}
+
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(
-            {
-                "branch": result.branch,
-                "alpha3_plane": {
-                    "coeffs": list(result.plane3.coeffs),
-                    "rms": result.plane3.rms,
-                    "max_abs": result.plane3.max_abs,
-                },
-                "alpha4_plane": {
-                    "coeffs": list(result.plane4.coeffs),
-                    "rms": result.plane4.rms,
-                    "max_abs": result.plane4.max_abs,
-                },
-            },
+            {"branch": result.branch, "alpha3_plane": plane(result.plane3),
+             "alpha4_plane": plane(result.plane4)},
             fh,
             indent=2,
         )
@@ -141,6 +140,12 @@ def cmd_gaitgen(args) -> int:
     params, _ = _load_setup(args)
     if args.samples < 2:
         raise CliError(f"--samples must be >= 2, got {args.samples}", EXIT_INVALID)
+    custom = [f"--{k}" for k in ("center", "half", "branch") if getattr(args, k) is not None]
+    if args.preset and custom:
+        raise CliError(
+            f"--preset {args.preset} and {'/'.join(custom)} both name a gait; give one",
+            EXIT_INVALID,
+        )
     if args.preset:
         name = args.preset
         try:
@@ -205,17 +210,10 @@ def cmd_curves(args) -> int:
             plot.polyline(poly[:, 0], poly[:, 1], color="blue")
     plot.save(svg_path)
 
-    def as_dict(rep):
-        return {
-            "area_fraction": rep.area_fraction,
-            "hover_margin": rep.hover_margin,
-            "n_phases": rep.n_phases,
-            "singular_phases": rep.singular_phases,
-        }
-
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(
-            {"bias": args.bias, "unbiased": as_dict(report), "biased": as_dict(report_b)},
+            {"bias": args.bias, "unbiased": dataclasses.asdict(report),
+             "biased": dataclasses.asdict(report_b)},
             fh,
             indent=2,
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,10 +216,11 @@ def tilt_factors(tilt, pack) -> tuple:
     ``K`` is formed from cofactors, not by inverting ``G``: its column
     ``i`` is the vector orthogonal to the other two rows of ``Q`` and to
     ``n``, over ``n . n``, which keeps it as accurate as ``Q`` is
-    conditioned, not ``G``.  Where ``Q`` is rank-deficient (``n = 0``)
-    the divisor ``n . n`` becomes 1, with no branch on the input's type:
-    ``K`` is linear in ``n``, so it is zero there, and the zero
-    determinant makes the step hold.
+    conditioned, not ``G``.  Where ``n . n`` is zero or subnormal (``Q``
+    rank-deficient to working precision) the divisor becomes 1, with no
+    branch on the input's type, so ``1 / (n . n)`` cannot overflow:
+    ``K`` is linear in ``n``, so it is zero or as small as ``n`` there,
+    and the vanishing determinant makes the step hold.
     """
     _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pack
     # the nonzero entries of the torque map, rows tx = (0, x1, 0, x3),
@@ -245,7 +247,7 @@ def tilt_factors(tilt, pack) -> tuple:
     n2 = d03 * q21 - d13 * q20 - d01 * q23
     n3 = d12 * q20 - d02 * q21 + d01 * q22
     nn = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
-    h = -1.0 / (nn + (nn == 0.0))
+    h = -1.0 / (nn + (nn < sys.float_info.min))
     # column i of K is cross(p, n) * -1 / (n . n), p the pair of the other two rows
     return (
         (a13 * n2 - a23 * n1 - a12 * n3) * h, (b13 * n2 - b23 * n1 - b12 * n3) * h,

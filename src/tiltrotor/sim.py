@@ -10,14 +10,15 @@ loop builds them ahead in blocks of :data:`TRACK_BLOCK` steps with numpy:
 the gait angles at the step starts (the logged ``alpha``), midpoints and
 ends, their sines and cosines, the tilt-only factors of the decoupling
 matrix at the step starts (:func:`~tiltrotor.control.tilt_factors`), and
-the rows of the circular reference.  That arithmetic is elementwise, so
-the block size does not change a bit of the log.  The per-step work is
+the rows of :func:`circular_reference`.  That arithmetic is elementwise,
+so the block size does not change a bit of the log.  The per-step work is
 what depends on the state: the attitude trig (taken once, for the outer
 and inner loops and the first Runge-Kutta stage), the outer loop, the
 attitude part of the inner loop's solve, and the Runge-Kutta step.  The
 step's state, rotor speeds and determinant go to flat Python lists,
 which reach the log arrays in one slice assignment per block (and once
-more, for the partial block, before an abort raises).
+more, for the partial block, before an abort raises).  A completed and
+an aborted run take their :class:`TrackLog` from the same constructor.
 
 The log records how the run ended and the least scale-free determinant
 ratio of its rows, which the singular test forms anyway; neither costs
@@ -60,17 +61,13 @@ TRACK_BLOCK = 256
 _REF_XY = (0, 1, 3, 4, 6, 7)
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Reference position, velocity, and acceleration at one query time."""
+def circular_reference(t: np.ndarray) -> np.ndarray:
+    """Uniform circular reference of radius 5 m at 0.1 rad/s, zero altitude.
 
-    pos: np.ndarray
-    vel: np.ndarray
-    acc: np.ndarray
-
-
-def _circle_rows(t: np.ndarray) -> np.ndarray:
-    """The circle's pos, vel and acc at every time of ``t``, one 9-float row each."""
+    ``t`` is a 1-D array of times; each gets one row of 9 floats, its
+    position, velocity and acceleration.  The commanded acceleration is
+    zero: the tracking loops must absorb the centripetal term themselves.
+    """
     a = CIRCLE_RATE * t
     c, s = np.cos(a), np.sin(a)
     rv = CIRCLE_RADIUS * CIRCLE_RATE
@@ -82,23 +79,8 @@ def _circle_rows(t: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _circle_floats(t: float) -> tuple:
-    return tuple(_circle_rows(np.array([float(t)]))[0].tolist())
-
-
-def circular_reference(t: float) -> Reference:
-    """Uniform circular reference of radius 5 m at 0.1 rad/s, zero altitude.
-
-    The commanded acceleration is zero: the tracking loops must absorb
-    the centripetal term themselves.
-    """
-    f = _circle_rows(np.array([float(t)]))[0]
-    return Reference(pos=f[0:3], vel=f[3:6], acc=f[6:9])
-
-
-# float forms: one time, and an array of times (the one the tracking loop reads)
-circular_reference.floats = _circle_floats
-circular_reference.rows = _circle_rows
+# one time's row as a 9-tuple; only perfbench's sim.reference span reads it
+circular_reference.floats = lambda t: tuple(circular_reference(np.array([float(t)]))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -267,10 +249,15 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     # running minimum of the squared determinant ratio, and its row
     min_ratio_sq, min_row = math.inf, -1
 
-    def minimum():
-        if min_row < 0:
-            return {}
-        return {"min_det_ratio": math.sqrt(min_ratio_sq), "min_det_ratio_time": min_row * dt}
+    def log(k, reason):
+        # the first k rows, and the least ratio if the law ran on any of them
+        least = {} if min_row < 0 else {
+            "min_det_ratio": math.sqrt(min_ratio_sq), "min_det_ratio_time": min_row * dt}
+        return TrackLog(
+            t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
+            ref_pos=refs[:k], det=dets[:k], saturated=sats[:k], singular=sings[:k],
+            end_reason=reason, **least,
+        )
 
     # this block's states, varpi and det, buffered as flat lists of floats:
     # one slice assignment per block costs less than a numpy row write per
@@ -289,14 +276,8 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
     def abort(i0, i, state, reason):
         flush(i0)
-        k = i + 1
-        log = TrackLog(
-            t=t_arr[:k], states=states[:k], alpha=alphas[:k], varpi=varpis[:k],
-            ref_pos=refs[:k], det=dets[:k], saturated=sats[:k], singular=sings[:k],
-            end_reason=reason, **minimum(),
-        )
-        return AbortedSingular(i * dt, State.from_array(np.asarray(state)), log=log,
-                               reason=reason)
+        return AbortedSingular(i * dt, State.from_array(np.asarray(state)),
+                               log=log(i + 1, reason), reason=reason)
 
     attitude_trig = kernels.attitude_trig
     zero4 = (0.0, 0.0, 0.0, 0.0)
@@ -311,7 +292,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         trig = np.hstack((np.sin(alpha), np.cos(alpha)))
         tilts = trig.tolist()
         factors = np.array(tilt_factors(trig[:n].T, pack)).T.tolist()
-        ref = _circle_rows(starts[:-1])
+        ref = circular_reference(starts[:-1])
         refs[i0:i1] = ref[:, 0:3]
         for i, tilt, fac, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
             range(i0, i1), tilts, factors, tilts[1:n + 1], tilts[n + 1:],
@@ -358,7 +339,4 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                 state = kernels.rk4_step(state, att, tilt, tilt_mid, tilt_end, w, dt, pack)
         flush(i0)
 
-    return TrackLog(
-        t=t_arr, states=states, alpha=alphas, varpi=varpis, ref_pos=refs, det=dets,
-        saturated=sats, singular=sings, end_reason="completed", **minimum(),
-    )
+    return log(n_rows, "completed")

@@ -1,18 +1,9 @@
-import os
 import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from tiltrotor import Gains, Params, SimConfig, build_preset, run_tracking
-
-# under CI every property test draws the same examples, and a failure
-# prints the blob that replays it (@reproduce_failure), so its log is
-# enough to reproduce it
-settings.register_profile("ci", derandomize=True, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,24 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+TWO_GAITS = {
+    "gaitgen": (["gaitgen", "--preset", "gait1", "--center", "0", "0", "--half", "0.1", "0.1",
+                 "--branch", "red"], "--preset gait1 and --center/--half/--branch"),
+    "curves": (["curves", "--gait", "GAIT", "--preset", "gait2"], "--gait GAIT and --preset gait2"),
+    "track": (["track", "--gait", "GAIT", "--preset", "gait2"], "--gait GAIT and --preset gait2"),
+}
+
+
+@pytest.mark.parametrize("command, named", TWO_GAITS.values(), ids=TWO_GAITS.keys())
+def test_two_gait_sources_exit_2(tmp_path, capsys, gait_files, command, named):
+    # a gait file or custom rectangle beside a preset: neither is run
+    gait = str(gait_files / "gait_gait1.csv")
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *[gait if a == "GAIT" else a for a in command]) == 2
+    assert named.replace("GAIT", gait) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_colormap_invalid_args(tmp_path):
     assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
                    "--range", "-1") == 2

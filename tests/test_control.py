@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tiltrotor as tr
@@ -119,6 +120,13 @@ def _rank_deficient_completion(params):
     return np.array([0.3, -0.2, delta - 0.3, -delta + 0.2])
 
 
+# a vehicle whose rank-deficient completion has a subnormal n . n (1.16e-311)
+SUBNORMAL_NN = tr.Params(
+    k_f=9.489855171031449e-05, k_m=5.960464477539063e-08, arm_length=0.59375,
+    inertia=[[0.0625, 6.81563537e-132, 0.0], [6.81563537e-132, 0.046875, 0.0], [0.0, 0.0, 0.0625]],
+)
+
+
 def test_inner_loop_singular_flag_and_hold(params, gains):
     state = tr.State()
     last = np.array([-500.0, 500.0, -500.0, 500.0])
@@ -141,6 +149,20 @@ def test_last_command_must_be_four_finite_numbers(params, gains, path, last):
     alpha = _rank_deficient_completion(params) if path == "singular" else np.zeros(4)
     with pytest.raises(ValueError, match="last_command must be four finite numbers"):
         tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, params, last_command=last)
+
+
+def test_inner_loop_holds_where_n_dot_n_is_subnormal(gains):
+    # 1 / (n . n) would overflow: the factors stay finite, and the
+    # vanishing determinant still flags the row and holds the command
+    alpha = _rank_deficient_completion(SUBNORMAL_NN)
+    fac = tilt_factors(kernels.tilt_trig(alpha.tolist()), SUBNORMAL_NN.pack)
+    assert 0.0 < sum(v * v for v in fac[12:16]) < sys.float_info.min
+    assert all(math.isfinite(v) for v in fac)
+    last = SUBNORMAL_NN.spin_sign * 200.0
+    out = tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, SUBNORMAL_NN,
+                           last_command=last)
+    assert out.singular
+    np.testing.assert_array_equal(out.varpi_cmd, last)
 
 
 def test_inner_loop_without_memory_holds_the_start_command(params, gains):
@@ -478,6 +500,7 @@ def test_rank_deficient_tilt_is_singular_and_holds(params, gains):
 @given(params=vehicles(),
        alphas=st.lists(st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
                        min_size=1, max_size=40))
+@example(params=SUBNORMAL_NN, alphas=[[0.0, 0.0, 0.0, 0.0]])
 def test_tilt_factor_block_rows_are_the_float_rows(params, alphas):
     # one body serves a float row and a block of columns: each block row is
     # the float row, bit for bit, here with the rank-deficient completion
@@ -486,6 +509,7 @@ def test_tilt_factor_block_rows_are_the_float_rows(params, alphas):
     trig += [kernels.tilt_trig(_rank_deficient_completion(params).tolist()), (0.0,) * 8]
     block = np.array(tilt_factors(np.array(trig).T, params.pack)).T
     assert block.shape == (len(trig), 22)
+    assert np.isfinite(block).all()
     for row, tilt in zip(block, trig):
         fac = tilt_factors(tilt, params.pack)
         assert all(type(v) is float for v in fac)

@@ -29,19 +29,20 @@ def gait1():
 
 
 def test_circular_reference_values():
-    r0 = tr.circular_reference(0.0)
-    np.testing.assert_allclose(r0.pos, [5.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(r0.vel, [0.0, 0.5, 0.0], atol=1e-15)
-    np.testing.assert_array_equal(r0.acc, [0.0, 0.0, 0.0])
-    r = tr.circular_reference(5 * math.pi)
-    np.testing.assert_allclose(r.pos, [0.0, 5.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(r.vel, [-0.5, 0.0, 0.0], atol=1e-12)
-    for t in np.linspace(0.0, 100.0, 37):
-        rr = tr.circular_reference(t)
-        assert abs(np.linalg.norm(rr.pos) - 5.0) < 1e-12
+    r0, r = tr.circular_reference(np.array([0.0, 5 * math.pi]))
+    np.testing.assert_allclose(r0[0:3], [5.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(r0[3:6], [0.0, 0.5, 0.0], atol=1e-15)
+    np.testing.assert_array_equal(r0[6:9], [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(r[0:3], [0.0, 5.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(r[3:6], [-0.5, 0.0, 0.0], atol=1e-12)
+    rows = tr.circular_reference(np.linspace(0.0, 100.0, 37))
+    assert rows.shape == (37, 9)
+    for rr in rows:
+        pos, vel = rr[0:3], rr[3:6]
+        assert abs(np.linalg.norm(pos) - 5.0) < 1e-12
         # counter-clockwise: the velocity is the position turned by +90 degrees
-        np.testing.assert_allclose(rr.vel, 0.1 * np.array([-rr.pos[1], rr.pos[0], 0.0]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(vel, 0.1 * np.array([-pos[1], pos[0], 0.0]), atol=1e-12)
+    np.testing.assert_array_equal(rows[:, 6:9], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +111,18 @@ def test_run_tracking_matches_public_composition(gains, gait1, band):
     for i in range(len(log)):
         t = i * dt
         alpha = gait1.sample_raw(t)
-        ref = tr.circular_reference(t)
+        ref = tr.circular_reference(np.array([t]))[0]
         x = state.as_array().tolist()
         phi_ref, theta_ref = decoupler_core(
             x[0], x[1], x[3], x[4], math.sin(x[8]), math.cos(x[8]),
-            *ref.pos[0:2].tolist(), *ref.vel[0:2].tolist(), *ref.acc[0:2].tolist(),
+            *ref[0:2].tolist(), *ref[3:5].tolist(), *ref[6:8].tolist(),
             gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
         )
         out = tr.fl_inner_loop(state, alpha, InnerRefs(value=[phi_ref, theta_ref, 0.0, 0.0]),
                                gains, params, last_command=last)
         np.testing.assert_allclose(log.states[i], state.as_array(), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(log.alpha[i], alpha, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(log.ref_pos[i], ref.pos, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(log.ref_pos[i], ref[0:3], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(log.varpi[i], out.varpi_cmd, rtol=1e-12)
         np.testing.assert_allclose(log.det[i], out.det_delta, rtol=1e-12)
         assert log.saturated[i].tolist() == out.saturated.tolist()
@@ -471,7 +472,7 @@ def _assert_abort_row(log, exc, gait, dt):
     k = len(log) - 1
     assert np.array_equal(log.states[k], exc.state.as_array())
     assert np.array_equal(log.alpha[k], gait.sample_raw(k * dt))
-    assert np.array_equal(log.ref_pos[k], tr.circular_reference.rows(np.array([k * dt]))[0, :3])
+    assert np.array_equal(log.ref_pos[k], tr.circular_reference(np.array([k * dt]))[0, :3])
     assert log.singular[k]
 
 
@@ -513,15 +514,13 @@ def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1, monkeyp
 
 
 def test_run_tracks_the_circle_rows(params, gains, gait1):
-    # the run logs the circle's array form, and the single-time and float
-    # forms of the circle agree with it
+    # the run logs the circle's rows, and the one-time float form the
+    # benchmark tracer wraps agrees with them
     config = tr.SimConfig(duration=0.6)
     log = tr.run_tracking(config, params, gains, gait1)
     t = np.arange(len(log)) * config.dt
-    rows = tr.circular_reference.rows(t)
+    rows = tr.circular_reference(t)
     np.testing.assert_allclose(log.ref_pos, rows[:, 0:3], rtol=1e-12, atol=1e-15)
-    want = [np.concatenate((r.pos, r.vel, r.acc)) for r in map(tr.circular_reference, t.tolist())]
-    np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-15)
     floats = [tr.circular_reference.floats(v) for v in t.tolist()]
     np.testing.assert_allclose(rows, floats, rtol=1e-12, atol=1e-15)
 
