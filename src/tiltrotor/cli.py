@@ -4,7 +4,7 @@ Subcommands produce the experiment artifacts as CSV (17 significant
 digits, exact round-trip) plus simple SVG plots:
 
 * ``colormap`` -- branch completions over an (alpha1, alpha2) grid with
-  plane fits,
+  their branch planes,
 * ``gaitgen``  -- gait schedule files (presets or custom rectangles),
 * ``curves``   -- singular-attitude curves of a gait and its biased
   variant, with robustness metrics,

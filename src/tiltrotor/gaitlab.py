@@ -21,7 +21,8 @@ four robust completions ``{alpha1, alpha1 + pi} x {alpha2, alpha2 + pi}``
 and four rank-deficient ones ``(delta - alpha1, -delta - alpha2) + {0,
 pi}^2``, where ``A = B = C = 0`` (singular at *every* attitude).  On a
 branch plane ``C`` itself is a product of three closed-form factors, so
-``color_map`` reads its sign without a determinant decomposition.
+``color_map`` reads its sign without a determinant decomposition, and it
+states each branch plane rather than fitting it.
 
 The robustness metrics scan the normalized determinant ``g`` over an
 attitude grid at each sampled gait phase.  A phase on which ``g`` keeps
@@ -32,9 +33,10 @@ cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
 other phases are scanned together, their sign grids stacked into one
 array.  A gait's angles are checked finite when it is built, so each
 phase's ``(A, B, C)`` comes straight from the coefficient kernel as
-three floats.  A report keeps only each phase's area fraction and the
-least distance from level attitude to a zero on a crossing grid edge,
-so only the curves sort and stitch those zeros.
+three floats.  The zeros on the crossing grid edges of both kinds come
+from one pass over one gather of the grid's cached edge table.  A report
+keeps only each phase's area fraction and the least distance from level
+attitude to such a zero, so only the curves sort and stitch those zeros.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -99,7 +101,7 @@ def _completion(alpha1, alpha2, branch: str):
 
 def _finite(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite, got {values!r}")
     return arr
 
@@ -205,12 +207,16 @@ def solve_color_pair(alpha12, params: Params) -> list[ColorSolution]:
 
 
 # ---------------------------------------------------------------------------
-# color map over a grid, with plane fits
+# color map over a grid, with its branch planes
 
 
 @dataclass(frozen=True)
 class PlaneFit:
-    """Least-squares plane ``value = c0 + c1 * alpha1 + c2 * alpha2``."""
+    """Branch plane ``value = c0 + c1 * alpha1 + c2 * alpha2`` and the map's residual to it.
+
+    ``coeffs`` is ``(offset, 1, 0)`` for ``alpha3`` and ``(offset, 0, 1)``
+    for ``alpha4``, with the offset of :data:`BRANCH_OFFSETS`.
+    """
 
     coeffs: np.ndarray
     rms: float
@@ -229,26 +235,26 @@ class ColorMapResult:
     plane4: PlaneFit
 
 
-def _fit_plane(a1g, a2g, values) -> PlaneFit:
-    A = np.column_stack([np.ones(values.size), a1g.ravel(), a2g.ravel()])
-    coeffs, *_ = np.linalg.lstsq(A, values.ravel(), rcond=None)
-    resid = values.ravel() - A @ coeffs
-    return PlaneFit(
-        coeffs=coeffs,
-        rms=float(np.sqrt(np.mean(resid**2))),
-        max_abs=float(np.max(np.abs(resid))) if resid.size else 0.0,
-    )
+def _plane(coeffs, a1g, a2g, values) -> PlaneFit:
+    resid = values - (coeffs[0] + coeffs[1] * a1g + coeffs[2] * a2g)
+    return PlaneFit(coeffs=np.array(coeffs), rms=float(np.sqrt(np.mean(resid * resid))),
+                    max_abs=float(np.max(np.abs(resid))))
 
 
 def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> ColorMapResult:
-    """One branch over a rectangular grid, with plane fits.
+    """One branch over a rectangular grid, with its planes.
 
-    The completions are the closed-form branch plane at every cell (the
-    fits confirm it to rounding); ``residual_sign`` is the sign of the
-    closed-form on-branch ``C`` there.  Grid values must be finite.
+    The completions are the closed-form branch plane at every cell, and
+    each :class:`PlaneFit` states that plane and measures the cells
+    against it; ``residual_sign`` is the sign of the closed-form
+    on-branch ``C`` there.  Each axis of values must be a non-empty 1-D
+    array of finite values.
     """
-    a1v = _finite(alpha1_values, "alpha1 values")
-    a2v = _finite(alpha2_values, "alpha2 values")
+    a1v, a2v = _finite(alpha1_values, "alpha1 values"), _finite(alpha2_values, "alpha2 values")
+    if a1v.ndim != 1 or a2v.ndim != 1 or not (a1v.size and a2v.size):
+        raise ValueError("grid values must be two non-empty 1-D arrays, got shapes "
+                         f"{a1v.shape} and {a2v.shape}")
+    offset = _branch_offset(branch)
     a1g, a2g = np.meshgrid(a1v, a2v, indexing="ij")
     alpha3, alpha4 = _completion(a1g, a2g, branch)
     rsign = np.where(_on_branch_c(a1g, a2g, params) >= 0, 1.0, -1.0)
@@ -259,8 +265,8 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
         alpha3=alpha3,
         alpha4=alpha4,
         residual_sign=rsign,
-        plane3=_fit_plane(a1g, a2g, alpha3),
-        plane4=_fit_plane(a1g, a2g, alpha4),
+        plane3=_plane((offset, 1.0, 0.0), a1g, a2g, alpha3),
+        plane4=_plane((offset, 0.0, 1.0), a1g, a2g, alpha4),
     )
 
 
@@ -300,36 +306,38 @@ class Gait:
             raise ValueError(f"bias factor must lie in (0, 1], got {self.bias}")
         if wp.ndim != 1 or len(wp) < 2 or al.shape != (len(wp), 4):
             raise ValueError("need matching waypoint fractions and (n, 4) angles")
-        if wp[0] != 0.0 or wp[-1] != 1.0 or not (wp[1:] > wp[:-1]).all():
+        if wp[0] != 0.0 or wp[-1] != 1.0 or not np.logical_and.reduce(wp[1:] > wp[:-1]):
             raise ValueError("time fractions must increase strictly from 0 to 1")
         # within half the float range each step between rows, and so
         # every interpolated sample, is finite too
-        if not abs(al).max() <= 0.5 * sys.float_info.max:
+        if not np.maximum.reduce(abs(al), axis=None) <= 0.5 * sys.float_info.max:
             raise ValueError("gait angles must be finite, within half the float range")
-        if abs(al[0] - al[-1]).max() > 1e-6:
+        if max(map(abs, (al[0] - al[-1]).tolist())) > 1e-6:
             raise ValueError("gait must close: first and last waypoints differ")
         object.__setattr__(self, "waypoints", _frozen(wp))
         object.__setattr__(self, "alphas", _frozen(al))
+        # each segment's start fraction, length, first row and step, for sample_array
+        object.__setattr__(self, "_segments", (wp[:-1], _frozen(wp[1:] - wp[:-1]), al[:-1],
+                                               _frozen(al[1:] - al[:-1])))
 
     def sample_array(self, t) -> np.ndarray:
         """Continuous-sheet angles at the times ``t``: shape ``t.shape + (4,)``.
 
         The one implementation of the schedule's interpolation: phase
         ``u = (t / period) % 1``, segment ``k`` with ``fr[k] <= u <
-        fr[k + 1]``, then ``a[k] + s (a[k + 1] - a[k])`` with ``s`` the
-        position of ``u`` within the segment.  Each element is the same
-        IEEE arithmetic on the same operands as a scalar evaluation, so a
-        block of times samples exactly as the times one by one.
+        fr[k + 1]``, then ``a[k] + s (a[k + 1] - a[k])`` with ``s = (u -
+        fr[k]) / (fr[k + 1] - fr[k])``; the differences are formed when the
+        gait is built.  Each element is the same IEEE arithmetic on the same
+        operands as a scalar evaluation, so a block of times samples
+        exactly as the times one by one.
         """
-        fr, al = self.waypoints, self.alphas
+        starts, lengths, rows, steps = self._segments
         u = (np.asarray(t, dtype=float) / self.period_s) % 1.0
         # searching only the segment starts puts u = 1.0, which rounding
         # can give, in the last segment
-        k = fr[:-1].searchsorted(u, "right") - 1
-        f0 = fr[k]
-        s = (u - f0) / (fr[k + 1] - f0)
-        a0 = al[k]
-        return a0 + s[..., None] * (al[k + 1] - a0)
+        k = starts.searchsorted(u, "right") - 1
+        s = (u - starts[k]) / lengths[k]
+        return rows[k] + s[..., None] * steps[k]
 
     def sampler(self) -> Callable[[float], tuple]:
         """Periodic piecewise-linear sampler returning 4-tuples of floats."""
@@ -438,26 +446,29 @@ def make_rectangle_gait(
             "give both positive, or both zero for a fixed point"
         )
 
+    offset = _branch_offset(branch)
     if hx == 0.0 and hy == 0.0:
-        pts = np.array([[cx, cy], [cx, cy]])
-        fracs = np.array([0.0, 1.0])
-    else:
-        corners = np.array([
-            (cx - hx, cy - hy), (cx + hx, cy - hy),
-            (cx + hx, cy + hy), (cx - hx, cy + hy),
-        ])
-        # station s of edge k is x0 + f * (x1 - x0) with f = s / stations
-        # and x0, x1 the edge's corners, then the first corner closes it
-        f = np.arange(STATIONS_PER_EDGE)[:, None] / STATIONS_PER_EDGE
-        edges = corners[[1, 2, 3, 0]] - corners
-        pts = np.concatenate([(corners[:, None] + f * edges[:, None]).reshape(-1, 2),
-                              corners[:1]])
-
-        seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
-        cum = np.concatenate([[0.0], np.cumsum(seglen)])
-        fracs = cum / cum[-1]
-
-    alphas = np.hstack([pts, pts + _branch_offset(branch)])
+        return Gait(period, branch, 1.0, [0.0, 1.0], [(cx, cy, cx + offset, cy + offset)] * 2)
+    # the corners from the lower left, and each edge as the next corner less this one
+    x0, x1, y0, y1 = cx - hx, cx + hx, cy - hy, cy + hy
+    corners, edges = np.array([
+        ((x0, y0), (x1, y0), (x1, y1), (x0, y1)),
+        ((x1 - x0, y0 - y0), (x1 - x1, y1 - y0), (x0 - x1, y1 - y1), (x0 - x0, y0 - y1)),
+    ])[:, :, None]
+    # station s of an edge is x0 + f * (x1 - x0) with f = s / stations,
+    # then the first corner closes the perimeter
+    stations = STATIONS_PER_EDGE
+    alphas = np.empty((4 * stations + 1, 4))
+    pts = alphas[:, :2]
+    np.add(corners, np.arange(stations)[:, None] / stations * edges,
+           out=pts[:-1].reshape(4, stations, 2))
+    pts[-1] = corners[0, 0]
+    np.add(pts, offset, out=alphas[:, 2:])
+    d = pts[1:] - pts[:-1]
+    d *= d
+    fracs = np.zeros(len(alphas))
+    np.cumsum(np.sqrt(d[:, 0] + d[:, 1]), out=fracs[1:])
+    fracs /= fracs[-1]
     return Gait(period_s=period, color=branch, bias=1.0, waypoints=fracs, alphas=alphas)
 
 
@@ -471,7 +482,7 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
         raise ValueError(f"bias factor must lie in (0, 1], got {factor}")
     alphas = gait.alphas.copy()
     alphas[:, 2:] *= factor
-    return replace(gait, bias=gait.bias * factor, alphas=alphas)
+    return Gait(gait.period_s, gait.color, gait.bias * factor, gait.waypoints, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +491,11 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
 
 @dataclass(frozen=True)
 class AttitudeGrid:
-    """Rectangular (phi, theta) evaluation grid."""
+    """Rectangular (phi, theta) evaluation grid.
+
+    What the scans read of it (axes, trigonometry, the terms of ``g``,
+    the edge table, cell edges, box) is cached read-only on first use.
+    """
 
     phi_min: float = -1.3
     phi_max: float = 1.3
@@ -533,10 +548,22 @@ class AttitudeGrid:
                 _frozen(cos_phi[:, None] * cos_theta[None, :]))
 
     @cached_property
-    def _edge_ends(self) -> tuple:
-        """``(lower end, upper end, middle)`` of every edge along phi, then along theta."""
-        return tuple(_frozen(a) for axis in (self.phis, self.thetas)
-                     for a in (axis[:-1], axis[1:], 0.5 * (axis[:-1] + axis[1:])))
+    def _edge_table(self) -> np.ndarray:
+        """One column per grid edge, by the edge ids of :func:`_edge_zeros`: the
+        edge's lower end, upper end and middle, its fixed coordinate with
+        that one's sine and cosine, and its period (2 pi along phi, pi along theta).
+        """
+        sin_phi, cos_phi, sin_theta, cos_theta = self._axis_trig
+        # phi edge (i, j) runs along phi at theta_j, theta edge (i, j)
+        # along theta at phi_i
+        lo, hi = self.phis[:-1, None], self.phis[1:, None]
+        along_phi = np.broadcast_arrays(lo, hi, 0.5 * (lo + hi), self.thetas, sin_theta,
+                                        cos_theta, TWO_PI)
+        lo, hi = self.thetas[:-1], self.thetas[1:]
+        along_theta = np.broadcast_arrays(lo, hi, 0.5 * (lo + hi), self.phis[:, None],
+                                          sin_phi[:, None], cos_phi[:, None], math.pi)
+        return _frozen(np.hstack([np.reshape(along_phi, (7, -1)),
+                                  np.reshape(along_theta, (7, -1))]))
 
     @cached_property
     def _cell_edges(self) -> np.ndarray:
@@ -635,28 +662,6 @@ def _one_sign(abc, grid: AttitudeGrid) -> bool:
     return min(t_lo, t_hi) + h_min > margin or max(t_lo, t_hi) + h_max < -margin
 
 
-def _nearest_root(k, ends, roots, period):
-    """The root ``r + j * period`` (``r`` from a row of ``roots``) nearest each edge ``k``'s middle.
-
-    ``ends`` holds the ``(lower end, upper end, middle)`` of every edge
-    of one kind (:attr:`AttitudeGrid._edge_ends`); ``roots`` holds one
-    row of candidate roots per family, a column per edge, and
-    ``np.where`` keeps ties on the first row.  Clamped into the edge
-    with ``np.maximum`` and ``np.minimum``, which only rounding needs.
-    An edge whose ends differ in sign holds a root, and every candidate
-    within half an edge of its middle lies on it, so the nearest
-    candidate is a root on the edge.
-    """
-    lo, hi, mid = (a[k] for a in ends)
-    cand = roots + period * np.rint((mid - roots) / period)
-    if len(cand) == 2:
-        off = abs(cand - mid)
-        cand = np.where(off[1] < off[0], cand[1], cand[0])
-    else:
-        cand = cand[0]
-    return np.minimum(np.maximum(cand, lo), hi)
-
-
 def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool):
     """Exact zero of ``g`` on every crossing grid edge of a stack of phases.
 
@@ -667,68 +672,87 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     lists each phase's least distance from level attitude to a zero
     (``inf`` for a phase without crossings); a report needs no more, so
     it forms no keys and sorts nothing.  ``zeros`` is ``None`` unless
-    ``curves``; then it lists each phase's ``(ids, phi, theta)``: the id
-    of each of its crossing edges, ascending, and the edge's vertex.
+    ``curves``; then it lists each phase's ``(ids, vertices)``: the id of
+    each of its crossing edges, ascending, and the edge's ``(phi,
+    theta)`` vertex, a row each.
     Phi edge ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i,
     j)`` the id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the
     phi edges come first, each kind row-major.
 
     Along phi, at fixed ``theta``, ``g = 0`` reads ``cos(theta) R
     sin(phi + psi) = A sin(theta)`` with ``R = hypot(B, C)`` and ``psi =
-    atan2(C, B)``; along theta, at fixed ``phi``, ``g = -A sin(theta) + K
-    cos(theta)`` with ``K = B sin(phi) + C cos(phi)`` vanishes at
-    ``theta = atan2(K, A) + k pi``.  ``R > 0`` on every crossing phi
-    edge: with ``B = C = 0``, ``g`` is the same at both of its ends.
+    atan2(C, B)``, roots ``u - psi`` and ``pi - u - psi`` with ``sin(u) =
+    A tan(theta) / R``; along theta, at fixed ``phi``, ``g = -A sin(theta)
+    + K cos(theta)`` with ``K = B sin(phi) + C cos(phi)`` vanishes at
+    ``theta = atan2(K, A) + k pi``.  ``R > 0`` on every crossing phi edge:
+    with ``B = C = 0``, ``g`` is the same at both of its ends.  Both kinds
+    take one gather of :attr:`AttitudeGrid._edge_table` and one ``(2,
+    m)`` array of candidates, a theta edge's in both rows.  Each edge
+    takes the candidate plus a multiple of its period nearest its middle,
+    the first row on a tie, clamped into the edge: an edge whose ends
+    differ in sign holds a root, and every candidate within half an edge
+    of its middle lies on it, so only rounding needs the clamp.
     """
-    phis, thetas = grid.phis, grid.thetas
-    sin_phi, cos_phi, sin_theta, cos_theta = grid._axis_trig
-    n = grid.n_theta
     n_phases = table.shape[1]
     n_p, n_t = cross_phi[0].size, cross_theta[0].size
     # the flat index of a crossing edge in its stacked mask is its phase
-    # times the phase's edges of that kind, plus its id, less the count
-    # of phi edges for a theta edge.  A lone phase needs no phase index:
-    # its coefficients are scalars
+    # times the phase's edges of that kind, plus its index within the
+    # kind.  A lone phase needs no phase index: its coefficients are
+    # scalars
     kp = cross_phi.ravel().nonzero()[0]
     kt = cross_theta.ravel().nonzero()[0]
     if n_phases == 1:
-        hp = ht = 0
-        ip, it = kp, kt
+        h, ip, it = 0, kp, kt
     else:
         hp, ip = np.divmod(kp, n_p)
         ht, it = np.divmod(kt, n_t)
-    pi, pj = np.divmod(ip, n)
-    ti, tj = np.divmod(it, n - 1)
+        h = np.concatenate([hp, ht])
+    ids = np.concatenate([ip, it + n_p])
+    p, t = slice(None, ip.size), slice(ip.size, None)
+    lower, upper, mid, fixed, sin_f, cos_f, period = grid._edge_table.take(ids, axis=1)
+    coeffs = table.take(h, axis=1)
+    on_p, on_t = (coeffs, coeffs) if n_phases == 1 else (coeffs[:, p], coeffs[:, t])
 
-    ends = grid._edge_ends
-    A, R, psi = table[2:].take(hp, axis=1)
-    u = np.arcsin(np.minimum(np.maximum(A * sin_theta[pj] / (R * cos_theta[pj]), -1.0), 1.0))
-    phi_p = _nearest_root(pi, ends[:3], np.subtract((u, math.pi - u), psi), TWO_PI)
+    roots = np.empty((2, ids.size))
+    _, _, A, R, psi = on_p
+    u = A * sin_f[p]
+    u /= R * cos_f[p]
+    u = np.arcsin(np.minimum(np.maximum(u, -1.0, out=u), 1.0, out=u), out=u)
+    np.subtract(u, psi, out=roots[0, p])
+    np.subtract(np.subtract(math.pi, u, out=u), psi, out=roots[1, p])
+    B, C, A = on_t[:3]
+    K = B * sin_f[t]
+    K += C * cos_f[t]
+    roots[1, t] = np.arctan2(K, A, out=roots[0, t])
+    cand = roots + period * np.rint((mid - roots) / period)
+    off = abs(cand - mid)
+    zero = np.where(off[1] < off[0], cand[1], cand[0])
+    np.minimum(np.maximum(zero, lower, out=zero), upper, out=zero)
 
-    B, C, A = table[:3].take(ht, axis=1)
-    K = B * sin_phi[ti] + C * cos_phi[ti]
-    theta_t = _nearest_root(tj, ends[3:], np.arctan2(K, A)[None], math.pi)
-
-    vphi = np.concatenate([phi_p, phis[ti]])
-    vtheta = np.concatenate([thetas[pj], theta_t])
-    dist = np.hypot(vphi, vtheta)
+    # hypot is symmetric, so the distance needs no vertex order
+    dist = np.hypot(zero, fixed)
+    if n_phases == 1:
+        least = [np.minimum.reduce(dist).item()]
+    else:
+        least = np.full(n_phases, np.inf)
+        np.minimum.at(least, h, dist)
+        least = least.tolist()
+    if not curves:
+        return least, None
+    verts = np.empty((ids.size, 2))
+    verts[p, 0], verts[p, 1], verts[t, 0], verts[t, 1] = zero[p], fixed[p], fixed[t], zero[t]
     if n_phases == 1:
         # the phi edges' ids, then the theta edges': already ascending
-        zeros = [(np.concatenate([kp, kt + n_p]), vphi, vtheta)] if curves else None
-        return [dist.min().item()], zeros
-    least = np.full(n_phases, np.inf)
-    np.minimum.at(least, np.concatenate([hp, ht]), dist)
-    if not curves:
-        return least.tolist(), None
+        return least, [(ids, verts)]
     # an edge of phase k has the key k * E + its id, with E the edges of
     # one phase, so one sort orders every phase's edges
     n_edges = n_p + n_t
-    keys = np.concatenate([kp + hp * n_t, kt + (ht + 1) * n_p])
+    keys = h * n_edges + ids
     order = keys.argsort()
-    keys, vphi, vtheta = keys[order], vphi[order], vtheta[order]
+    keys, verts = keys[order], verts[order]
     bounds = keys.searchsorted(np.arange(0, (n_phases + 1) * n_edges, n_edges)).tolist()
-    return least.tolist(), [(keys[lo:hi] - k * n_edges, vphi[lo:hi], vtheta[lo:hi])
-                            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return least, [(keys[lo:hi] - k * n_edges, verts[lo:hi])
+                   for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -766,7 +790,7 @@ def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
     a pair, or of two pairs, leaves the curves as they are, since no
     vertex lies on two segments of one cell.
     """
-    ids, vphi, vtheta = zeros
+    ids, verts = zeros
     kc = changed.ravel().nonzero()[0]
     edges = grid._cell_edges[kc]
     # each cell edge's vertex, where the edge crosses
@@ -775,13 +799,15 @@ def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
     segments = pos[crossing]
     if segments.size > 2 * kc.size:
         saddle = crossing.all(axis=1).nonzero()[0]
-        si, sj = np.divmod(kc[saddle], grid.n_theta - 1)
+        # a cell's bottom edge has the id of its lower-left node, and the
+        # middles of its bottom and left edges are its centre
+        bottom, _, left, _ = edges[saddle].T
+        phi, theta = grid._edge_table[2].take([bottom, left])
         # g at the cell centres, formed as normalized_det forms it
         A, B, C = abc
-        phi, theta = grid._edge_ends[2][si], grid._edge_ends[5][sj]
         ct = np.cos(theta)
         centre = -np.sin(theta) * A + np.sin(phi) * ct * B + np.cos(phi) * ct * C
-        pairs = _SADDLE_PAIRS[(S[si, sj] == (centre > 0.0)).astype(np.intp)]
+        pairs = _SADDLE_PAIRS[(S.ravel()[bottom] == (centre > 0.0)).astype(np.intp)]
         pos[saddle] = np.take_along_axis(pos[saddle], pairs, axis=1)
         segments = pos[crossing]
     segments = segments.reshape(-1, 2).tolist()
@@ -826,7 +852,6 @@ def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
         if not visited[v]:
             chains.append(walk(v))
 
-    verts = np.column_stack([vphi, vtheta])
     return SingularCurveSet(curves=[verts[chain] for chain in chains], grid=grid,
                             eps_curve=_curve_eps(abc))
 
@@ -860,9 +885,9 @@ def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
         raise TypeError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 1:
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
-    times = np.arange(n_phases) * gait.period_s / n_phases
+    times = [k * gait.period_s / n_phases for k in range(n_phases)]
     kf, km, arm = params.k_f, params.k_m, params.arm_length
-    return _phase_scan([kernels.det_coeffs(a1, a2, a3, a4, kf, km, arm)[:3]
+    return _phase_scan([kernels.det_coeffs(a1, a2, a3, a4, kf, km, arm)
                         for a1, a2, a3, a4 in gait.sample_array(times).tolist()], grid, curves)
 
 
@@ -900,9 +925,9 @@ def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
 def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     """:func:`_phase_scan` of each phase, with one sign grid of shape ``(phases, n_phi, n_theta)``.
 
-    The sign grid, the crossing masks, the counts, the edge zeros and
-    the hover margins are each one set of numpy calls over the stack;
-    each phase's curves are stitched from its own slice.
+    The sign grid, the crossing masks, the edge zeros and the hover
+    margins are each one set of numpy calls over the stack; each phase's
+    count of changed cells and its curves come from its own slice.
     """
     table = np.array([(B, C, A, math.hypot(B, C), math.atan2(C, B)) for A, B, C in phases]).T
     B, C, A = table[:3, :, None, None]
@@ -918,32 +943,26 @@ def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     # a cell's corners differ in sign iff one of its edges crosses; if its
     # bottom, top and left edges do not, all four corners agree
     changed = cross_phi[:, :, :-1] | cross_phi[:, :, 1:] | cross_theta[:, :-1]
-    n_changed = changed.reshape(len(phases), -1).sum(axis=1)
-    fracs = 1.0 - n_changed / changed[0].size
-    counts = n_changed.tolist()
+    counts = [np.count_nonzero(c) for c in changed]
     if any(counts):
         # every crossing edge's vertex lies on a curve, so the nearest
         # singular point needs the refined vertices but no stitching
         margins, zeros = _edge_zeros(table, grid, cross_phi, cross_theta, curves)
     scans = []
     for k, (abc, n) in enumerate(zip(phases, counts)):
+        frac = np.float64(1.0 - n / changed[k].size)
         if not n:
-            scans.append((fracs[k], None, _no_curves(abc, grid) if curves else None))
+            scans.append((frac, None, _no_curves(abc, grid) if curves else None))
             continue
         cs = _stitch_curves(abc, grid, S[k], changed[k], zeros[k]) if curves else None
-        scans.append((fracs[k], margins[k], cs))
+        scans.append((frac, margins[k], cs))
     return scans
 
 
 def _report(scans, grid: AttitudeGrid) -> RobustnessReport:
-    area = min(frac for frac, _, _ in scans)
     margins = [m for _, m, _ in scans if m is not None]
-    return RobustnessReport(
-        area_fraction=area,
-        hover_margin=min(margins) if margins else grid.diagonal,
-        n_phases=len(scans),
-        singular_phases=len(margins),
-    )
+    return RobustnessReport(min(frac for frac, _, _ in scans), min(margins, default=grid.diagonal),
+                            n_phases=len(scans), singular_phases=len(margins))
 
 
 def robustness_report(

@@ -222,6 +222,29 @@ def test_color_map_plane_anchors(params):
         assert fit.rms < 1e-3
 
 
+@pytest.mark.parametrize("a1v, a2v", [
+    (np.linspace(-0.5, 0.4, 7), np.linspace(-0.3, 0.6, 5)),
+    # a 1 x 1 grid: a least-squares fit reported a minimum-norm "plane"
+    (np.array([0.3]), np.array([-0.2])),
+], ids=["7x5", "1x1"])
+def test_color_map_states_its_planes(params, a1v, a2v):
+    for branch, off in OFFSETS.items():
+        cm = tr.color_map(a1v, a2v, branch, params)
+        assert cm.plane3.coeffs.tolist() == [off, 1.0, 0.0]
+        assert cm.plane4.coeffs.tolist() == [off, 0.0, 1.0]
+        for fit in (cm.plane3, cm.plane4):
+            assert fit.rms == 0.0 and fit.max_abs == 0.0
+
+
+@pytest.mark.parametrize("a1v, a2v", [
+    ([], [0.1, 0.2]), ([0.1, 0.2], np.empty(0)),
+    (np.zeros((2, 2)), [0.1, 0.2]), ([0.1, 0.2], [[0.1], [0.2]]), (0.1, [0.1, 0.2]),
+], ids=["empty-alpha1", "empty-alpha2", "2x2-alpha1", "column-alpha2", "scalar-alpha1"])
+def test_color_map_rejects_empty_or_non_1d_values(params, a1v, a2v):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        tr.color_map(a1v, a2v, "blue", params)
+
+
 def test_color_map_rejects_bad_branch(params):
     with pytest.raises(ValueError):
         tr.color_map(np.linspace(-0.1, 0.1, 3), np.linspace(-0.1, 0.1, 3), "green", params)
@@ -876,6 +899,65 @@ def test_attitude_grid_axes_cached_and_read_only():
     np.testing.assert_array_equal(clone.phis, grid.phis)
     for got, want in zip(clone._g_terms, grid._g_terms):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", [
+    tr.AttitudeGrid(-1.0, 1.2, -0.5, 0.7, 31, 17),
+    # a box reaching |theta| >= pi/2, where no phase is proved one-signed
+    tr.AttitudeGrid(-2.0, 0.5, -1.7, 1.6, 9, 14),
+], ids=["non-square", "past-pi/2"])
+def test_edge_table_rows_are_the_axis_gathers(grid):
+    phis, thetas = grid.phis, grid.thetas
+    n_phi, n_theta = grid.n_phi, grid.n_theta
+    # phi edge (i, j) and theta edge (i, j), in the id order of _edge_zeros
+    pi, pj = np.divmod(np.arange((n_phi - 1) * n_theta), n_theta)
+    ti, tj = np.divmod(np.arange(n_phi * (n_theta - 1)), n_theta - 1)
+    want = [
+        np.concatenate([phis[pi], thetas[tj]]),
+        np.concatenate([phis[pi + 1], thetas[tj + 1]]),
+        np.concatenate([0.5 * (phis[:-1] + phis[1:])[pi], 0.5 * (thetas[:-1] + thetas[1:])[tj]]),
+        np.concatenate([thetas[pj], phis[ti]]),
+        np.concatenate([np.sin(thetas)[pj], np.sin(phis)[ti]]),
+        np.concatenate([np.cos(thetas)[pj], np.cos(phis)[ti]]),
+        np.concatenate([np.full(pi.size, TWO_PI), np.full(ti.size, math.pi)]),
+    ]
+    table = grid._edge_table
+    assert table.shape == (7, pi.size + ti.size) and table is grid._edge_table
+    for row, expected in zip(table, want):
+        assert row.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_stack_with_uneven_crossings_matches_the_reference():
+    # theta reaches past pi/2, so every phase is scanned, all in one
+    # stack: g = sin(theta) keeps its sign on the box, and the others
+    # cross on different numbers of edges
+    grid = tr.AttitudeGrid(-1.4, 1.1, 0.2, 1.75, 31, 37)
+    phases = [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.2, 1.0, 0.3), (0.0, 0.0, 1.0)]
+    assert grid._box is None and len(phases) <= gaitlab._SCAN_NODES // (31 * 37)
+    scans = gaitlab._phase_scan(phases, grid, curves=True)
+    counts = []
+    for (A, B, C), (frac, margin, cs) in zip(phases, scans):
+        want_frac, want_margin, want_curves = phase_scan_reference(A, B, C, grid.phis, grid.thetas)
+        assert type(frac) is np.float64 and frac.tobytes() == np.float64(want_frac).tobytes()
+        assert margin == want_margin
+        _assert_same_polylines(cs.curves, want_curves)
+        counts.append(sum(len(poly) for poly in want_curves))
+    assert counts[1] == 0 and len(set(counts)) == len(counts)
+    report = gaitlab._phase_scan(phases, grid, curves=False)
+    assert [scan[:2] for scan in report] == [scan[:2] for scan in scans]
+
+
+def test_gait_segments_are_the_read_only_row_differences(params):
+    g = tr.bias_gait(tr.build_preset("gait2", params), 0.8)
+    starts, lengths, rows, steps = g._segments
+    wp, al = g.waypoints, g.alphas
+    for got, want in ((starts, wp[:-1]), (lengths, wp[1:] - wp[:-1]), (rows, al[:-1]),
+                      (steps, al[1:] - al[:-1])):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got.flat[0] = 0.0
 
 
 def _sample_scalar(gait, t):
