@@ -339,7 +339,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="write the digests of this tree to OUT (JSON)")
     parser.add_argument("--arrays", action="store_true", help="also save the arrays (.npz)")
-    parser.add_argument("--quick", action="store_true", help="reduced sizes (seconds, not minutes)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two digest files")
     args = parser.parse_args(argv)
     if args.compare:
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
         return 1 if lines else 0
     if not args.out:
         parser.error("give --out FILE or --compare A B")
-    digests = save(collect(QUICK if args.quick else FULL), args.out, args.arrays)
+    digests = save(collect(FULL), args.out, args.arrays)
     print(f"wrote {len(digests)} digests to {args.out}")
     return 0
 
