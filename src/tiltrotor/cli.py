@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from tiltrotor import gaitlab, sim
+from tiltrotor._files import write_csv
 from tiltrotor.control import Gains, load_config
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import Params
@@ -70,10 +71,6 @@ def _prepare_outputs(args, names) -> list[str]:
     return paths
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _bias_gait(gait: gaitlab.Gait, factor: float) -> gaitlab.Gait:
     try:
         return gaitlab.bias_gait(gait, factor)
@@ -112,14 +109,11 @@ def cmd_colormap(args) -> int:
     values = np.linspace(-args.range, args.range, args.res)
     result = gaitlab.color_map(values, values, args.branch, params)
 
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("alpha1,alpha2,alpha3,alpha4,residual_sign\n")
-        for i, a1 in enumerate(result.alpha1_values):
-            for j, a2 in enumerate(result.alpha2_values):
-                fh.write(
-                    f"{_fmt(a1)},{_fmt(a2)},{_fmt(result.alpha3[i, j])},"
-                    f"{_fmt(result.alpha4[i, j])},{int(result.residual_sign[i, j])}\n"
-                )
+    a1, a2 = result.alpha1_values, result.alpha2_values
+    write_csv(csv_path, "alpha1,alpha2,alpha3,alpha4,residual_sign", [
+        a1.repeat(a2.size), np.tile(a2, a1.size), result.alpha3.ravel(),
+        result.alpha4.ravel(), result.residual_sign.ravel(),
+    ])
 
     def plane(fit):
         return {**dataclasses.asdict(fit), "coeffs": fit.coeffs.tolist()}
@@ -188,15 +182,11 @@ def cmd_curves(args) -> int:
     base_sets, report = gaitlab.curves_and_report(gait, grid, args.phases, params)
     biased_sets, report_b = gaitlab.curves_and_report(biased, grid, args.phases, params)
 
-    curve_id = 0
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("phi,theta,curve_id\n")
-        for sets in (base_sets, biased_sets):
-            for cs in sets:
-                for poly in cs.curves:
-                    for phi, theta in poly:
-                        fh.write(f"{_fmt(phi)},{_fmt(theta)},{curve_id}\n")
-                    curve_id += 1
+    polys = [poly for sets in (base_sets, biased_sets) for cs in sets for poly in cs.curves]
+    write_csv(csv_path, "phi,theta,curve_id", [
+        np.concatenate([np.empty((0, 2)), *polys]),
+        np.arange(len(polys)).repeat([len(poly) for poly in polys]),
+    ])
 
     plot = LinePlot(
         (grid.phi_min, grid.phi_max), (grid.theta_min, grid.theta_max),

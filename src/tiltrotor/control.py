@@ -26,7 +26,6 @@ columns it returns the columns of a block of rows, for the tracking loop.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tiltrotor._core import kernels
+from tiltrotor._files import read_object
 from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import Params, State, _finite4, check_pitch
 
@@ -65,39 +65,14 @@ class Gains:
             raise ValueError(f"clamp must lie in (0, pi/2), got {self.clamp}")
 
 
-# the keys load_config reads and the forms their values may take: None for
-# one number, n for a list of n numbers
-_PARAM_KEYS = {
+# the keys load_config reads and the forms their values may take (see
+# read_object): None for one number, n for a list of n numbers
+_CONFIG_KEYS = {
     "m": (None,), "g": (None,), "k_f": (None,), "k_m": (None,), "arm_length": (None,),
     "omega_lo": (None,), "omega_hi": (None,), "inertia": (9,), "spin_sign": (4,),
+    "gains": {"kp": (None, 4), "kd": (None, 4), "kp_xy": (None,), "kd_xy": (None,),
+              "clamp": (None,)},
 }
-_GAIN_KEYS = {
-    "kp": (None, 4), "kd": (None, 4), "kp_xy": (None,), "kd_xy": (None,), "clamp": (None,),
-}
-
-
-def _fields(d, forms: dict, where: str) -> dict:
-    """The entries of the JSON object ``d`` as keyword arguments, each checked against ``forms``.
-
-    ``d`` is read with integers as floats, so a float is a JSON number and
-    a boolean is not.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, got {json.dumps(d)}")
-    kw = {}
-    for key, value in d.items():
-        if key not in forms:
-            raise ValueError(f"unknown key {key!r} in {where}")
-        if None in forms[key] and isinstance(value, float):
-            kw[key] = value
-        elif (isinstance(value, list) and len(value) in forms[key]
-              and all(isinstance(v, float) for v in value)):
-            kw[key] = np.array(value, dtype=float)
-        else:
-            form = " or ".join("a number" if n is None else f"a list of {n} numbers"
-                               for n in forms[key])
-            raise ValueError(f"{key} must be {form}, got {json.dumps(value)}")
-    return kw
 
 
 def load_config(path) -> tuple[Params, Gains]:
@@ -119,14 +94,8 @@ def load_config(path) -> tuple[Params, Gains]:
 
     Returns ``(params, gains)``.
     """
-    # integers read as floats: one too large for a float reads as inf, which
-    # the constructors refuse, where float() of the int would overflow
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh, parse_int=float)
-    if not isinstance(d, dict):
-        raise ValueError(f"the configuration must be a JSON object, got {json.dumps(d)}")
-    gains = Gains(**_fields(d.pop("gains", {}), _GAIN_KEYS, "gains"))
-    kw = _fields(d, _PARAM_KEYS, "the configuration")
+    kw = read_object(path, _CONFIG_KEYS, "the configuration")
+    gains = Gains(**kw.pop("gains", {}))
     if "inertia" in kw:
         kw["inertia"] = kw["inertia"].reshape(3, 3)
     return Params(**kw), gains

@@ -41,7 +41,6 @@ attitude to such a zero, so only the curves sort and stitch those zeros.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -54,7 +53,8 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition
+from tiltrotor._files import read_csv, read_object, write_csv
+from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
 from tiltrotor.model import Params, wrap_angle
 
 TWO_PI = 2.0 * math.pi
@@ -362,11 +362,7 @@ class Gait:
         fracs = np.linspace(0.0, 1.0, n_samples)
         rows = self.sample_array(fracs * self.period_s)
         rows[fracs >= 1.0] = self.alphas[-1]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_frac", "alpha1", "alpha2", "alpha3", "alpha4"])
-            for u, a in zip(fracs.tolist(), rows.tolist()):
-                writer.writerow([f"{u:.17g}"] + [f"{v:.17g}" for v in a])
+        write_csv(path, _GAIT_HEADER, [fracs, rows])
         with open(_sidecar(path), "w", encoding="utf-8") as fh:
             json.dump({"period_s": self.period_s, "color": self.color, "bias": self.bias}, fh)
             fh.write("\n")
@@ -377,9 +373,9 @@ def _sidecar(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".json"
 
 
-# the keys of a gait sidecar and the JSON type of each value; period_s is required
-_SIDECAR_TYPES = {"period_s": (float, "a number"), "color": (str, "a string"),
-                  "bias": (float, "a number")}
+_GAIT_HEADER = "t_frac,alpha1,alpha2,alpha3,alpha4"
+# the keys of a gait sidecar and their forms (see read_object); period_s is required
+_SIDECAR_KEYS = {"period_s": (None,), "color": (str,), "bias": (None,)}
 
 
 def load_gait(path) -> Gait:
@@ -390,30 +386,8 @@ def load_gait(path) -> Gait:
     default 1).  Any other key or form raises :class:`ValueError` naming
     the key.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_frac", "alpha1", "alpha2", "alpha3", "alpha4"]:
-            raise ValueError(f"malformed gait file {path}: bad header {header}")
-        for row in reader:
-            if len(row) != 5:
-                raise ValueError(f"malformed gait file {path}: bad row {row}")
-            rows.append([float(v) for v in row])
-    if len(rows) < 2:
-        raise ValueError(f"malformed gait file {path}: need at least two rows")
-    m = np.asarray(rows)
-    # integers read as floats, so a float is a JSON number and a boolean is not
-    with open(_sidecar(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh, parse_int=float)
-    if not isinstance(meta, dict):
-        raise ValueError(f"the gait sidecar must be a JSON object, got {json.dumps(meta)}")
-    for key, value in meta.items():
-        if key not in _SIDECAR_TYPES:
-            raise ValueError(f"unknown key {key!r} in the gait sidecar")
-        kind, form = _SIDECAR_TYPES[key]
-        if not isinstance(value, kind):
-            raise ValueError(f"{key} must be {form}, got {json.dumps(value)}")
+    m = read_csv(path, _GAIT_HEADER)
+    meta = read_object(_sidecar(path), _SIDECAR_KEYS, "the gait sidecar")
     if "period_s" not in meta:
         raise ValueError("the gait sidecar has no period_s")
     return Gait(**{"color": "blue", "bias": 1.0, **meta}, waypoints=m[:, 0], alphas=m[:, 1:5])
@@ -803,10 +777,7 @@ def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
         # middles of its bottom and left edges are its centre
         bottom, _, left, _ = edges[saddle].T
         phi, theta = grid._edge_table[2].take([bottom, left])
-        # g at the cell centres, formed as normalized_det forms it
-        A, B, C = abc
-        ct = np.cos(theta)
-        centre = -np.sin(theta) * A + np.sin(phi) * ct * B + np.cos(phi) * ct * C
+        centre = normalized_det(phi, theta, DetCoefficients(*abc))
         pairs = _SADDLE_PAIRS[(S.ravel()[bottom] == (centre > 0.0)).astype(np.intp)]
         pos[saddle] = np.take_along_axis(pos[saddle], pairs, axis=1)
         segments = pos[crossing]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tiltrotor._core import kernels
+from tiltrotor._files import read_csv, write_csv
 from tiltrotor.control import Gains, _start_command, decoupler_core, fl_core, tilt_factors
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import EPS_REP, Params, State
@@ -44,10 +45,6 @@ TRACKLOG_HEADER = (
     "t,x,y,z,vx,vy,vz,phi,theta,psi,p,q,r,a1,a2,a3,a4,"
     "w1,w2,w3,w4,xr,yr,zr,det,sat1,sat2,sat3,sat4,singular"
 )
-
-# rows of the log formatted per write by TrackLog.to_csv: one chunk's text
-# is about 0.25 MB, and chunks of 128 to 4096 rows write equally fast
-CSV_CHUNK = 512
 
 CIRCLE_RADIUS = 5.0
 CIRCLE_RATE = 0.1
@@ -152,41 +149,23 @@ class TrackLog:
         return (f"ended: {self.end_reason}; min det ratio {self.min_det_ratio:.4g} "
                 f"at t={self.min_det_ratio_time:.3f} s")
 
+    def _columns(self) -> list:
+        """The log arrays in the CSV column order."""
+        return [self.t, self.states, self.alpha, self.varpi, self.ref_pos, self.det,
+                self.saturated, self.singular]
+
     def as_matrix(self) -> np.ndarray:
         """Rows in the CSV column order (flags as 0/1)."""
-        return self._matrix(slice(None))
-
-    def _matrix(self, rows: slice) -> np.ndarray:
-        """The ``rows`` of :meth:`as_matrix`, built from slices of the log arrays."""
-        return np.column_stack([
-            self.t[rows], self.states[rows], self.alpha[rows], self.varpi[rows],
-            self.ref_pos[rows], self.det[rows], self.saturated[rows].astype(float),
-            self.singular[rows].astype(float),
-        ])
+        return np.column_stack(self._columns())
 
     def to_csv(self, path) -> None:
-        """Write the log with 17 significant digits so it round-trips exactly.
-
-        ``path`` is a path or an open text stream.  The text is that of
-        ``np.savetxt(path, self.as_matrix(), fmt="%.17g", delimiter=",",
-        header=TRACKLOG_HEADER, comments="")``, formatted :data:`CSV_CHUNK`
-        rows at a time with one format string from slices of the log
-        arrays, so neither the whole text nor a copy of the whole log is
-        ever held at once.
-        """
-        if not hasattr(path, "write"):
-            with open(path, "w") as fh:
-                self.to_csv(fh)
-            return
-        row = ",".join(["%.17g"] * len(TRACKLOG_HEADER.split(","))) + "\n"
-        path.write(TRACKLOG_HEADER + "\n")
-        for i in range(0, len(self), CSV_CHUNK):
-            block = self._matrix(slice(i, i + CSV_CHUNK))
-            path.write((row * len(block)) % tuple(block.ravel().tolist()))
+        """Write :meth:`as_matrix` to a path or an open text stream as ``_files.write_csv`` does."""
+        write_csv(path, TRACKLOG_HEADER, self._columns())
 
     @classmethod
     def from_csv(cls, path) -> "TrackLog":
-        m = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read a log :meth:`to_csv` wrote; any other file raises :class:`ValueError`."""
+        m = read_csv(path, TRACKLOG_HEADER)
         return cls(
             t=m[:, 0], states=m[:, 1:13], alpha=m[:, 13:17], varpi=m[:, 17:21],
             ref_pos=m[:, 21:24], det=m[:, 24],

@@ -152,6 +152,14 @@ def test_curves_outputs(tmp_path, gait_files):
     assert (out / "curves.svg").exists()
 
 
+def test_curves_without_polylines_write_the_header_alone(tmp_path):
+    # gait1 and its biased variant stay regular on this grid
+    out = tmp_path / "cv"
+    assert run_cli("--out", str(out), "curves", "--preset", "gait1", "--phases", "4",
+                   "--grid-res", "21", "--grid-limit", "1.0") == 0
+    assert (out / "curves.csv").read_bytes() == b"phi,theta,curve_id\n"
+
+
 def test_curves_invalid_phases(tmp_path, gait_files):
     assert run_cli("--out", str(tmp_path), "curves", "--gait",
                    str(gait_files / "gait_gait1.csv"), "--phases", "0") == 2

@@ -401,6 +401,21 @@ def test_load_gait_refuses_a_bad_sidecar(tmp_path, params, meta, key):
         tr.load_gait(path)
 
 
+def test_load_gait_reads_crlf_files(tmp_path, params):
+    # gait CSVs written with \r\n line ends, as the csv module wrote them,
+    # load to the same gait as their \n twins
+    g = tr.build_preset("gait1", params)
+    path = tmp_path / "gait.csv"
+    g.to_csv(path)
+    text = path.read_bytes()
+    assert b"\r" not in text
+    (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+    (tmp_path / "crlf.json").write_bytes((tmp_path / "gait.json").read_bytes())
+    new, old = tr.load_gait(path), tr.load_gait(tmp_path / "crlf.csv")
+    assert np.array_equal(old.waypoints, new.waypoints)
+    assert np.array_equal(old.alphas, new.alphas)
+
+
 def test_load_gait_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a1,a2\n0,0\n")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
-from tiltrotor import gaitlab, sim
+from tiltrotor import cli, gaitlab, sim
+from tiltrotor._files import CSV_CHUNK
 from tiltrotor.control import InnerRefs, decoupler_core
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.linearization import EPS_SING
@@ -233,11 +234,19 @@ def test_csv_roundtrip_any_log(rows):
     assert loaded.as_matrix().tobytes() == log.as_matrix().tobytes()
 
 
-def test_csv_text_is_that_of_savetxt(tmp_path):
+def _savetxt_lines(matrix, header):
+    # compared as lists of lines: a failing comparison of the whole text
+    # makes pytest diff about a megabyte character by character
+    oracle = io.StringIO()
+    np.savetxt(oracle, matrix, fmt="%.17g", delimiter=",", header=header, comments="")
+    return oracle.getvalue().split("\n")
+
+
+def test_csv_text_is_that_of_savetxt(tmp_path, params):
     # the chunked writer against np.savetxt as the oracle, on a log longer
     # than one chunk and not a multiple of it, through a path and a stream
     rng = np.random.default_rng(7)
-    n = 2 * sim.CSV_CHUNK + 37
+    n = 2 * CSV_CHUNK + 37
     values = rng.standard_normal((n, 25)) * 10.0 ** rng.integers(-300, 300, (n, 25))
     values[::5, 3] = 0.0
     values[1::5, 4] = -0.0
@@ -248,19 +257,46 @@ def test_csv_text_is_that_of_savetxt(tmp_path):
         varpi=values[:, 17:21], ref_pos=values[:, 21:24], det=values[:, 24],
         saturated=flags[:, 0:4], singular=flags[:, 4],
     )
-    oracle = io.StringIO()
-    np.savetxt(oracle, log.as_matrix(), fmt="%.17g", delimiter=",",
-               header=TRACKLOG_HEADER, comments="")
-    # compared as lists of lines: a failing comparison of the whole text
-    # makes pytest diff about a megabyte character by character
-    want = oracle.getvalue().split("\n")
+    want = _savetxt_lines(log.as_matrix(), TRACKLOG_HEADER)
     assert len(want) == n + 2 and want[-1] == ""
     buf = io.StringIO()
     log.to_csv(buf)
     assert buf.getvalue().split("\n") == want
     path = tmp_path / "track.csv"
     log.to_csv(path)
-    assert path.read_text().split("\n") == want
+    assert path.read_bytes().decode().split("\n") == want
+
+    # the other tables the package writes, each against its rows built
+    # one by one: the colormap grid, row-major over (alpha1, alpha2)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "colormap", "--branch", "red",
+                     "--range", "0.5", "--res", "7"]) == 0
+    grid_values = np.linspace(-0.5, 0.5, 7)
+    cm = gaitlab.color_map(grid_values, grid_values, "red", params)
+    rows = [[a1, a2, cm.alpha3[i, j], cm.alpha4[i, j], cm.residual_sign[i, j]]
+            for i, a1 in enumerate(grid_values) for j, a2 in enumerate(grid_values)]
+    want = _savetxt_lines(np.array(rows), "alpha1,alpha2,alpha3,alpha4,residual_sign")
+    assert (out / "colormap_red.csv").read_bytes().decode().split("\n") == want
+
+    # the curves table: each polyline's vertices with its number, the
+    # gait's curves first, then the biased gait's
+    assert cli.main(["--out", str(out), "curves", "--preset", "gait2", "--phases", "4",
+                     "--grid-res", "41"]) == 0
+    gait = tr.build_preset("gait2", params)
+    attitudes = tr.AttitudeGrid.symmetric(1.3, 41)
+    polys = [poly for g in (gait, tr.bias_gait(gait, 0.8))
+             for cs in gaitlab.curves_and_report(g, attitudes, 4, params)[0] for poly in cs.curves]
+    rows = [[phi, theta, k] for k, poly in enumerate(polys) for phi, theta in poly]
+    assert len(polys) > 2
+    want = _savetxt_lines(np.array(rows), "phi,theta,curve_id")
+    assert (out / "curves.csv").read_bytes().decode().split("\n") == want
+
+    # a gait's resampled rows, the last one its closing waypoint
+    gait.to_csv(out / "gait.csv", n_samples=51)
+    rows = [[u, *gait.sample_raw(u * gait.period_s)] for u in np.linspace(0.0, 1.0, 51)]
+    rows[-1][1:] = gait.alphas[-1]
+    want = _savetxt_lines(np.array(rows), "t_frac,alpha1,alpha2,alpha3,alpha4")
+    assert (out / "gait.csv").read_bytes().decode().split("\n") == want
 
 
 def test_csv_writer_holds_no_copy_of_the_log():
@@ -288,6 +324,23 @@ def test_csv_writer_holds_no_copy_of_the_log():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * 30 * 8
+
+
+# files that are not tracking logs: a gait CSV, a log's header alone, and
+# 30 numbers a row under another header
+NOT_LOGS = {
+    "gait": "t_frac,alpha1,alpha2,alpha3,alpha4\n0,0,0,0,0\n1,0,0,0,0\n",
+    "header-only": TRACKLOG_HEADER + "\n",
+    "other-header": ",".join(f"c{k}" for k in range(30)) + "\n" + ",".join(["0"] * 30) + "\n",
+}
+
+
+@pytest.mark.parametrize("text", NOT_LOGS.values(), ids=NOT_LOGS.keys())
+def test_from_csv_refuses_what_is_not_a_log(tmp_path, text):
+    path = tmp_path / "not_a_log.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not_a_log.csv"):
+        tr.TrackLog.from_csv(path)
 
 
 def test_abort_on_singular_gait(params, gains):
