@@ -1,4 +1,5 @@
-"""The package's file formats: one CSV dialect (see :func:`write_csv`), and JSON objects."""
+"""The package's file formats, each with one writer and one reader: one CSV
+dialect (see :func:`write_csv`), and JSON objects (see :func:`write_object`)."""
 
 from __future__ import annotations
 
@@ -51,6 +52,23 @@ def read_csv(path, header: str) -> np.ndarray:
     return np.loadtxt(itertools.chain((row,), path), delimiter=",", ndmin=2)
 
 
+def write_object(path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _unique_keys(pairs) -> dict:
+    """``read_object``'s ``object_pairs_hook``: the pairs as a dict, refusing a repeated key."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValueError(f"repeated key {key!r}")
+        d[key] = value
+    return d
+
+
 def read_object(path, forms: dict, where: str) -> dict:
     """The JSON object in ``path`` as keyword arguments, each value checked against ``forms``.
 
@@ -59,10 +77,11 @@ def read_object(path, forms: dict, where: str) -> dict:
     array), ``str`` for a string; or to a dict of forms for a nested
     object.  Integers read as floats, so a boolean is not a number and one
     too large for a float reads as inf.  Raises :class:`ValueError` naming
-    ``where`` if the file is not one object, else the key at fault.
+    ``where`` if the file is not one object, else the key at fault (a
+    repeated key is at fault).
     """
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh, parse_int=float)
+        d = json.load(fh, parse_int=float, object_pairs_hook=_unique_keys)
 
     def fields(d, forms, where):
         if not isinstance(d, dict):

@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
 Subcommands produce the experiment artifacts as CSV (17 significant
-digits, exact round-trip) plus simple SVG plots:
+digits, exact round-trip) and JSON, plus simple SVG plots:
 
 * ``colormap`` -- branch completions over an (alpha1, alpha2) grid with
   their branch planes,
-* ``gaitgen``  -- gait schedule files (presets or custom rectangles),
+* ``gaitgen``  -- gait files (presets or custom rectangles): one row per
+  waypoint plus a JSON sidecar, which ``--gait`` reads back as the same
+  gait,
 * ``curves``   -- singular-attitude curves of a gait and its biased
   variant, with robustness metrics,
 * ``track``    -- the closed-loop tracking run and its logs.
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
 from tiltrotor import gaitlab, sim
-from tiltrotor._files import write_csv
+from tiltrotor._files import write_csv, write_object
 from tiltrotor.control import Gains, load_config
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import Params
@@ -118,22 +119,14 @@ def cmd_colormap(args) -> int:
     def plane(fit):
         return {**dataclasses.asdict(fit), "coeffs": fit.coeffs.tolist()}
 
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"branch": result.branch, "alpha3_plane": plane(result.plane3),
-             "alpha4_plane": plane(result.plane4)},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_object(json_path, {"branch": result.branch, "alpha3_plane": plane(result.plane3),
+                             "alpha4_plane": plane(result.plane4)})
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
 def cmd_gaitgen(args) -> int:
     params, _ = _load_setup(args)
-    if args.samples < 2:
-        raise CliError(f"--samples must be >= 2, got {args.samples}", EXIT_INVALID)
     custom = [f"--{k}" for k in ("center", "half", "branch") if getattr(args, k) is not None]
     if args.preset and custom:
         raise CliError(
@@ -161,7 +154,7 @@ def cmd_gaitgen(args) -> int:
 
     stem = args.output or f"gait_{name}"
     csv_path, _ = _prepare_outputs(args, [f"{stem}.csv", f"{stem}.json"])
-    gait.to_csv(csv_path, n_samples=args.samples)
+    gait.to_csv(csv_path)
     print(f"wrote {csv_path} (+ sidecar)")
     return EXIT_OK
 
@@ -200,14 +193,8 @@ def cmd_curves(args) -> int:
             plot.polyline(poly[:, 0], poly[:, 1], color="blue")
     plot.save(svg_path)
 
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"bias": args.bias, "unbiased": dataclasses.asdict(report),
-             "biased": dataclasses.asdict(report_b)},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_object(json_path, {"bias": args.bias, "unbiased": dataclasses.asdict(report),
+                             "biased": dataclasses.asdict(report_b)})
     print(
         f"wrote {csv_path}, {svg_path}, {json_path} "
         f"(area {report.area_fraction:.4f} vs biased {report_b.area_fraction:.4f})"
@@ -295,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("blue", "red"))
     p.add_argument("--period", type=float, default=gaitlab.DEFAULT_GAIT_PERIOD)
     p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--output", help="output stem (default gait_<preset>)")
     p.set_defaults(func=cmd_gaitgen)
 

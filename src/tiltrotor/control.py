@@ -89,8 +89,9 @@ def load_config(path) -> tuple[Params, Gains]:
 
     Anything else raises :class:`ValueError` naming the key: an unknown
     or misspelt key, a value of the wrong form (a string, ``null``, a
-    boolean for a number, a list of the wrong length), a file that is not
-    one object, and values the constructors refuse.
+    boolean for a number, a list of the wrong length), a key repeated in
+    one object, a file that is not one object, and values the
+    constructors refuse.
 
     Returns ``(params, gains)``.
     """
@@ -139,6 +140,12 @@ def _sat1(v: float, lo: float, hi: float) -> float:
     elif mag > hi:
         mag = hi
     return math.copysign(mag, v)
+
+
+def _sat4(v, lo: float, hi: float) -> tuple:
+    """``(out, sat)``: :func:`_sat1` of each of the four values ``v``, and which it changed."""
+    out = (_sat1(v[0], lo, hi), _sat1(v[1], lo, hi), _sat1(v[2], lo, hi), _sat1(v[3], lo, hi))
+    return out, (out[0] != v[0], out[1] != v[1], out[2] != v[2], out[3] != v[3])
 
 
 def decoupler_core(px, py, vx, vy, sp, cp,
@@ -281,14 +288,7 @@ def fl_core(state, att, tilt, fac,
     vn2 = vn * vn
     ratio_sq = vn2 / norms if norms > 0.0 else 0.0
     if vn == 0.0 or vn2 < eps_sing * eps_sing * norms:
-        held = last_cmd
-        out = (
-            _sat1(held[0], omega_lo, omega_hi),
-            _sat1(held[1], omega_lo, omega_hi),
-            _sat1(held[2], omega_lo, omega_hi),
-            _sat1(held[3], omega_lo, omega_hi),
-        )
-        sat = (out[0] != held[0], out[1] != held[1], out[2] != held[2], out[3] != held[3])
+        out, sat = _sat4(last_cmd, omega_lo, omega_hi)
         return out, det, sat, True, ratio_sq
 
     # outputs y = (phi, theta, psi, z), their rates (dphi, dtheta, dpsi, vz)
@@ -322,13 +322,7 @@ def fl_core(state, att, tilt, fac,
             and omega_lo <= abs(v2) <= omega_hi and omega_lo <= abs(v3) <= omega_hi):
         # in range: _sat1 would return each value unchanged
         return (v0, v1, v2, v3), det, _UNSATURATED, False, ratio_sq
-    out = (
-        _sat1(v0, omega_lo, omega_hi),
-        _sat1(v1, omega_lo, omega_hi),
-        _sat1(v2, omega_lo, omega_hi),
-        _sat1(v3, omega_lo, omega_hi),
-    )
-    sat = (out[0] != v0, out[1] != v1, out[2] != v2, out[3] != v3)
+    out, sat = _sat4((v0, v1, v2, v3), omega_lo, omega_hi)
     return out, det, sat, False, ratio_sq
 
 

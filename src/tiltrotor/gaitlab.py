@@ -41,7 +41,6 @@ attitude to such a zero, so only the curves sort and stitch those zeros.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -53,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor._files import read_csv, read_object, write_csv
+from tiltrotor._files import read_csv, read_object, write_csv, write_object
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
 from tiltrotor.model import Params, wrap_angle
 
@@ -355,17 +354,15 @@ class Gait:
             raise ValueError(f"t must be finite, got {t}")
         return self.sample_array(t)
 
-    def to_csv(self, path, n_samples: int = 200) -> None:
-        """Write one period resampled at ``n_samples >= 2`` rows plus a JSON sidecar."""
-        if n_samples < 2:
-            raise ValueError(f"need at least 2 samples, got {n_samples}")
-        fracs = np.linspace(0.0, 1.0, n_samples)
-        rows = self.sample_array(fracs * self.period_s)
-        rows[fracs >= 1.0] = self.alphas[-1]
-        write_csv(path, _GAIT_HEADER, [fracs, rows])
-        with open(_sidecar(path), "w", encoding="utf-8") as fh:
-            json.dump({"period_s": self.period_s, "color": self.color, "bias": self.bias}, fh)
-            fh.write("\n")
+    def to_csv(self, path) -> None:
+        """Write the gait: one row per waypoint, its fraction and angles, plus a JSON sidecar.
+
+        The sidecar holds ``period_s``, ``color`` and ``bias``, so
+        :func:`load_gait` gives back this gait, bit for bit.
+        """
+        write_csv(path, _GAIT_HEADER, [self.waypoints, self.alphas])
+        write_object(_sidecar(path), {"period_s": self.period_s, "color": self.color,
+                                      "bias": self.bias})
 
 
 def _sidecar(path) -> str:
@@ -381,10 +378,12 @@ _SIDECAR_KEYS = {"period_s": (None,), "color": (str,), "bias": (None,)}
 def load_gait(path) -> Gait:
     """Read a gait CSV (with its JSON sidecar) back into a :class:`Gait`.
 
+    Each row is one waypoint, as :meth:`Gait.to_csv` writes them; a file of
+    resampled rows, as older versions wrote, loads as the gait it holds.
     The sidecar is one JSON object: ``period_s`` (a number, required),
     ``color`` (a string, default ``"blue"``) and ``bias`` (a number,
-    default 1).  Any other key or form raises :class:`ValueError` naming
-    the key.
+    default 1).  Any other key or form, or a repeated key, raises
+    :class:`ValueError` naming the key.
     """
     m = read_csv(path, _GAIT_HEADER)
     meta = read_object(_sidecar(path), _SIDECAR_KEYS, "the gait sidecar")

@@ -27,7 +27,7 @@ def test_gaitgen_outputs(gait_files):
     assert meta == {"period_s": 10.0, "color": "blue", "bias": 1.0}
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "t_frac,alpha1,alpha2,alpha3,alpha4"
-    assert len(rows) == 201
+    assert len(rows) == 66  # the header and the rectangle's 65 waypoints
 
 
 def test_gaitgen_bias_scales_columns(gait_files, tmp_path):
@@ -35,10 +35,9 @@ def test_gaitgen_bias_scales_columns(gait_files, tmp_path):
     assert run_cli("--out", str(out), "gaitgen", "--preset", "gait1", "--bias", "0.8") == 0
     base = np.loadtxt(gait_files / "gait_gait1.csv", delimiter=",", skiprows=1)
     biased = np.loadtxt(out / "gait_gait1.csv", delimiter=",", skiprows=1)
+    # both files hold the waypoints, so the lifted columns are scaled exactly
     np.testing.assert_array_equal(biased[:, 0:3], base[:, 0:3])
-    # scaling the waypoints then interpolating commutes with scaling the
-    # samples only up to rounding
-    np.testing.assert_allclose(biased[:, 3:5], 0.8 * base[:, 3:5], rtol=1e-14, atol=1e-17)
+    np.testing.assert_array_equal(biased[:, 3:5], 0.8 * base[:, 3:5])
 
 
 def test_gaitgen_requires_geometry(tmp_path):
@@ -229,13 +228,19 @@ def test_gaitgen_rejects_one_zero_half_extent(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("samples", ["1", "0", "-3"])
-def test_gaitgen_refuses_fewer_than_two_samples(tmp_path, capsys, samples):
-    out = tmp_path / "out"
-    assert run_cli("--out", str(out), "gaitgen", "--preset", "gait1",
-                   "--samples", samples) == 2
-    assert "--samples" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("preset, biased, timed, code", [
+    ("gait2", [], [], 4),
+    ("gait1", ["--bias", "0.8"], ["--duration", "2"], 0),
+], ids=["gait2", "gait1-biased"])
+def test_gait_file_reproduces_the_preset_run(tmp_path, preset, biased, timed, code):
+    # a gaitgen file tracks exactly as the gait it was made from
+    assert run_cli("--out", str(tmp_path), "gaitgen", "--preset", preset, *biased) == 0
+    gait = str(tmp_path / f"gait_{preset}.csv")
+    assert run_cli("--out", str(tmp_path / "file"), "track", "--gait", gait, *timed) == code
+    assert run_cli("--out", str(tmp_path / "preset"), "track", "--preset", preset,
+                   *biased, *timed) == code
+    assert ((tmp_path / "file" / "track.csv").read_bytes()
+            == (tmp_path / "preset" / "track.csv").read_bytes())
 
 
 def test_track_csv_roundtrip_precision(tmp_path, gait_files):

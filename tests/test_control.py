@@ -365,6 +365,17 @@ def test_load_config_refuses_what_it_does_not_read(tmp_path, cfg, key):
         tr.load_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"m": 1.0, "m": 2.5}', "m"),
+    ('{"gains": {"kp_xy": 0.5, "kp_xy": 0.6}}', "kp_xy"),
+], ids=["top-level", "in-gains"])
+def test_load_config_refuses_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+        tr.load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # 4x4 solve
 

@@ -291,10 +291,9 @@ def test_csv_text_is_that_of_savetxt(tmp_path, params):
     want = _savetxt_lines(np.array(rows), "phi,theta,curve_id")
     assert (out / "curves.csv").read_bytes().decode().split("\n") == want
 
-    # a gait's resampled rows, the last one its closing waypoint
-    gait.to_csv(out / "gait.csv", n_samples=51)
-    rows = [[u, *gait.sample_raw(u * gait.period_s)] for u in np.linspace(0.0, 1.0, 51)]
-    rows[-1][1:] = gait.alphas[-1]
+    # a gait: one row per waypoint, its fraction and its angles
+    gait.to_csv(out / "gait.csv")
+    rows = [[u, *a] for u, a in zip(gait.waypoints, gait.alphas)]
     want = _savetxt_lines(np.array(rows), "t_frac,alpha1,alpha2,alpha3,alpha4")
     assert (out / "gait.csv").read_bytes().decode().split("\n") == want
 
