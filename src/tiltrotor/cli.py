@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -100,7 +101,7 @@ def _load_gait_arg(args, params: Params) -> gaitlab.Gait:
 
 def cmd_colormap(args) -> int:
     params, _ = _load_setup(args)
-    if not 0.0 < args.range <= 1.5707:
+    if not 0.0 < args.range < math.pi / 2:
         raise CliError(f"--range must lie in (0, pi/2), got {args.range}", EXIT_INVALID)
     if args.res < 2:
         raise CliError(f"--res must be >= 2, got {args.res}", EXIT_INVALID)

@@ -35,7 +35,7 @@ import numpy as np
 from tiltrotor._core import kernels
 from tiltrotor._files import read_object
 from tiltrotor.linearization import EPS_SING
-from tiltrotor.model import Params, State, _finite4, check_pitch
+from tiltrotor.model import Params, State, _floats, check_pitch
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,7 @@ class InnerRefs:
 
     def __post_init__(self):
         for name in ("value", "rate", "accel"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (4,):
-                raise ValueError(f"{name} must be a 4-vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, np.array(_floats(getattr(self, name), 4, name)))
 
 
 @dataclass(frozen=True)
@@ -345,8 +340,8 @@ def fl_inner_loop(
     A tilt or ``last_command`` other than four finite numbers raises :class:`ValueError`.
     """
     held = (_start_command(params) if last_command is None
-            else _finite4(last_command, "last_command"))
-    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
+            else _floats(last_command, 4, "last_command"))
+    tilt = kernels.tilt_trig(_floats(alpha, 4, "alpha"))
     check_pitch(float(state.eta[1]))
     x = tuple(state.as_array().tolist())
     varpi, det, sat, singular, _ = fl_core(

@@ -54,7 +54,7 @@ import numpy as np
 from tiltrotor._core import kernels
 from tiltrotor._files import read_csv, read_object, write_csv, write_object
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
-from tiltrotor.model import Params, wrap_angle
+from tiltrotor.model import Params, _floats, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,13 +96,6 @@ def _completion(alpha1, alpha2, branch: str):
     """
     offset = _branch_offset(branch)
     return alpha1 + offset, alpha2 + offset
-
-
-def _finite(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite, got {values!r}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -177,9 +170,9 @@ def scan_roots(alpha12, params: Params) -> list[dict]:
     zero), sorted by ``alpha34``.  Where the two families meet,
     ``alpha12 = (delta/2, -delta/2)`` modulo ``pi/2``, they merge into
     four roots, and ``A = B = 0`` holds on whole lines of completions
-    through them as well.  ``alpha12`` must be finite.
+    through them as well.  ``alpha12`` must be two finite numbers.
     """
-    a1, a2 = _finite((alpha12[0], alpha12[1]), "alpha1, alpha2").tolist()
+    a1, a2 = _floats(alpha12, 2, "alpha12")
     delta = _delta(params)
     c_floor = 1e-4 * abc_scale(params)
     roots: list[dict] = []
@@ -199,9 +192,9 @@ def scan_roots(alpha12, params: Params) -> list[dict]:
 def solve_color_pair(alpha12, params: Params) -> list[ColorSolution]:
     """The blue and red completions at ``alpha12``, in closed form.
 
-    Returns ``[blue, red]``; ``alpha12`` must be finite.
+    Returns ``[blue, red]``; ``alpha12`` must be two finite numbers.
     """
-    a1, a2 = _finite((alpha12[0], alpha12[1]), "alpha1, alpha2").tolist()
+    a1, a2 = _floats(alpha12, 2, "alpha12")
     return [_solution(a1, a2, "blue", params), _solution(a1, a2, "red", params)]
 
 
@@ -249,10 +242,11 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
     on-branch ``C`` there.  Each axis of values must be a non-empty 1-D
     array of finite values.
     """
-    a1v, a2v = _finite(alpha1_values, "alpha1 values"), _finite(alpha2_values, "alpha2 values")
-    if a1v.ndim != 1 or a2v.ndim != 1 or not (a1v.size and a2v.size):
-        raise ValueError("grid values must be two non-empty 1-D arrays, got shapes "
-                         f"{a1v.shape} and {a2v.shape}")
+    a1v, a2v = np.asarray(alpha1_values, dtype=float), np.asarray(alpha2_values, dtype=float)
+    if (a1v.ndim != 1 or a2v.ndim != 1 or not (a1v.size and a2v.size)
+            or not (np.isfinite(a1v).all() and np.isfinite(a2v).all())):
+        raise ValueError("grid values must be two non-empty 1-D arrays of finite values, "
+                         f"got shapes {a1v.shape} and {a2v.shape}")
     offset = _branch_offset(branch)
     a1g, a2g = np.meshgrid(a1v, a2v, indexing="ij")
     alpha3, alpha4 = _completion(a1g, a2g, branch)
@@ -405,12 +399,12 @@ def make_rectangle_gait(
     speed through :data:`STATIONS_PER_EDGE` stations per edge;
     ``(alpha3, alpha4)`` sit on the requested branch plane at every
     station, so the gait is exactly on-branch and closes exactly.  The
-    planes do not depend on ``params``.  Centre and half extents must be
-    finite, the half extents both positive or both zero (a fixed point).
+    planes do not depend on ``params``.  ``center`` and ``half_extents``
+    must each be two finite numbers, the half extents both positive or
+    both zero (a fixed point).
     """
-    cx, cy, hx, hy = _finite(
-        (center[0], center[1], half_extents[0], half_extents[1]), "center and half extents"
-    ).tolist()
+    cx, cy = _floats(center, 2, "center")
+    hx, hy = _floats(half_extents, 2, "half_extents")
     if hx < 0 or hy < 0:
         raise ValueError("half extents must be non-negative")
     if (hx == 0.0) != (hy == 0.0):
@@ -742,14 +736,10 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     Each vertex is the closed-form zero of ``g`` on its crossing grid
     edge, so ``|g|`` there is rounding error, well below ``eps_curve =
     1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
-    segments stitch into polylines exactly.  ``A``, ``B`` and ``C`` must
-    be finite.
+    segments stitch into polylines exactly.  ``coeffs.abc``, the ``(A,
+    B, C)`` triple, must be three finite numbers.
     """
-    abc = coeffs.abc
-    for name, value in zip("ABC", abc):
-        if not math.isfinite(value):
-            raise ValueError(f"coefficient {name} must be finite, got {value!r}")
-    return _phase_scan([abc], grid, curves=True)[0][2]
+    return _phase_scan([_floats(coeffs.abc, 3, "coeffs")], grid, curves=True)[0][2]
 
 
 def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:

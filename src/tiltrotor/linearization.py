@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor.model import Params, State, _finite4, _finite_euler, check_pitch
+from tiltrotor.model import Params, State, _floats, check_pitch
 
 # Delta is declared singular when |det| < EPS_SING * scale**4 with scale the
 # geometric mean of its row norms.  Ratios near 1 mean well-separated rows;
@@ -88,15 +88,16 @@ class DecouplingMatrix:
 def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     """Assemble the decoupling matrix at attitude ``eta`` and tilt ``alpha``.
 
-    Depends only on ``(phi, theta)`` and ``alpha``; raises
-    :class:`~tiltrotor.errors.RepresentationSingular` inside the pitch guard band and
-    :class:`ValueError` for a non-finite roll or pitch.
+    Depends only on ``(phi, theta)`` and ``alpha``.  ``eta = (phi, theta,
+    psi)`` must be three finite numbers, the unread yaw included, and
+    ``alpha`` four, or :class:`ValueError` is raised; inside the pitch
+    guard band :class:`~tiltrotor.errors.RepresentationSingular` is raised.
     """
-    phi, theta = _finite_euler(float(eta[0]), float(eta[1]))
+    phi, theta, _ = _floats(eta, 3, "eta")
     check_pitch(theta)
+    tilt = kernels.tilt_trig(_floats(alpha, 4, "alpha"))
     d, _, det, scale = kernels.decoupling(
-        kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
-        kernels.tilt_trig(_finite4(alpha, "alpha")), params.pack,
+        kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0, tilt, params.pack,
     )
     return DecouplingMatrix(delta=np.asarray(d).reshape(4, 4), det=float(det), scale=float(scale))
 
@@ -125,7 +126,7 @@ def det_decomposition(alpha, params: Params) -> DetCoefficients:
         det(Delta) = (-sin(theta) * A + sin(phi) cos(theta) * B
                       + cos(phi) cos(theta) * C) / (m * cos(theta) * det(I_B))
     """
-    a1, a2, a3, a4 = _finite4(alpha, "alpha")
+    a1, a2, a3, a4 = _floats(alpha, 4, "alpha")
     A, B, C = kernels.det_coeffs(a1, a2, a3, a4, params.k_f, params.k_m, params.arm_length)
     return DetCoefficients(A=A, B=B, C=C)
 

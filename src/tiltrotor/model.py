@@ -16,11 +16,12 @@ Conventions:
   rotation is ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.
 * The Euler-rate map ``euler_rate_matrix`` is valid for ``|theta| <
   pi/2 - EPS_REP`` and raises :class:`RepresentationSingular` outside.
-  It, :func:`rotation_matrix` and
-  :func:`tiltrotor.linearization.decoupling_matrix` raise
-  :class:`ValueError` for a non-finite Euler angle that they read.
-* Every function that takes the tilting angles takes them as four
-  finite numbers, and raises :class:`ValueError` for anything else.
+* Every fixed-length numeric argument is checked the same way: the
+  tilting angles and rotor inputs are four finite numbers, an attitude
+  ``eta`` is three finite angles (the yaw included, where it is not
+  read), an ``(alpha1, alpha2)`` pair is two.  Anything else, a wrong
+  length or a 2-D shape included, raises :class:`ValueError` naming the
+  argument.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ from tiltrotor.errors import RepresentationSingular
 EPS_REP = 1e-3
 
 TWO_PI = 2.0 * math.pi
+
+_COUNTS = {2: "two", 3: "three", 4: "four"}
+
+
+def _floats(values, n: int, name: str) -> tuple:
+    """``values`` as ``n`` floats; anything but ``n`` finite numbers raises :class:`ValueError`."""
+    v = np.asarray(values, dtype=float)
+    if v.shape == (n,):
+        out = tuple(v.tolist())
+        if all(map(math.isfinite, out)):
+            return out
+    raise ValueError(f"{name} must be {_COUNTS[n]} finite numbers, got {values!r}")
 
 
 def wrap_angle(a):
@@ -141,12 +154,7 @@ class State:
 
     def __post_init__(self):
         for name in ("pos", "vel", "eta", "omega"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, np.array(_floats(getattr(self, name), 3, name)))
 
     def as_array(self) -> np.ndarray:
         """12-vector layout ``(x, y, z, vx, vy, vz, phi, theta, psi, p, q, r)``."""
@@ -155,17 +163,7 @@ class State:
     @classmethod
     def from_array(cls, x) -> "State":
         x = np.asarray(x, dtype=float)
-        return cls(pos=x[0:3].copy(), vel=x[3:6].copy(), eta=x[6:9].copy(), omega=x[9:12].copy())
-
-
-def _finite4(values, name: str) -> tuple:
-    """``values`` as four floats; anything but four finite numbers raises :class:`ValueError`."""
-    v = np.asarray(values, dtype=float)
-    if v.shape == (4,):
-        a1, a2, a3, a4 = v.tolist()
-        if math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(a4):
-            return a1, a2, a3, a4
-    raise ValueError(f"{name} must be four finite numbers, got {values!r}")
+        return cls(pos=x[0:3], vel=x[3:6], eta=x[6:9], omega=x[9:12])
 
 
 def speeds_to_input(varpi) -> np.ndarray:
@@ -176,28 +174,24 @@ def speeds_to_input(varpi) -> np.ndarray:
 
 def thrust_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame force."""
-    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
+    tilt = kernels.tilt_trig(_floats(alpha, 4, "alpha"))
     return np.asarray(kernels.thrust_entries(tilt, params.k_f)).reshape(3, 4)
 
 
 def torque_matrix(alpha, params: Params) -> np.ndarray:
     """3x4 map from signed squared rotor speeds to body-frame torque."""
-    tilt = kernels.tilt_trig(_finite4(alpha, "alpha"))
+    tilt = kernels.tilt_trig(_floats(alpha, 4, "alpha"))
     return np.asarray(
         kernels.torque_entries(tilt, params.k_f, params.k_m, params.arm_length)
     ).reshape(3, 4)
 
 
-def _finite_euler(*angles: float) -> tuple:
-    """``angles``, Euler angles as floats; a non-finite one raises :class:`ValueError`."""
-    if not all(math.isfinite(a) for a in angles):
-        raise ValueError(f"attitude angles must be finite, got {angles}")
-    return angles
-
-
 def rotation_matrix(eta) -> np.ndarray:
-    """Body-to-world rotation for Z-Y-X Euler angles ``eta = (phi, theta, psi)``."""
-    phi, theta, psi = _finite_euler(*(float(v) for v in eta))
+    """Body-to-world rotation for Z-Y-X Euler angles ``eta = (phi, theta, psi)``.
+
+    ``eta`` must be three finite numbers.
+    """
+    phi, theta, psi = _floats(eta, 3, "eta")
     return np.asarray(kernels.rotation_entries(phi, theta, psi)).reshape(3, 3)
 
 
@@ -208,8 +202,12 @@ def check_pitch(theta: float) -> None:
 
 
 def euler_rate_matrix(eta) -> np.ndarray:
-    """Matrix ``T`` with ``eta_dot = T @ omega_body``; requires ``|theta| < pi/2``."""
-    phi, theta = _finite_euler(float(eta[0]), float(eta[1]))
+    """Matrix ``T`` with ``eta_dot = T @ omega_body``; requires ``|theta| < pi/2``.
+
+    ``eta = (phi, theta, psi)`` must be three finite numbers, although
+    ``T`` does not depend on the yaw.
+    """
+    phi, theta, _ = _floats(eta, 3, "eta")
     check_pitch(theta)
     return np.asarray(kernels.euler_rate_entries(phi, theta)).reshape(3, 3)
 
@@ -224,11 +222,12 @@ def state_derivative(state: State, alpha, w, params: Params) -> np.ndarray:
     :class:`RepresentationSingular` inside the pitch guard band.
     """
     check_pitch(float(state.eta[1]))
-    w = np.array(_finite4(w, "w"))
+    w = np.array(_floats(w, 4, "w"))
+    # the tilt maps first, so that no kernel runs before alpha is checked
+    force = thrust_matrix(alpha, params) @ w
     return np.concatenate([
         state.vel,
-        rotation_matrix(state.eta) @ (thrust_matrix(alpha, params) @ w) / params.m
-        - (0.0, 0.0, params.g),
+        rotation_matrix(state.eta) @ force / params.m - (0.0, 0.0, params.g),
         euler_rate_matrix(state.eta) @ state.omega,
         params.inertia_inv @ (torque_matrix(alpha, params) @ w),
     ])
@@ -252,11 +251,11 @@ def integrate_step(
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    varpi = _finite4(varpi, "varpi")
+    varpi = _floats(varpi, 4, "varpi")
     check_pitch(float(state.eta[1]))
-    a0 = _finite4(alpha_of_t(t), "alpha")
-    am = _finite4(alpha_of_t(t + 0.5 * dt), "alpha")
-    a1 = _finite4(alpha_of_t(t + dt), "alpha")
+    a0 = _floats(alpha_of_t(t), 4, "alpha")
+    am = _floats(alpha_of_t(t + 0.5 * dt), 4, "alpha")
+    a1 = _floats(alpha_of_t(t + dt), 4, "alpha")
     x = tuple(state.as_array().tolist())
     out = kernels.rk4_step(
         x, kernels.attitude_trig(x[6], x[7], x[8]),

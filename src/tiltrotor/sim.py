@@ -85,10 +85,12 @@ class SimConfig:
     """Run configuration for :func:`run_tracking`.
 
     ``duration`` and ``dt`` must be positive and finite, with ``dt <=
-    duration``.  The run takes ``round(duration / dt)`` steps, so a
-    duration off the ``dt`` grid snaps to the nearest multiple of ``dt``,
-    ties to an even step count (0.0105 s at ``dt = 1e-3`` runs 10 steps,
-    to t = 0.010 s); the log has one row more than the step count.
+    duration``; ``initial_state`` must be a :class:`~tiltrotor.model.State`
+    (anything else raises :class:`TypeError`).  The run takes
+    ``round(duration / dt)`` steps, so a duration off the ``dt`` grid
+    snaps to the nearest multiple of ``dt``, ties to an even step count
+    (0.0105 s at ``dt = 1e-3`` runs 10 steps, to t = 0.010 s); the log
+    has one row more than the step count.
 
     Every run is the paper's experiment: it tracks
     :func:`circular_reference`, starts from the command 0.8 x the hover
@@ -108,6 +110,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.dt > self.duration:
             raise ValueError(f"dt {self.dt} exceeds the duration {self.duration}")
+        if not isinstance(self.initial_state, State):
+            raise TypeError(
+                f"initial_state must be a State, got {type(self.initial_state).__name__}")
 
 
 @dataclass

@@ -129,6 +129,14 @@ def test_colormap_invalid_args(tmp_path):
                    "--range", "-1") == 2
     assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
                    "--res", "1") == 2
+    # the interval is open at pi/2: pi/2 is refused, a value just below it is not
+    assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
+                   "--range", "1.5707963267948966") == 2
+    assert not any(tmp_path.iterdir())
+    assert run_cli("--out", str(tmp_path), "colormap", "--branch", "blue",
+                   "--range", "1.57079", "--res", "3") == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "colormap_blue.csv", "colormap_blue_planes.json"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -700,7 +701,8 @@ def test_extract_zero_curves_rejects_non_finite_coefficients(monkeypatch, bad, s
     monkeypatch.setattr(gaitlab, "_scan_stack", no_grid)
     abc = dict(A=0.3, B=-0.2, C=0.7)
     abc[slot] = bad
-    with pytest.raises(ValueError, match=f"coefficient {slot} must be finite"):
+    got = re.escape(repr(tuple(abc.values())))
+    with pytest.raises(ValueError, match=f"^coeffs must be three finite numbers, got {got}$"):
         tr.extract_zero_curves(DetCoefficients(**abc),
                                tr.AttitudeGrid.symmetric(1.2, 41))
 
@@ -1269,7 +1271,8 @@ def test_solve_color_pair_rejects_non_finite(params, bad, slot):
 def test_scan_roots_rejects_non_finite(params, bad, slot):
     a12 = [0.4, -0.3]
     a12[slot] = bad
-    with pytest.raises(ValueError, match="alpha1, alpha2 must be finite"):
+    got = re.escape(repr(a12))
+    with pytest.raises(ValueError, match=f"^alpha12 must be two finite numbers, got {got}$"):
         scan_roots(a12, params)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -436,25 +438,74 @@ def test_integrate_step_dt_must_be_positive_and_finite(params, monkeypatch, dt):
                           0.0, dt, params)
 
 
-# every public function that reads Euler angles, called with eta, and the
-# angles it reads
+# every public function that takes Euler angles, called with eta; each
+# checks all three, the yaw too where it does not read it
 ATTITUDE_READERS = {
-    "rotation_matrix": (lambda eta, p: tr.rotation_matrix(eta), ("phi", "theta", "psi")),
-    "euler_rate_matrix": (lambda eta, p: tr.euler_rate_matrix(eta), ("phi", "theta")),
-    "decoupling_matrix": (lambda eta, p: tr.decoupling_matrix(eta, np.zeros(4), p),
-                          ("phi", "theta")),
+    "rotation_matrix": lambda eta, p: tr.rotation_matrix(eta),
+    "euler_rate_matrix": lambda eta, p: tr.euler_rate_matrix(eta),
+    "decoupling_matrix": lambda eta, p: tr.decoupling_matrix(eta, np.zeros(4), p),
 }
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name, angle", [
     pytest.param(name, angle, id=f"{name}-{angle}")
-    for name, (_, angles) in ATTITUDE_READERS.items() for angle in angles
+    for name in ATTITUDE_READERS for angle in ("phi", "theta", "psi")
 ])
 def test_attitude_arguments_must_be_finite(params, name, angle, bad):
-    reader = ATTITUDE_READERS[name][0]
+    reader = ATTITUDE_READERS[name]
     eta = [0.1, -0.2, 0.3]
     reader(eta, params)
     eta[("phi", "theta", "psi").index(angle)] = bad
-    with pytest.raises(ValueError, match="attitude angles must be finite"):
+    got = re.escape(repr(eta))
+    with pytest.raises(ValueError, match=f"^eta must be three finite numbers, got {got}$"):
         reader(eta, params)
+
+
+def _inner_loop_command(v, p):
+    return tr.fl_inner_loop(tr.State(), np.zeros(4), tr.InnerRefs(), tr.Gains(), p,
+                            last_command=v)
+
+
+# every fixed-length numeric argument of the package: the call with the
+# value, a valid value and the argument's name
+FIXED_LENGTH_ARGUMENTS = {
+    **{f"{name}-alpha": (reader, np.zeros(4), "alpha") for name, reader in TILT_READERS.items()},
+    **{f"{name}-{arg}": (reader, np.full(4, 400.0), arg)
+       for name, (reader, arg) in ROTOR_READERS.items()},
+    "fl_inner_loop-last_command": (_inner_loop_command, np.full(4, 400.0), "last_command"),
+    **{f"{name}-eta": (reader, [0.1, -0.2, 0.3], "eta")
+       for name, reader in ATTITUDE_READERS.items()},
+    **{f"State-{field}": (lambda v, p, field=field: tr.State(**{field: v}), np.zeros(3), field)
+       for field in ("pos", "vel", "eta", "omega")},
+    **{f"InnerRefs-{field}": (lambda v, p, field=field: tr.InnerRefs(**{field: v}),
+                              np.zeros(4), field)
+       for field in ("value", "rate", "accel")},
+    "scan_roots": (lambda v, p: tr.gaitlab.scan_roots(v, p), [0.4, -0.3], "alpha12"),
+    "solve_color_pair": (lambda v, p: tr.solve_color_pair(v, p), [0.4, -0.3], "alpha12"),
+    "make_rectangle_gait-center": (
+        lambda v, p: tr.make_rectangle_gait(v, (0.2, 0.3), 10.0, "blue", p), [0.1, -0.1], "center"),
+    "make_rectangle_gait-half_extents": (
+        lambda v, p: tr.make_rectangle_gait((0.1, -0.1), v, 10.0, "blue", p), [0.2, 0.3],
+        "half_extents"),
+    "extract_zero_curves": (
+        lambda v, p: tr.extract_zero_curves(SimpleNamespace(abc=v),
+                                            tr.AttitudeGrid.symmetric(1.2, 5)),
+        [0.3, -0.2, 0.7], "coeffs"),
+}
+WRONG_LENGTHS = {
+    "short": lambda v: list(v)[:-1],
+    "long": lambda v: [*v, 0.5],
+    "column": lambda v: np.reshape(v, (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_LENGTHS.values(), ids=WRONG_LENGTHS.keys())
+@pytest.mark.parametrize("site", FIXED_LENGTH_ARGUMENTS)
+def test_fixed_length_arguments_refuse_other_shapes(params, monkeypatch, site, wrong):
+    call, valid, name = FIXED_LENGTH_ARGUMENTS[site]
+    call(valid, params)
+    _no_kernels(monkeypatch)
+    count = {2: "two", 3: "three", 4: "four"}[len(valid)]
+    with pytest.raises(ValueError, match=f"^{name} must be {count} finite numbers, got "):
+        call(wrong(valid), params)

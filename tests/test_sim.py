@@ -591,6 +591,12 @@ def test_config_rejects_non_finite(bad, field):
         tr.SimConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("initial", [np.zeros(12), None], ids=["array", "none"])
+def test_config_rejects_an_initial_state_that_is_not_a_state(initial):
+    with pytest.raises(TypeError, match="initial_state must be a State"):
+        tr.SimConfig(initial_state=initial)
+
+
 @given(duration=st.floats(1e-6, 1e3), over=st.floats(1.0, 1e3, exclude_min=True))
 def test_config_rejects_dt_above_duration(duration, over):
     assume(duration * over > duration)
