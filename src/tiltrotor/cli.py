@@ -223,17 +223,21 @@ def cmd_track(args) -> int:
         # loop's frame, and with it memory the writers below could reuse
         log = exc.log
         aborted = str(exc)
+    except MemoryError as exc:
+        # the run allocates its whole log before the first step
+        raise CliError(f"--duration/--dt: the log of this run does not fit in memory ({exc})",
+                       EXIT_INVALID) from exc
 
-    _write_track_outputs(log, paths)
+    err = sim.error_series(log)
+    _write_track_outputs(log, err, paths)
     if aborted is not None:
         print(f"{aborted}; {log.summary()}")
         return EXIT_ABORTED
-    err = sim.error_series(log)
     print(f"wrote {paths[0]}; final position error {err.norm[-1]:.4f} m; {log.summary()}")
     return EXIT_OK
 
 
-def _write_track_outputs(log, paths) -> None:
+def _write_track_outputs(log, err, paths) -> None:
     csv_path, traj_path, err_path, rotors_path = paths
     log.to_csv(csv_path)
 
@@ -245,7 +249,6 @@ def _write_track_outputs(log, paths) -> None:
     plot.polyline(log.states[:, 0], log.states[:, 1], color="red")
     plot.save(traj_path)
 
-    err = sim.error_series(log)
     top = max(1e-3, float(err.norm.max()) * 1.05)
     plot = LinePlot((0.0, max(log.t[-1], 1e-3)), (0.0, top), title="position error norm [m]")
     plot.polyline(err.t, err.norm, color="red")

@@ -54,11 +54,12 @@ class Gains:
     clamp: float = 0.35
 
     def __post_init__(self):
-        kp = np.broadcast_to(np.asarray(self.kp, dtype=float), (4,)).copy()
-        kd = np.broadcast_to(np.asarray(self.kd, dtype=float), (4,)).copy()
-        object.__setattr__(self, "kp", kp)
-        object.__setattr__(self, "kd", kd)
-        gains = (*kp.tolist(), *kd.tolist(), self.kp_xy, self.kd_xy)
+        for name in ("kp", "kd"):
+            value = getattr(self, name)
+            # one number stands for all four channels
+            value = value if np.iterable(value) else [value] * 4
+            object.__setattr__(self, name, np.array(_floats(value, 4, name)))
+        gains = (*self.kp.tolist(), *self.kd.tolist(), self.kp_xy, self.kd_xy)
         if not all(math.isfinite(v) and v > 0 for v in gains):
             raise ValueError(f"all gains must be positive and finite, got {gains}")
         if not 0.0 < self.clamp < math.pi / 2:

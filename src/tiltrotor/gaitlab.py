@@ -29,14 +29,15 @@ attitude grid at each sampled gait phase.  A phase on which ``g`` keeps
 one strict sign over the whole grid box forms no grid: the range of ``g
 / cos(theta)`` over the box has a closed form.  On a branch plane ``g =
 cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
-0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  The
-other phases are scanned together, their sign grids stacked into one
-array.  A gait's angles are checked finite when it is built, so each
-phase's ``(A, B, C)`` comes straight from the coefficient kernel as
-three floats.  The zeros on the crossing grid edges of both kinds come
-from one pass over one gather of the grid's cached edge table.  A report
-keeps only each phase's area fraction and the least distance from level
-attitude to such a zero, so only the curves sort and stitch those zeros.
+0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  A
+report scans the other phases together, their sign grids stacked into
+one array; a curve scan is one phase.  A gait's angles are checked
+finite when it is built, so each phase's ``(A, B, C)`` comes straight
+from the coefficient kernel as three floats.  The zeros on the crossing
+grid edges of both kinds come from one pass over one gather of the
+grid's cached edge table.  A report keeps only each phase's area
+fraction and the least distance from level attitude to such a zero, so
+only the curves stitch those zeros.
 """
 
 from __future__ import annotations
@@ -637,11 +638,11 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     edges along phi (node ``(i, j)`` to ``(i + 1, j)``) and along theta
     (to ``(i, j + 1)``).  Returns ``(margins, zeros)``.  ``margins``
     lists each phase's least distance from level attitude to a zero
-    (``inf`` for a phase without crossings); a report needs no more, so
-    it forms no keys and sorts nothing.  ``zeros`` is ``None`` unless
-    ``curves``; then it lists each phase's ``(ids, vertices)``: the id of
-    each of its crossing edges, ascending, and the edge's ``(phi,
-    theta)`` vertex, a row each.
+    (``inf`` for a phase without crossings); a report needs no more, and
+    ``zeros`` is ``None``.  A curve scan is one phase, with scalar
+    coefficients; then ``zeros`` is ``[(ids, vertices)]``: the id of each
+    crossing edge, ascending, and the edge's ``(phi, theta)`` vertex, a
+    row each.
     Phi edge ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i,
     j)`` the id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the
     phi edges come first, each kind row-major.
@@ -660,15 +661,13 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     differ in sign holds a root, and every candidate within half an edge
     of its middle lies on it, so only rounding needs the clamp.
     """
-    n_phases = table.shape[1]
     n_p, n_t = cross_phi[0].size, cross_theta[0].size
     # the flat index of a crossing edge in its stacked mask is its phase
     # times the phase's edges of that kind, plus its index within the
-    # kind.  A lone phase needs no phase index: its coefficients are
-    # scalars
+    # kind.  A curve scan's one phase needs no phase index
     kp = cross_phi.ravel().nonzero()[0]
     kt = cross_theta.ravel().nonzero()[0]
-    if n_phases == 1:
+    if curves:
         h, ip, it = 0, kp, kt
     else:
         hp, ip = np.divmod(kp, n_p)
@@ -678,7 +677,7 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     p, t = slice(None, ip.size), slice(ip.size, None)
     lower, upper, mid, fixed, sin_f, cos_f, period = grid._edge_table.take(ids, axis=1)
     coeffs = table.take(h, axis=1)
-    on_p, on_t = (coeffs, coeffs) if n_phases == 1 else (coeffs[:, p], coeffs[:, t])
+    on_p, on_t = (coeffs, coeffs) if curves else (coeffs[:, p], coeffs[:, t])
 
     roots = np.empty((2, ids.size))
     _, _, A, R, psi = on_p
@@ -698,28 +697,14 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
 
     # hypot is symmetric, so the distance needs no vertex order
     dist = np.hypot(zero, fixed)
-    if n_phases == 1:
-        least = [np.minimum.reduce(dist).item()]
-    else:
-        least = np.full(n_phases, np.inf)
-        np.minimum.at(least, h, dist)
-        least = least.tolist()
     if not curves:
-        return least, None
+        least = np.full(table.shape[1], np.inf)
+        np.minimum.at(least, h, dist)
+        return least.tolist(), None
     verts = np.empty((ids.size, 2))
     verts[p, 0], verts[p, 1], verts[t, 0], verts[t, 1] = zero[p], fixed[p], fixed[t], zero[t]
-    if n_phases == 1:
-        # the phi edges' ids, then the theta edges': already ascending
-        return least, [(ids, verts)]
-    # an edge of phase k has the key k * E + its id, with E the edges of
-    # one phase, so one sort orders every phase's edges
-    n_edges = n_p + n_t
-    keys = h * n_edges + ids
-    order = keys.argsort()
-    keys, verts = keys[order], verts[order]
-    bounds = keys.searchsorted(np.arange(0, (n_phases + 1) * n_edges, n_edges)).tolist()
-    return least, [(keys[lo:hi] - k * n_edges, verts[lo:hi])
-                   for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    # the phi edges' ids, then the theta edges': already ascending
+    return [np.minimum.reduce(dist).item()], [(ids, verts)]
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -851,21 +836,22 @@ def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
                         for a1, a2, a3, a4 in gait.sample_array(times).tolist()], grid, curves)
 
 
-# the most grid nodes one stacked scan holds: a 41 x 41 report of up to
-# 9 phases is one stack, and a 241 x 241 grid is scanned one phase at a
-# time.  Measured on 0.8-biased rectangle gaits (shared 2-vCPU x86-64,
-# numpy 2.4): a 64-phase 41 x 41 report took 7.4 ms scanned phase by
-# phase, 2.3 ms at 2**14 and 1.8 ms at 2**16; stacking two 241 x 241
-# phases (2**17) took the 64-phase biased gait2 and gait3 reports from
-# 52 ms to 100 ms.
+# the most grid nodes one stacked report scan holds: a 41 x 41 report of
+# up to 9 phases is one stack, and a 241 x 241 grid is scanned one phase
+# at a time; a curve scan is always one phase.  Measured on 0.8-biased
+# rectangle gaits (shared 2-vCPU x86-64, numpy 2.4): a 64-phase 41 x 41
+# report took 7.4 ms scanned phase by phase, 2.3 ms at 2**14 and 1.8 ms
+# at 2**16; stacking two 241 x 241 phases (2**17) took the 64-phase
+# biased gait2 and gait3 reports from 52 ms to 100 ms.
 _SCAN_NODES = 1 << 14
 
 def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     """``(area fraction, hover margin or None, curve set or None)`` of each phase.
 
     Each phase is its ``(A, B, C)``.  A phase whose sign :func:`_one_sign`
-    proves forms no grid.  The rest are scanned in stacks of at most
-    :data:`_SCAN_NODES` grid nodes.
+    proves forms no grid.  For a report the rest are scanned in stacks of
+    at most :data:`_SCAN_NODES` grid nodes; for curves, one phase at a
+    time, so that each phase's edge zeros come in id order unsorted.
     """
     scans = [None] * len(phases)
     rest = []
@@ -874,7 +860,7 @@ def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
             scans[k] = (np.float64(1.0), None, _no_curves(abc, grid) if curves else None)
         else:
             rest.append(k)
-    size = max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))
+    size = 1 if curves else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))
     for start in range(0, len(rest), size):
         stack = rest[start:start + size]
         for k, scan in zip(stack, _scan_stack([phases[k] for k in stack], grid, curves)):
@@ -886,8 +872,8 @@ def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     """:func:`_phase_scan` of each phase, with one sign grid of shape ``(phases, n_phi, n_theta)``.
 
     The sign grid, the crossing masks, the edge zeros and the hover
-    margins are each one set of numpy calls over the stack; each phase's
-    count of changed cells and its curves come from its own slice.
+    margins are each one set of numpy calls over the stack, one phase for
+    curves; each phase's count of changed cells comes from its own slice.
     """
     table = np.array([(B, C, A, math.hypot(B, C), math.atan2(C, B)) for A, B, C in phases]).T
     B, C, A = table[:3, :, None, None]

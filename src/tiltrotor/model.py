@@ -45,12 +45,17 @@ _COUNTS = {2: "two", 3: "three", 4: "four"}
 
 def _floats(values, n: int, name: str) -> tuple:
     """``values`` as ``n`` floats; anything but ``n`` finite numbers raises :class:`ValueError`."""
-    v = np.asarray(values, dtype=float)
-    if v.shape == (n,):
-        out = tuple(v.tolist())
-        if all(map(math.isfinite, out)):
-            return out
-    raise ValueError(f"{name} must be {_COUNTS[n]} finite numbers, got {values!r}")
+    cause = None
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        cause = exc
+    else:
+        if v.shape == (n,):
+            out = tuple(v.tolist())
+            if all(map(math.isfinite, out)):
+                return out
+    raise ValueError(f"{name} must be {_COUNTS[n]} finite numbers, got {values!r}") from cause
 
 
 def wrap_angle(a):

@@ -1,0 +1,153 @@
+"""Mutation check: each listed mutant must make its named tests fail.
+
+Run it by hand from the repository root::
+
+    python tests/_mutants.py                 # every mutant
+    python tests/_mutants.py NAME [NAME ...]  # only the named mutants
+
+Each mutant applies to its own copy of ``src/``, ``tests/`` and
+``pyproject.toml`` under a temporary directory: its old text, which must
+occur exactly once in its file, becomes its new text.  The script then
+runs only the mutant's tests on that copy with pytest.  A mutant is
+killed when every one of its tests fails; the script prints one line
+per mutant, with the tests that passed on a mutant not killed, and exits
+1 when any mutant is not killed.  An equivalent mutant changes no
+result that any test can see; it names no tests and gives its reason
+instead, and it is not run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GAITLAB = "src/tiltrotor/gaitlab.py"
+ACROSS_STACKS = "tests/test_gaitlab.py::test_scans_match_the_reference_across_stacks"
+REFUSE_SHAPES = "tests/test_model.py::test_fixed_length_arguments_refuse_other_shapes"
+GAINS = "tests/test_control.py::test_gains_name_a_wrong_kp_or_kd"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str          # relative to the repository root
+    old: str
+    new: str
+    tests: tuple = ()  # pytest node ids, each of which must fail
+    equivalent: str = ""  # why no test can tell it from the original
+
+
+MUTANTS = (
+    Mutant("curve-scans-stack-phases", GAITLAB,
+           "size = 1 if curves else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
+           "size = max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
+           (f"{ACROSS_STACKS}[gait2-41]", f"{ACROSS_STACKS}[gait1-41]")),
+    Mutant("report-stacks-two-phases-at-least", GAITLAB,
+           "else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
+           "else max(2, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
+           (f"{ACROSS_STACKS}[gait1-241]",)),
+    Mutant("edge-zeros-switch-inverted", GAITLAB,
+           "    if curves:\n        h, ip, it = 0, kp, kt",
+           "    if not curves:\n        h, ip, it = 0, kp, kt",
+           (f"{ACROSS_STACKS}[gait2-41]", f"{ACROSS_STACKS}[gait2-41-one-phase]")),
+    Mutant("report-margin-by-maximum", GAITLAB,
+           "np.minimum.at(least, h, dist)",
+           "np.maximum.at(least, h, dist)",
+           (f"{ACROSS_STACKS}[gait2-41-one-phase]", f"{ACROSS_STACKS}[gait2-41]")),
+    Mutant("report-margin-of-first-edge", GAITLAB,
+           "least = np.full(table.shape[1], np.inf)",
+           "least = dist[:table.shape[1]].copy()",
+           ("tests/test_gaitlab.py::test_stack_with_uneven_crossings_matches_the_reference",)),
+    Mutant("floats-let-conversion-errors-through", "src/tiltrotor/model.py",
+           "except (TypeError, ValueError) as exc:",
+           "except ZeroDivisionError as exc:",
+           (f"{REFUSE_SHAPES}[thrust_matrix-alpha-non-number]",
+            f"{REFUSE_SHAPES}[solve_color_pair-ragged]")),
+    Mutant("floats-unchained", "src/tiltrotor/model.py",
+           "finite numbers, got {values!r}\") from cause",
+           "finite numbers, got {values!r}\") from None",
+           (f"{REFUSE_SHAPES}[thrust_matrix-alpha-non-number]",
+            f"{REFUSE_SHAPES}[solve_color_pair-ragged]")),
+    Mutant("gains-unchecked", "src/tiltrotor/control.py",
+           "np.array(_floats(value, 4, name))",
+           "np.broadcast_to(np.asarray(value, dtype=float), (4,)).copy()",
+           (f"{GAINS}[kp-short]", f"{GAINS}[kd-column]")),
+    Mutant("gains-scalar-not-broadcast", "src/tiltrotor/control.py",
+           "else [value] * 4", "else [value]",
+           (f"{GAINS}[kp-short]",)),
+    Mutant("track-memory-error-uncaught", "src/tiltrotor/cli.py",
+           "except MemoryError as exc:", "except OverflowError as exc:",
+           ("tests/test_cli.py::test_track_rejects_bad_timing[timing4]",)),
+    Mutant("track-error-series-twice", "src/tiltrotor/cli.py",
+           "final position error {err.norm[-1]:.4f}",
+           "final position error {sim.error_series(log).norm[-1]:.4f}",
+           ("tests/test_cli.py::test_track_forms_the_error_series_once",)),
+    Mutant("scan-nodes-doubled", GAITLAB,
+           "_SCAN_NODES = 1 << 14", "_SCAN_NODES = 1 << 15",
+           equivalent="the node limit sets only how many report phases share one stack; "
+                      "each phase's arithmetic is elementwise over its own cells and edges, "
+                      "so every result is bit-identical, and the tests that count stacks "
+                      "read the limit from the module"),
+    # gait2 still ends at row 799, since its determinant ratio falls from
+    # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
+    Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",
+           "    eps = EPS_SING\n", "    eps = 2.0 * EPS_SING\n",
+           ("tests/test_sim.py::test_abort_reason_determinant[gait3-4.064]",)),
+)
+
+
+def apply(tree: str, mutant: Mutant) -> None:
+    """Replace the mutant's old text, which must occur once, in ``tree``."""
+    path = os.path.join(tree, mutant.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def run(mutant: Mutant) -> list[str]:
+    """The mutant's tests that do not fail on a mutated copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
+        for name in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, name), os.path.join(tree, name),
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
+        apply(tree, mutant)
+        env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                               *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+    failed = {line.split(" ")[1] for line in done.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return [test for test in mutant.tests if test not in failed]
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        if mutant.equivalent:
+            print(f"{mutant.name}: equivalent, not run ({mutant.equivalent})")
+            continue
+        passed = run(mutant)
+        survived += bool(passed)
+        print(f"{mutant.name}: " + (f"NOT KILLED, passed: {' '.join(passed)}" if passed
+                                    else "killed"), flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

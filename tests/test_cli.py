@@ -204,6 +204,19 @@ def test_track_success_and_failure(tmp_path, gait_files):
     assert partial.singular[-1]
 
 
+def test_track_forms_the_error_series_once(tmp_path, monkeypatch):
+    calls = []
+    error_series = tr.sim.error_series
+
+    def counting(log):
+        calls.append(len(log))
+        return error_series(log)
+
+    monkeypatch.setattr(tr.sim, "error_series", counting)
+    assert run_cli("--out", str(tmp_path), "track", "--preset", "gait1", "--duration", "0.01") == 0
+    assert calls == [11]
+
+
 def test_track_invalid_duration(tmp_path, gait_files):
     assert run_cli("--out", str(tmp_path), "track", "--gait",
                    str(gait_files / "gait_gait1.csv"), "--duration", "0") == 2
@@ -212,6 +225,8 @@ def test_track_invalid_duration(tmp_path, gait_files):
 @pytest.mark.parametrize("timing", [
     ["--duration", "nan"], ["--duration", "inf"], ["--dt", "nan"],
     ["--duration", "0.001", "--dt", "0.002"],
+    # a log no host can allocate
+    ["--duration", "1e12"],
 ])
 def test_track_rejects_bad_timing(tmp_path, gait_files, timing, capsys):
     assert run_cli("--out", str(tmp_path), "track", "--gait",

@@ -265,6 +265,17 @@ def test_gains_validation(bad):
         tr.Gains(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    [4.0, 4.0, 4.0], [4.0] * 5, np.full((4, 1), 4.0), "abc", [[4.0], 4.0, 4.0, 4.0],
+], ids=["short", "long", "column", "non-number", "ragged"])
+@pytest.mark.parametrize("field", ["kp", "kd"])
+def test_gains_name_a_wrong_kp_or_kd(field, bad):
+    # one number still stands for all four channels
+    assert getattr(tr.Gains(**{field: 2.5}), field).tolist() == [2.5] * 4
+    with pytest.raises(ValueError, match=f"^{field} must be four finite numbers, got "):
+        tr.Gains(**{field: bad})
+
+
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        field=st.sampled_from(["kp", "kd", "kp_xy", "kd_xy", "clamp"]),
        channel=st.integers(0, 3))

@@ -644,20 +644,41 @@ def test_scans_match_the_reference_on_the_241_grid(params):
         assert _assert_scans_match_reference(gait, grid, 8, params).singular_phases > 0
 
 
-@pytest.mark.parametrize("name, n", [("gait2", 41), ("gait1", 41), ("gait1", 241)])
-def test_scans_match_the_reference_across_stacks(params, name, n):
+@pytest.mark.parametrize("name, n, n_phases", [
+    pytest.param("gait2", 41, 64, id="gait2-41"),
+    pytest.param("gait1", 41, 64, id="gait1-41"),
+    pytest.param("gait1", 241, 64, id="gait1-241"),
+    pytest.param("gait2", 41, 1, id="gait2-41-one-phase"),
+])
+def test_scans_match_the_reference_across_stacks(params, monkeypatch, name, n, n_phases):
     # 0.8-biased gait2 is singular at all 64 phases, several stacks of a
     # 41 x 41 grid; gait1's robust and singular phases interleave, in
-    # stacks of 41 x 41 grids and on a grid larger than one stack
+    # stacks of 41 x 41 grids and on a grid larger than one stack.  With
+    # one phase, the report's one stack holds one phase
+    stacks = []
+    scan_stack = gaitlab._scan_stack
+
+    def recording(phases, grid, curves):
+        stacks.append((curves, len(phases)))
+        return scan_stack(phases, grid, curves)
+
+    monkeypatch.setattr(gaitlab, "_scan_stack", recording)
     grid = tr.AttitudeGrid.symmetric(1.2, n)
     per_stack = gaitlab._SCAN_NODES // (n * n)
     gait = tr.bias_gait(tr.build_preset(name, params), 0.8)
-    report = _assert_scans_match_reference(gait, grid, 64, params)
+    report = _assert_scans_match_reference(gait, grid, n_phases, params)
     if name == "gait2":
-        assert report.singular_phases == 64 > 2 * per_stack
+        assert report.singular_phases == n_phases
+        assert n_phases == 1 or n_phases > 2 * per_stack
     else:
-        assert 0 < report.singular_phases < 64
+        assert 0 < report.singular_phases < n_phases
     assert (per_stack == 0) == (n == 241)
+    # a curve scan is one phase; a report's stacks are as full as the
+    # node limit lets them be
+    assert {size for curves, size in stacks if curves} == {1}
+    report_sizes = [size for curves, size in stacks if not curves]
+    assert max(report_sizes) == min(max(1, per_stack), sum(report_sizes))
+    assert (max(report_sizes) > 1) == (n == 41 and n_phases > 1)
 
 
 def test_robust_phases_form_no_grid(params, monkeypatch):

@@ -493,19 +493,24 @@ FIXED_LENGTH_ARGUMENTS = {
                                             tr.AttitudeGrid.symmetric(1.2, 5)),
         [0.3, -0.2, 0.7], "coeffs"),
 }
-WRONG_LENGTHS = {
+# wrong lengths and shapes, then values numpy cannot convert to floats,
+# whose error the check chains to its own
+WRONG_FORMS = {
     "short": lambda v: list(v)[:-1],
     "long": lambda v: [*v, 0.5],
     "column": lambda v: np.reshape(v, (-1, 1)),
+    "non-number": lambda v: ["a", *list(v)[1:]],
+    "ragged": lambda v: [list(v)[:1], *list(v)[1:]],
 }
 
 
-@pytest.mark.parametrize("wrong", WRONG_LENGTHS.values(), ids=WRONG_LENGTHS.keys())
+@pytest.mark.parametrize("wrong", WRONG_FORMS)
 @pytest.mark.parametrize("site", FIXED_LENGTH_ARGUMENTS)
 def test_fixed_length_arguments_refuse_other_shapes(params, monkeypatch, site, wrong):
     call, valid, name = FIXED_LENGTH_ARGUMENTS[site]
     call(valid, params)
     _no_kernels(monkeypatch)
     count = {2: "two", 3: "three", 4: "four"}[len(valid)]
-    with pytest.raises(ValueError, match=f"^{name} must be {count} finite numbers, got "):
-        call(wrong(valid), params)
+    with pytest.raises(ValueError, match=f"^{name} must be {count} finite numbers, got ") as exc:
+        call(WRONG_FORMS[wrong](valid), params)
+    assert (exc.value.__cause__ is not None) == (wrong in ("non-number", "ragged"))
