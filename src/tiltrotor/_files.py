@@ -3,14 +3,170 @@ dialect (see :func:`write_csv`), and JSON objects (see :func:`write_object`)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-# rows formatted per write by write_csv: one chunk of a tracking log's text
-# is about 0.25 MB, and chunks of 128 to 4096 rows write equally fast
-CSV_CHUNK = 512
+# rows formatted per write by write_csv: a chunk of a tracking log is 3,840
+# values, which the digit kernel formats holding at most 0.84 MB (traced);
+# chunks of 128 to 512 rows wrote the 20 s gait1 log equally fast within the
+# host's noise (0.07-0.10 s, interleaved in-process timing), 64 rows ~20 % slower
+CSV_CHUNK = 128
+
+# the digit kernel writes 10**-_EXP <= |x| < 10**_EXP itself, so every
+# exponent it writes has two digits; Python formats the other values
+_EXP = 99
+# a product within this of a tie is left to Python where 10**(16 - E) is not
+# a double, since there the product's last bits are rounded (by < 1e-14)
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+# the layouts: fixed notation for each E in [-4, 16], then the exponent form
+_FORMS = 22
+# a value's row of _ROW 8-byte words: slot j is byte 2j, a digit, and byte
+# 2j + 1, the point after it.  Slot 1 holds the sign, slots 3-6 the zeros
+# of "0.000", slot 7 the leading digit and slots 8-23 the other 16; bytes
+# 48-51 hold "e+XX" and byte 52 the separator.  The bytes a value does
+# not use are zeros, which the writer deletes.
+_ROW = 7
+_FALLBACK = 2 * _FORMS * 17  # the row code of a value Python formats
+
+
+def _pow10(k: int) -> tuple[float, float]:
+    """``10**k`` as a double-double ``(hi, lo)``, each part correctly rounded."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den  # int division rounds correctly
+    h_num, h_den = hi.as_integer_ratio()
+    return hi, (num * h_den - h_num * den) / (den * h_den)
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of bytes as little-endian 8-byte words."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8")
+
+
+class _Tables(NamedTuple):
+    """The digit kernel's tables: the first eight by ``E + _EXP + 1``."""
+    least: np.ndarray  # the least double >= 10**E
+    hi: np.ndarray     # 10**(16 - E) = hi + lo, and hi = hh + hl split
+    lo: np.ndarray
+    hh: np.ndarray
+    hl: np.ndarray
+    tie: np.ndarray    # |t - rint(t)| above this is too near a tie to decide
+    base: np.ndarray   # the row code of E with 17 digits, positive
+    exp: np.ndarray    # the word "e+XX" of E
+    quad: np.ndarray   # the word of four digits, by their number (slots 4-7 too)
+    zeros: np.ndarray  # the trailing zeros of four digits, by their number
+    masks: np.ndarray  # the kept bytes of each row code, with slots 0-3 filled
+
+
+@functools.cache
+def _tables() -> _Tables:
+    e = np.arange(-_EXP - 1, _EXP + 3)
+    hi, lo = np.array([_pow10(16 - k) for k in e.tolist()]).T
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    least = [h if l <= 0.0 else math.nextafter(h, math.inf)
+             for h, l in map(_pow10, e.tolist())]
+    base = np.where((e >= -4) & (e <= 16), e + 4, _FORMS - 1) * 17 + 16
+    exp = np.zeros((e.size, 8), np.uint8)
+    exp[:, 0], exp[:, 1] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
+    exp[:, 2], exp[:, 3] = 48 + abs(e) // 10 % 10, 48 + abs(e) % 10
+    g = np.arange(10_000, dtype=np.int16)[:, None]  # int16 keeps the build's arrays small
+    quad = np.full((g.size, 8), ord("."), np.uint8)
+    quad[:, ::2] = 48 + g // np.array([1000, 100, 10, 1], np.int16) % 10
+    zeros = (g % np.array([10, 100, 1000, 10_000], np.int16) == 0).sum(1, dtype=np.int8)
+
+    # row code (sign * _FORMS + form) * 17 + digits - 1: the slots from
+    # first to last, the point after slot `point` if a digit follows it
+    code = np.arange(_FALLBACK)[:, None]
+    sign, form, digits = code // (_FORMS * 17), code // 17 % _FORMS, code % 17 + 1
+    exponent = form == _FORMS - 1
+    point = np.where(exponent, 7, form + 3)
+    first, last = np.minimum(point, 7), np.maximum(6 + digits, point)
+    b = np.arange(8 * _ROW)
+    slot = b // 2
+    keep = np.where(b % 2 == 1, (slot == point) & (point < last), (first <= slot) & (slot <= last))
+    keep |= ((b == 2) & (sign == 1)) | ((b >= 48) & (b < 52) & exponent) | (b == 52)
+    masks = np.vstack([keep, (b < 24) | (b == 52)]).astype(np.uint8) * np.uint8(255)
+    masks[:, :8] &= np.frombuffer(b"0.-.0.0.", np.uint8)
+    return _Tables(np.array(least), hi, lo, hh, hi - hh,
+                   np.where(lo != 0.0, 0.5 - _TIE_MARGIN, 0.5), base.astype(np.intp),
+                   _words(exp).ravel(), _words(quad).ravel(),
+                   zeros, _words(masks))
+
+
+def _digits(x: np.ndarray, tb: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the floats ``x``: ``E + _EXP + 1``, the 17 digits and where Python writes the value.
+
+    The digits are ``round(|x| * 10**(16 - E))`` half to even (0 for a
+    zero), for ``10**E <= |x| < 10**(E + 1)``.  The product is ``p + t``:
+    ``p`` the rounded product of ``|x|`` and ``hi``, ``t`` its error (exact,
+    by Dekker's split) plus ``|x| * lo``.
+    """
+    a = np.abs(x)
+    fast = (a >= tb.least[1]) & (a < tb.least[2 * _EXP + 1])
+    zero = x == 0.0
+    if not fast.all():
+        a[~fast] = 1.0
+    j = np.log10(a)
+    np.floor(j, out=j)
+    j = j.astype(np.intp)
+    j += _EXP + 1
+    j += a >= tb.least.take(j + 1)
+    j -= a < tb.least.take(j)
+
+    p = a * tb.hi.take(j)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = tb.hh.take(j), tb.hl.take(j)
+    t = ah * bh - p
+    t += ah * bl
+    t += al * bh
+    t += al * bl
+    t += a * tb.lo.take(j)
+    r = np.rint(t)
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(t - r) > tb.tie.take(j)))
+    d = p.astype(np.int64)
+    d += r.astype(np.int64)
+    carry = d == 10 ** 17  # a double just below 10**(E + 1) rounds up to it
+    d[carry] = 10 ** 16
+    j += carry
+    d[zero] = 0
+    return j, d, slow
+
+
+def _rows(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The byte rows of the floats ``x``, each ending in its word of ``seps``."""
+    tb = _tables()
+    j, d, slow = _digits(x, tb)
+    lead = d // 10 ** 16
+    d -= lead * 10 ** 16
+    high = d // 10 ** 8
+    d -= high * 10 ** 8
+    q0, q2 = high // 10 ** 4, d // 10 ** 4
+    quads = (q0, high - q0 * 10 ** 4, q2, d - q2 * 10 ** 4)
+    zeros = tb.zeros.take(quads[0])
+    for q in quads[1:]:
+        zeros *= q == 0
+        zeros += tb.zeros.take(q)
+    code = tb.base.take(j)
+    code += np.signbit(x) * (_FORMS * 17)
+    code -= zeros
+    code[slow] = _FALLBACK
+
+    rows = tb.masks.take(code, axis=0)
+    for k, q in enumerate((lead, *quads), 1):
+        rows[:, k] &= tb.quad.take(q)
+    rows[:, 6] &= tb.exp.take(j) | seps
+    if slow.size:
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S24")
+        rows.view(np.uint8)[slow, :24] = text.view(np.uint8).reshape(-1, 24)
+    return rows
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -21,16 +177,38 @@ def write_csv(path, header: str, columns) -> None:
     delimiter=",", header=header, comments="")``, formatted
     :data:`CSV_CHUNK` rows at a time from slices of the columns, so neither
     the whole text nor a copy of the whole table is ever held at once.
+
+    The digits are made in numpy, the way ``%.17g`` makes them.  The
+    exponent E of ``|x|`` is ``floor(log10(|x|))``, corrected against the
+    least double at or above each power of ten.  The 17 digits are
+    ``|x| * 10**(16 - E)`` rounded half to even, from its product with
+    ``10**(16 - E)`` as a double-double (Dekker's split): exact where that
+    power is a double (E from -6 to 16), and within 1e-14 of a unit
+    elsewhere; a product that rounds up to ``10**17`` moves to the next E.
+    The text follows ``%g``: fixed notation for -4 <= E <= 16, else
+    ``d.ddde+XX``; no trailing zeros or bare point; ``-0`` for negative
+    zero.  Python's own ``'%.17g' % x`` writes every value the kernel
+    cannot prove: nan, inf, ``|x|`` outside ``[1e-99, 1e99)``, and a
+    product within 1e-9 of a tie where it is not exact.  So the text is
+    ``%.17g``'s for every value.  Raises :class:`ValueError` when the
+    columns are not as many as the names of ``header``.
     """
     if not hasattr(path, "write"):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_csv(fh, header, columns)
         return
-    row = ",".join(["%.17g"] * len(header.split(","))) + "\n"
+    names = len(header.split(","))
+    sep = np.zeros((names, 8), np.uint8)
+    sep[:, 4] = ord(",")
+    sep[-1, 4] = ord("\n")
+    seps = _words(np.tile(sep, (CSV_CHUNK, 1))).ravel()
     path.write(header + "\n")
     for i in range(0, len(columns[0]), CSV_CHUNK):
-        block = np.column_stack([c[i:i + CSV_CHUNK] for c in columns])
-        path.write((row * len(block)) % tuple(block.ravel().tolist()))
+        block = np.column_stack([c[i:i + CSV_CHUNK] for c in columns]).astype(float, copy=False)
+        if block.shape[1] != names:
+            raise ValueError(f"{block.shape[1]} columns under the {names} names of {header!r}")
+        data = _rows(block.ravel(), seps[:block.size]).tobytes()
+        path.write(data.translate(None, b"\0").decode("ascii"))
 
 
 def read_csv(path, header: str) -> np.ndarray:

@@ -55,14 +55,18 @@ def _load_setup(args) -> tuple[Params, Gains]:
     return Params(), Gains()
 
 
-def _prepare_outputs(args, names) -> list[str]:
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise CliError(
-            f"--out {args.out}: cannot use it as the output directory ({exc.strerror})",
-            EXIT_INVALID,
-        ) from exc
+def _output_paths(args, names) -> list[str]:
+    """The paths of ``names`` in ``--out``, refused before anything is made.
+
+    Exit 2 if ``--out`` cannot be made a directory (a file stands at it or
+    above it, or its nearest existing parent is not writable), exit 3 if a
+    path exists and ``--force`` is not given.
+    """
+    out = top = os.path.abspath(args.out)
+    while not os.path.exists(top):
+        top = os.path.dirname(top)
+    if not os.path.isdir(top) or (top != out and not os.access(top, os.W_OK | os.X_OK)):
+        raise CliError(f"--out {args.out}: cannot use it as the output directory", EXIT_INVALID)
     paths = [os.path.join(args.out, n) for n in names]
     if not args.force:
         existing = [p for p in paths if os.path.exists(p)]
@@ -70,6 +74,22 @@ def _prepare_outputs(args, names) -> list[str]:
             raise CliError(
                 f"refusing to overwrite {', '.join(existing)} (use --force)", EXIT_REFUSED
             )
+    return paths
+
+
+def _make_out(args) -> None:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise CliError(
+            f"--out {args.out}: cannot use it as the output directory ({exc.strerror})",
+            EXIT_INVALID,
+        ) from exc
+
+
+def _prepare_outputs(args, names) -> list[str]:
+    paths = _output_paths(args, names)
+    _make_out(args)
     return paths
 
 
@@ -212,9 +232,8 @@ def cmd_track(args) -> int:
     gait = _load_gait_arg(args, params)
     if args.bias is not None:
         gait = _bias_gait(gait, args.bias)
-    paths = _prepare_outputs(
-        args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"]
-    )
+    # refused before the run, made after it: a run that cannot start leaves no directory
+    paths = _output_paths(args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"])
     aborted = None
     try:
         log = sim.run_tracking(config, params, gains, gait)
@@ -228,6 +247,7 @@ def cmd_track(args) -> int:
         raise CliError(f"--duration/--dt: the log of this run does not fit in memory ({exc})",
                        EXIT_INVALID) from exc
 
+    _make_out(args)
     err = sim.error_series(log)
     _write_track_outputs(log, err, paths)
     if aborted is not None:

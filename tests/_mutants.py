@@ -30,6 +30,8 @@ GAITLAB = "src/tiltrotor/gaitlab.py"
 ACROSS_STACKS = "tests/test_gaitlab.py::test_scans_match_the_reference_across_stacks"
 REFUSE_SHAPES = "tests/test_model.py::test_fixed_length_arguments_refuse_other_shapes"
 GAINS = "tests/test_control.py::test_gains_name_a_wrong_kp_or_kd"
+FILES = "src/tiltrotor/_files.py"
+CSV_TEXT = "tests/test_sim.py::test_csv_text_is_that_of_savetxt"
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,15 @@ MUTANTS = (
                       "each phase's arithmetic is elementwise over its own cells and edges, "
                       "so every result is bit-identical, and the tests that count stacks "
                       "read the limit from the module"),
+    # the CSV digit kernel: exact ties (1 + j * 2**-17) rounded half up, the
+    # near-ties of inexact scales trusted, and log10's exponent trusted
+    Mutant("csv-digits-round-half-up", FILES,
+           "    r = np.rint(t)\n", "    r = np.floor(t + 0.5)\n", (CSV_TEXT,)),
+    Mutant("csv-tie-margin-zero", FILES,
+           "_TIE_MARGIN = 1e-9", "_TIE_MARGIN = 0.0", (CSV_TEXT,)),
+    Mutant("csv-exponent-uncorrected", FILES,
+           "    j += a >= tb.least.take(j + 1)\n    j -= a < tb.least.take(j)\n", "",
+           (CSV_TEXT,)),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

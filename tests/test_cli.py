@@ -229,10 +229,21 @@ def test_track_invalid_duration(tmp_path, gait_files):
     ["--duration", "1e12"],
 ])
 def test_track_rejects_bad_timing(tmp_path, gait_files, timing, capsys):
-    assert run_cli("--out", str(tmp_path), "track", "--gait",
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "track", "--gait",
                    str(gait_files / "gait_gait1.csv"), *timing) == 2
     assert "--duration/--dt" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
+
+
+def test_track_refuses_an_out_under_a_file_before_the_run(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    monkeypatch.setattr(tr.sim, "run_tracking", lambda *args: pytest.fail("the run started"))
+    assert run_cli("--out", str(taken / "o"), "track", "--preset", "gait1",
+                   "--duration", "0.01") == 2
+    assert f"--out {taken / 'o'}: cannot use it" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("command", ["gaitgen", "curves", "track"])

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
 from tiltrotor import cli, gaitlab, sim
-from tiltrotor._files import CSV_CHUNK
+from tiltrotor._files import CSV_CHUNK, write_csv
 from tiltrotor.control import InnerRefs, decoupler_core
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.linearization import EPS_SING
@@ -242,6 +242,13 @@ def _savetxt_lines(matrix, header):
     return oracle.getvalue().split("\n")
 
 
+# doubles whose 17-digit product lies within 3e-15 of a tie, where the
+# writer's double-double arithmetic rounds the wrong way: found by solving
+# (m * c) mod M near M / 2 for the mantissa m, binade by binade of 1e-99 to 1e99
+NEAR_TIES = ("0x1.370c26fed5112p-328", "0x1.0a5e71d51dc8bp-94", "0x1.578bbd6e9cf3cp-98",
+             "0x1.8a7a30d361a04p+128", "0x1.ef5472b801038p+138", "0x1.647673c907592p+328")
+
+
 def test_csv_text_is_that_of_savetxt(tmp_path, params):
     # the chunked writer against np.savetxt as the oracle, on a log longer
     # than one chunk and not a multiple of it, through a path and a stream
@@ -265,6 +272,23 @@ def test_csv_text_is_that_of_savetxt(tmp_path, params):
     path = tmp_path / "track.csv"
     log.to_csv(path)
     assert path.read_bytes().decode().split("\n") == want
+
+    # the digit kernel's hard cases, as one column over several chunks:
+    # exact ties (1 + j * 2**-17 ends in a 5 at its 18th digit); the edges
+    # of fixed notation; powers of ten and their neighbours, some of which
+    # round up to the next power; near-ties whose double-double product
+    # falls on the wrong side of the tie; nan, inf and random bit patterns
+    edges = np.array([1e-5, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 99999999999999984.0, 1e17])
+    tens = 10.0 ** np.arange(-110, 111)
+    column = np.concatenate([
+        1.0 + np.arange(2 * CSV_CHUNK) * 2.0 ** -17, edges, -edges,
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        [float.fromhex(h) for h in NEAR_TIES], [np.nan, np.inf, -np.inf, 0.0, -0.0],
+        rng.integers(0, 2 ** 64, 4 * CSV_CHUNK, dtype=np.uint64).view(np.float64),
+    ])
+    buf = io.StringIO()
+    write_csv(buf, "x", [column])
+    assert buf.getvalue().split("\n") == _savetxt_lines(column[:, None], "x")
 
     # the other tables the package writes, each against its rows built
     # one by one: the colormap grid, row-major over (alpha1, alpha2)
@@ -296,6 +320,13 @@ def test_csv_text_is_that_of_savetxt(tmp_path, params):
     rows = [[u, *a] for u, a in zip(gait.waypoints, gait.alphas)]
     want = _savetxt_lines(np.array(rows), "t_frac,alpha1,alpha2,alpha3,alpha4")
     assert (out / "gait.csv").read_bytes().decode().split("\n") == want
+
+
+@given(st.floats())
+def test_csv_text_of_any_float_is_that_of_g17(x):
+    buf = io.StringIO()
+    write_csv(buf, "x", [np.array([x])])
+    assert buf.getvalue() == "x\n" + "%.17g\n" % x
 
 
 def test_csv_writer_holds_no_copy_of_the_log():
