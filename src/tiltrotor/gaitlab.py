@@ -29,15 +29,14 @@ attitude grid at each sampled gait phase.  A phase on which ``g`` keeps
 one strict sign over the whole grid box forms no grid: the range of ``g
 / cos(theta)`` over the box has a closed form.  On a branch plane ``g =
 cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
-0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  A
-report scans the other phases together, their sign grids stacked into
-one array; a curve scan is one phase.  A gait's angles are checked
-finite when it is built, so each phase's ``(A, B, C)`` comes straight
-from the coefficient kernel as three floats.  The zeros on the crossing
-grid edges of both kinds come from one pass over one gather of the
-grid's cached edge table.  A report keeps only each phase's area
-fraction and the least distance from level attitude to such a zero, so
-only the curves stitch those zeros.
+0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  Every
+other phase is scanned alone, with one sign grid, for a report and for
+curves alike.  A gait's angles are checked finite when it is built, so
+each phase's ``(A, B, C)`` comes straight from the coefficient kernel as
+three floats.  The zeros on the crossing grid edges of both kinds come
+from one pass over one gather of the grid's cached edge table.  A report
+keeps only each phase's area fraction and the least distance from level
+attitude to such a zero, so only the curves stitch those zeros.
 """
 
 from __future__ import annotations
@@ -448,9 +447,9 @@ def bias_gait(gait: Gait, factor: float) -> Gait:
     """
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"bias factor must lie in (0, 1], got {factor}")
-    alphas = gait.alphas.copy()
-    alphas[:, 2:] *= factor
-    return Gait(gait.period_s, gait.color, gait.bias * factor, gait.waypoints, alphas)
+    # x * 1.0 is exact, so the prescribed columns keep their bits
+    return Gait(gait.period_s, gait.color, gait.bias * factor, gait.waypoints,
+                gait.alphas * (1.0, 1.0, factor, factor))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ class AttitudeGrid:
     """Rectangular (phi, theta) evaluation grid.
 
     What the scans read of it (axes, trigonometry, the terms of ``g``,
-    the edge table, cell edges, box) is cached read-only on first use.
+    the edge table, box) is cached read-only on first use.
     """
 
     phi_min: float = -1.3
@@ -532,19 +531,6 @@ class AttitudeGrid:
                                           sin_phi[:, None], cos_phi[:, None], math.pi)
         return _frozen(np.hstack([np.reshape(along_phi, (7, -1)),
                                   np.reshape(along_theta, (7, -1))]))
-
-    @cached_property
-    def _cell_edges(self) -> np.ndarray:
-        """The ids of each cell's bottom, top, left and right edges, a row per cell.
-
-        Cell ``(i, j)``, row ``c = i * (n_theta - 1) + j``, has the phi
-        edges ``(i, j)`` and ``(i, j + 1)`` and the theta edges ``(i, j)``
-        and ``(i + 1, j)``, with the ids of :func:`_edge_zeros`.
-        """
-        c = np.arange((self.n_phi - 1) * (self.n_theta - 1))
-        bottom = c + c // (self.n_theta - 1)
-        left = c + (self.n_phi - 1) * self.n_theta
-        return _frozen(np.column_stack([bottom, bottom + 1, left, left + (self.n_theta - 1)]))
 
     @cached_property
     def _box(self):
@@ -630,19 +616,15 @@ def _one_sign(abc, grid: AttitudeGrid) -> bool:
     return min(t_lo, t_hi) + h_min > margin or max(t_lo, t_hi) + h_max < -margin
 
 
-def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool):
-    """Exact zero of ``g`` on every crossing grid edge of a stack of phases.
+def _edge_zeros(abc, grid: AttitudeGrid, cross_phi, cross_theta):
+    """Exact zero of ``g`` on every crossing grid edge of one phase.
 
-    ``table`` holds a column ``(B, C, A, hypot(B, C), atan2(C, B))`` per
-    phase; ``cross_phi`` and ``cross_theta`` mark each phase's crossing
-    edges along phi (node ``(i, j)`` to ``(i + 1, j)``) and along theta
-    (to ``(i, j + 1)``).  Returns ``(margins, zeros)``.  ``margins``
-    lists each phase's least distance from level attitude to a zero
-    (``inf`` for a phase without crossings); a report needs no more, and
-    ``zeros`` is ``None``.  A curve scan is one phase, with scalar
-    coefficients; then ``zeros`` is ``[(ids, vertices)]``: the id of each
-    crossing edge, ascending, and the edge's ``(phi, theta)`` vertex, a
-    row each.
+    ``abc`` is the phase's ``(A, B, C)``; ``cross_phi`` and
+    ``cross_theta`` mark its crossing edges along phi (node ``(i, j)``
+    to ``(i + 1, j)``) and along theta (to ``(i, j + 1)``).  Returns
+    ``(margin, ids, vertices)``: the least distance from level attitude
+    to a zero, the id of each crossing edge, ascending, and the edge's
+    ``(phi, theta)`` vertex, a row each.
     Phi edge ``(i, j)`` has id ``i * n_theta + j`` and theta edge ``(i,
     j)`` the id ``(n_phi - 1) * n_theta + i * (n_theta - 1) + j``, so the
     phi edges come first, each kind row-major.
@@ -661,32 +643,20 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     differ in sign holds a root, and every candidate within half an edge
     of its middle lies on it, so only rounding needs the clamp.
     """
-    n_p, n_t = cross_phi[0].size, cross_theta[0].size
-    # the flat index of a crossing edge in its stacked mask is its phase
-    # times the phase's edges of that kind, plus its index within the
-    # kind.  A curve scan's one phase needs no phase index
-    kp = cross_phi.ravel().nonzero()[0]
-    kt = cross_theta.ravel().nonzero()[0]
-    if curves:
-        h, ip, it = 0, kp, kt
-    else:
-        hp, ip = np.divmod(kp, n_p)
-        ht, it = np.divmod(kt, n_t)
-        h = np.concatenate([hp, ht])
-    ids = np.concatenate([ip, it + n_p])
+    A, B, C = abc
+    ip = cross_phi.ravel().nonzero()[0]
+    it = cross_theta.ravel().nonzero()[0]
+    ids = np.concatenate([ip, it + cross_phi.size])
     p, t = slice(None, ip.size), slice(ip.size, None)
     lower, upper, mid, fixed, sin_f, cos_f, period = grid._edge_table.take(ids, axis=1)
-    coeffs = table.take(h, axis=1)
-    on_p, on_t = (coeffs, coeffs) if curves else (coeffs[:, p], coeffs[:, t])
 
     roots = np.empty((2, ids.size))
-    _, _, A, R, psi = on_p
     u = A * sin_f[p]
-    u /= R * cos_f[p]
+    u /= math.hypot(B, C) * cos_f[p]
     u = np.arcsin(np.minimum(np.maximum(u, -1.0, out=u), 1.0, out=u), out=u)
+    psi = math.atan2(C, B)
     np.subtract(u, psi, out=roots[0, p])
     np.subtract(np.subtract(math.pi, u, out=u), psi, out=roots[1, p])
-    B, C, A = on_t[:3]
     K = B * sin_f[t]
     K += C * cos_f[t]
     roots[1, t] = np.arctan2(K, A, out=roots[0, t])
@@ -695,16 +665,10 @@ def _edge_zeros(table, grid: AttitudeGrid, cross_phi, cross_theta, curves: bool)
     zero = np.where(off[1] < off[0], cand[1], cand[0])
     np.minimum(np.maximum(zero, lower, out=zero), upper, out=zero)
 
-    # hypot is symmetric, so the distance needs no vertex order
-    dist = np.hypot(zero, fixed)
-    if not curves:
-        least = np.full(table.shape[1], np.inf)
-        np.minimum.at(least, h, dist)
-        return least.tolist(), None
     verts = np.empty((ids.size, 2))
     verts[p, 0], verts[p, 1], verts[t, 0], verts[t, 1] = zero[p], fixed[p], fixed[t], zero[t]
-    # the phi edges' ids, then the theta edges': already ascending
-    return [np.minimum.reduce(dist).item()], [(ids, verts)]
+    # hypot is symmetric, so the distance needs no vertex order
+    return np.minimum.reduce(np.hypot(zero, fixed)).item(), ids, verts
 
 
 def singular_curves(alpha, grid: AttitudeGrid, params: Params) -> SingularCurveSet:
@@ -727,7 +691,7 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     return _phase_scan([_floats(coeffs.abc, 3, "coeffs")], grid, curves=True)[0][2]
 
 
-def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
+def _stitch_curves(abc, grid, S, changed, ids, verts) -> SingularCurveSet:
     """The curves of :func:`extract_zero_curves` from its sign grid and edge zeros.
 
     Vertex ``v`` is the zero on the ``v``-th crossing edge in id order
@@ -738,9 +702,12 @@ def _stitch_curves(abc, grid, S, changed, zeros) -> SingularCurveSet:
     a pair, or of two pairs, leaves the curves as they are, since no
     vertex lies on two segments of one cell.
     """
-    ids, verts = zeros
     kc = changed.ravel().nonzero()[0]
-    edges = grid._cell_edges[kc]
+    # cell (i, j), c = i * (n_theta - 1) + j, has the phi edges (i, j) and
+    # (i, j + 1) and the theta edges (i, j) and (i + 1, j)
+    bottom = kc + kc // (grid.n_theta - 1)
+    left = kc + (grid.n_phi - 1) * grid.n_theta
+    edges = np.column_stack([bottom, bottom + 1, left, left + (grid.n_theta - 1)])
     # each cell edge's vertex, where the edge crosses
     pos = ids.searchsorted(edges)
     crossing = ids[np.minimum(pos, ids.size - 1)] == edges
@@ -836,47 +803,25 @@ def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
                         for a1, a2, a3, a4 in gait.sample_array(times).tolist()], grid, curves)
 
 
-# the most grid nodes one stacked report scan holds: a 41 x 41 report of
-# up to 9 phases is one stack, and a 241 x 241 grid is scanned one phase
-# at a time; a curve scan is always one phase.  Measured on 0.8-biased
-# rectangle gaits (shared 2-vCPU x86-64, numpy 2.4): a 64-phase 41 x 41
-# report took 7.4 ms scanned phase by phase, 2.3 ms at 2**14 and 1.8 ms
-# at 2**16; stacking two 241 x 241 phases (2**17) took the 64-phase
-# biased gait2 and gait3 reports from 52 ms to 100 ms.
-_SCAN_NODES = 1 << 14
-
 def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     """``(area fraction, hover margin or None, curve set or None)`` of each phase.
 
     Each phase is its ``(A, B, C)``.  A phase whose sign :func:`_one_sign`
-    proves forms no grid.  For a report the rest are scanned in stacks of
-    at most :data:`_SCAN_NODES` grid nodes; for curves, one phase at a
-    time, so that each phase's edge zeros come in id order unsorted.
+    proves forms no grid; each other phase is scanned alone by
+    :func:`_grid_scan`, for a report and for curves alike.
     """
-    scans = [None] * len(phases)
-    rest = []
-    for k, abc in enumerate(phases):
-        if _one_sign(abc, grid):
-            scans[k] = (np.float64(1.0), None, _no_curves(abc, grid) if curves else None)
-        else:
-            rest.append(k)
-    size = 1 if curves else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))
-    for start in range(0, len(rest), size):
-        stack = rest[start:start + size]
-        for k, scan in zip(stack, _scan_stack([phases[k] for k in stack], grid, curves)):
-            scans[k] = scan
-    return scans
+    return [(np.float64(1.0), None, _no_curves(abc, grid) if curves else None)
+            if _one_sign(abc, grid) else _grid_scan(abc, grid, curves) for abc in phases]
 
 
-def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
-    """:func:`_phase_scan` of each phase, with one sign grid of shape ``(phases, n_phi, n_theta)``.
+def _grid_scan(abc, grid: AttitudeGrid, curves: bool) -> tuple:
+    """:func:`_phase_scan` of one phase, from its ``(n_phi, n_theta)`` sign grid.
 
-    The sign grid, the crossing masks, the edge zeros and the hover
-    margins are each one set of numpy calls over the stack, one phase for
-    curves; each phase's count of changed cells comes from its own slice.
+    ``abc`` is three floats, so each term of ``g`` is one cached grid
+    term times a scalar.  The edge zeros give the hover margin; only a
+    curve scan stitches them.
     """
-    table = np.array([(B, C, A, math.hypot(B, C), math.atan2(C, B)) for A, B, C in phases]).T
-    B, C, A = table[:3, :, None, None]
+    A, B, C = abc
     minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
     # normalized_det's sum (-sin(theta) A + sin(phi) cos(theta) B) + cos(phi)
     # cos(theta) C, its first addition with the operands swapped, which
@@ -885,24 +830,18 @@ def _scan_stack(phases: list, grid: AttitudeGrid, curves: bool) -> list:
     g += minus_sin_theta * A
     g += cos_phi_cos_theta * C
     S = g > 0.0
-    cross_phi, cross_theta = S[:, :-1] != S[:, 1:], S[:, :, :-1] != S[:, :, 1:]
+    cross_phi, cross_theta = S[:-1] != S[1:], S[:, :-1] != S[:, 1:]
     # a cell's corners differ in sign iff one of its edges crosses; if its
     # bottom, top and left edges do not, all four corners agree
-    changed = cross_phi[:, :, :-1] | cross_phi[:, :, 1:] | cross_theta[:, :-1]
-    counts = [np.count_nonzero(c) for c in changed]
-    if any(counts):
-        # every crossing edge's vertex lies on a curve, so the nearest
-        # singular point needs the refined vertices but no stitching
-        margins, zeros = _edge_zeros(table, grid, cross_phi, cross_theta, curves)
-    scans = []
-    for k, (abc, n) in enumerate(zip(phases, counts)):
-        frac = np.float64(1.0 - n / changed[k].size)
-        if not n:
-            scans.append((frac, None, _no_curves(abc, grid) if curves else None))
-            continue
-        cs = _stitch_curves(abc, grid, S[k], changed[k], zeros[k]) if curves else None
-        scans.append((frac, margins[k], cs))
-    return scans
+    changed = cross_phi[:, :-1] | cross_phi[:, 1:] | cross_theta[:-1]
+    n = np.count_nonzero(changed)
+    frac = np.float64(1.0 - n / changed.size)
+    if not n:
+        return frac, None, _no_curves(abc, grid) if curves else None
+    # every crossing edge's vertex lies on a curve, so the nearest
+    # singular point needs the refined vertices but no stitching
+    margin, ids, verts = _edge_zeros(abc, grid, cross_phi, cross_theta)
+    return frac, margin, _stitch_curves(abc, grid, S, changed, ids, verts) if curves else None
 
 
 def _report(scans, grid: AttitudeGrid) -> RobustnessReport:
@@ -920,9 +859,8 @@ def robustness_report(
     in closed form (:func:`_one_sign`), counts as robust without a sign
     grid: on a box inside ``|phi|, |theta| < pi/2``, every phase with
     ``C != 0`` of a gait on a branch plane, where the Two Color Map
-    Theorem keeps the decoupling matrix invertible.  The other
-    phases are scanned together as one stack of sign grids (at most
-    :data:`_SCAN_NODES` nodes per stack), and the metrics stay the
+    Theorem keeps the decoupling matrix invertible.  Each other phase
+    is scanned alone, with one sign grid, and the metrics stay the
     grid's: area fraction and hover margin.
     """
     return _report(_gait_scans(gait, grid, n_phases, params, curves=False), grid)
@@ -934,8 +872,9 @@ def curves_and_report(
     """The singular curves of each phase and the :func:`robustness_report`, in one pass.
 
     Each phase's determinant decomposition, sign grid and edge zeros
-    feed both its curves and its metrics; a phase proved robust in
-    closed form has an empty curve set and forms no grid.
+    feed both its curves and its metrics, one phase at a time, as in the
+    report; a phase proved robust in closed form has an empty curve set
+    and forms no grid.
     """
     scans = _gait_scans(gait, grid, n_phases, params, curves=True)
     return [cs for _, _, cs in scans], _report(scans, grid)

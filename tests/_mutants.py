@@ -28,6 +28,8 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAITLAB = "src/tiltrotor/gaitlab.py"
 ACROSS_STACKS = "tests/test_gaitlab.py::test_scans_match_the_reference_across_stacks"
+UNEVEN = "tests/test_gaitlab.py::test_uneven_crossings_match_the_reference"
+ZERO_CURVES = "tests/test_gaitlab.py::test_extract_zero_curves_matches_the_reference"
 REFUSE_SHAPES = "tests/test_model.py::test_fixed_length_arguments_refuse_other_shapes"
 GAINS = "tests/test_control.py::test_gains_name_a_wrong_kp_or_kd"
 FILES = "src/tiltrotor/_files.py"
@@ -45,26 +47,25 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("curve-scans-stack-phases", GAITLAB,
-           "size = 1 if curves else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
-           "size = max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
-           (f"{ACROSS_STACKS}[gait2-41]", f"{ACROSS_STACKS}[gait1-41]")),
-    Mutant("report-stacks-two-phases-at-least", GAITLAB,
-           "else max(1, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
-           "else max(2, _SCAN_NODES // (grid.n_phi * grid.n_theta))",
-           (f"{ACROSS_STACKS}[gait1-241]",)),
-    Mutant("edge-zeros-switch-inverted", GAITLAB,
-           "    if curves:\n        h, ip, it = 0, kp, kt",
-           "    if not curves:\n        h, ip, it = 0, kp, kt",
-           (f"{ACROSS_STACKS}[gait2-41]", f"{ACROSS_STACKS}[gait2-41-one-phase]")),
-    Mutant("report-margin-by-maximum", GAITLAB,
-           "np.minimum.at(least, h, dist)",
-           "np.maximum.at(least, h, dist)",
+    # the one-phase grid scan: each mutant changes what its reference checks see
+    Mutant("hover-margin-by-maximum", GAITLAB,
+           "np.minimum.reduce(np.hypot(zero, fixed))",
+           "np.maximum.reduce(np.hypot(zero, fixed))",
            (f"{ACROSS_STACKS}[gait2-41-one-phase]", f"{ACROSS_STACKS}[gait2-41]")),
-    Mutant("report-margin-of-first-edge", GAITLAB,
-           "least = np.full(table.shape[1], np.inf)",
-           "least = dist[:table.shape[1]].copy()",
-           ("tests/test_gaitlab.py::test_stack_with_uneven_crossings_matches_the_reference",)),
+    Mutant("changed-cells-skip-theta-crossings", GAITLAB,
+           "changed = cross_phi[:, :-1] | cross_phi[:, 1:] | cross_theta[:-1]",
+           "changed = cross_phi[:, :-1] | cross_phi[:, 1:]",
+           (f"{ACROSS_STACKS}[gait2-41]", UNEVEN)),
+    Mutant("theta-root-arctan2-swapped", GAITLAB,
+           "np.arctan2(K, A, out=roots[0, t])", "np.arctan2(A, K, out=roots[0, t])",
+           (f"{ACROSS_STACKS}[gait2-41]", UNEVEN)),
+    Mutant("phi-second-root-unreflected", GAITLAB,
+           "np.subtract(np.subtract(math.pi, u, out=u), psi, out=roots[1, p])",
+           "np.subtract(u, psi, out=roots[1, p])",
+           (f"{ACROSS_STACKS}[gait2-41]", f"{ZERO_CURVES}[closed-loop]")),
+    Mutant("cell-right-edge-off-by-one", GAITLAB,
+           "left + (grid.n_theta - 1)])", "left + grid.n_theta])",
+           (f"{ACROSS_STACKS}[gait2-41]", f"{ZERO_CURVES}[closed-loop]")),
     Mutant("floats-let-conversion-errors-through", "src/tiltrotor/model.py",
            "except (TypeError, ValueError) as exc:",
            "except ZeroDivisionError as exc:",
@@ -89,12 +90,6 @@ MUTANTS = (
            "final position error {err.norm[-1]:.4f}",
            "final position error {sim.error_series(log).norm[-1]:.4f}",
            ("tests/test_cli.py::test_track_forms_the_error_series_once",)),
-    Mutant("scan-nodes-doubled", GAITLAB,
-           "_SCAN_NODES = 1 << 14", "_SCAN_NODES = 1 << 15",
-           equivalent="the node limit sets only how many report phases share one stack; "
-                      "each phase's arithmetic is elementwise over its own cells and edges, "
-                      "so every result is bit-identical, and the tests that count stacks "
-                      "read the limit from the module"),
     # the CSV digit kernel: exact ties (1 + j * 2**-17) rounded half up, the
     # near-ties of inexact scales trusted, and log10's exponent trusted
     Mutant("csv-digits-round-half-up", FILES,

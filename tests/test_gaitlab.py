@@ -651,34 +651,33 @@ def test_scans_match_the_reference_on_the_241_grid(params):
     pytest.param("gait2", 41, 1, id="gait2-41-one-phase"),
 ])
 def test_scans_match_the_reference_across_stacks(params, monkeypatch, name, n, n_phases):
-    # 0.8-biased gait2 is singular at all 64 phases, several stacks of a
-    # 41 x 41 grid; gait1's robust and singular phases interleave, in
-    # stacks of 41 x 41 grids and on a grid larger than one stack.  With
-    # one phase, the report's one stack holds one phase
-    stacks = []
-    scan_stack = gaitlab._scan_stack
+    # 0.8-biased gait2 is singular at all 64 phases of a 41 x 41 grid;
+    # gait1's robust and singular phases interleave, on 41 x 41 and on
+    # 241 x 241 grids; and a report of one phase
+    scanned = []
+    grid_scan = gaitlab._grid_scan
 
-    def recording(phases, grid, curves):
-        stacks.append((curves, len(phases)))
-        return scan_stack(phases, grid, curves)
+    def recording(abc, grid, curves):
+        scanned.append((curves, abc))
+        return grid_scan(abc, grid, curves)
 
-    monkeypatch.setattr(gaitlab, "_scan_stack", recording)
+    monkeypatch.setattr(gaitlab, "_grid_scan", recording)
     grid = tr.AttitudeGrid.symmetric(1.2, n)
-    per_stack = gaitlab._SCAN_NODES // (n * n)
     gait = tr.bias_gait(tr.build_preset(name, params), 0.8)
     report = _assert_scans_match_reference(gait, grid, n_phases, params)
     if name == "gait2":
         assert report.singular_phases == n_phases
-        assert n_phases == 1 or n_phases > 2 * per_stack
     else:
         assert 0 < report.singular_phases < n_phases
-    assert (per_stack == 0) == (n == 241)
-    # a curve scan is one phase; a report's stacks are as full as the
-    # node limit lets them be
-    assert {size for curves, size in stacks if curves} == {1}
-    report_sizes = [size for curves, size in stacks if not curves]
-    assert max(report_sizes) == min(max(1, per_stack), sum(report_sizes))
-    assert (max(report_sizes) > 1) == (n == 41 and n_phases > 1)
+    # each phase the closed form does not prove is scanned alone: once by
+    # the report, then by curves_and_report and by singular_curves
+    times = np.arange(n_phases) * gait.period_s / n_phases
+    phases = [kernels.det_coeffs(*alpha, params.k_f, params.k_m, params.arm_length)
+              for alpha in gait.sample_array(times).tolist()]
+    unproved = [abc for abc in phases if not gaitlab._one_sign(abc, grid)]
+    assert len(unproved) >= report.singular_phases
+    assert [abc for curves, abc in scanned if not curves] == unproved
+    assert [abc for curves, abc in scanned if curves] == unproved + unproved
 
 
 def test_robust_phases_form_no_grid(params, monkeypatch):
@@ -687,7 +686,7 @@ def test_robust_phases_form_no_grid(params, monkeypatch):
     def no_grid(*args):
         raise AssertionError("a robust phase formed a sign grid")
 
-    monkeypatch.setattr(gaitlab, "_scan_stack", no_grid)
+    monkeypatch.setattr(gaitlab, "_grid_scan", no_grid)
     grid = tr.AttitudeGrid(-1.2, 1.2, -1.2, 1.2, 241, 241)
     for name in sorted(GAIT_PRESETS):
         gait = tr.build_preset(name, params)
@@ -719,7 +718,7 @@ def test_extract_zero_curves_rejects_non_finite_coefficients(monkeypatch, bad, s
     def no_grid(*args):
         raise AssertionError("a non-finite coefficient reached the scan")
 
-    monkeypatch.setattr(gaitlab, "_scan_stack", no_grid)
+    monkeypatch.setattr(gaitlab, "_grid_scan", no_grid)
     abc = dict(A=0.3, B=-0.2, C=0.7)
     abc[slot] = bad
     got = re.escape(repr(tuple(abc.values())))
@@ -947,13 +946,13 @@ def test_edge_table_rows_are_the_axis_gathers(grid):
         table[0, 0] = 0.0
 
 
-def test_stack_with_uneven_crossings_matches_the_reference():
-    # theta reaches past pi/2, so every phase is scanned, all in one
-    # stack: g = sin(theta) keeps its sign on the box, and the others
-    # cross on different numbers of edges
+def test_uneven_crossings_match_the_reference():
+    # theta reaches past pi/2, so every phase is scanned: g = sin(theta)
+    # keeps its sign on the box, and the others cross on different
+    # numbers of edges
     grid = tr.AttitudeGrid(-1.4, 1.1, 0.2, 1.75, 31, 37)
     phases = [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.2, 1.0, 0.3), (0.0, 0.0, 1.0)]
-    assert grid._box is None and len(phases) <= gaitlab._SCAN_NODES // (31 * 37)
+    assert grid._box is None
     scans = gaitlab._phase_scan(phases, grid, curves=True)
     counts = []
     for (A, B, C), (frac, margin, cs) in zip(phases, scans):
