@@ -2,21 +2,35 @@
 
 Fixed-geometry polyline plots meant for eyeball comparison, not a
 plotting library: axes box, a handful of ticks, one polyline per series.
+A polyline's points are pixel coordinates written as ``%.2f``, made in
+numpy by :func:`tiltrotor._files.points_text`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from tiltrotor._files import points_text
+from tiltrotor.model import _floats
+
 _MARGIN = 50.0
 
 
 class LinePlot:
+    """A ``width`` by ``height`` plot of the box ``xlim`` by ``ylim``.
+
+    Raises :class:`ValueError` unless each limit is two finite, increasing
+    numbers and each side is finite and larger than twice the margin.
+    """
+
     def __init__(self, xlim, ylim, width=640, height=480, title=""):
-        if xlim[0] >= xlim[1] or ylim[0] >= ylim[1]:
-            raise ValueError("axis limits must be increasing")
-        self.xlim = (float(xlim[0]), float(xlim[1]))
-        self.ylim = (float(ylim[0]), float(ylim[1]))
+        self.xlim = _floats(xlim, 2, "xlim")
+        self.ylim = _floats(ylim, 2, "ylim")
+        if self.xlim[0] >= self.xlim[1] or self.ylim[0] >= self.ylim[1]:
+            raise ValueError(f"axis limits must be increasing, got xlim={self.xlim}, ylim={self.ylim}")
+        for name, side in (("width", width), ("height", height)):
+            if not 2 * _MARGIN < side < np.inf:
+                raise ValueError(f"{name} must be finite and larger than {2 * _MARGIN:g}, got {side!r}")
         self.width = width
         self.height = height
         self.title = title
@@ -30,17 +44,28 @@ class LinePlot:
         return px, py
 
     def polyline(self, xs, ys, color="black", width=1.2):
+        """Draw the points ``(xs, ys)``; a line of fewer than two points draws nothing.
+
+        Raises :class:`ValueError` unless ``xs`` and ``ys`` are 1-D, of one
+        length, and finite, and so are their pixel coordinates.
+        """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError(f"polyline xs and ys must be 1-D and of one length, "
+                             f"got shapes {xs.shape} and {ys.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            px, py = self._to_px(xs, ys)
+        for name, values, pixels in (("xs", xs, px), ("ys", ys, py)):
+            bad = np.flatnonzero(~np.isfinite(pixels))
+            if bad.size:
+                raise ValueError(f"polyline {name} must be finite and in reach of the axis "
+                                 f"limits, got {float(values[bad[0]])!r} at index {bad[0]}")
         if xs.size < 2:
             return
-        px, py = self._to_px(xs, ys)
-        # one %-format over plain floats for the whole line: formatting point
-        # by point, and numpy scalars above all, costs several times more
-        xy = np.column_stack((px, py)).ravel().tolist()
-        pts = ("%.2f,%.2f " * px.size % tuple(xy))[:-1]
         self._elements.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+            f'<polyline points="{points_text(px, py)}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"/>'
         )
 
     def _axes(self) -> list[str]:

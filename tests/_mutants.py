@@ -34,6 +34,7 @@ REFUSE_SHAPES = "tests/test_model.py::test_fixed_length_arguments_refuse_other_s
 GAINS = "tests/test_control.py::test_gains_name_a_wrong_kp_or_kd"
 FILES = "src/tiltrotor/_files.py"
 CSV_TEXT = "tests/test_sim.py::test_csv_text_is_that_of_savetxt"
+POINTS = "tests/test_svgplot.py::test_points_text_is_percent_2f_at_ties_and_bounds"
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,17 @@ MUTANTS = (
     Mutant("csv-exponent-uncorrected", FILES,
            "    j += a >= tb.least.take(j + 1)\n    j -= a < tb.least.take(j)\n", "",
            (CSV_TEXT,)),
+    # the SVG points kernel: exact ties (odd multiples of 0.125) rounded half
+    # up, the product's rounding error ignored, so the doubles nearest a tie
+    # fall on it, and a negative zero written without its minus sign
+    Mutant("points-ties-half-up", FILES,
+           "    n0 = np.rint(p)\n", "    n0 = np.floor(p + 0.5)\n", (f"{POINTS}[exact-ties]",)),
+    Mutant("points-error-term-dropped", FILES,
+           "    up += t\n    down += t\n", "",
+           (f"{POINTS}[nearest-ties]",)),
+    Mutant("points-negative-zero-unsigned", FILES,
+           "np.flatnonzero(np.signbit(v) & fast)", "np.flatnonzero((v < 0.0) & fast)",
+           (f"{POINTS}[negative-zero]",)),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -202,6 +203,36 @@ def test_track_success_and_failure(tmp_path, gait_files):
     assert code == 4
     partial = tr.TrackLog.from_csv(out2 / "track.csv")
     assert partial.singular[-1]
+
+
+def _polyline_points(path):
+    """The points of each polyline of the SVG file ``path``, which must parse as XML."""
+    root = ET.parse(path).getroot()
+    return [np.array([p.split(",") for p in e.get("points").split(" ")], dtype=float)
+            for e in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+@pytest.mark.parametrize("preset, duration, code", [("gait1", "2", 0), ("gait2", "5", 4)])
+def test_track_svgs_parse_with_a_point_per_log_row(tmp_path, preset, duration, code):
+    assert run_cli("--out", str(tmp_path), "track", "--preset", preset,
+                   "--duration", duration) == code
+    rows = len(tr.TrackLog.from_csv(tmp_path / "track.csv"))
+    lines = {name: _polyline_points(tmp_path / f"{name}.svg")
+             for name in ("trajectory", "error", "rotors")}
+    # the reference circle is drawn at 361 angles; every other line is the log's
+    assert [len(xy) for xy in lines["trajectory"]] == [361, rows]
+    assert [len(xy) for xy in lines["error"]] == [rows]
+    assert [len(xy) for xy in lines["rotors"]] == [rows] * 4
+
+
+def test_curves_svg_parses_with_a_polyline_per_curve(tmp_path):
+    assert run_cli("--out", str(tmp_path), "curves", "--preset", "gait2", "--phases", "4",
+                   "--grid-res", "61") == 0
+    ids = np.loadtxt(tmp_path / "curves.csv", delimiter=",", skiprows=1)[:, 2].astype(int)
+    sizes = np.bincount(ids)
+    assert sizes.size > 1
+    assert [len(xy) for xy in _polyline_points(tmp_path / "curves.svg")] == \
+        sizes[sizes >= 2].tolist()
 
 
 def test_track_forms_the_error_series_once(tmp_path, monkeypatch):
