@@ -12,9 +12,12 @@ digits, exact round-trip) and JSON, plus simple SVG plots:
   variant, with robustness metrics,
 * ``track``    -- the closed-loop tracking run and its logs.
 
-Exit codes: 0 success, 2 invalid input, 3 refused overwrite, 4 tracking
-aborted (singular decoupling matrix, or pitch in the Euler-representation
-guard band).  Existing outputs are never overwritten without ``--force``.
+Exit codes: 0 success, 2 invalid input (also a result that does not fit
+in memory), 3 refused overwrite, 4 tracking aborted (singular decoupling
+matrix, or pitch in the Euler-representation guard band).  Every command
+refuses its outputs before its work and makes ``--out`` only after it, so
+a refused run leaves no directory.  Existing outputs are never
+overwritten without ``--force``.
 """
 
 from __future__ import annotations
@@ -87,12 +90,6 @@ def _make_out(args) -> None:
         ) from exc
 
 
-def _prepare_outputs(args, names) -> list[str]:
-    paths = _output_paths(args, names)
-    _make_out(args)
-    return paths
-
-
 def _bias_gait(gait: gaitlab.Gait, factor: float) -> gaitlab.Gait:
     try:
         return gaitlab.bias_gait(gait, factor)
@@ -125,11 +122,12 @@ def cmd_colormap(args) -> int:
         raise CliError(f"--range must lie in (0, pi/2), got {args.range}", EXIT_INVALID)
     if args.res < 2:
         raise CliError(f"--res must be >= 2, got {args.res}", EXIT_INVALID)
-    csv_path, json_path = _prepare_outputs(
+    csv_path, json_path = _output_paths(
         args, [f"colormap_{args.branch}.csv", f"colormap_{args.branch}_planes.json"]
     )
     values = np.linspace(-args.range, args.range, args.res)
     result = gaitlab.color_map(values, values, args.branch, params)
+    _make_out(args)
 
     a1, a2 = result.alpha1_values, result.alpha2_values
     write_csv(csv_path, "alpha1,alpha2,alpha3,alpha4,residual_sign", [
@@ -154,27 +152,23 @@ def cmd_gaitgen(args) -> int:
             f"--preset {args.preset} and {'/'.join(custom)} both name a gait; give one",
             EXIT_INVALID,
         )
-    if args.preset:
-        name = args.preset
-        try:
-            gait = gaitlab.build_preset(name, params, period=args.period)
-        except ValueError as exc:
-            raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
-    else:
-        if args.center is None or args.half is None or args.branch is None:
-            raise CliError("need --preset or (--center --half --branch)", EXIT_INVALID)
-        name = "custom"
-        try:
+    if not args.preset and len(custom) < 3:
+        raise CliError("need --preset or (--center --half --branch)", EXIT_INVALID)
+    try:
+        if args.preset:
+            gait = gaitlab.build_preset(args.preset, params, period=args.period)
+        else:
             gait = gaitlab.make_rectangle_gait(
                 args.center, args.half, args.period, args.branch, params
             )
-        except ValueError as exc:
-            raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
+    except ValueError as exc:
+        raise CliError(f"gait construction failed: {exc}", EXIT_INVALID) from exc
     if args.bias is not None:
         gait = _bias_gait(gait, args.bias)
 
-    stem = args.output or f"gait_{name}"
-    csv_path, _ = _prepare_outputs(args, [f"{stem}.csv", f"{stem}.json"])
+    stem = args.output or f"gait_{args.preset or 'custom'}"
+    csv_path, _ = _output_paths(args, [f"{stem}.csv", f"{stem}.json"])
+    _make_out(args)
     gait.to_csv(csv_path)
     print(f"wrote {csv_path} (+ sidecar)")
     return EXIT_OK
@@ -190,11 +184,12 @@ def cmd_curves(args) -> int:
         grid = gaitlab.AttitudeGrid.symmetric(args.grid_limit, args.grid_res)
     except ValueError as exc:
         raise CliError(f"bad attitude grid: {exc}", EXIT_INVALID) from exc
-    csv_path, svg_path, json_path = _prepare_outputs(
+    csv_path, svg_path, json_path = _output_paths(
         args, ["curves.csv", "curves.svg", "robustness.json"]
     )
     base_sets, report = gaitlab.curves_and_report(gait, grid, args.phases, params)
     biased_sets, report_b = gaitlab.curves_and_report(biased, grid, args.phases, params)
+    _make_out(args)
 
     polys = [poly for sets in (base_sets, biased_sets) for cs in sets for poly in cs.curves]
     write_csv(csv_path, "phi,theta,curve_id", [
@@ -232,7 +227,6 @@ def cmd_track(args) -> int:
     gait = _load_gait_arg(args, params)
     if args.bias is not None:
         gait = _bias_gait(gait, args.bias)
-    # refused before the run, made after it: a run that cannot start leaves no directory
     paths = _output_paths(args, ["track.csv", "trajectory.svg", "error.svg", "rotors.svg"])
     aborted = None
     try:
@@ -242,10 +236,6 @@ def cmd_track(args) -> int:
         # loop's frame, and with it memory the writers below could reuse
         log = exc.log
         aborted = str(exc)
-    except MemoryError as exc:
-        # the run allocates its whole log before the first step
-        raise CliError(f"--duration/--dt: the log of this run does not fit in memory ({exc})",
-                       EXIT_INVALID) from exc
 
     _make_out(args)
     err = sim.error_series(log)
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("blue", "red"), required=True)
     p.add_argument("--range", type=float, default=0.6, help="grid half-range [rad]")
     p.add_argument("--res", type=int, default=21, help="grid points per axis")
-    p.set_defaults(func=cmd_colormap)
+    p.set_defaults(func=cmd_colormap, size="--res")
 
     p = sub.add_parser("gaitgen", help="generate a gait schedule file")
     p.add_argument("--preset", choices=sorted(gaitlab.GAIT_PRESETS))
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, default=gaitlab.DEFAULT_GAIT_PERIOD)
     p.add_argument("--bias", type=float, default=None)
     p.add_argument("--output", help="output stem (default gait_<preset>)")
-    p.set_defaults(func=cmd_gaitgen)
+    p.set_defaults(func=cmd_gaitgen, size="gaitgen")
 
     p = sub.add_parser("curves", help="singular-attitude curves and robustness metrics")
     p.add_argument("--gait", help="gait CSV file (with JSON sidecar)")
@@ -316,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", type=int, default=64)
     p.add_argument("--grid-limit", type=float, default=1.3)
     p.add_argument("--grid-res", type=int, default=241)
-    p.set_defaults(func=cmd_curves)
+    p.set_defaults(func=cmd_curves, size="--grid-res/--phases")
 
     p = sub.add_parser("track", help="closed-loop circular tracking run")
     p.add_argument("--gait", help="gait CSV file (with JSON sidecar)")
@@ -324,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=None)
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_track)
+    p.set_defaults(func=cmd_track, size="--duration/--dt")
 
     return parser
 
@@ -336,6 +326,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except MemoryError as exc:
+        # raised by the work, which every command runs before it makes --out
+        print(f"{args.size}: the result of this run does not fit in memory ({exc})",
+              file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -80,6 +80,10 @@ def circular_reference(t: np.ndarray) -> np.ndarray:
 circular_reference.floats = lambda t: tuple(circular_reference(np.array([float(t)]))[0].tolist())
 
 
+# the most rows whose (rows, 12) float64 log numpy can index
+_MAX_LOG_ROWS = np.iinfo(np.intp).max // (12 * 8)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run configuration for :func:`run_tracking`.
@@ -87,10 +91,13 @@ class SimConfig:
     ``duration`` and ``dt`` must be positive and finite, with ``dt <=
     duration``; ``initial_state`` must be a :class:`~tiltrotor.model.State`
     (anything else raises :class:`TypeError`).  The run takes
-    ``round(duration / dt)`` steps, so a duration off the ``dt`` grid
-    snaps to the nearest multiple of ``dt``, ties to an even step count
-    (0.0105 s at ``dt = 1e-3`` runs 10 steps, to t = 0.010 s); the log
-    has one row more than the step count.
+    :attr:`n_steps` ``= round(duration / dt)`` steps, so a duration off
+    the ``dt`` grid snaps to the nearest multiple of ``dt``, ties to an
+    even step count (0.0105 s at ``dt = 1e-3`` runs 10 steps, to t =
+    0.010 s); the log has one row more than the step count.  A
+    ``duration / dt`` whose log of ``(rows, 12)`` floats numpy could not
+    index raises :class:`ValueError`; a log that numpy can index but the
+    host cannot hold raises :class:`MemoryError` from :func:`run_tracking`.
 
     Every run is the paper's experiment: it tracks
     :func:`circular_reference`, starts from the command 0.8 x the hover
@@ -110,9 +117,16 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.dt > self.duration:
             raise ValueError(f"dt {self.dt} exceeds the duration {self.duration}")
+        if not self.duration / self.dt < _MAX_LOG_ROWS:
+            raise ValueError(f"duration {self.duration} / dt {self.dt} is more steps than "
+                             f"numpy can index in a log of (rows, 12) floats")
         if not isinstance(self.initial_state, State):
             raise TypeError(
                 f"initial_state must be a State, got {type(self.initial_state).__name__}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.duration / self.dt))
 
 
 @dataclass
@@ -204,7 +218,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
     at all (reason ``"pitch_guard"``; the row logs ``det = 0``).
     """
     dt = float(config.dt)
-    n_steps = int(round(config.duration / dt))
+    n_steps = config.n_steps
     n_rows = n_steps + 1
 
     t_arr = np.arange(n_rows) * dt

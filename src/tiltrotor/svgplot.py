@@ -3,7 +3,8 @@
 Fixed-geometry polyline plots meant for eyeball comparison, not a
 plotting library: axes box, a handful of ticks, one polyline per series.
 A polyline's points are pixel coordinates written as ``%.2f``, made in
-numpy by :func:`tiltrotor._files.points_text`.
+numpy by :func:`tiltrotor._files.points_text`.  The title and colours are
+XML-escaped, so any text gives a well-formed file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from tiltrotor._files import points_text
 from tiltrotor.model import _floats
 
 _MARGIN = 50.0
+# the entities that XML text and a double-quoted attribute need; a table,
+# since xml.sax.saxutils imports urllib.request (about 6 MB of RSS)
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 class LinePlot:
@@ -63,8 +67,9 @@ class LinePlot:
                                  f"limits, got {float(values[bad[0]])!r} at index {bad[0]}")
         if xs.size < 2:
             return
+        stroke = color.translate(_XML_ESCAPES)
         self._elements.append(
-            f'<polyline points="{points_text(px, py)}" fill="none" stroke="{color}" '
+            f'<polyline points="{points_text(px, py)}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>'
         )
 
@@ -92,7 +97,7 @@ class LinePlot:
         if self.title:
             out.append(
                 f'<text x="{self.width / 2}" y="{_MARGIN - 14}" font-size="14" '
-                f'text-anchor="middle">{self.title}</text>'
+                f'text-anchor="middle">{self.title.translate(_XML_ESCAPES)}</text>'
             )
         return out
 

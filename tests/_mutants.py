@@ -35,6 +35,7 @@ GAINS = "tests/test_control.py::test_gains_name_a_wrong_kp_or_kd"
 FILES = "src/tiltrotor/_files.py"
 CSV_TEXT = "tests/test_sim.py::test_csv_text_is_that_of_savetxt"
 POINTS = "tests/test_svgplot.py::test_points_text_is_percent_2f_at_ties_and_bounds"
+OUT_OF_MEMORY = "tests/test_cli.py::test_work_out_of_memory_exits_2_and_makes_no_out"
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,15 @@ MUTANTS = (
     Mutant("gains-scalar-not-broadcast", "src/tiltrotor/control.py",
            "else [value] * 4", "else [value]",
            (f"{GAINS}[kp-short]",)),
-    Mutant("track-memory-error-uncaught", "src/tiltrotor/cli.py",
+    # the one output lifecycle: refuse, compute, then make --out
+    Mutant("memory-error-uncaught", "src/tiltrotor/cli.py",
            "except MemoryError as exc:", "except OverflowError as exc:",
-           ("tests/test_cli.py::test_track_rejects_bad_timing[timing4]",)),
+           ("tests/test_cli.py::test_track_rejects_bad_timing[timing4]",
+            f"{OUT_OF_MEMORY}[colormap]", f"{OUT_OF_MEMORY}[curves]")),
+    Mutant("out-made-before-work", "src/tiltrotor/cli.py",
+           "    base_sets, report = gaitlab.curves_and_report(",
+           "    _make_out(args)\n    base_sets, report = gaitlab.curves_and_report(",
+           (f"{OUT_OF_MEMORY}[curves]",)),
     Mutant("track-error-series-twice", "src/tiltrotor/cli.py",
            "final position error {err.norm[-1]:.4f}",
            "final position error {sim.error_series(log).norm[-1]:.4f}",

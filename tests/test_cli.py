@@ -258,12 +258,31 @@ def test_track_invalid_duration(tmp_path, gait_files):
     ["--duration", "0.001", "--dt", "0.002"],
     # a log no host can allocate
     ["--duration", "1e12"],
+    # a log numpy cannot index
+    ["--duration", "1e300"], ["--duration", "1", "--dt", "1e-300"],
 ])
 def test_track_rejects_bad_timing(tmp_path, gait_files, timing, capsys):
     out = tmp_path / "o"
     assert run_cli("--out", str(out), "track", "--gait",
                    str(gait_files / "gait_gait1.csv"), *timing) == 2
     assert "--duration/--dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, work, size", [
+    (["colormap", "--branch", "blue"], "color_map", "--res"),
+    (["curves", "--preset", "gait2", "--phases", "1", "--grid-res", "5"], "curves_and_report",
+     "--grid-res/--phases"),
+], ids=["colormap", "curves"])
+def test_work_out_of_memory_exits_2_and_makes_no_out(tmp_path, monkeypatch, capsys,
+                                                     command, work, size):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    monkeypatch.setattr(tr.gaitlab, work, refuse)
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), *command) == 2
+    assert capsys.readouterr().err.startswith(f"{size}: the result of this run does not fit")
     assert not out.exists()
 
 

@@ -635,6 +635,21 @@ def test_config_rejects_dt_above_duration(duration, over):
         tr.SimConfig(duration=duration, dt=duration * over)
 
 
+@pytest.mark.parametrize("duration, dt", [(1e300, 1e-3), (1.0, 1e-300), (1e300, 1e-300)])
+def test_config_rejects_a_log_numpy_cannot_index(duration, dt):
+    with pytest.raises(ValueError, match=r"duration \S+ / dt \S+ is more steps than numpy can index"):
+        tr.SimConfig(duration=duration, dt=dt)
+
+
+def test_config_takes_the_longest_log_numpy_can_index():
+    # rows of 12 float64s: numpy indexes at most intp.max bytes
+    rows = np.iinfo(np.intp).max // 96
+    longest = tr.SimConfig(duration=np.nextafter(float(rows), 0.0), dt=1.0)
+    assert (longest.n_steps + 1) * 96 <= np.iinfo(np.intp).max
+    with pytest.raises(ValueError, match="more steps than numpy can index"):
+        tr.SimConfig(duration=np.nextafter(float(rows), np.inf), dt=1.0)
+
+
 @pytest.mark.parametrize("duration, rows", [(0.0105, 11), (0.0115, 13), (0.0104, 11),
                                             (0.001, 2)])
 def test_duration_snaps_to_dt_grid(params, gains, gait1, duration, rows):

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from tiltrotor._files import _FIXED_MAX, points_text
 from tiltrotor.svgplot import LinePlot
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _points_per_scalar(plot, xs, ys):
@@ -115,3 +119,14 @@ def test_polyline_refuses_bad_points(xs, ys, match):
     with pytest.raises(ValueError, match=match):
         plot.polyline(xs, ys)
     assert plot._elements == []
+
+
+@pytest.mark.parametrize("color", ['a"b', "a'b", "<'\"&\">"])
+def test_title_and_colour_are_escaped(tmp_path, color):
+    title = "error <m> & rate"
+    plot = LinePlot((0, 1), (0, 1), title=title)
+    plot.polyline([0, 1], [0, 1], color=color)
+    plot.save(tmp_path / "plot.svg")
+    root = ET.parse(tmp_path / "plot.svg").getroot()
+    assert [t.text for t in root.iter(f"{SVG}text")][-1] == title
+    assert [line.get("stroke") for line in root.iter(f"{SVG}polyline")] == [color]
