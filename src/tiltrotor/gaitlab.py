@@ -31,12 +31,23 @@ one strict sign over the whole grid box forms no grid: the range of ``g
 cos(phi) cos(theta) C``, so every phase of an on-branch gait with ``C !=
 0`` is in that case on a box inside ``|phi|, |theta| < pi/2``.  Every
 other phase is scanned alone, with one sign grid, for a report and for
-curves alike.  A gait's angles are checked finite when it is built, so
-each phase's ``(A, B, C)`` comes straight from the coefficient kernel as
-three floats.  The zeros on the crossing grid edges of both kinds come
-from one pass over one gather of the grid's cached edge table.  A report
-keeps only each phase's area fraction and the least distance from level
-attitude to such a zero, so only the curves stitch those zeros.
+curves alike.  A phase with ``A = B = C = 0`` is singular at every
+attitude: it forms no grid, and it counts as singular with area
+fraction and hover margin 0.  A gait's angles are checked finite when
+it is built, so each phase's ``(A, B, C)`` comes straight from the
+coefficient kernel as three floats.  The zeros on the crossing grid
+edges of both kinds come from one pass over one gather of the grid's
+cached edge table.  A report keeps only each phase's area fraction and
+the least distance from level attitude to such a zero, so only the
+curves stitch those zeros.
+
+``g`` is the product of ``(-A, B, C)`` with a unit vector, so each
+phase's singular attitudes lie on a great circle, whose distance from
+level attitude bounds the phase's hover margin from below in closed
+form.  A report visits its phases in ascending order of that bound and
+finds the edge zeros of a singular phase only where the bound is below
+the least margin found so far; curves need every zero, so they find
+them all.
 """
 
 from __future__ import annotations
@@ -616,6 +627,32 @@ def _one_sign(abc, grid: AttitudeGrid) -> bool:
     return min(t_lo, t_hi) + h_min > margin or max(t_lo, t_hi) + h_max < -margin
 
 
+# absolute slack of _margin_bound [rad]: the rounding of the edge zeros
+# (most of all the subtraction u - psi near phi = 0) leaves a hover margin
+# up to some 1e-14 rad below the bound, whatever the scale of (A, B, C)
+_BOUND_SLACK = 1e-12
+
+
+def _margin_bound(abc) -> float:
+    """A lower bound, in closed form, on the distance from level attitude to a zero of ``g``.
+
+    ``abc`` is the phase's ``(A, B, C)``.  ``g = v . u(phi, theta)`` with
+    ``v = (-A, B, C)`` and the unit vector ``u = (sin(theta), cos(theta)
+    sin(phi), cos(theta) cos(phi))``, so the phase's singular attitudes
+    lie on the great circle orthogonal to ``v``, at geodesic distance
+    ``asin(|C| / |v|)`` from level attitude ``u(0, 0)``.  That angle is
+    written ``atan2(|C|, hypot(A, B))``, which keeps its digits where
+    ``|C| / |v|`` rounds to 1, and is 0 when ``v = 0``.  The sphere's
+    metric ``dtheta^2 + cos(theta)^2 dphi^2`` is nowhere longer than the
+    grid's ``dphi^2 + dtheta^2``, so on any box, ``|theta| >= pi/2``
+    included, no zero of ``g`` lies nearer ``(0, 0)``.  The edge zeros
+    are exact up to rounding, so no hover margin falls below the bound by
+    more than ``_BOUND_SLACK``.
+    """
+    A, B, C = abc
+    return math.atan2(abs(C), math.hypot(A, B))
+
+
 def _edge_zeros(abc, grid: AttitudeGrid, cross_phi, cross_theta):
     """Exact zero of ``g`` on every crossing grid edge of one phase.
 
@@ -686,9 +723,11 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     edge, so ``|g|`` there is rounding error, well below ``eps_curve =
     1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
     segments stitch into polylines exactly.  ``coeffs.abc``, the ``(A,
-    B, C)`` triple, must be three finite numbers.
+    B, C)`` triple, must be three finite numbers.  With ``A = B = C =
+    0``, ``g`` vanishes at every attitude and the set is empty: there is
+    no curve to draw.
     """
-    return _phase_scan([_floats(coeffs.abc, 3, "coeffs")], grid, curves=True)[0][2]
+    return _phase_scan(_floats(coeffs.abc, 3, "coeffs"), grid, curves=True)[2]
 
 
 def _stitch_curves(abc, grid, S, changed, ids, verts) -> SingularCurveSet:
@@ -777,6 +816,9 @@ class RobustnessReport:
     ``hover_margin``: distance from level attitude to the nearest
     singular point [rad], minimized over phases; equals the grid
     diagonal when no singular point exists anywhere.
+    ``singular_phases``: phases with a singular point on the grid.  A
+    phase with ``A = B = C = 0`` is singular at every attitude: it
+    counts, with area fraction and hover margin 0.
     """
 
     area_fraction: float
@@ -785,9 +827,8 @@ class RobustnessReport:
     singular_phases: int
 
 
-def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
-                curves: bool) -> list:
-    """:func:`_phase_scan` of the gait at ``n_phases`` evenly spaced phases.
+def _gait_phases(gait: Gait, n_phases: int, params: Params) -> list:
+    """The ``(A, B, C)`` of the gait at ``n_phases`` evenly spaced phases.
 
     A gait's angles are checked finite when it is built, so each phase's
     ``(A, B, C)`` comes straight from :func:`kernels.det_coeffs` on the
@@ -799,27 +840,37 @@ def _gait_scans(gait: Gait, grid: AttitudeGrid, n_phases: int, params: Params,
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     times = [k * gait.period_s / n_phases for k in range(n_phases)]
     kf, km, arm = params.k_f, params.k_m, params.arm_length
-    return _phase_scan([kernels.det_coeffs(a1, a2, a3, a4, kf, km, arm)
-                        for a1, a2, a3, a4 in gait.sample_array(times).tolist()], grid, curves)
+    return [kernels.det_coeffs(a1, a2, a3, a4, kf, km, arm)
+            for a1, a2, a3, a4 in gait.sample_array(times).tolist()]
 
 
-def _phase_scan(phases: list, grid: AttitudeGrid, curves: bool) -> list:
-    """``(area fraction, hover margin or None, curve set or None)`` of each phase.
+def _phase_scan(abc, grid: AttitudeGrid, curves: bool, least: float = math.inf) -> tuple:
+    """``(area fraction, hover margin or None, curve set or None)`` of one phase.
 
-    Each phase is its ``(A, B, C)``.  A phase whose sign :func:`_one_sign`
-    proves forms no grid; each other phase is scanned alone by
-    :func:`_grid_scan`, for a report and for curves alike.
+    ``abc`` is the phase's ``(A, B, C)``.  A phase with ``A = B = C =
+    0`` is singular at every attitude: area fraction and hover margin 0
+    and an empty curve set, with no grid.  A phase whose sign
+    :func:`_one_sign` proves forms no grid either; each other phase is
+    scanned alone by :func:`_grid_scan`, for a report and for curves
+    alike.  A report passes the least hover margin it has found as
+    ``least``; see :func:`_grid_scan`.
     """
-    return [(np.float64(1.0), None, _no_curves(abc, grid) if curves else None)
-            if _one_sign(abc, grid) else _grid_scan(abc, grid, curves) for abc in phases]
+    if not any(abc):
+        return np.float64(0.0), 0.0, _no_curves(abc, grid) if curves else None
+    if _one_sign(abc, grid):
+        return np.float64(1.0), None, _no_curves(abc, grid) if curves else None
+    return _grid_scan(abc, grid, curves, least)
 
 
-def _grid_scan(abc, grid: AttitudeGrid, curves: bool) -> tuple:
+def _grid_scan(abc, grid: AttitudeGrid, curves: bool, least: float) -> tuple:
     """:func:`_phase_scan` of one phase, from its ``(n_phi, n_theta)`` sign grid.
 
     ``abc`` is three floats, so each term of ``g`` is one cached grid
     term times a scalar.  The edge zeros give the hover margin; only a
-    curve scan stitches them.
+    curve scan stitches them.  A report scan (``curves`` false) of a
+    singular phase whose :func:`_margin_bound`, less ``_BOUND_SLACK``, is
+    not below ``least`` finds no edge zero: no margin of that phase can
+    be below ``least``, and it reads ``inf``.
     """
     A, B, C = abc
     minus_sin_theta, sin_phi_cos_theta, cos_phi_cos_theta = grid._g_terms
@@ -838,6 +889,8 @@ def _grid_scan(abc, grid: AttitudeGrid, curves: bool) -> tuple:
     frac = np.float64(1.0 - n / changed.size)
     if not n:
         return frac, None, _no_curves(abc, grid) if curves else None
+    if not curves and _margin_bound(abc) - _BOUND_SLACK >= least:
+        return frac, math.inf, None
     # every crossing edge's vertex lies on a curve, so the nearest
     # singular point needs the refined vertices but no stitching
     margin, ids, verts = _edge_zeros(abc, grid, cross_phi, cross_theta)
@@ -859,11 +912,24 @@ def robustness_report(
     in closed form (:func:`_one_sign`), counts as robust without a sign
     grid: on a box inside ``|phi|, |theta| < pi/2``, every phase with
     ``C != 0`` of a gait on a branch plane, where the Two Color Map
-    Theorem keeps the decoupling matrix invertible.  Each other phase
-    is scanned alone, with one sign grid, and the metrics stay the
-    grid's: area fraction and hover margin.
+    Theorem keeps the decoupling matrix invertible.  A phase with ``A =
+    B = C = 0`` counts as singular, with area fraction and hover margin
+    0.  Each other phase is scanned alone, with one sign grid, and the
+    metrics stay the grid's: area fraction and hover margin.
+
+    The phases are visited in ascending order of :func:`_margin_bound`,
+    a closed-form lower bound on each phase's margin.  A singular phase
+    finds its edge zeros only if its bound, less ``_BOUND_SLACK``, is
+    below the least margin found so far; otherwise none of its zeros is
+    nearer level attitude.  Every phase still forms its sign grid, so the
+    report is that of a scan of every edge zero.
     """
-    return _report(_gait_scans(gait, grid, n_phases, params, curves=False), grid)
+    scans, least = [], math.inf
+    for abc in sorted(_gait_phases(gait, n_phases, params), key=_margin_bound):
+        scans.append(_phase_scan(abc, grid, False, least))
+        if scans[-1][1] is not None:
+            least = min(least, scans[-1][1])
+    return _report(scans, grid)
 
 
 def curves_and_report(
@@ -872,11 +938,14 @@ def curves_and_report(
     """The singular curves of each phase and the :func:`robustness_report`, in one pass.
 
     Each phase's determinant decomposition, sign grid and edge zeros
-    feed both its curves and its metrics, one phase at a time, as in the
-    report; a phase proved robust in closed form has an empty curve set
-    and forms no grid.
+    feed both its curves and its metrics, one phase at a time, in phase
+    order.  Every singular phase finds all its edge zeros, which its
+    curves need, where :func:`robustness_report` skips those its margin
+    bound rules out; the two reports are equal.  A phase proved robust in closed form has an empty
+    curve set and forms no grid; so has a phase with ``A = B = C = 0``,
+    singular at every attitude, which no curve can draw.
     """
-    scans = _gait_scans(gait, grid, n_phases, params, curves=True)
+    scans = [_phase_scan(abc, grid, True) for abc in _gait_phases(gait, n_phases, params)]
     return [cs for _, _, cs in scans], _report(scans, grid)
 
 

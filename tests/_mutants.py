@@ -36,6 +36,8 @@ FILES = "src/tiltrotor/_files.py"
 CSV_TEXT = "tests/test_sim.py::test_csv_text_is_that_of_savetxt"
 POINTS = "tests/test_svgplot.py::test_points_text_is_percent_2f_at_ties_and_bounds"
 OUT_OF_MEMORY = "tests/test_cli.py::test_work_out_of_memory_exits_2_and_makes_no_out"
+SEEDED = "tests/test_gaitlab.py::test_scans_match_the_reference_on_seeded_rectangles"
+BOUND = "tests/test_gaitlab.py::test_margin_bound_is_below_every_reference_margin"
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,18 @@ MUTANTS = (
     Mutant("cell-right-edge-off-by-one", GAITLAB,
            "left + (grid.n_theta - 1)])", "left + grid.n_theta])",
            (f"{ACROSS_STACKS}[gait2-41]", f"{ZERO_CURVES}[closed-loop]")),
+    # the report's margin bound: measured from the wrong coefficient it
+    # skips edge zeros nearer level attitude than the margin so far; left
+    # in phase order it finds edge zeros that bound order would skip
+    Mutant("margin-bound-from-a", GAITLAB,
+           "return math.atan2(abs(C), math.hypot(A, B))",
+           "return math.atan2(abs(A), math.hypot(B, C))",
+           (f"{SEEDED}[red-0.8]", f"{BOUND}[square]", f"{BOUND}[past-the-pole]")),
+    Mutant("report-phases-unsorted", GAITLAB,
+           "for abc in sorted(_gait_phases(gait, n_phases, params), key=_margin_bound):",
+           "for abc in _gait_phases(gait, n_phases, params):",
+           ("tests/test_gaitlab.py::"
+            "test_reports_find_only_the_edge_zeros_that_can_lower_the_margin",)),
     Mutant("floats-let-conversion-errors-through", "src/tiltrotor/model.py",
            "except (TypeError, ValueError) as exc:",
            "except ZeroDivisionError as exc:",

@@ -445,7 +445,11 @@ def phase_scan_reference(A, B, C, phis, thetas):
 
     The package's robustness metrics and marching-squares curves of the
     attitude factor ``g`` on the grid ``phis x thetas``, step by step.
+    With ``A = B = C = 0``, ``g`` vanishes at every attitude: no cell is
+    robust, level attitude is singular, and there is no curve to draw.
     """
+    if A == B == C == 0.0:
+        return 0.0, 0.0, []
     S = sign_grid_reference(A, B, C, phis, thetas)
     changed = _changed_cells(S)
     frac = 1.0 - float(changed.sum()) / changed.size

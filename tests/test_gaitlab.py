@@ -657,9 +657,9 @@ def test_scans_match_the_reference_across_stacks(params, monkeypatch, name, n, n
     scanned = []
     grid_scan = gaitlab._grid_scan
 
-    def recording(abc, grid, curves):
+    def recording(abc, grid, curves, least):
         scanned.append((curves, abc))
-        return grid_scan(abc, grid, curves)
+        return grid_scan(abc, grid, curves, least)
 
     monkeypatch.setattr(gaitlab, "_grid_scan", recording)
     grid = tr.AttitudeGrid.symmetric(1.2, n)
@@ -670,14 +670,113 @@ def test_scans_match_the_reference_across_stacks(params, monkeypatch, name, n, n
     else:
         assert 0 < report.singular_phases < n_phases
     # each phase the closed form does not prove is scanned alone: once by
-    # the report, then by curves_and_report and by singular_curves
+    # the report, in ascending order of its margin bound, then in phase
+    # order by curves_and_report and by singular_curves
     times = np.arange(n_phases) * gait.period_s / n_phases
     phases = [kernels.det_coeffs(*alpha, params.k_f, params.k_m, params.arm_length)
               for alpha in gait.sample_array(times).tolist()]
     unproved = [abc for abc in phases if not gaitlab._one_sign(abc, grid)]
     assert len(unproved) >= report.singular_phases
-    assert [abc for curves, abc in scanned if not curves] == unproved
+    assert [abc for curves, abc in scanned if not curves] == sorted(unproved,
+                                                                    key=gaitlab._margin_bound)
     assert [abc for curves, abc in scanned if curves] == unproved + unproved
+
+
+def test_reports_find_only_the_edge_zeros_that_can_lower_the_margin(params, monkeypatch):
+    # in ascending order of the margin bound, a singular phase whose bound
+    # (less its slack) is not below the least margin found before it has
+    # no nearer zero, so the report skips its edge zeros and stays the
+    # reference's byte for byte
+    found = []
+    edge_zeros = gaitlab._edge_zeros
+
+    def counting(abc, *args):
+        found.append(abc)
+        return edge_zeros(abc, *args)
+
+    monkeypatch.setattr(gaitlab, "_edge_zeros", counting)
+    grid = tr.AttitudeGrid.symmetric(1.3, 41)
+    singular = calls = 0
+    for branch in ("blue", "red"):
+        rng = np.random.default_rng([9301, branch == "red", 8])
+        for _ in range(12):
+            gait = tr.bias_gait(tr.make_rectangle_gait(rng.uniform(-1.2, 1.2, 2),
+                                                       rng.uniform(0.05, 0.4, 2), 10.0,
+                                                       branch, params), 0.8)
+            want_report, _ = _reference_scans(gait, grid, 8, params)
+            found.clear()
+            report = tr.robustness_report(gait, grid, 8, params)
+            assert _report_bytes(report) == _report_bytes(want_report)
+            times = np.arange(8) * gait.period_s / 8
+            phases = [tr.det_decomposition(tuple(alpha), params).abc
+                      for alpha in gait.sample_array(times).tolist()]
+            least, want = math.inf, []
+            for abc in sorted(phases, key=gaitlab._margin_bound):
+                margin = phase_scan_reference(*abc, grid.phis, grid.thetas)[1]
+                if margin is not None and gaitlab._margin_bound(abc) - gaitlab._BOUND_SLACK < least:
+                    want.append(abc)
+                    least = min(least, margin)
+            assert found == want
+            singular += report.singular_phases
+            calls += len(found)
+    assert 0 < calls < singular
+
+
+@pytest.mark.parametrize("grid", [
+    tr.AttitudeGrid.symmetric(1.3, 41),
+    # the saddle example, past theta = pi/2
+    tr.AttitudeGrid(-1.05, 0.95, 0.62, 2.6, 20, 23),
+    # wider than +-pi/2 in phi
+    tr.AttitudeGrid(-2.4, 2.0, -1.3, 1.3, 41, 41),
+    # a small box away from level attitude
+    tr.AttitudeGrid(0.45, 0.7, -0.9, -0.62, 21, 17),
+    # past theta = +-pi/2, with a node column at phi = 0: where |C| / |v|
+    # rounds to 1, asin would put the bound above zeros near the pole
+    tr.AttitudeGrid(-1.0, 1.0, -1.8, 1.8, 41, 37),
+], ids=["square", "saddle", "wide-phi", "off-origin", "past-the-pole"])
+def test_margin_bound_is_below_every_reference_margin(grid):
+    # g = v . u(phi, theta) with v = (-A, B, C) and u a unit vector: the
+    # singular set is a great circle at asin(|C| / |v|) from level attitude,
+    # and the grid's metric is nowhere shorter than the sphere's
+    rng = np.random.default_rng(3001)
+    singular = 0
+    for k in range(600):
+        A, B, C = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+        A = 0.0 if k % 7 == 0 else A
+        C *= (1.0, 1e-6, 1e-13)[k % 3]
+        if k % 4 == 0:
+            A, B = A * 1e-9, B * 1e-9
+        bound = gaitlab._margin_bound((A, B, C))
+        assert 0.0 <= bound <= 0.5 * math.pi
+        assert bound == pytest.approx(math.asin(abs(C) / math.sqrt(A * A + B * B + C * C)),
+                                      rel=0.0, abs=1e-7)
+        margin = phase_scan_reference(A, B, C, grid.phis, grid.thetas)[1]
+        if margin is not None:
+            singular += 1
+            assert margin >= bound - gaitlab._BOUND_SLACK, (A, B, C)
+    assert singular >= 50
+
+
+def test_a_phase_singular_at_every_attitude_counts_as_singular(params):
+    # the rectangle's lower-left corner, its phase at t = 0, is the
+    # rank-deficient completion (delta / 2, -delta / 2) on the blue plane
+    d = gaitlab._delta(params)
+    gait = tr.make_rectangle_gait((d / 2 + 0.125, -d / 2 + 0.125), (0.125, 0.125), 10.0,
+                                  "blue", params)
+    alpha = gait.sample_array([0.0]).tolist()[0]
+    assert kernels.det_coeffs(*alpha, params.k_f, params.k_m, params.arm_length) == (0.0, 0.0,
+                                                                                     0.0)
+    for eta in ((0.0, 0.0, 0.0), (0.4, -0.7, 1.0), (-1.2, 1.1, 0.0)):
+        assert tr.decoupling_matrix(eta, alpha, params).det == 0.0
+    grid = tr.AttitudeGrid.symmetric(1.3, 41)
+    report = tr.robustness_report(gait, grid, 4, params)
+    sets, both = gaitlab.curves_and_report(gait, grid, 4, params)
+    assert both == report
+    assert (report.area_fraction, report.hover_margin) == (0.0, 0.0)
+    assert report.singular_phases == 1
+    assert sets[0].curves == [] and sets[0].eps_curve == 1e-300
+    assert tr.singular_curves(tuple(alpha), grid, params).curves == []
+    assert _assert_scans_match_reference(gait, grid, 4, params) == report
 
 
 def test_robust_phases_form_no_grid(params, monkeypatch):
@@ -789,8 +888,7 @@ def grazing_boxes(draw):
                           1.3759404349767292, 1.4867476846913172, 7, 17)))
 def test_phase_scan_matches_the_reference_and_proves_only_one_sign(case):
     phases, grid = case
-    scans = gaitlab._phase_scan(phases, grid, curves=True)
-    assert len(scans) == len(phases)
+    scans = [gaitlab._phase_scan(abc, grid, curves=True) for abc in phases]
     for (A, B, C), (frac, margin, cs) in zip(phases, scans):
         want_frac, want_margin, want_curves = phase_scan_reference(A, B, C, grid.phis,
                                                                    grid.thetas)
@@ -953,7 +1051,7 @@ def test_uneven_crossings_match_the_reference():
     grid = tr.AttitudeGrid(-1.4, 1.1, 0.2, 1.75, 31, 37)
     phases = [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.2, 1.0, 0.3), (0.0, 0.0, 1.0)]
     assert grid._box is None
-    scans = gaitlab._phase_scan(phases, grid, curves=True)
+    scans = [gaitlab._phase_scan(abc, grid, curves=True) for abc in phases]
     counts = []
     for (A, B, C), (frac, margin, cs) in zip(phases, scans):
         want_frac, want_margin, want_curves = phase_scan_reference(A, B, C, grid.phis, grid.thetas)
@@ -962,7 +1060,7 @@ def test_uneven_crossings_match_the_reference():
         _assert_same_polylines(cs.curves, want_curves)
         counts.append(sum(len(poly) for poly in want_curves))
     assert counts[1] == 0 and len(set(counts)) == len(counts)
-    report = gaitlab._phase_scan(phases, grid, curves=False)
+    report = [gaitlab._phase_scan(abc, grid, curves=False) for abc in phases]
     assert [scan[:2] for scan in report] == [scan[:2] for scan in scans]
 
 
