@@ -13,7 +13,8 @@ length:
 * the **red** branch ``(alpha3, alpha4) = (alpha1 + pi, alpha2 + pi)``.
 
 The solver writes them down in closed form, which keeps rectangle gaits
-exactly on-branch under linear interpolation.
+exactly on-branch under linear interpolation: a rectangle gait is its
+five corners, each lifted onto the plane.
 
 The raw root set of ``A = B = 0`` is larger, and closed-form too
 (:func:`scan_roots`): with ``delta = 2 atan2(k_m, arm k_f)`` it is the
@@ -52,6 +53,7 @@ them all.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -78,18 +80,6 @@ CLUSTER_RADIUS = 1e-6
 
 # (alpha3, alpha4) = (alpha1, alpha2) + offset on each robust branch
 BRANCH_OFFSETS = {"blue": 0.0, "red": math.pi}
-
-# stations per edge of a rectangle gait's perimeter
-STATIONS_PER_EDGE = 16
-
-
-def residual_scale(params: Params) -> float:
-    """Scale for A/B residual tolerances: ``k_f * (arm * k_f + k_m)**2``.
-
-    A loose upper scale for the coefficients; the gradient of ``(A, B)``
-    with respect to the completion is about 1e5 smaller.
-    """
-    return params.k_f * (params.arm_length * params.k_f + params.k_m) ** 2
 
 
 def _branch_offset(branch) -> float:
@@ -215,10 +205,13 @@ def solve_color_pair(alpha12, params: Params) -> list[ColorSolution]:
 
 @dataclass(frozen=True)
 class PlaneFit:
-    """Branch plane ``value = c0 + c1 * alpha1 + c2 * alpha2`` and the map's residual to it.
+    """Branch plane ``value = c0 + c1 * alpha1 + c2 * alpha2``, as :func:`color_map` states it.
 
     ``coeffs`` is ``(offset, 1, 0)`` for ``alpha3`` and ``(offset, 0, 1)``
-    for ``alpha4``, with the offset of :data:`BRANCH_OFFSETS`.
+    for ``alpha4``, with the offset of :data:`BRANCH_OFFSETS`.  The map's
+    completions are this plane, so its residual to them, ``rms`` and
+    ``max_abs``, is 0 by construction; the two fields keep the planes
+    file's form.
     """
 
     coeffs: np.ndarray
@@ -238,20 +231,13 @@ class ColorMapResult:
     plane4: PlaneFit
 
 
-def _plane(coeffs, a1g, a2g, values) -> PlaneFit:
-    resid = values - (coeffs[0] + coeffs[1] * a1g + coeffs[2] * a2g)
-    return PlaneFit(coeffs=np.array(coeffs), rms=float(np.sqrt(np.mean(resid * resid))),
-                    max_abs=float(np.max(np.abs(resid))))
-
-
 def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> ColorMapResult:
     """One branch over a rectangular grid, with its planes.
 
     The completions are the closed-form branch plane at every cell, and
-    each :class:`PlaneFit` states that plane and measures the cells
-    against it; ``residual_sign`` is the sign of the closed-form
-    on-branch ``C`` there.  Each axis of values must be a non-empty 1-D
-    array of finite values.
+    each :class:`PlaneFit` states that plane; ``residual_sign`` is the
+    sign of the closed-form on-branch ``C`` there.  Each axis of values
+    must be a non-empty 1-D array of finite values.
     """
     a1v, a2v = np.asarray(alpha1_values, dtype=float), np.asarray(alpha2_values, dtype=float)
     if (a1v.ndim != 1 or a2v.ndim != 1 or not (a1v.size and a2v.size)
@@ -269,8 +255,8 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
         alpha3=alpha3,
         alpha4=alpha4,
         residual_sign=rsign,
-        plane3=_plane((offset, 1.0, 0.0), a1g, a2g, alpha3),
-        plane4=_plane((offset, 0.0, 1.0), a1g, a2g, alpha4),
+        plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0, 0.0),
+        plane4=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),
     )
 
 
@@ -406,13 +392,15 @@ def make_rectangle_gait(
 ) -> Gait:
     """Rectangle gait: ``(alpha1, alpha2)`` traverses the perimeter CCW.
 
-    The traversal starts at the lower-left corner and runs at constant
-    speed through :data:`STATIONS_PER_EDGE` stations per edge;
+    The gait is its five corners, counter-clockwise from the lower left
+    and back to it, reached at time fractions proportional to the
+    perimeter walked, so the traversal runs at constant speed;
     ``(alpha3, alpha4)`` sit on the requested branch plane at every
-    station, so the gait is exactly on-branch and closes exactly.  The
-    planes do not depend on ``params``.  ``center`` and ``half_extents``
-    must each be two finite numbers, the half extents both positive or
-    both zero (a fixed point).
+    corner.  The plane is linear in ``(alpha1, alpha2)``, so the
+    interpolated gait is exactly on-branch, and it closes exactly.  A
+    fixed point is its centre, held from fraction 0 to 1.  The planes do
+    not depend on ``params``.  ``center`` and ``half_extents`` must each
+    be two finite numbers, the half extents both positive or both zero.
     """
     cx, cy = _floats(center, 2, "center")
     hx, hy = _floats(half_extents, 2, "half_extents")
@@ -427,27 +415,13 @@ def make_rectangle_gait(
     offset = _branch_offset(branch)
     if hx == 0.0 and hy == 0.0:
         return Gait(period, branch, 1.0, [0.0, 1.0], [(cx, cy, cx + offset, cy + offset)] * 2)
-    # the corners from the lower left, and each edge as the next corner less this one
     x0, x1, y0, y1 = cx - hx, cx + hx, cy - hy, cy + hy
-    corners, edges = np.array([
-        ((x0, y0), (x1, y0), (x1, y1), (x0, y1)),
-        ((x1 - x0, y0 - y0), (x1 - x1, y1 - y0), (x0 - x1, y1 - y1), (x0 - x0, y0 - y1)),
-    ])[:, :, None]
-    # station s of an edge is x0 + f * (x1 - x0) with f = s / stations,
-    # then the first corner closes the perimeter
-    stations = STATIONS_PER_EDGE
-    alphas = np.empty((4 * stations + 1, 4))
-    pts = alphas[:, :2]
-    np.add(corners, np.arange(stations)[:, None] / stations * edges,
-           out=pts[:-1].reshape(4, stations, 2))
-    pts[-1] = corners[0, 0]
-    np.add(pts, offset, out=alphas[:, 2:])
-    d = pts[1:] - pts[:-1]
-    d *= d
-    fracs = np.zeros(len(alphas))
-    np.cumsum(np.sqrt(d[:, 0] + d[:, 1]), out=fracs[1:])
-    fracs /= fracs[-1]
-    return Gait(period_s=period, color=branch, bias=1.0, waypoints=fracs, alphas=alphas)
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+    # the perimeter walked up to each corner, edge by edge
+    walked = list(itertools.accumulate((0.0, x1 - x0, y1 - y0, x1 - x0, y1 - y0)))
+    return Gait(period_s=period, color=branch, bias=1.0,
+                waypoints=[w / walked[-1] for w in walked],
+                alphas=[(x, y, x + offset, y + offset) for x, y in corners])
 
 
 def bias_gait(gait: Gait, factor: float) -> Gait:
@@ -955,17 +929,17 @@ def curves_and_report(
 GAIT_PRESETS = {
     # The on-branch C = 0 locus, with u = atan2(k_m, arm k_f), is
     # alpha1 = u + pi/2 (mod pi), alpha2 = pi/2 - u (mod pi) and
-    # tan(alpha1) - tan(alpha2) = 2 tan(u).  Margins below are the least
-    # |C| / (4 k_f rho^3), rho = hypot(arm k_f, k_m), over the waypoints
+    # tan(alpha1) - tan(alpha2) = 2 tan(u).  A margin below is the least
+    # |C| / (4 k_f rho^3), rho = hypot(arm k_f, k_m), along the schedule
     # at the default Params.
     # blue rectangle clear of the locus (margin 0.265, C keeps its sign)
     # so tracking stays well-conditioned, yet close enough that its
     # 0.8-biased variant develops singular attitude curves
     "gait1": {"center": (-0.25, 0.85), "half_extents": (0.30, 0.30), "branch": "blue"},
-    # red rectangles crossing the locus (margins 0.0039 and 0.0002, C
-    # changes sign twice per period): they lose control authority at two
-    # gait phases per period and fail in closed loop under input
-    # saturation
+    # red rectangles crossing the locus (C changes sign twice per period,
+    # so the least margin is 0): they lose control authority at two gait
+    # phases per period and fail in closed loop under input saturation.
+    # A report's sampled phases can miss those crossings
     "gait2": {"center": (0.0, 0.0), "half_extents": (0.30, 0.30), "branch": "red"},
     "gait3": {"center": (0.4, 0.4), "half_extents": (0.20, 0.20), "branch": "red"},
 }

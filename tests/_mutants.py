@@ -132,6 +132,21 @@ MUTANTS = (
     Mutant("points-negative-zero-unsigned", FILES,
            "np.flatnonzero(np.signbit(v) & fast)", "np.flatnonzero((v < 0.0) & fast)",
            (f"{POINTS}[negative-zero]",)),
+    # the rectangle gait is its five corners, counter-clockwise, at fractions
+    # of the perimeter walked (uniform quarters only fit a square), and
+    # color_map states the plane that independent roots fit
+    Mutant("rectangle-corners-clockwise", GAITLAB,
+           "corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))",
+           "corners = ((x0, y0), (x0, y1), (x1, y1), (x1, y0), (x0, y0))",
+           ("tests/test_gaitlab.py::test_rectangle_gait_lies_on_branch_plane",)),
+    Mutant("rectangle-fractions-uniform", GAITLAB,
+           "waypoints=[w / walked[-1] for w in walked],",
+           "waypoints=[0.0, 0.25, 0.5, 0.75, 1.0],",
+           ("tests/test_gaitlab.py::test_corner_gait_is_the_station_gait",)),
+    Mutant("plane3-stated-as-alpha2", GAITLAB,
+           "plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0, 0.0),",
+           "plane3=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),",
+           ("tests/test_acceptance.py::test_criterion_04_planarity",)),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

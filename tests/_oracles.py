@@ -10,6 +10,15 @@ import math
 import numpy as np
 
 
+def residual_scale(params):
+    """Scale for A/B residual tolerances: ``k_f * (arm * k_f + k_m)**2``.
+
+    A loose upper scale for the coefficients; the gradient of ``(A, B)``
+    with respect to the completion is about 1e5 smaller.
+    """
+    return params.k_f * (params.arm_length * params.k_f + params.k_m) ** 2
+
+
 def thrust_direct(alpha, k_f):
     s = np.sin(alpha)
     c = np.cos(alpha)

@@ -28,7 +28,7 @@ def test_gaitgen_outputs(gait_files):
     assert meta == {"period_s": 10.0, "color": "blue", "bias": 1.0}
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "t_frac,alpha1,alpha2,alpha3,alpha4"
-    assert len(rows) == 66  # the header and the rectangle's 65 waypoints
+    assert len(rows) == 6  # the header and the rectangle's 5 corners
 
 
 def test_gaitgen_bias_scales_columns(gait_files, tmp_path):
