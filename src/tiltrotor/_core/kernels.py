@@ -1,12 +1,18 @@
 """The package's hot kernels, the one implementation of its inner math.
 
-Every function here operates on plain floats and tuples, without numpy
-call overhead: arithmetic on ``numpy.float64`` scalars would cost about
-twice as much per operation.
+The kernels operate on plain floats and tuples, without numpy call
+overhead: arithmetic on ``numpy.float64`` scalars would cost about twice
+as much per operation.  :func:`q_entries` and :func:`tilt_factors` are
+``+ - * /`` alone, so they also take numpy columns, a block of tilts at
+once.
 
 The input maps are written once, in :func:`thrust_entries` and
-:func:`torque_entries`; :func:`det_coeffs`, :func:`decoupling` and
-``control.tilt_factors`` unpack them (the last also on numpy columns).
+:func:`torque_entries`; :func:`det_coeffs` and :func:`q_entries` unpack
+them.  The decoupling law is written once too: :func:`tilt_factors`
+factors ``Q = inv(I_B) @ torque map`` (:func:`q_entries`) per tilt, the
+tracking loop's ``control.fl_core`` solves each step from those factors,
+and :func:`decoupling` is the same law written out as the explicit
+matrix, for the public ``decoupling_matrix``.
 :func:`rk4_step` is the one hand-written form of the plant: it forms the
 maps times the input grouped by sine and cosine, and the public
 ``model.state_derivative`` composes the same model from the public maps.
@@ -27,6 +33,7 @@ Conventions baked into the kernels:
   off zero itself, since a stage's pitch is not checked.
 """
 
+import sys
 from math import cos, exp, log, sin, sqrt
 
 
@@ -304,6 +311,80 @@ def rk4_step(state, att_0, tilt_0, tilt_mid, tilt_1, w, dt, pp):
     )
 
 
+def q_entries(tilt, pp):
+    """Row-major 3x4 ``Q = inv(I_B) @ torque map`` at a :func:`tilt_trig` set (floats or columns)."""
+    _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
+    # the nonzero entries of the torque map, rows tx = (0, x1, 0, x3),
+    # ty = (y0, 0, y2, 0) and tz = (z0, z1, z2, z3); q_ij = I_i0 tx_j + I_i1 ty_j + I_i2 tz_j
+    _, x1, _, x3, y0, _, y2, _, z0, z1, z2, z3 = torque_entries(tilt, kf, km, arm)
+    return (
+        i01 * y0 + i02 * z0, i00 * x1 + i02 * z1, i01 * y2 + i02 * z2, i00 * x3 + i02 * z3,
+        i11 * y0 + i12 * z0, i10 * x1 + i12 * z1, i11 * y2 + i12 * z2, i10 * x3 + i12 * z3,
+        i21 * y0 + i22 * z0, i20 * x1 + i22 * z1, i21 * y2 + i22 * z2, i20 * x3 + i22 * z3,
+    )
+
+
+def tilt_factors(tilt, pack) -> tuple:
+    """The tilt-only factors of the decoupling matrix: 22 values per tilt.
+
+    ``tilt`` is the :func:`tilt_trig` set (four sines, then four
+    cosines) as eight floats, giving 22 floats, or as eight numpy columns
+    (``trig.T`` of an ``(n, 8)`` block), giving 22 columns.  One body of
+    ``+ - * /`` serves both, so a block row is the float row bit for bit.
+    With ``Q = inv(I_B) @ torque_map`` (3x4) the decoupling matrix is
+    ``blockdiag(T, 1) @ [Q; v]``, ``T`` the Euler-rate map and ``v`` the
+    attitude-dependent vertical row.  The values are, for ``control.fl_core``:
+
+    * ``K = Q^T (Q Q^T)^-1`` (12 values, row by row): a right inverse of ``Q``;
+    * ``n`` (4 values), the cofactors of the fourth row of ``[Q; v]``, so
+      ``Q n = 0`` and ``det [Q; v] = v . n``;
+    * ``G = Q Q^T`` (6 values, upper triangle row by row), for the row norms.
+
+    ``K`` is formed from cofactors, not by inverting ``G``: its column
+    ``i`` is the vector orthogonal to the other two rows of ``Q`` and to
+    ``n``, over ``n . n``, which keeps it as accurate as ``Q`` is
+    conditioned, not ``G``.  Where ``n . n`` is zero or subnormal (``Q``
+    rank-deficient to working precision) the divisor becomes 1, with no
+    branch on the input's type, so ``1 / (n . n)`` cannot overflow:
+    ``K`` is linear in ``n``, so it is zero or as small as ``n`` there,
+    and the vanishing determinant makes the step hold.
+    """
+    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q_entries(tilt, pack)
+    # Plücker coordinates p_jk = a_j b_k - a_k b_j of the row pairs (a, b):
+    # (q1, q2) in a, (q2, q0) in b and (q0, q1) in d
+    a01, a02, a03 = q10 * q21 - q11 * q20, q10 * q22 - q12 * q20, q10 * q23 - q13 * q20
+    a12, a13, a23 = q11 * q22 - q12 * q21, q11 * q23 - q13 * q21, q12 * q23 - q13 * q22
+    b01, b02, b03 = q20 * q01 - q21 * q00, q20 * q02 - q22 * q00, q20 * q03 - q23 * q00
+    b12, b13, b23 = q21 * q02 - q22 * q01, q21 * q03 - q23 * q01, q22 * q03 - q23 * q02
+    d01, d02, d03 = q00 * q11 - q01 * q10, q00 * q12 - q02 * q10, q00 * q13 - q03 * q10
+    d12, d13, d23 = q01 * q12 - q02 * q11, q01 * q13 - q03 * q11, q02 * q13 - q03 * q12
+    # cross(p, c), the x with e . x = det[a; b; c; e] for every e, is
+    # (p13 c2 - p23 c1 - p12 c3, p23 c0 - p03 c2 + p02 c3,
+    #  p03 c1 - p13 c0 - p01 c3, p12 c0 - p02 c1 + p01 c2); n = cross(d, q2)
+    n0 = d13 * q22 - d23 * q21 - d12 * q23
+    n1 = d23 * q20 - d03 * q22 + d02 * q23
+    n2 = d03 * q21 - d13 * q20 - d01 * q23
+    n3 = d12 * q20 - d02 * q21 + d01 * q22
+    nn = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+    h = -1.0 / (nn + (nn < sys.float_info.min))
+    # column i of K is cross(p, n) * -1 / (n . n), p the pair of the other two rows
+    return (
+        (a13 * n2 - a23 * n1 - a12 * n3) * h, (b13 * n2 - b23 * n1 - b12 * n3) * h,
+        (d13 * n2 - d23 * n1 - d12 * n3) * h, (a23 * n0 - a03 * n2 + a02 * n3) * h,
+        (b23 * n0 - b03 * n2 + b02 * n3) * h, (d23 * n0 - d03 * n2 + d02 * n3) * h,
+        (a03 * n1 - a13 * n0 - a01 * n3) * h, (b03 * n1 - b13 * n0 - b01 * n3) * h,
+        (d03 * n1 - d13 * n0 - d01 * n3) * h, (a12 * n0 - a02 * n1 + a01 * n2) * h,
+        (b12 * n0 - b02 * n1 + b01 * n2) * h, (d12 * n0 - d02 * n1 + d01 * n2) * h,
+        n0, n1, n2, n3,
+        q00 * q00 + q01 * q01 + q02 * q02 + q03 * q03,
+        q00 * q10 + q01 * q11 + q02 * q12 + q03 * q13,
+        q00 * q20 + q01 * q21 + q02 * q22 + q03 * q23,
+        q10 * q10 + q11 * q11 + q12 * q12 + q13 * q13,
+        q10 * q20 + q11 * q21 + q12 * q22 + q13 * q23,
+        q20 * q20 + q21 * q21 + q22 * q22 + q23 * q23,
+    )
+
+
 def decoupling(att, p, q, r, tilt, pp):
     """Decoupling matrix, drift vector, determinant and row-norm scale.
 
@@ -312,44 +393,35 @@ def decoupling(att, p, q, r, tilt, pp):
     the row-major 4x4 matrix mapping signed squared rotor speeds to
     (roll'', pitch'', yaw'', altitude'') contributions, ``b`` is the
     matching drift 4-vector and ``scale`` is the geometric mean of the
-    four row norms of ``delta``.  The tracking loop does not assemble
-    ``delta``: it evaluates the same law from tilt-only factors
-    (``control.tilt_factors``); this explicit form serves the public
-    ``decoupling_matrix`` and ``drift_vector``.
+    four row norms of ``delta``.
+
+    The tracking loop's law written out, for the public ``decoupling_matrix``
+    and ``drift_vector``: ``delta = blockdiag(T, 1) @ [Q; v]`` (``T`` the
+    Euler-rate map, ``v`` formed as ``control.fl_core`` forms it) and ``det
+    = v . n / cos(theta)`` with ``n`` from :func:`tilt_factors`, so at the
+    same trig ``det`` is the loop's determinant bit for bit.
     """
-    m, g, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pp
+    m, g, kf = pp[0], pp[1], pp[2]
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
     tt = st / ct
-    # Euler-rate map T (rows: 1, sf*tt, cf*tt / 0, cf, -sf / 0, sf/ct, cf/ct)
-    t01, t02 = sf * tt, cf * tt
-    t21, t22 = sf / ct, cf / ct
-    # M = T @ inv(I_B)
-    m00 = i00 + t01 * i10 + t02 * i20
-    m01 = i01 + t01 * i11 + t02 * i21
-    m02 = i02 + t01 * i12 + t02 * i22
-    m10 = cf * i10 - sf * i20
-    m11 = cf * i11 - sf * i21
-    m12 = cf * i12 - sf * i22
-    m20 = t21 * i10 + t22 * i20
-    m21 = t21 * i11 + t22 * i21
-    m22 = t21 * i12 + t22 * i22
-
-    # nonzero entries of the torque map: rows tx = (0, tx1, 0, tx3),
-    # ty = (ty0, 0, ty2, 0) and tz
-    _, tx1, _, tx3, ty0, _, ty2, _, tz0, tz1, tz2, tz3 = torque_entries(tilt, kf, km, arm)
+    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q_entries(tilt, pp)
+    # T = (rows: 1, sf*tt, cf*tt / 0, cf, -sf / 0, sf/ct, cf/ct)
+    t01, t02, t21, t22 = sf * tt, cf * tt, sf / ct, cf / ct
+    # v = R[2, :] @ F / m: world vertical acceleration per unit input
     s1, s2, s3, s4, c1, c2, c3, c4 = tilt
-    # fourth row: world vertical acceleration per unit input, R[2, :] @ F / m
-    r30, r31, r32 = -st, ct * sf, ct * cf
-    e00, e01 = m01 * ty0 + m02 * tz0, m00 * tx1 + m02 * tz1
-    e02, e03 = m01 * ty2 + m02 * tz2, m00 * tx3 + m02 * tz3
-    e10, e11 = m11 * ty0 + m12 * tz0, m10 * tx1 + m12 * tz1
-    e12, e13 = m11 * ty2 + m12 * tz2, m10 * tx3 + m12 * tz3
-    e20, e21 = m21 * ty0 + m22 * tz0, m20 * tx1 + m22 * tz1
-    e22, e23 = m21 * ty2 + m22 * tz2, m20 * tx3 + m22 * tz3
     fm = kf / m
-    e30, e31 = fm * (r31 * s1 - r32 * c1), fm * (r30 * s2 + r32 * c2)
-    e32, e33 = -fm * (r31 * s3 + r32 * c3), fm * (r32 * c4 - r30 * s4)
-    d = (e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33)
+    r31, r32 = ct * sf, ct * cf
+    e30, e31 = fm * (r31 * s1 - r32 * c1), fm * (r32 * c2 - st * s2)
+    e32, e33 = -fm * (r31 * s3 + r32 * c3), fm * (r32 * c4 + st * s4)
+    d = (
+        q00 + t01 * q10 + t02 * q20, q01 + t01 * q11 + t02 * q21,
+        q02 + t01 * q12 + t02 * q22, q03 + t01 * q13 + t02 * q23,
+        cf * q10 - sf * q20, cf * q11 - sf * q21, cf * q12 - sf * q22, cf * q13 - sf * q23,
+        t21 * q10 + t22 * q20, t21 * q11 + t22 * q21, t21 * q12 + t22 * q22, t21 * q13 + t22 * q23,
+        e30, e31, e32, e33,
+    )
+    n0, n1, n2, n3 = tilt_factors(tilt, pp)[12:16]
+    det = (e30 * n0 + e31 * n1 + e32 * n2 + e33 * n3) / ct
 
     # drift: Tdot(eta, etadot) @ omega with etadot = T @ omega, plus gravity.
     # With u = sf q + cf r the Euler rates are dphi = p + tan(theta) u and
@@ -358,24 +430,11 @@ def decoupling(att, p, q, r, tilt, pp):
     dtheta = cf * q - sf * r
     dphi = p + tt * u
     tu = dtheta * u / (ct * ct)
-    b = (
-        tt * dphi * dtheta + tu,
-        -dphi * u,
-        dphi * dtheta / ct + st * tu,
-        -g,
-    )
+    b = (tt * dphi * dtheta + tu, -dphi * u, dphi * dtheta / ct + st * tu, -g)
 
-    # Laplace expansion over the first two rows (2x2 complementary minors)
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
-    det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-    n0 = sqrt(e00 * e00 + e01 * e01 + e02 * e02 + e03 * e03)
-    n1 = sqrt(e10 * e10 + e11 * e11 + e12 * e12 + e13 * e13)
-    n2 = sqrt(e20 * e20 + e21 * e21 + e22 * e22 + e23 * e23)
-    n3 = sqrt(e30 * e30 + e31 * e31 + e32 * e32 + e33 * e33)
-    if n0 > 0.0 and n1 > 0.0 and n2 > 0.0 and n3 > 0.0:
-        scale = exp(0.25 * (log(n0) + log(n1) + log(n2) + log(n3)))
-    else:
-        scale = 0.0
+    rows = (d[0:4], d[4:8], d[8:12], d[12:16])
+    norms = [sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in rows]
+    scale = exp(0.25 * sum(map(log, norms))) if min(norms) > 0.0 else 0.0
     return d, b, det, scale
 
 

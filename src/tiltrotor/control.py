@@ -18,21 +18,22 @@ step takes each once.
 
 ``fl_core`` does not assemble the decoupling matrix.  It writes it as
 ``Delta = blockdiag(T, 1) @ [Q; v]`` (see :mod:`tiltrotor.linearization`)
-and takes the tilt-only part from a row of :func:`tilt_factors`, one
-straight-line body of arithmetic: given the floats of one tilt it
-returns one row of floats, for :func:`fl_inner_loop`, and given numpy
-columns it returns the columns of a block of rows, for the tracking loop.
+and takes the tilt-only part from a row of ``tilt_factors``, a kernel
+imported here: given the floats of one tilt it returns one row of
+floats, for :func:`fl_inner_loop`, and given numpy columns it returns the
+columns of a block of rows, for the tracking loop.  The public
+``decoupling_matrix`` is built from the same factors (``kernels.decoupling``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from tiltrotor._core import kernels
+from tiltrotor._core.kernels import tilt_factors
 from tiltrotor._files import read_object
 from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import Params, State, _floats, check_pitch
@@ -167,75 +168,6 @@ def decoupler_core(px, py, vx, vy, sp, cp,
 
 
 _UNSATURATED = (False, False, False, False)
-
-
-def tilt_factors(tilt, pack) -> tuple:
-    """The tilt-only factors of the decoupling matrix: 22 values per tilt.
-
-    ``tilt`` is the kernels' ``tilt_trig`` (four sines, then four
-    cosines) as eight floats, giving 22 floats, or as eight numpy columns
-    (``trig.T`` of an ``(n, 8)`` block), giving 22 columns.  One body of
-    ``+ - * /`` serves both, so a block row is the float row bit for bit.
-    With ``Q = inv(I_B) @ torque_map`` (3x4) the decoupling matrix is
-    ``blockdiag(T, 1) @ [Q; v]``, ``T`` the Euler-rate map and ``v`` the
-    attitude-dependent vertical row.  The values are, for :func:`fl_core`:
-
-    * ``K = Q^T (Q Q^T)^-1`` (12 values, row by row): a right inverse of ``Q``;
-    * ``n`` (4 values), the cofactors of the fourth row of ``[Q; v]``, so
-      ``Q n = 0`` and ``det [Q; v] = v . n``;
-    * ``G = Q Q^T`` (6 values, upper triangle row by row), for the row norms.
-
-    ``K`` is formed from cofactors, not by inverting ``G``: its column
-    ``i`` is the vector orthogonal to the other two rows of ``Q`` and to
-    ``n``, over ``n . n``, which keeps it as accurate as ``Q`` is
-    conditioned, not ``G``.  Where ``n . n`` is zero or subnormal (``Q``
-    rank-deficient to working precision) the divisor becomes 1, with no
-    branch on the input's type, so ``1 / (n . n)`` cannot overflow:
-    ``K`` is linear in ``n``, so it is zero or as small as ``n`` there,
-    and the vanishing determinant makes the step hold.
-    """
-    _, _, kf, km, arm, i00, i01, i02, i10, i11, i12, i20, i21, i22 = pack
-    # the nonzero entries of the torque map, rows tx = (0, x1, 0, x3),
-    # ty = (y0, 0, y2, 0) and tz = (z0, z1, z2, z3)
-    _, x1, _, x3, y0, _, y2, _, z0, z1, z2, z3 = kernels.torque_entries(tilt, kf, km, arm)
-    # Q = inv(I_B) @ torque, column by column: q_ij = I_i0 tx_j + I_i1 ty_j + I_i2 tz_j
-    q00, q10, q20 = i01 * y0 + i02 * z0, i11 * y0 + i12 * z0, i21 * y0 + i22 * z0
-    q01, q11, q21 = i00 * x1 + i02 * z1, i10 * x1 + i12 * z1, i20 * x1 + i22 * z1
-    q02, q12, q22 = i01 * y2 + i02 * z2, i11 * y2 + i12 * z2, i21 * y2 + i22 * z2
-    q03, q13, q23 = i00 * x3 + i02 * z3, i10 * x3 + i12 * z3, i20 * x3 + i22 * z3
-    # Plücker coordinates p_jk = a_j b_k - a_k b_j of the row pairs (a, b):
-    # (q1, q2) in a, (q2, q0) in b and (q0, q1) in d
-    a01, a02, a03 = q10 * q21 - q11 * q20, q10 * q22 - q12 * q20, q10 * q23 - q13 * q20
-    a12, a13, a23 = q11 * q22 - q12 * q21, q11 * q23 - q13 * q21, q12 * q23 - q13 * q22
-    b01, b02, b03 = q20 * q01 - q21 * q00, q20 * q02 - q22 * q00, q20 * q03 - q23 * q00
-    b12, b13, b23 = q21 * q02 - q22 * q01, q21 * q03 - q23 * q01, q22 * q03 - q23 * q02
-    d01, d02, d03 = q00 * q11 - q01 * q10, q00 * q12 - q02 * q10, q00 * q13 - q03 * q10
-    d12, d13, d23 = q01 * q12 - q02 * q11, q01 * q13 - q03 * q11, q02 * q13 - q03 * q12
-    # cross(p, c), the x with e . x = det[a; b; c; e] for every e, is
-    # (p13 c2 - p23 c1 - p12 c3, p23 c0 - p03 c2 + p02 c3,
-    #  p03 c1 - p13 c0 - p01 c3, p12 c0 - p02 c1 + p01 c2); n = cross(d, q2)
-    n0 = d13 * q22 - d23 * q21 - d12 * q23
-    n1 = d23 * q20 - d03 * q22 + d02 * q23
-    n2 = d03 * q21 - d13 * q20 - d01 * q23
-    n3 = d12 * q20 - d02 * q21 + d01 * q22
-    nn = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
-    h = -1.0 / (nn + (nn < sys.float_info.min))
-    # column i of K is cross(p, n) * -1 / (n . n), p the pair of the other two rows
-    return (
-        (a13 * n2 - a23 * n1 - a12 * n3) * h, (b13 * n2 - b23 * n1 - b12 * n3) * h,
-        (d13 * n2 - d23 * n1 - d12 * n3) * h, (a23 * n0 - a03 * n2 + a02 * n3) * h,
-        (b23 * n0 - b03 * n2 + b02 * n3) * h, (d23 * n0 - d03 * n2 + d02 * n3) * h,
-        (a03 * n1 - a13 * n0 - a01 * n3) * h, (b03 * n1 - b13 * n0 - b01 * n3) * h,
-        (d03 * n1 - d13 * n0 - d01 * n3) * h, (a12 * n0 - a02 * n1 + a01 * n2) * h,
-        (b12 * n0 - b02 * n1 + b01 * n2) * h, (d12 * n0 - d02 * n1 + d01 * n2) * h,
-        n0, n1, n2, n3,
-        q00 * q00 + q01 * q01 + q02 * q02 + q03 * q03,
-        q00 * q10 + q01 * q11 + q02 * q12 + q03 * q13,
-        q00 * q20 + q01 * q21 + q02 * q22 + q03 * q23,
-        q10 * q10 + q11 * q11 + q12 * q12 + q13 * q13,
-        q10 * q20 + q11 * q21 + q12 * q22 + q13 * q23,
-        q20 * q20 + q21 * q21 + q22 * q22 + q23 * q23,
-    )
 
 
 def fl_core(state, att, tilt, fac,

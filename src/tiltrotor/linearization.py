@@ -27,9 +27,12 @@ on the tilts and roll and pitch.  With ``n`` the cofactor vector of
 ``Q`` (``Q n = 0``), ``det Delta = (v . n) / cos(theta)``, and ``v . n *
 m * det(I_B)`` is the right-hand side above.  The inner loop builds
 ``n``, a right inverse of ``Q`` and its Gram matrix once per tilt
-(:func:`tiltrotor.control.tilt_factors`, one body for a float row and
-for a block of rows) and keeps only the attitude part per step;
-:func:`decoupling_matrix` still assembles ``Delta`` entry by entry.
+(``kernels.tilt_factors``, one body for a float row and for a block of
+rows) and keeps only the attitude part per step.
+:func:`decoupling_matrix` writes out the same law: its rows are
+``blockdiag(T, 1) @ [Q; v]`` and its determinant is ``(v . n) /
+cos(theta)`` from the same ``n``, so at the loop's sines and cosines it
+is the determinant the loop logs, bit for bit.
 """
 
 from __future__ import annotations

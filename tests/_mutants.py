@@ -38,6 +38,8 @@ POINTS = "tests/test_svgplot.py::test_points_text_is_percent_2f_at_ties_and_boun
 OUT_OF_MEMORY = "tests/test_cli.py::test_work_out_of_memory_exits_2_and_makes_no_out"
 SEEDED = "tests/test_gaitlab.py::test_scans_match_the_reference_on_seeded_rectangles"
 BOUND = "tests/test_gaitlab.py::test_margin_bound_is_below_every_reference_margin"
+KERNELS = "src/tiltrotor/_core/kernels.py"
+ORACLE_ASSEMBLY = "tests/test_linearization.py::test_matches_oracle_assembly"
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,18 @@ MUTANTS = (
            "plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0, 0.0),",
            "plane3=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),",
            ("tests/test_acceptance.py::test_criterion_04_planarity",)),
+    # the decoupling kernels that the loop and the public matrix share: only
+    # an independent oracle (numpy assembly, the determinant identity) can
+    # tell a flipped term from the original
+    Mutant("q-entry-term-flipped", KERNELS,
+           "i21 * y0 + i22 * z0,", "i21 * y0 - i22 * z0,", (ORACLE_ASSEMBLY,)),
+    Mutant("delta-row-term-flipped", KERNELS,
+           "cf * q10 - sf * q20,", "cf * q10 + sf * q20,", (ORACLE_ASSEMBLY,)),
+    Mutant("cofactor-term-flipped", KERNELS,
+           "n0 = d13 * q22 - d23 * q21 - d12 * q23",
+           "n0 = d13 * q22 + d23 * q21 - d12 * q23",
+           ("tests/test_linearization.py::test_determinant_decomposition_identity",
+            "tests/test_sim.py::test_logged_det_matches_the_det_identity")),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import tiltrotor as tr
 from tiltrotor import cli, gaitlab, sim
+from tiltrotor._core import kernels
 from tiltrotor._files import CSV_CHUNK, write_csv
 from tiltrotor.control import InnerRefs, decoupler_core
 from tiltrotor.errors import AbortedSingular
@@ -497,6 +498,29 @@ def test_logged_det_matches_the_det_identity(params, gains, gait1):
     C = gaitlab._on_branch_c(log.alpha[:, 0], log.alpha[:, 1], params)
     on_branch = np.cos(log.states[:, 6]) * C / (params.m * np.linalg.det(params.inertia))
     assert np.abs(log.det - on_branch).max() <= 1e-12 * np.abs(log.det).max()
+
+
+def test_public_matrix_is_the_loops_law(params, gains, gait1):
+    # every 7th row and the last: the explicit matrix gives the logged det
+    # bit for bit and the logged singular flag, the abort rows included.
+    # The tilt trig is taken with numpy, as the loop takes it
+    runs = [tr.run_tracking(tr.SimConfig(duration=5.0), params, gains, gait1)]
+    for name in ("gait2", "gait3"):
+        with pytest.raises(AbortedSingular) as exc_info:
+            tr.run_tracking(tr.SimConfig(duration=120.0), params, gains,
+                            tr.build_preset(name, params))
+        runs.append(exc_info.value.log)
+    for log in runs:
+        trig = np.hstack((np.sin(log.alpha), np.cos(log.alpha))).tolist()
+        rows = sorted({*range(0, len(log), 7), len(log) - 1})
+        for i in rows:
+            x = log.states[i].tolist()
+            _, _, det, _ = kernels.decoupling(
+                kernels.attitude_trig(*x[6:9]), *x[9:12], tuple(trig[i]), params.pack)
+            assert det == log.det[i], (log.t[i], det, log.det[i])
+            dm = tr.decoupling_matrix(x[6:9], log.alpha[i], params)
+            assert dm.is_singular() == log.singular[i], log.t[i]
+    assert [log.singular[-1] for log in runs] == [False, True, True]
 
 
 # ---------------------------------------------------------------------------
