@@ -2,14 +2,16 @@
 
 The kernels operate on plain floats and tuples, without numpy call
 overhead: arithmetic on ``numpy.float64`` scalars would cost about twice
-as much per operation.  :func:`q_entries` and :func:`tilt_factors` are
-``+ - * /`` alone, so they also take numpy columns, a block of tilts at
-once.
+as much per operation.  :func:`q_entries`, :func:`tilt_factors` and the
+cofactor helpers are ``+ - * /`` alone, so they also take numpy columns,
+a block of tilts at once.
 
 The input maps are written once, in :func:`thrust_entries` and
 :func:`torque_entries`; :func:`det_coeffs` and :func:`q_entries` unpack
-them.  The decoupling law is written once too: :func:`tilt_factors`
-factors ``Q = inv(I_B) @ torque map`` (:func:`q_entries`) per tilt, the
+them.  The cofactor algebra is written once, in :func:`_plucker` and
+:func:`_cross`: every 2x2 minor and cofactor row below comes from them.
+The decoupling law is written once too: :func:`tilt_factors` factors
+``Q = inv(I_B) @ torque map`` (:func:`q_entries`) per tilt, the
 tracking loop's ``control.fl_core`` solves each step from those factors,
 and :func:`decoupling` is the same law written out as the explicit
 matrix, for the public ``decoupling_matrix``.
@@ -69,32 +71,43 @@ def torque_entries(tilt, kf, km, arm):
     )
 
 
+def _plucker(r, s):
+    """The six 2x2 minors ``r_j s_k - r_k s_j`` of rows ``r`` and ``s``, jk = 01, 02, 03, 12, 13, 23."""
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
+    return (
+        r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0,
+        r1 * s2 - r2 * s1, r1 * s3 - r3 * s1, r2 * s3 - r3 * s2,
+    )
+
+
+def _cross(p, c):
+    """The x with ``e . x = det[a; b; c; e]`` for every row ``e``, where ``p = _plucker(a, b)``."""
+    p01, p02, p03, p12, p13, p23 = p
+    c0, c1, c2, c3 = c
+    return (
+        p13 * c2 - p23 * c1 - p12 * c3,
+        p23 * c0 - p03 * c2 + p02 * c3,
+        p03 * c1 - p13 * c0 - p01 * c3,
+        p12 * c0 - p02 * c1 + p01 * c2,
+    )
+
+
 def det_coeffs(a1, a2, a3, a4, kf, km, arm):
     """Attitude-independent coefficients of the decoupling-matrix determinant.
 
-    Returns ``(A, B, C)``: the cofactor sums of the three thrust-map rows
-    against the 3x3 minors ``Dj`` of the torque map with column ``j``
-    removed.
+    Returns ``(A, B, C) = (f0 . n, f1 . n, f2 . n)``: ``A = det[T; f0]`` with
+    ``T`` the torque map, ``n`` its cofactor row and ``fi`` the thrust rows.
     """
     tilt = tilt_trig((a1, a2, a3, a4))
     f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23 = thrust_entries(tilt, kf)
-    t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23 = torque_entries(tilt, kf, km, arm)
-    # each minor expanded along the torque map's first row, with the 2x2
-    # minors mPQ of its lower rows (columns P and Q) formed once
-    m01 = t10 * t21 - t11 * t20
-    m02 = t10 * t22 - t12 * t20
-    m03 = t10 * t23 - t13 * t20
-    m12 = t11 * t22 - t12 * t21
-    m13 = t11 * t23 - t13 * t21
-    m23 = t12 * t23 - t13 * t22
-    d1 = t01 * m23 - t02 * m13 + t03 * m12
-    d2 = t00 * m23 - t02 * m03 + t03 * m02
-    d3 = t00 * m13 - t01 * m03 + t03 * m01
-    d4 = t00 * m12 - t01 * m02 + t02 * m01
-    A = -f00 * d1 + f01 * d2 - f02 * d3 + f03 * d4
-    B = -f10 * d1 + f11 * d2 - f12 * d3 + f13 * d4
-    C = -f20 * d1 + f21 * d2 - f22 * d3 + f23 * d4
-    return A, B, C
+    t = torque_entries(tilt, kf, km, arm)
+    n0, n1, n2, n3 = _cross(_plucker(t[4:8], t[8:12]), t[0:4])
+    return (
+        f00 * n0 + f01 * n1 + f02 * n2 + f03 * n3,
+        f10 * n0 + f11 * n1 + f12 * n2 + f13 * n3,
+        f20 * n0 + f21 * n1 + f22 * n2 + f23 * n3,
+    )
 
 
 def newton_ab(a1, a2, s3, s4, kf, km, arm, tol, step_tol, max_iter):
@@ -341,40 +354,24 @@ def tilt_factors(tilt, pack) -> tuple:
     * ``G = Q Q^T`` (6 values, upper triangle row by row), for the row norms.
 
     ``K`` is formed from cofactors, not by inverting ``G``: its column
-    ``i`` is the vector orthogonal to the other two rows of ``Q`` and to
-    ``n``, over ``n . n``, which keeps it as accurate as ``Q`` is
-    conditioned, not ``G``.  Where ``n . n`` is zero or subnormal (``Q``
-    rank-deficient to working precision) the divisor becomes 1, with no
-    branch on the input's type, so ``1 / (n . n)`` cannot overflow:
-    ``K`` is linear in ``n``, so it is zero or as small as ``n`` there,
-    and the vanishing determinant makes the step hold.
+    ``i`` is ``-_cross(p, n) / (n . n)`` with ``p`` the pair of the other
+    two rows of ``Q``, orthogonal to them and to ``n``, which keeps it as
+    accurate as ``Q`` is conditioned, not ``G``.  Where ``n . n`` is zero
+    or subnormal (``Q`` rank-deficient to working precision) the divisor
+    becomes 1, with no branch on the input's type, so ``1 / (n . n)``
+    cannot overflow: ``K`` is linear in ``n``, so it is zero or as small
+    as ``n`` there, and the vanishing determinant makes the step hold.
     """
-    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q_entries(tilt, pack)
-    # Plücker coordinates p_jk = a_j b_k - a_k b_j of the row pairs (a, b):
-    # (q1, q2) in a, (q2, q0) in b and (q0, q1) in d
-    a01, a02, a03 = q10 * q21 - q11 * q20, q10 * q22 - q12 * q20, q10 * q23 - q13 * q20
-    a12, a13, a23 = q11 * q22 - q12 * q21, q11 * q23 - q13 * q21, q12 * q23 - q13 * q22
-    b01, b02, b03 = q20 * q01 - q21 * q00, q20 * q02 - q22 * q00, q20 * q03 - q23 * q00
-    b12, b13, b23 = q21 * q02 - q22 * q01, q21 * q03 - q23 * q01, q22 * q03 - q23 * q02
-    d01, d02, d03 = q00 * q11 - q01 * q10, q00 * q12 - q02 * q10, q00 * q13 - q03 * q10
-    d12, d13, d23 = q01 * q12 - q02 * q11, q01 * q13 - q03 * q11, q02 * q13 - q03 * q12
-    # cross(p, c), the x with e . x = det[a; b; c; e] for every e, is
-    # (p13 c2 - p23 c1 - p12 c3, p23 c0 - p03 c2 + p02 c3,
-    #  p03 c1 - p13 c0 - p01 c3, p12 c0 - p02 c1 + p01 c2); n = cross(d, q2)
-    n0 = d13 * q22 - d23 * q21 - d12 * q23
-    n1 = d23 * q20 - d03 * q22 + d02 * q23
-    n2 = d03 * q21 - d13 * q20 - d01 * q23
-    n3 = d12 * q20 - d02 * q21 + d01 * q22
+    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q = q_entries(tilt, pack)
+    q0, q1, q2 = q[0:4], q[4:8], q[8:12]
+    a, b, d = _plucker(q1, q2), _plucker(q2, q0), _plucker(q0, q1)
+    n0, n1, n2, n3 = n = _cross(d, q2)
     nn = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
     h = -1.0 / (nn + (nn < sys.float_info.min))
-    # column i of K is cross(p, n) * -1 / (n . n), p the pair of the other two rows
+    ka, kb, kd = _cross(a, n), _cross(b, n), _cross(d, n)
     return (
-        (a13 * n2 - a23 * n1 - a12 * n3) * h, (b13 * n2 - b23 * n1 - b12 * n3) * h,
-        (d13 * n2 - d23 * n1 - d12 * n3) * h, (a23 * n0 - a03 * n2 + a02 * n3) * h,
-        (b23 * n0 - b03 * n2 + b02 * n3) * h, (d23 * n0 - d03 * n2 + d02 * n3) * h,
-        (a03 * n1 - a13 * n0 - a01 * n3) * h, (b03 * n1 - b13 * n0 - b01 * n3) * h,
-        (d03 * n1 - d13 * n0 - d01 * n3) * h, (a12 * n0 - a02 * n1 + a01 * n2) * h,
-        (b12 * n0 - b02 * n1 + b01 * n2) * h, (d12 * n0 - d02 * n1 + d01 * n2) * h,
+        ka[0] * h, kb[0] * h, kd[0] * h, ka[1] * h, kb[1] * h, kd[1] * h,
+        ka[2] * h, kb[2] * h, kd[2] * h, ka[3] * h, kb[3] * h, kd[3] * h,
         n0, n1, n2, n3,
         q00 * q00 + q01 * q01 + q02 * q02 + q03 * q03,
         q00 * q10 + q01 * q11 + q02 * q12 + q03 * q13,
@@ -398,13 +395,13 @@ def decoupling(att, p, q, r, tilt, pp):
     The tracking loop's law written out, for the public ``decoupling_matrix``
     and ``drift_vector``: ``delta = blockdiag(T, 1) @ [Q; v]`` (``T`` the
     Euler-rate map, ``v`` formed as ``control.fl_core`` forms it) and ``det
-    = v . n / cos(theta)`` with ``n`` from :func:`tilt_factors`, so at the
-    same trig ``det`` is the loop's determinant bit for bit.
+    = v . n / cos(theta)`` with ``n`` formed as :func:`tilt_factors` forms
+    it, so at the same trig ``det`` is the loop's determinant bit for bit.
     """
     m, g, kf = pp[0], pp[1], pp[2]
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
     tt = st / ct
-    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q_entries(tilt, pp)
+    q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = qm = q_entries(tilt, pp)
     # T = (rows: 1, sf*tt, cf*tt / 0, cf, -sf / 0, sf/ct, cf/ct)
     t01, t02, t21, t22 = sf * tt, cf * tt, sf / ct, cf / ct
     # v = R[2, :] @ F / m: world vertical acceleration per unit input
@@ -420,7 +417,7 @@ def decoupling(att, p, q, r, tilt, pp):
         t21 * q10 + t22 * q20, t21 * q11 + t22 * q21, t21 * q12 + t22 * q22, t21 * q13 + t22 * q23,
         e30, e31, e32, e33,
     )
-    n0, n1, n2, n3 = tilt_factors(tilt, pp)[12:16]
+    n0, n1, n2, n3 = _cross(_plucker(qm[0:4], qm[4:8]), qm[8:12])
     det = (e30 * n0 + e31 * n1 + e32 * n2 + e33 * n3) / ct
 
     # drift: Tdot(eta, etadot) @ omega with etadot = T @ omega, plus gravity.
@@ -438,33 +435,15 @@ def decoupling(att, p, q, r, tilt, pp):
     return d, b, det, scale
 
 
-def _minors(d):
-    # 2x2 minors of rows (0, 1) and of rows (2, 3), columns (01, 02, 03, 12, 13, 23)
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15 = d
-    return (
-        d0 * d5 - d1 * d4,
-        d0 * d6 - d2 * d4,
-        d0 * d7 - d3 * d4,
-        d1 * d6 - d2 * d5,
-        d1 * d7 - d3 * d5,
-        d2 * d7 - d3 * d6,
-        d8 * d13 - d9 * d12,
-        d8 * d14 - d10 * d12,
-        d8 * d15 - d11 * d12,
-        d9 * d14 - d10 * d13,
-        d9 * d15 - d11 * d13,
-        d10 * d15 - d11 * d14,
-    )
-
-
 def solve4(d, rhs):
     """Solve the 4x4 system ``d @ x = rhs`` by the adjugate (Cramer's rule).
 
     The determinant and the adjugate are both formed from the 2x2 minors
-    of rows (0, 1) and rows (2, 3) (:func:`_minors`).  Raises
+    of rows (0, 1) and rows (2, 3) (:func:`_plucker`).  Raises
     ``ArithmeticError`` when the determinant is exactly zero.
     """
-    p01, p02, p03, p12, p13, p23, q01, q02, q03, q12, q13, q23 = _minors(d)
+    p01, p02, p03, p12, p13, p23 = _plucker(d[0:4], d[4:8])
+    q01, q02, q03, q12, q13, q23 = _plucker(d[8:12], d[12:16])
     det = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
     if det == 0.0:
         raise ArithmeticError("singular 4x4 system")

@@ -25,10 +25,11 @@ directly::
 ``Q`` (3x4) depends on the tilts only and ``v = R[2, :] @ thrust / m``
 on the tilts and roll and pitch.  With ``n`` the cofactor vector of
 ``Q`` (``Q n = 0``), ``det Delta = (v . n) / cos(theta)``, and ``v . n *
-m * det(I_B)`` is the right-hand side above.  The inner loop builds
-``n``, a right inverse of ``Q`` and its Gram matrix once per tilt
-(``kernels.tilt_factors``, one body for a float row and for a block of
-rows) and keeps only the attitude part per step.
+m * det(I_B)`` is the right-hand side above; ``A``, ``B``, ``C`` are the
+thrust rows dotted with the torque map's cofactor vector.  The loop
+builds ``n``, a right inverse of ``Q`` and its Gram matrix once per tilt
+(``kernels.tilt_factors``, one body for a float row and a block of rows)
+and keeps only the attitude part per step.
 :func:`decoupling_matrix` writes out the same law: its rows are
 ``blockdiag(T, 1) @ [Q; v]`` and its determinant is ``(v . n) /
 cos(theta)`` from the same ``n``, so at the loop's sines and cosines it
@@ -55,8 +56,8 @@ EPS_SING = 1e-4
 class DetCoefficients:
     """Tilt-dependent coefficients of the determinant decomposition.
 
-    ``A``, ``B``, ``C`` are the cofactor sums of the three thrust-map rows
-    against the four 3x3 minors of the torque map (column ``j`` removed).
+    ``A = det[T; f0]``, ``B = det[T; f1]`` and ``C = det[T; f2]``, with ``T``
+    the 3x4 torque map and ``f0``-``f2`` the thrust-map rows.
     """
 
     A: float

@@ -40,6 +40,9 @@ SEEDED = "tests/test_gaitlab.py::test_scans_match_the_reference_on_seeded_rectan
 BOUND = "tests/test_gaitlab.py::test_margin_bound_is_below_every_reference_margin"
 KERNELS = "src/tiltrotor/_core/kernels.py"
 ORACLE_ASSEMBLY = "tests/test_linearization.py::test_matches_oracle_assembly"
+DIRECT_ABC = "tests/test_linearization.py::test_coefficients_match_direct_determinants"
+CROSS_DET = "tests/test_linearization.py::test_cross_of_plucker_is_the_4x4_determinant"
+TEXTBOOK_RK4 = "tests/test_model.py::test_rk4_step_matches_textbook_composition"
 
 
 @dataclass(frozen=True)
@@ -150,17 +153,31 @@ MUTANTS = (
            "plane3=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),",
            ("tests/test_acceptance.py::test_criterion_04_planarity",)),
     # the decoupling kernels that the loop and the public matrix share: only
-    # an independent oracle (numpy assembly, the determinant identity) can
-    # tell a flipped term from the original
+    # an independent oracle (numpy assembly, numpy determinants, the
+    # test-side minors, numpy's solve) can tell a flipped term from the
+    # original, since the cofactor helpers serve both sides of any identity
+    # between the kernels.  p02 is flipped, not p13: det_coeffs pairs torque
+    # rows 1 and 2, and row 1 is zero in columns 1 and 3, so p13 is 0 there
     Mutant("q-entry-term-flipped", KERNELS,
            "i21 * y0 + i22 * z0,", "i21 * y0 - i22 * z0,", (ORACLE_ASSEMBLY,)),
     Mutant("delta-row-term-flipped", KERNELS,
            "cf * q10 - sf * q20,", "cf * q10 + sf * q20,", (ORACLE_ASSEMBLY,)),
     Mutant("cofactor-term-flipped", KERNELS,
-           "n0 = d13 * q22 - d23 * q21 - d12 * q23",
-           "n0 = d13 * q22 + d23 * q21 - d12 * q23",
-           ("tests/test_linearization.py::test_determinant_decomposition_identity",
-            "tests/test_sim.py::test_logged_det_matches_the_det_identity")),
+           "p13 * c2 - p23 * c1 - p12 * c3,", "p13 * c2 + p23 * c1 - p12 * c3,",
+           (DIRECT_ABC, "tests/test_linearization.py::test_cofactor_sums_match_minors",
+            CROSS_DET)),
+    Mutant("plucker-term-flipped", KERNELS,
+           "r0 * s2 - r2 * s0,", "r0 * s2 + r2 * s0,",
+           (DIRECT_ABC, "tests/test_control.py::test_solve4_matches_numpy", CROSS_DET)),
+    # the plant's RK4 step against textbook RK4 of the public derivative,
+    # with a distinct tilt at each stage time
+    Mutant("rk4-stage4-sign-flipped", KERNELS,
+           "ry = cf * fy1 - sf * fz1", "ry = cf * fy1 + sf * fz1", (TEXTBOOK_RK4,)),
+    Mutant("rk4-midpoint-weight-lost", KERNELS,
+           "2.0 * (dpm + dpm)", "(dpm + dpm)", (TEXTBOOK_RK4,)),
+    Mutant("rk4-start-tilt-at-midpoint", KERNELS,
+           "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_mid",
+           "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0", (TEXTBOOK_RK4,)),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

@@ -2,12 +2,16 @@
 
 Everything here is a direct numpy transcription of the published input
 maps and kinematic conventions, kept free of the package's kernel code so
-the two paths can disagree.
+the two paths can disagree.  :func:`branch_crossings` is the exception:
+it scans the package's closed-form on-branch ``C``, which other tests
+check against the determinants, and adds only the scan and bisection.
 """
 
 import math
 
 import numpy as np
+
+from tiltrotor.gaitlab import _on_branch_c
 
 
 def residual_scale(params):
@@ -497,3 +501,36 @@ def rectangle_stations(center, half_extents, stations_per_edge=16):
     seglen = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     return pts, cum / cum[-1]
+
+
+# ---------------------------------------------------------------------------
+# Two Color Map crossings of a gait
+
+
+def branch_crossings(gait, params, step=1e-4):
+    """Times in ``[0, period]`` at which a gait's on-branch ``C`` changes sign.
+
+    ``C`` of ``gait.sample_array`` is scanned every ``step`` seconds over
+    one period, and each sign change is bisected until its bracket holds
+    no double between its ends; the lower end is returned.  ``A`` and
+    ``B`` are zero on the branch, so at a crossing the decoupling matrix
+    is singular at every attitude.
+    """
+    def c(t):
+        alphas = gait.sample_array(np.atleast_1d(t))
+        return _on_branch_c(alphas[:, 0], alphas[:, 1], params)
+
+    t = np.linspace(0.0, gait.period_s, round(gait.period_s / step) + 1)
+    positive = c(t) > 0.0
+    crossings = []
+    for k in np.flatnonzero(positive[1:] != positive[:-1]):
+        lo, hi = float(t[k]), float(t[k + 1])
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if (c(mid)[0] > 0.0) == positive[k]:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        crossings.append(lo)
+    return crossings

@@ -140,6 +140,21 @@ def test_det_coeffs_is_the_maps_and_minors_composed(rng, k_m, arm):
         assert np.array(got).tobytes() == np.array(want).tobytes(), alpha
 
 
+def test_cross_of_plucker_is_the_4x4_determinant(rng):
+    # e . _cross(_plucker(a, b), c) = det[a; b; c; e] for every row e, on
+    # rows of mixed magnitude, as floats and as numpy columns
+    rows = rng.normal(size=(500, 4, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (500, 4, 1))
+    bound = 1e-12 * np.prod(np.linalg.norm(rows, axis=2), axis=1)
+    want = np.linalg.det(rows)
+    for m, w, tol in zip(rows, want, bound):
+        a, b, c, e = m.tolist()
+        x = kernels._cross(kernels._plucker(a, b), c)
+        assert abs(e[0] * x[0] + e[1] * x[1] + e[2] * x[2] + e[3] * x[3] - w) <= tol
+    a, b, c, e = (tuple(rows[:, i, j] for j in range(4)) for i in range(4))
+    x = kernels._cross(kernels._plucker(a, b), c)
+    assert np.all(np.abs(e[0] * x[0] + e[1] * x[1] + e[2] * x[2] + e[3] * x[3] - want) <= bound)
+
+
 def test_drift_zero_rates(params, rng):
     for _ in range(20):
         eta = rng.uniform(-1.2, 1.2, 3)

@@ -18,7 +18,7 @@ from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import EPS_REP
 from tiltrotor.sim import TRACKLOG_HEADER, TRACK_BLOCK
 
-from _oracles import track_direct
+from _oracles import branch_crossings, track_direct
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +393,27 @@ def test_abort_reason_determinant(params, gains, preset, end):
     assert exc.reason == "determinant"
     assert round(exc.time, 3) == end == exc.log.abort_time
     assert len(exc.log) == round(end / 1e-3) + 1
+
+
+@pytest.mark.parametrize("preset, crossings, aborted_before", [
+    ("gait1", [], None), ("gait2", [0.799168, 4.200832], 0), ("gait3", [1.146583, 4.064371], 1),
+])
+def test_aborts_fall_at_two_color_map_crossings(params, gains, preset, crossings, aborted_before):
+    # the paper's failing gaits fail where on-branch C changes sign: A = B =
+    # C = 0 there, so the matrix is singular at every attitude.  gait2 aborts
+    # on the row before its first crossing; gait3 steps over its first and
+    # aborts on the row before its second; gait1 has no crossing
+    gait = tr.build_preset(preset, params)
+    found = branch_crossings(gait, params)
+    assert found == pytest.approx(crossings, abs=1e-6)
+    if aborted_before is None:
+        return
+    config = tr.SimConfig(duration=120.0)
+    with pytest.raises(AbortedSingular) as exc_info:
+        tr.run_tracking(config, params, gains, gait)
+    end = exc_info.value.time
+    assert 0.0 < found[aborted_before] - end <= config.dt
+    assert all(t + config.dt < end for t in found[:aborted_before])
 
 
 def test_abort_reason_pitch_guard(params, gains, gait1):
