@@ -36,7 +36,6 @@ from tiltrotor.linearization import (
 from tiltrotor.control import (
     ControlOutput,
     Gains,
-    InnerLoop,
     InnerRefs,
     fl_inner_loop,
     load_config,
@@ -69,8 +68,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbortedSingular", "AttitudeGrid", "ColorSolution", "ControlOutput",
-    "DecouplingMatrix", "DetCoefficients", "Gait", "Gains", "InnerLoop",
-    "InnerRefs", "Params", "RepresentationSingular", "RobustnessReport",
+    "DecouplingMatrix", "DetCoefficients", "Gait", "Gains", "InnerRefs", "Params",
+    "RepresentationSingular", "RobustnessReport",
     "SimConfig", "SingularCurveSet", "State", "TiltrotorError", "TrackLog",
     "backend_name", "bias_gait", "build_preset", "circular_reference",
     "color_map", "decoupling_matrix", "det_decomposition", "drift_vector",

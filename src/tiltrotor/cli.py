@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("colormap", help="branch completions over an (alpha1, alpha2) grid")
-    p.add_argument("--branch", choices=("blue", "red"), required=True)
+    p.add_argument("--branch", choices=sorted(gaitlab.BRANCH_OFFSETS), required=True)
     p.add_argument("--range", type=float, default=0.6, help="grid half-range [rad]")
     p.add_argument("--res", type=int, default=21, help="grid points per axis")
     p.set_defaults(func=cmd_colormap, size="--res")
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(gaitlab.GAIT_PRESETS))
     p.add_argument("--center", type=float, nargs=2, metavar=("A1", "A2"))
     p.add_argument("--half", type=float, nargs=2, metavar=("H1", "H2"))
-    p.add_argument("--branch", choices=("blue", "red"))
+    p.add_argument("--branch", choices=sorted(gaitlab.BRANCH_OFFSETS))
     p.add_argument("--period", type=float, default=gaitlab.DEFAULT_GAIT_PERIOD)
     p.add_argument("--bias", type=float, default=None)
     p.add_argument("--output", help="output stem (default gait_<preset>)")

@@ -5,9 +5,9 @@ references through the gravity coupling; the inner loop linearizes the
 (roll, pitch, yaw, altitude) dynamics exactly by inverting the decoupling
 matrix, then saturates the rotor-speed commands.
 
-A singular decoupling matrix is flagged rather than raised: the loop
-holds the last safe command, and the tracking run
-(:func:`~tiltrotor.sim.run_tracking`) stops at the flagged row.
+A singular decoupling matrix is flagged rather than raised: the step
+returns the held ``last_command``, whose memory the caller keeps; the
+tracking run (:func:`~tiltrotor.sim.run_tracking`) stops at the flagged row.
 
 The float-tuple helpers ``decoupler_core`` and ``fl_core`` are the single
 implementation of the control laws; :func:`fl_inner_loop` wraps
@@ -291,21 +291,3 @@ def fl_inner_loop(
         singular=singular,
     )
 
-
-class InnerLoop:
-    """Inner-loop context owning the one-step memory of the last safe command.
-
-    Not safe to share across concurrent simulations; clone per run.
-    """
-
-    def __init__(self, gains: Gains, params: Params):
-        self.gains = gains
-        self.params = params
-        self.last_safe = None
-
-    def step(self, state: State, alpha, refs: InnerRefs) -> ControlOutput:
-        out = fl_inner_loop(state, alpha, refs, self.gains, self.params,
-                            last_command=self.last_safe)
-        if not out.singular:
-            self.last_safe = out.varpi_cmd
-        return out

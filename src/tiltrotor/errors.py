@@ -19,8 +19,8 @@ class AbortedSingular(TiltrotorError):
     ``reason`` says which test stopped it: ``"determinant"``, the
     decoupling matrix failed the scale-aware determinant test, or
     ``"pitch_guard"``, the pitch reached the band next to +/-pi/2 where
-    the Euler-rate map is not evaluated.  Carries the abort time, the
-    last state, and the partial log collected up to the abort.
+    the Euler-rate map is not evaluated.  Carries the abort time and the
+    partial log, whose last row is the state the run stopped in.
     """
 
     MESSAGES = {
@@ -28,11 +28,10 @@ class AbortedSingular(TiltrotorError):
         "pitch_guard": "tracking aborted: pitch reached the Euler-representation guard band",
     }
 
-    def __init__(self, time: float, state, log=None, reason: str = "determinant"):
+    def __init__(self, time: float, log, reason: str):
         if reason not in self.MESSAGES:
             raise ValueError(f"unknown abort reason {reason!r}")
         super().__init__(f"{self.MESSAGES[reason]} at t={time:.3f} s")
         self.time = time
-        self.state = state
         self.log = log
         self.reason = reason

@@ -67,9 +67,7 @@ import numpy as np
 from tiltrotor._core import kernels
 from tiltrotor._files import read_csv, read_object, write_csv, write_object
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
-from tiltrotor.model import Params, _floats, wrap_angle
-
-TWO_PI = 2.0 * math.pi
+from tiltrotor.model import TWO_PI, Params, _floats, wrap_angle
 
 # roots closer than this [rad] are reported once: the robust and rank-
 # deficient families meet where delta -> pi and on the on-branch C = 0
@@ -106,26 +104,23 @@ class ColorSolution:
     ``alpha34`` is stored on the continuous branch sheet (the red branch
     keeps values near ``pi`` rather than wrapping), so gaits built from
     it interpolate without seams.  ``residual_sign`` is the sign of the
-    remaining determinant coefficient ``C`` at the solution and
-    ``residual`` is ``|A| + |B|`` there.
+    remaining determinant coefficient ``C`` at the solution, the
+    closed-form on-branch ``C`` that :func:`color_map` reads.
     """
 
     alpha12: np.ndarray
     alpha34: np.ndarray
     color: str
     residual_sign: float
-    residual: float
 
 
 def _solution(a1: float, a2: float, color: str, params: Params) -> ColorSolution:
     a3, a4 = _completion(a1, a2, color)
-    coeffs = det_decomposition((a1, a2, a3, a4), params)
     return ColorSolution(
         alpha12=np.array([a1, a2]),
         alpha34=np.array([a3, a4]),
         color=color,
-        residual_sign=1.0 if coeffs.C >= 0 else -1.0,
-        residual=abs(coeffs.A) + abs(coeffs.B),
+        residual_sign=1.0 if _on_branch_c(a1, a2, params) >= 0 else -1.0,
     )
 
 
@@ -539,10 +534,9 @@ class AttitudeGrid:
 
 @dataclass(frozen=True)
 class SingularCurveSet:
-    """Polylines of singular attitudes extracted on a grid."""
+    """Polylines of singular attitudes, each an ``(n, 2)`` array of ``(phi, theta)`` vertices."""
 
     curves: list
-    grid: AttitudeGrid
     eps_curve: float
 
     def vertices(self) -> np.ndarray:
@@ -565,8 +559,8 @@ def _curve_eps(abc) -> float:
     return 1e-10 * scale if scale > 0.0 else 1e-300
 
 
-def _no_curves(abc, grid: AttitudeGrid) -> SingularCurveSet:
-    return SingularCurveSet(curves=[], grid=grid, eps_curve=_curve_eps(abc))
+def _no_curves(abc) -> SingularCurveSet:
+    return SingularCurveSet(curves=[], eps_curve=_curve_eps(abc))
 
 
 def _one_sign(abc, grid: AttitudeGrid) -> bool:
@@ -777,8 +771,7 @@ def _stitch_curves(abc, grid, S, changed, ids, verts) -> SingularCurveSet:
         if not visited[v]:
             chains.append(walk(v))
 
-    return SingularCurveSet(curves=[verts[chain] for chain in chains], grid=grid,
-                            eps_curve=_curve_eps(abc))
+    return SingularCurveSet(curves=[verts[chain] for chain in chains], eps_curve=_curve_eps(abc))
 
 
 @dataclass(frozen=True)
@@ -792,7 +785,10 @@ class RobustnessReport:
     diagonal when no singular point exists anywhere.
     ``singular_phases``: phases with a singular point on the grid.  A
     phase with ``A = B = C = 0`` is singular at every attitude: it
-    counts, with area fraction and hover margin 0.
+    counts, with area fraction and hover margin 0.  Sampled phases can
+    miss a Two Color Map crossing, where the on-branch ``C`` changes sign:
+    gait2 and gait3 cross twice a period, yet with 64 phases on a 241 x
+    241 grid both read area 1.0, margin 3.394 and no singular phase.
     """
 
     area_fraction: float
@@ -830,9 +826,9 @@ def _phase_scan(abc, grid: AttitudeGrid, curves: bool, least: float = math.inf) 
     ``least``; see :func:`_grid_scan`.
     """
     if not any(abc):
-        return np.float64(0.0), 0.0, _no_curves(abc, grid) if curves else None
+        return np.float64(0.0), 0.0, _no_curves(abc) if curves else None
     if _one_sign(abc, grid):
-        return np.float64(1.0), None, _no_curves(abc, grid) if curves else None
+        return np.float64(1.0), None, _no_curves(abc) if curves else None
     return _grid_scan(abc, grid, curves, least)
 
 
@@ -862,7 +858,7 @@ def _grid_scan(abc, grid: AttitudeGrid, curves: bool, least: float) -> tuple:
     n = np.count_nonzero(changed)
     frac = np.float64(1.0 - n / changed.size)
     if not n:
-        return frac, None, _no_curves(abc, grid) if curves else None
+        return frac, None, _no_curves(abc) if curves else None
     if not curves and _margin_bound(abc) - _BOUND_SLACK >= least:
         return frac, math.inf, None
     # every crossing edge's vertex lies on a curve, so the nearest

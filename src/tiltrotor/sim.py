@@ -272,10 +272,9 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         row_varpis.clear()
         row_dets.clear()
 
-    def abort(i0, i, state, reason):
+    def abort(i0, i, reason):
         flush(i0)
-        return AbortedSingular(i * dt, State.from_array(np.asarray(state)),
-                               log=log(i + 1, reason), reason=reason)
+        return AbortedSingular(i * dt, log(i + 1, reason), reason)
 
     attitude_trig = kernels.attitude_trig
     zero4 = (0.0, 0.0, 0.0, 0.0)
@@ -302,7 +301,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
                 add_varpi(last_cmd)
                 add_det(0.0)
                 sings[i] = True
-                raise abort(i0, i, state, "pitch_guard")
+                raise abort(i0, i, "pitch_guard")
 
             att = attitude_trig(state[6], state[7], state[8])
             phi_ref, theta_ref = decoupler_core(
@@ -324,7 +323,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
             if singular:
                 sings[i] = True
-                raise abort(i0, i, state, "determinant")
+                raise abort(i0, i, "determinant")
             last_cmd = varpi
 
             if i < n_steps:

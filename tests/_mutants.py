@@ -43,6 +43,8 @@ ORACLE_ASSEMBLY = "tests/test_linearization.py::test_matches_oracle_assembly"
 DIRECT_ABC = "tests/test_linearization.py::test_coefficients_match_direct_determinants"
 CROSS_DET = "tests/test_linearization.py::test_cross_of_plucker_is_the_4x4_determinant"
 TEXTBOOK_RK4 = "tests/test_model.py::test_rk4_step_matches_textbook_composition"
+FACTORED_LAW = "tests/test_control.py::test_factored_law_matches_the_explicit_matrix"
+DECOUPLER_YAW = "tests/test_control.py::test_decoupler_axis_alignment"
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,29 @@ MUTANTS = (
     Mutant("rk4-start-tilt-at-midpoint", KERNELS,
            "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_mid",
            "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0", (TEXTBOOK_RK4,)),
+    # the inner loop's attitude solve, against the explicit matrix's Delta w
+    # = v - b: a term of y = W @ rhs[0:3], and a drift term of the pitch row
+    Mutant("fl-w-row-term-flipped", "src/tiltrotor/control.py",
+           "y1 = cf * rhs1 + r31 * rhs2", "y1 = cf * rhs1 - r31 * rhs2", (FACTORED_LAW,)),
+    Mutant("fl-pitch-drift-dropped", "src/tiltrotor/control.py",
+           "kp4[1] * (ref_val[1] - theta) + dphi * u\n",
+           "kp4[1] * (ref_val[1] - theta)\n",
+           (FACTORED_LAW,)),
+    Mutant("decoupler-theta-uy-flipped", "src/tiltrotor/control.py",
+           "theta_ref = (ux * cp + uy * sp) / g", "theta_ref = (ux * cp - uy * sp) / g",
+           (DECOUPLER_YAW,)),
+    # the circle's y velocity, the schedule's segment at a knot, and the
+    # margin by which the closed form proves a phase's sign
+    Mutant("reference-vy-flipped", "src/tiltrotor/sim.py",
+           "rows[:, 4] = rv * c", "rows[:, 4] = -rv * c",
+           ("tests/test_sim.py::test_circular_reference_values",)),
+    Mutant("sample-segment-left", GAITLAB,
+           'k = starts.searchsorted(u, "right") - 1', 'k = starts.searchsorted(u, "left") - 1',
+           ("tests/test_gaitlab.py::test_sample_array_takes_the_segment_that_starts_at_a_knot",)),
+    Mutant("one-sign-margin-zero", GAITLAB,
+           "margin = 1e-12 * (abs(A) + abs(B) + abs(C)) * sec", "margin = 0.0",
+           ("tests/test_gaitlab.py::"
+            "test_phase_scan_matches_the_reference_and_proves_only_one_sign",)),
     # gait2 still ends at row 799, since its determinant ratio falls from
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",

@@ -147,6 +147,18 @@ def test_colormap_rejects_non_finite_range(tmp_path, value):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["colormap"], ["gaitgen", "--center", "0.1", "0.1", "--half", "0.3", "0.3"],
+], ids=["colormap", "gaitgen"])
+def test_unknown_branch_exits_2(tmp_path, capsys, command):
+    # the choices are BRANCH_OFFSETS' keys; argparse refuses any other
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--out", str(tmp_path), *command, "--branch", "green")
+    assert exc.value.code == 2
+    assert "'blue', 'red'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_curves_outputs(tmp_path, gait_files):
     out = tmp_path / "cv"
     code = run_cli("--out", str(out), "curves", "--gait",

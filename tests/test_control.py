@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tiltrotor as tr
 from tiltrotor._core import kernels
-from tiltrotor.control import InnerLoop, _sat1, decoupler_core, fl_core, tilt_factors
+from tiltrotor.control import _sat1, decoupler_core, fl_core, tilt_factors
 from tiltrotor.linearization import abc_scale
 
 
@@ -28,18 +28,23 @@ def test_decoupler_zero_error(params, gains):
 
 def test_decoupler_axis_alignment(params, gains):
     # pure x-acceleration request of 0.1 g with zero yaw -> pitch reference
-    def request(psi):
+    def request(psi, ax, ay):
         return decoupler_core(
             0.0, 0.0, 0.0, 0.0, math.sin(psi), math.cos(psi),
-            0.0, 0.0, 0.0, 0.0, 0.1 * params.g, 0.0,
+            0.0, 0.0, 0.0, 0.0, ax * params.g, ay * params.g,
             gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
         )
 
-    phi_r, theta_r = request(0.0)
+    phi_r, theta_r = request(0.0, 0.1, 0.0)
     assert abs(theta_r - 0.1) < 1e-15 and abs(phi_r) < 1e-15
     # same request at yaw pi/2 -> roll reference
-    phi_r, theta_r = request(math.pi / 2)
+    phi_r, theta_r = request(math.pi / 2, 0.1, 0.0)
     assert abs(phi_r - 0.1) < 1e-15 and abs(theta_r) < 1e-15
+    # a pure y request: negative roll at zero yaw, pitch at yaw pi/2
+    phi_r, theta_r = request(0.0, 0.0, 0.1)
+    assert abs(phi_r + 0.1) < 1e-15 and abs(theta_r) < 1e-15
+    phi_r, theta_r = request(math.pi / 2, 0.0, 0.1)
+    assert abs(theta_r - 0.1) < 1e-15 and abs(phi_r) < 1e-15
 
 
 def test_decoupler_clamped(params, gains, rng):
@@ -173,9 +178,6 @@ def test_inner_loop_without_memory_holds_the_start_command(params, gains):
     out = tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, params)
     assert out.singular
     np.testing.assert_array_equal(out.varpi_cmd, start)
-    first = InnerLoop(gains, params).step(tr.State(), alpha, tr.InnerRefs())
-    assert first.singular
-    np.testing.assert_array_equal(first.varpi_cmd, start)
 
 
 def test_inner_loop_singular_on_degenerate_completion(params, gains):
@@ -193,18 +195,6 @@ def test_inner_loop_singular_on_degenerate_completion(params, gains):
     alpha = np.array([0.2, lo, 0.2, lo])
     out = tr.fl_inner_loop(tr.State(), alpha, tr.InnerRefs(), gains, params)
     assert out.singular
-
-
-def test_inner_loop_memory(params, gains):
-    loop = InnerLoop(gains, params)
-    out1 = loop.step(tr.State(), np.zeros(4), tr.InnerRefs())
-    assert not out1.singular
-    np.testing.assert_array_equal(loop.last_safe, out1.varpi_cmd)
-    # singular step must not overwrite the memory
-    out2 = loop.step(tr.State(), _rank_deficient_completion(params), tr.InnerRefs())
-    assert out2.singular
-    np.testing.assert_array_equal(loop.last_safe, out1.varpi_cmd)
-    np.testing.assert_array_equal(out2.varpi_cmd, out1.varpi_cmd)
 
 
 def test_closed_loop_identity_one_step(params_nosat, gains):
@@ -237,18 +227,21 @@ def test_analytic_second_order_response(params_nosat, gains):
     # damped closed form within 2% over 2 s
     dt = 1e-3
     state = tr.State(pos=np.array([0.0, 0.0, 0.1]), eta=np.array([0.1, 0.1, 0.1]))
-    loop = InnerLoop(gains, params_nosat)
     alpha = np.zeros(4)
     n = int(round(2.0 / dt))
     worst = np.zeros(4)
+    # the last safe command, held by a singular step as run_tracking holds it
+    last = None
     for k in range(n + 1):
         t = k * dt
         y = np.array([state.eta[0], state.eta[1], state.eta[2], state.pos[2]])
         expected = 0.1 * (1.0 + 2.0 * t) * math.exp(-2.0 * t)
         worst = np.maximum(worst, np.abs(y - expected))
-        out = loop.step(state, alpha, tr.InnerRefs())
-        varpi = out.varpi_cmd
-        state = tr.integrate_step(state, lambda _t: alpha, varpi, t, dt, params_nosat)
+        out = tr.fl_inner_loop(state, alpha, tr.InnerRefs(), gains, params_nosat,
+                               last_command=last)
+        if not out.singular:
+            last = out.varpi_cmd
+        state = tr.integrate_step(state, lambda _t: alpha, out.varpi_cmd, t, dt, params_nosat)
     assert np.all(worst <= 0.02 * 0.1)
 
 

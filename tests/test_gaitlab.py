@@ -1202,7 +1202,6 @@ def test_color_pair_matches_robust_newton_clusters(a1, a2, params):
               for s in (blue, red)]
     for sol, co in zip((blue, red), coeffs):
         assert abs(co.A) <= 1e-12 * scale and abs(co.B) <= 1e-12 * scale
-        assert sol.residual == abs(co.A) + abs(co.B)
     # off the on-branch C = 0 locus, where the scan flags the branch root
     # as rank-deficient
     assume(min(abs(co.C) for co in coeffs) > 1e-3 * scale)
@@ -1356,6 +1355,22 @@ def test_color_map_is_the_branch_plane(params):
         clear = np.abs(C) > floor
         assert clear.any()
         np.testing.assert_array_equal(cm.residual_sign[clear], np.sign(C[clear]))
+
+
+def test_color_pair_sign_is_the_color_map_sign(params, rng):
+    # both public APIs read one closed-form on-branch C, so they agree in
+    # every cell, also on the C = 0 locus lines a1 = u + pi/2 and a2 = pi/2
+    # - u, where the sign is that of rounding noise
+    u = math.atan2(params.k_m, params.arm_length * params.k_f)
+    a1v = np.concatenate([rng.uniform(-math.pi, math.pi, 12), [u + math.pi / 2, u - math.pi / 2]])
+    a2v = np.concatenate([rng.uniform(-math.pi, math.pi, 12), [math.pi / 2 - u, -math.pi / 2 - u]])
+    for k, branch in enumerate(("blue", "red")):
+        cm = tr.color_map(a1v, a2v, branch, params)
+        for i, a1 in enumerate(a1v.tolist()):
+            for j, a2 in enumerate(a2v.tolist()):
+                sol = tr.solve_color_pair((a1, a2), params)[k]
+                assert sol.color == branch
+                assert sol.residual_sign == cm.residual_sign[i, j], (branch, a1, a2)
 
 
 def test_curve_vertices_are_exact_zeros(params):

@@ -383,7 +383,6 @@ TILT_READERS = {
     "det_decomposition": lambda a, p: tr.det_decomposition(a, p),
     "singular_curves": lambda a, p: tr.singular_curves(a, tr.AttitudeGrid.symmetric(1.3, 5), p),
     "fl_inner_loop": lambda a, p: tr.fl_inner_loop(tr.State(), a, tr.InnerRefs(), tr.Gains(), p),
-    "InnerLoop.step": lambda a, p: tr.InnerLoop(tr.Gains(), p).step(tr.State(), a, tr.InnerRefs()),
 }
 BAD_TILTS = {
     "nan": [0.1, math.nan, 0.0, 0.0], "inf": [math.inf, 0.0, 0.0, 0.0],

@@ -424,7 +424,7 @@ def test_abort_reason_pitch_guard(params, gains, gait1):
     assert exc.reason == "pitch_guard"
     assert exc.time == 0.0 and len(exc.log) == 1
     assert exc.log.singular[0] and exc.log.det[0] == 0.0
-    np.testing.assert_array_equal(exc.state.as_array(), start.as_array())
+    np.testing.assert_array_equal(exc.log.states[-1], start.as_array())
     # the control law never ran, so there is no determinant ratio to report
     assert exc.log.end_reason == "pitch_guard"
     assert exc.log.min_det_ratio is None and exc.log.min_det_ratio_time is None
@@ -598,7 +598,7 @@ def _assert_rows_equal(log, want, rows):
 def _assert_abort_row(log, exc, gait, dt):
     # the abort row: the state the run stopped in, the gait and reference at its time
     k = len(log) - 1
-    assert np.array_equal(log.states[k], exc.state.as_array())
+    assert np.array_equal(log.states[k], exc.log.states[-1])
     assert np.array_equal(log.alpha[k], gait.sample_raw(k * dt))
     assert np.array_equal(log.ref_pos[k], tr.circular_reference(np.array([k * dt]))[0, :3])
     assert log.singular[k]
