@@ -8,6 +8,12 @@ and the closed-loop circular-tracking experiment.
 
 The hot kernels are plain Python over floats and tuples, in one source
 (``tiltrotor._core.kernels``); ``backend_name`` reports ``"python"``.
+
+Importing the package compiles only what gait design runs.  The five
+names of the tracking experiment (``SimConfig``, ``TrackLog``,
+``circular_reference``, ``error_series``, ``run_tracking``) load
+``tiltrotor.sim`` on first access, and the file formats
+(``tiltrotor._files``) load when a file is first read or written.
 """
 
 from tiltrotor._core import backend_name
@@ -56,13 +62,6 @@ from tiltrotor.gaitlab import (
     singular_curves,
     solve_color_pair,
 )
-from tiltrotor.sim import (
-    SimConfig,
-    TrackLog,
-    circular_reference,
-    error_series,
-    run_tracking,
-)
 
 __version__ = "0.1.0"
 
@@ -79,3 +78,16 @@ __all__ = [
     "run_tracking", "singular_curves", "solve_color_pair", "speeds_to_input",
     "state_derivative", "thrust_matrix", "torque_matrix", "wrap_angle",
 ]
+
+# the tracking experiment's names, resolved on first access (PEP 562)
+_SIM_NAMES = ("SimConfig", "TrackLog", "circular_reference", "error_series", "run_tracking")
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from tiltrotor import sim
+
+        value = getattr(sim, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,12 +30,14 @@ import sys
 
 import numpy as np
 
-from tiltrotor import gaitlab, sim
+from tiltrotor import gaitlab
 from tiltrotor._files import write_csv, write_object
 from tiltrotor.control import Gains, load_config
 from tiltrotor.errors import AbortedSingular
 from tiltrotor.model import Params
-from tiltrotor.svgplot import LinePlot
+
+# sim and svgplot are imported by the commands that use them, so that
+# gaitgen and colormap compile neither
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -175,6 +177,8 @@ def cmd_gaitgen(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    from tiltrotor.svgplot import LinePlot
+
     params, _ = _load_setup(args)
     if args.phases < 1:
         raise CliError(f"--phases must be >= 1, got {args.phases}", EXIT_INVALID)
@@ -219,6 +223,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_track(args) -> int:
+    from tiltrotor import sim
+
     params, gains = _load_setup(args)
     try:
         config = sim.SimConfig(duration=args.duration, dt=args.dt)
@@ -248,6 +254,9 @@ def cmd_track(args) -> int:
 
 
 def _write_track_outputs(log, err, paths) -> None:
+    from tiltrotor import sim
+    from tiltrotor.svgplot import LinePlot
+
     csv_path, traj_path, err_path, rotors_path = paths
     log.to_csv(csv_path)
 

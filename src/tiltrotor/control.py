@@ -34,7 +34,6 @@ import numpy as np
 
 from tiltrotor._core import kernels
 from tiltrotor._core.kernels import tilt_factors
-from tiltrotor._files import read_object
 from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import Params, State, _floats, check_pitch
 
@@ -97,6 +96,8 @@ def load_config(path) -> tuple[Params, Gains]:
 
     Returns ``(params, gains)``.
     """
+    from tiltrotor._files import read_object
+
     kw = read_object(path, _CONFIG_KEYS, "the configuration")
     gains = Gains(**kw.pop("gains", {}))
     if "inertia" in kw:

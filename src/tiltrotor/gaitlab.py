@@ -65,7 +65,6 @@ from typing import Callable
 import numpy as np
 
 from tiltrotor._core import kernels
-from tiltrotor._files import read_csv, read_object, write_csv, write_object
 from tiltrotor.linearization import DetCoefficients, abc_scale, det_decomposition, normalized_det
 from tiltrotor.model import TWO_PI, Params, _floats, wrap_angle
 
@@ -346,6 +345,8 @@ class Gait:
         The sidecar holds ``period_s``, ``color`` and ``bias``, so
         :func:`load_gait` gives back this gait, bit for bit.
         """
+        from tiltrotor._files import write_csv, write_object
+
         write_csv(path, _GAIT_HEADER, [self.waypoints, self.alphas])
         write_object(_sidecar(path), {"period_s": self.period_s, "color": self.color,
                                       "bias": self.bias})
@@ -371,6 +372,8 @@ def load_gait(path) -> Gait:
     default 1).  Any other key or form, or a repeated key, raises
     :class:`ValueError` naming the key.
     """
+    from tiltrotor._files import read_csv, read_object
+
     m = read_csv(path, _GAIT_HEADER)
     meta = read_object(_sidecar(path), _SIDECAR_KEYS, "the gait sidecar")
     if "period_s" not in meta:

@@ -45,6 +45,8 @@ CROSS_DET = "tests/test_linearization.py::test_cross_of_plucker_is_the_4x4_deter
 TEXTBOOK_RK4 = "tests/test_model.py::test_rk4_step_matches_textbook_composition"
 FACTORED_LAW = "tests/test_control.py::test_factored_law_matches_the_explicit_matrix"
 DECOUPLER_YAW = "tests/test_control.py::test_decoupler_axis_alignment"
+DECOUPLER_CLAMP = "tests/test_control.py::test_decoupler_clamped"
+ONE_STEP = "tests/test_control.py::test_closed_loop_identity_one_step"
 
 
 @dataclass(frozen=True)
@@ -181,21 +183,39 @@ MUTANTS = (
            "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_mid",
            "s1, s2, s3, s4, c1, c2, c3, c4 = tilt_0", (TEXTBOOK_RK4,)),
     # the inner loop's attitude solve, against the explicit matrix's Delta w
-    # = v - b: a term of y = W @ rhs[0:3], and a drift term of the pitch row
+    # = v - b and a finite-difference step from non-zero body rates: a term
+    # of y = W @ rhs[0:3], and a drift term of each attitude row
     Mutant("fl-w-row-term-flipped", "src/tiltrotor/control.py",
            "y1 = cf * rhs1 + r31 * rhs2", "y1 = cf * rhs1 - r31 * rhs2", (FACTORED_LAW,)),
     Mutant("fl-pitch-drift-dropped", "src/tiltrotor/control.py",
            "kp4[1] * (ref_val[1] - theta) + dphi * u\n",
            "kp4[1] * (ref_val[1] - theta)\n",
-           (FACTORED_LAW,)),
+           (FACTORED_LAW, ONE_STEP)),
+    Mutant("fl-roll-drift-dropped", "src/tiltrotor/control.py",
+           "- (tt * dphi * dtheta + tu))", "- (tt * dphi * dtheta))",
+           (FACTORED_LAW, ONE_STEP)),
+    Mutant("fl-yaw-drift-dropped", "src/tiltrotor/control.py",
+           "- (dphi * dtheta / ct + st * tu))", "- (dphi * dtheta / ct))",
+           (FACTORED_LAW, ONE_STEP)),
     Mutant("decoupler-theta-uy-flipped", "src/tiltrotor/control.py",
            "theta_ref = (ux * cp + uy * sp) / g", "theta_ref = (ux * cp - uy * sp) / g",
            (DECOUPLER_YAW,)),
-    # the circle's y velocity, the schedule's segment at a knot, and the
-    # margin by which the closed form proves a phase's sign
+    # the outer loop's clamp at its lower bounds
+    Mutant("decoupler-phi-lower-clamp-flipped", "src/tiltrotor/control.py",
+           "phi_ref = -clamp", "phi_ref = clamp", (DECOUPLER_CLAMP,)),
+    Mutant("decoupler-theta-lower-clamp-flipped", "src/tiltrotor/control.py",
+           "theta_ref = -clamp", "theta_ref = clamp", (DECOUPLER_CLAMP,)),
+    # the circle's y velocity, the reference taken one step late, the
+    # schedule's segment at a knot, and the margin by which the closed form
+    # proves a phase's sign
     Mutant("reference-vy-flipped", "src/tiltrotor/sim.py",
            "rows[:, 4] = rv * c", "rows[:, 4] = -rv * c",
            ("tests/test_sim.py::test_circular_reference_values",)),
+    Mutant("reference-one-step-late", "src/tiltrotor/sim.py",
+           "ref = circular_reference(starts[:-1])", "ref = circular_reference(starts[1:])",
+           ("tests/test_sim.py::test_run_tracks_the_circle_rows",
+            "tests/test_sim.py::test_run_tracking_matches_public_composition[None]",
+            "tests/test_sim.py::test_run_tracking_matches_public_composition[band1]")),
     Mutant("sample-segment-left", GAITLAB,
            'k = starts.searchsorted(u, "right") - 1', 'k = starts.searchsorted(u, "left") - 1',
            ("tests/test_gaitlab.py::test_sample_array_takes_the_segment_that_starts_at_a_knot",)),

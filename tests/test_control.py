@@ -48,15 +48,28 @@ def test_decoupler_axis_alignment(params, gains):
 
 
 def test_decoupler_clamped(params, gains, rng):
-    for _ in range(50):
-        px, py = rng.uniform(-50, 50, 2).tolist()
-        vx, vy = rng.uniform(-20, 20, 2).tolist()
+    # each reference is the requested acceleration in the yaw frame over g,
+    # (theta, -phi) = Rz(psi).T @ u / g, clipped to +-clamp; a twentieth of
+    # the errors' scale puts some requests inside the band
+    clamp = gains.clamp
+    seen = set()
+    for k in range(60):
+        scale = 0.05 if k % 2 else 1.0
+        px, py = (scale * rng.uniform(-50, 50, 2)).tolist()
+        vx, vy = (scale * rng.uniform(-20, 20, 2)).tolist()
         psi = float(rng.uniform(-math.pi, math.pi))
         phi_r, theta_r = decoupler_core(
             px, py, vx, vy, math.sin(psi), math.cos(psi), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
+            gains.kp_xy, gains.kd_xy, clamp, params.g,
         )
-        assert abs(phi_r) <= gains.clamp and abs(theta_r) <= gains.clamp
+        u = -gains.kd_xy * np.array([vx, vy]) - gains.kp_xy * np.array([px, py])
+        c, s = math.cos(psi), math.sin(psi)
+        forward, left = np.array([[c, -s], [s, c]]).T @ u / params.g
+        for got, want, axis in ((theta_r, forward, "theta"), (phi_r, -left, "phi")):
+            seen.add((axis, int(np.sign(want)) if abs(want) > clamp else 0))
+            assert got == pytest.approx(float(np.clip(want, -clamp, clamp)), rel=1e-12, abs=1e-15)
+    # every side of the band was reached on both axes
+    assert seen == {(axis, side) for axis in ("theta", "phi") for side in (-1, 0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +213,9 @@ def test_inner_loop_singular_on_degenerate_completion(params, gains):
 def test_closed_loop_identity_one_step(params_nosat, gains):
     # with exact linearization each output obeys e'' = -kd e' - kp e;
     # verify the second derivative by finite differences over tiny steps
-    state = tr.State(eta=np.array([0.08, -0.05, 0.1]), pos=np.array([0, 0, 0.1]))
+    # non-zero body rates, so the attitude drift terms of the law are not 0
+    state = tr.State(eta=np.array([0.08, -0.05, 0.1]), pos=np.array([0, 0, 0.1]),
+                     omega=np.array([0.3, -0.2, 0.1]))
     alpha = np.zeros(4)
     out = tr.fl_inner_loop(state, alpha, tr.InnerRefs(), gains, params_nosat)
     varpi = out.varpi_cmd
