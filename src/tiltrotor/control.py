@@ -182,7 +182,8 @@ def fl_core(state, att, tilt, fac,
     is the kernel parameter pack; the pitch must lie below the guard
     band.  Returns ``(varpi4, det, sat4, singular, ratio_sq)`` with
     ``ratio_sq`` the square of the scale-free ratio ``|det| / prod(row
-    norms)`` that the singular test compares with ``eps_sing``.
+    norms)``: the step is singular, and holds ``last_cmd``, when that
+    ratio is below ``eps_sing``.
 
     Only the attitude-dependent work is done here.  With ``W = inv(T)``
     and ``y = W @ rhs[0:3]``, the solution of ``Delta w = rhs`` is ``w =
@@ -203,8 +204,8 @@ def fl_core(state, att, tilt, fac,
     vn = e30 * n0 + e31 * n1 + e32 * n2 + e33 * n3
     det = vn / ct
     # squared row norms T_i G T_i^T and v . v; that of row 2, T_2 = (0, sf, cf)
-    # / ct, is taken times ct**2 (gs), as vn = det * ct is, so the test
-    # compares vn**2 with their product
+    # / ct, is taken times ct**2 (gs), as vn = det * ct is, so the squared
+    # ratio is vn**2 over their product
     tt = st / ct
     sf2, cf2, sc2 = sf * sf, cf * cf, 2.0 * sf * cf
     gs = sf2 * g11 + sc2 * g12 + cf2 * g22
@@ -214,9 +215,9 @@ def fl_core(state, att, tilt, fac,
         * gs
         * (e30 * e30 + e31 * e31 + e32 * e32 + e33 * e33)
     )
-    vn2 = vn * vn
-    ratio_sq = vn2 / norms if norms > 0.0 else 0.0
-    if vn == 0.0 or vn2 < eps_sing * eps_sing * norms:
+    # a zero determinant or a zero row gives ratio 0, which the test holds
+    ratio_sq = vn * vn / norms if norms > 0.0 else 0.0
+    if ratio_sq < eps_sing * eps_sing:
         out, sat = _sat4(last_cmd, omega_lo, omega_hi)
         return out, det, sat, True, ratio_sq
 

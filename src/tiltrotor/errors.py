@@ -16,11 +16,11 @@ class RepresentationSingular(TiltrotorError):
 class AbortedSingular(TiltrotorError):
     """Closed-loop run stopped where the control law cannot be evaluated.
 
-    ``reason`` says which test stopped it: ``"determinant"``, the
-    decoupling matrix failed the scale-aware determinant test, or
-    ``"pitch_guard"``, the pitch reached the band next to +/-pi/2 where
-    the Euler-rate map is not evaluated.  Carries the abort time and the
-    partial log, whose last row is the state the run stopped in.
+    Built from the partial log alone, whose last row is the state the run
+    stopped in at ``log.abort_time``.  ``log.end_reason`` says which test
+    stopped it: ``"determinant"``, the decoupling matrix failed the
+    scale-aware determinant test, or ``"pitch_guard"``, the pitch reached
+    the band next to +/-pi/2 where the Euler-rate map is not evaluated.
     """
 
     MESSAGES = {
@@ -28,10 +28,8 @@ class AbortedSingular(TiltrotorError):
         "pitch_guard": "tracking aborted: pitch reached the Euler-representation guard band",
     }
 
-    def __init__(self, time: float, log, reason: str):
-        if reason not in self.MESSAGES:
-            raise ValueError(f"unknown abort reason {reason!r}")
-        super().__init__(f"{self.MESSAGES[reason]} at t={time:.3f} s")
-        self.time = time
+    def __init__(self, log):
+        if log.end_reason not in self.MESSAGES:
+            raise ValueError(f"unknown abort reason {log.end_reason!r}")
+        super().__init__(f"{self.MESSAGES[log.end_reason]} at t={log.abort_time:.3f} s")
         self.log = log
-        self.reason = reason

@@ -456,8 +456,9 @@ class AttitudeGrid:
 
     def __post_init__(self):
         bounds = (self.phi_min, self.phi_max, self.theta_min, self.theta_max)
-        if not all(math.isfinite(v) for v in bounds):
-            raise ValueError(f"grid bounds must be finite, got {bounds}")
+        spans = (self.phi_max - self.phi_min, self.theta_max - self.theta_min)
+        if not all(math.isfinite(v) for v in bounds + spans):
+            raise ValueError(f"grid bounds and their spans must be finite, got {bounds}")
         for n in (self.n_phi, self.n_theta):
             if isinstance(n, bool) or not isinstance(n, numbers.Integral):
                 raise TypeError(f"sample counts must be integers, got {n!r}")
@@ -537,10 +538,12 @@ class AttitudeGrid:
 
 @dataclass(frozen=True)
 class SingularCurveSet:
-    """Polylines of singular attitudes, each an ``(n, 2)`` array of ``(phi, theta)`` vertices."""
+    """Polylines of singular attitudes, each an ``(n, 2)`` array of ``(phi, theta)`` vertices.
+
+    Each vertex is a closed-form zero, so the set keeps no tolerance.
+    """
 
     curves: list
-    eps_curve: float
 
     def vertices(self) -> np.ndarray:
         if not self.curves:
@@ -555,15 +558,6 @@ class SingularCurveSet:
 # and left-top where they agree.  Each pair cuts off a corner whose sign
 # is not the centre's.
 _SADDLE_PAIRS = np.array([[2, 0, 1, 3], [0, 3, 2, 1]])
-
-
-def _curve_eps(abc) -> float:
-    scale = max(map(abs, abc))
-    return 1e-10 * scale if scale > 0.0 else 1e-300
-
-
-def _no_curves(abc) -> SingularCurveSet:
-    return SingularCurveSet(curves=[], eps_curve=_curve_eps(abc))
 
 
 def _one_sign(abc, grid: AttitudeGrid) -> bool:
@@ -691,12 +685,12 @@ def extract_zero_curves(coeffs: DetCoefficients, grid: AttitudeGrid) -> Singular
     """Marching-squares zero curves of the normalized determinant.
 
     Each vertex is the closed-form zero of ``g`` on its crossing grid
-    edge, so ``|g|`` there is rounding error, well below ``eps_curve =
-    1e-10 * max(|A|, |B|, |C|)``.  Adjacent cells share vertices, so the
-    segments stitch into polylines exactly.  ``coeffs.abc``, the ``(A,
-    B, C)`` triple, must be three finite numbers.  With ``A = B = C =
-    0``, ``g`` vanishes at every attitude and the set is empty: there is
-    no curve to draw.
+    edge, so ``|g|`` there is rounding error, far below ``1e-10 *
+    max(|A|, |B|, |C|)``; the set keeps no tolerance.  Adjacent cells
+    share vertices, so the segments stitch into polylines exactly.
+    ``coeffs.abc``, the ``(A, B, C)`` triple, must be three finite
+    numbers.  With ``A = B = C = 0``, ``g`` vanishes at every attitude
+    and the set is empty: there is no curve to draw.
     """
     return _phase_scan(_floats(coeffs.abc, 3, "coeffs"), grid, curves=True)[2]
 
@@ -774,7 +768,7 @@ def _stitch_curves(abc, grid, S, changed, ids, verts) -> SingularCurveSet:
         if not visited[v]:
             chains.append(walk(v))
 
-    return SingularCurveSet(curves=[verts[chain] for chain in chains], eps_curve=_curve_eps(abc))
+    return SingularCurveSet([verts[chain] for chain in chains])
 
 
 @dataclass(frozen=True)
@@ -829,9 +823,9 @@ def _phase_scan(abc, grid: AttitudeGrid, curves: bool, least: float = math.inf) 
     ``least``; see :func:`_grid_scan`.
     """
     if not any(abc):
-        return np.float64(0.0), 0.0, _no_curves(abc) if curves else None
+        return np.float64(0.0), 0.0, SingularCurveSet([]) if curves else None
     if _one_sign(abc, grid):
-        return np.float64(1.0), None, _no_curves(abc) if curves else None
+        return np.float64(1.0), None, SingularCurveSet([]) if curves else None
     return _grid_scan(abc, grid, curves, least)
 
 
@@ -861,7 +855,7 @@ def _grid_scan(abc, grid: AttitudeGrid, curves: bool, least: float) -> tuple:
     n = np.count_nonzero(changed)
     frac = np.float64(1.0 - n / changed.size)
     if not n:
-        return frac, None, _no_curves(abc) if curves else None
+        return frac, None, SingularCurveSet([]) if curves else None
     if not curves and _margin_bound(abc) - _BOUND_SLACK >= least:
         return frac, math.inf, None
     # every crossing edge's vertex lies on a curve, so the nearest

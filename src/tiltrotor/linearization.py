@@ -45,10 +45,10 @@ import numpy as np
 from tiltrotor._core import kernels
 from tiltrotor.model import Params, State, _floats, check_pitch
 
-# Delta is declared singular when |det| < EPS_SING * scale**4 with scale the
-# geometric mean of its row norms.  Ratios near 1 mean well-separated rows;
-# healthy closed-loop runs stay above ~0.5 while runs that lose control
-# authority fall below 1e-4 on their way to rank deficiency.
+# Delta is singular when its scale-free ratio |det| / prod(row norms), 0 at
+# a zero determinant or row, is below EPS_SING: control.fl_core and
+# DecouplingMatrix.is_singular test that one ratio.  Healthy closed-loop runs
+# stay above ~0.5; runs that lose control authority fall below 1e-4.
 EPS_SING = 1e-4
 
 
@@ -79,14 +79,13 @@ class DecouplingMatrix:
 
     @property
     def ratio(self) -> float:
-        """Scale-free singularity measure ``|det| / scale**4``."""
-        if self.scale == 0.0:
-            return 0.0
-        return abs(self.det) / self.scale**4
+        """Scale-free singularity measure ``|det| / scale**4``, 0 where ``scale**4`` underflows."""
+        scale4 = self.scale**4
+        return abs(self.det) / scale4 if scale4 > 0.0 else 0.0
 
     def is_singular(self) -> bool:
-        """The loop's singular test: ``|det| < EPS_SING * scale**4``."""
-        return self.det == 0.0 or abs(self.det) < EPS_SING * self.scale**4
+        """The loop's singular test: :attr:`ratio` below :data:`EPS_SING`."""
+        return self.ratio < EPS_SING
 
 
 def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:

@@ -274,7 +274,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
 
     def abort(i0, i, reason):
         flush(i0)
-        return AbortedSingular(i * dt, log(i + 1, reason), reason)
+        return AbortedSingular(log(i + 1, reason))
 
     attitude_trig = kernels.attitude_trig
     zero4 = (0.0, 0.0, 0.0, 0.0)

@@ -24,7 +24,8 @@ class LinePlot:
     """A ``width`` by ``height`` plot of the box ``xlim`` by ``ylim``.
 
     Raises :class:`ValueError` unless each limit is two finite, increasing
-    numbers and each side is finite and larger than twice the margin.
+    numbers a finite span apart and each side is finite and larger than
+    twice the margin.
     """
 
     def __init__(self, xlim, ylim, width=640, height=480, title=""):
@@ -32,6 +33,8 @@ class LinePlot:
         self.ylim = _floats(ylim, 2, "ylim")
         if self.xlim[0] >= self.xlim[1] or self.ylim[0] >= self.ylim[1]:
             raise ValueError(f"axis limits must be increasing, got xlim={self.xlim}, ylim={self.ylim}")
+        if not (self.xlim[1] - self.xlim[0] < np.inf and self.ylim[1] - self.ylim[0] < np.inf):
+            raise ValueError(f"axis spans must be finite, got xlim={self.xlim}, ylim={self.ylim}")
         for name, side in (("width", width), ("height", height)):
             if not 2 * _MARGIN < side < np.inf:
                 raise ValueError(f"{name} must be finite and larger than {2 * _MARGIN:g}, got {side!r}")

@@ -126,13 +126,12 @@ def _maps(sizes, params):
 
 
 def _curves(sets):
-    """The polylines of curve sets as one vertex array, its lengths and ``eps_curve``s."""
+    """The polylines of curve sets as one vertex array and its lengths."""
     polys = [poly for cs in sets for poly in cs.curves]
     return {
         "vertices": np.concatenate(polys) if polys else np.empty((0, 2)),
         "lengths": np.array([len(poly) for poly in polys], dtype=np.int64),
         "per_set": np.array([len(cs.curves) for cs in sets], dtype=np.int64),
-        "eps": np.array([cs.eps_curve for cs in sets]),
     }
 
 

@@ -8,10 +8,11 @@ Run it by hand from the repository root::
 Each mutant applies to its own copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` under a temporary directory: its old text, which must
 occur exactly once in its file, becomes its new text.  The script then
-runs only the mutant's tests on that copy with pytest.  A mutant is
-killed when every one of its tests fails; the script prints one line
-per mutant, with the tests that passed on a mutant not killed, and exits
-1 when any mutant is not killed.  An equivalent mutant changes no
+runs only the mutant's tests on that copy with pytest, up to
+``os.cpu_count()`` mutants at once.  A mutant is killed when every one
+of its tests fails; the script prints one line per mutant, in list
+order, with the tests that passed on a mutant not killed, and exits 1
+when any mutant is not killed.  An equivalent mutant changes no
 result that any test can see; it names no tests and gives its reason
 instead, and it is not run.
 """
@@ -23,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,6 +49,7 @@ FACTORED_LAW = "tests/test_control.py::test_factored_law_matches_the_explicit_ma
 DECOUPLER_YAW = "tests/test_control.py::test_decoupler_axis_alignment"
 DECOUPLER_CLAMP = "tests/test_control.py::test_decoupler_clamped"
 ONE_STEP = "tests/test_control.py::test_closed_loop_identity_one_step"
+ABORT_REASON = "tests/test_sim.py::test_abort_reason_determinant"
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,32 @@ MUTANTS = (
     # above 2e-4 to below 1e-4 in one step; gait3 ends at 1.146 s, not 4.064 s
     Mutant("loop-eps-sing-doubled", "src/tiltrotor/sim.py",
            "    eps = EPS_SING\n", "    eps = 2.0 * EPS_SING\n",
-           ("tests/test_sim.py::test_abort_reason_determinant[gait3-4.064]",)),
+           (f"{ABORT_REASON}[gait3-4.064]",)),
+    # the one singular rule, the squared ratio against the squared
+    # threshold, in the loop and in the public matrix, and the abort built
+    # from its log
+    Mutant("loop-ratio-against-unsquared-eps", "src/tiltrotor/control.py",
+           "if ratio_sq < eps_sing * eps_sing:", "if ratio_sq < eps_sing:",
+           (f"{ABORT_REASON}[gait2-0.799]", f"{ABORT_REASON}[gait3-4.064]",
+            "tests/test_sim.py::test_determinant_factors_in_closed_loop_on_seeded_rectangles")),
+    Mutant("public-singular-inverted", "src/tiltrotor/linearization.py",
+           "return self.ratio < EPS_SING", "return self.ratio >= EPS_SING",
+           ("tests/test_sim.py::test_public_matrix_is_the_loops_law",
+            "tests/test_linearization.py::test_singularity_ratio_behaviour")),
+    Mutant("abort-message-at-first-row", "src/tiltrotor/errors.py",
+           "at t={log.abort_time:.3f} s", "at t={log.t[0]:.3f} s",
+           (f"{ABORT_REASON}[gait2-0.799]", "tests/test_sim.py::test_end_fields_agree")),
+    # finite bounds a span apart that overflows: refused by the grid at the
+    # CLI's boundary, and by the plot
+    Mutant("grid-span-unchecked", GAITLAB,
+           "spans = (self.phi_max - self.phi_min, self.theta_max - self.theta_min)",
+           "spans = ()",
+           ("tests/test_gaitlab.py::test_attitude_grid_rejects_non_finite_bounds[bounds4]",
+            "tests/test_cli.py::test_curves_invalid_grid[grid_args4]")),
+    Mutant("plot-span-unchecked", "src/tiltrotor/svgplot.py",
+           "if not (self.xlim[1] - self.xlim[0] < np.inf and", "if not (True and",
+           ("tests/test_svgplot.py::test_line_plot_refuses_bad_limits_and_canvas"
+            "[args9-axis spans must be finite]",)),
 )
 
 
@@ -254,7 +282,8 @@ def run(mutant: Mutant) -> list[str]:
         env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
                                *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
-    failed = {line.split(" ")[1] for line in done.stdout.splitlines()
+    # "FAILED <node id> - <message>"; a node id may hold spaces
+    failed = {line[len("FAILED "):].split(" - ")[0] for line in done.stdout.splitlines()
               if line.startswith("FAILED ")}
     return [test for test in mutant.tests if test not in failed]
 
@@ -265,17 +294,19 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     survived = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
-        if mutant.equivalent:
-            print(f"{mutant.name}: equivalent, not run ({mutant.equivalent})")
-            continue
-        passed = run(mutant)
-        survived += bool(passed)
-        print(f"{mutant.name}: " + (f"NOT KILLED, passed: {' '.join(passed)}" if passed
-                                    else "killed"), flush=True)
+    # each mutant is its own pytest process, so threads only wait on them;
+    # map yields the results in list order
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        results = pool.map(lambda m: None if m.equivalent else run(m), chosen)
+        for mutant, passed in zip(chosen, results):
+            if mutant.equivalent:
+                print(f"{mutant.name}: equivalent, not run ({mutant.equivalent})")
+                continue
+            survived += bool(passed)
+            print(f"{mutant.name}: " + (f"NOT KILLED, passed: {' '.join(passed)}" if passed
+                                        else "killed"), flush=True)
     return 1 if survived else 0
 
 

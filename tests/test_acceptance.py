@@ -235,7 +235,7 @@ def test_criterion_09_failure_reproduction(tmp_path):
     for name in ("gait2", "gait3"):
         with pytest.raises(AbortedSingular) as exc_info:
             tr.run_tracking(tr.SimConfig(), PARAMS, GAINS, tr.build_preset(name, PARAMS))
-        times[name] = exc_info.value.time
+        times[name] = exc_info.value.log.abort_time
     _report(9, ok,
             "presets gait2 and gait3 abort with exit code 4 (singular after "
             "saturation engages)",

@@ -186,11 +186,14 @@ def test_curves_invalid_phases(tmp_path, gait_files):
 
 
 @pytest.mark.parametrize("grid_args", [("--grid-limit", "inf"), ("--grid-limit", "nan"),
-                                       ("--grid-limit", "0"), ("--grid-res", "1")])
+                                       ("--grid-limit", "0"), ("--grid-res", "1"),
+                                       # finite, but the grid's span overflows
+                                       ("--grid-limit", "1e308", "--grid-res", "5")])
 def test_curves_invalid_grid(tmp_path, gait_files, grid_args):
-    assert run_cli("--out", str(tmp_path), "curves", "--gait",
-                   str(gait_files / "gait_gait1.csv"), *grid_args) == 2
-    assert not (tmp_path / "curves.csv").exists()
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "curves", "--gait",
+                   str(gait_files / "gait_gait1.csv"), "--phases", "1", *grid_args) == 2
+    assert not out.exists()
 
 
 def test_curves_malformed_gait(tmp_path):

@@ -260,3 +260,8 @@ def test_singularity_ratio_behaviour(params):
     a2 = 0.5 * (lo + hi)
     sick = tr.decoupling_matrix(np.zeros(3), (0.2, a2, 0.2, a2), params)
     assert sick.is_singular()
+
+    # a vehicle so weak that scale**4 underflows reads ratio 0, and singular
+    faint = tr.decoupling_matrix(np.zeros(3), np.zeros(4), tr.Params(k_f=1e-100, k_m=1e-101))
+    assert faint.scale > 0.0 and faint.scale**4 == 0.0
+    assert faint.ratio == 0.0 and faint.is_singular()

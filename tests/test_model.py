@@ -260,22 +260,6 @@ def test_rk4_step_matches_textbook_composition(params, rng):
     assert compared >= 1500
 
 
-def test_rk4_step_keeps_a_zero_pitch_cosine_off_zero(params, rng):
-    # a start attitude whose pitch cosine is exactly zero is stepped as if
-    # it were 1e-300, and the step stays finite
-    pp = params.pack
-    for _ in range(50):
-        x = tuple(rng.uniform(-1, 1, 12).tolist())
-        att = kernels.attitude_trig(x[6], x[7], x[8])
-        tilts = [kernels.tilt_trig(tuple(rng.uniform(-4, 4, 4).tolist())) for _ in range(3)]
-        w = tuple(rng.uniform(-3e5, 3e5, 4).tolist())
-        dt = float(rng.choice([1e-3, 1e-2, 0.1]))
-        got = np.array(kernels.rk4_step(x, att[:3] + (0.0,) + att[4:], *tilts, w, dt, pp))
-        tiny = np.array(kernels.rk4_step(x, att[:3] + (1e-300,) + att[4:], *tilts, w, dt, pp))
-        assert got.tobytes() == tiny.tobytes()
-        assert np.all(np.isfinite(got))
-
-
 def _free_response_endpoint(params, dt, duration=1.0):
     # smooth, torque-active trajectory: constant unbalanced speeds; the
     # step sizes are chosen so truncation error dominates round-off

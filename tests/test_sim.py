@@ -18,12 +18,28 @@ from tiltrotor.linearization import EPS_SING
 from tiltrotor.model import EPS_REP
 from tiltrotor.sim import TRACKLOG_HEADER, TRACK_BLOCK
 
-from _oracles import branch_crossings, track_direct
+from _oracles import abc_direct, branch_crossings, track_direct
 
 
 @pytest.fixture(scope="module")
 def gait1():
     return tr.build_preset("gait1", tr.Params())
+
+
+LOG_ARRAYS = ("t", "states", "alpha", "varpi", "ref_pos", "det", "saturated", "singular")
+
+
+def _gait1_rows(gait1_run, duration):
+    """The rows of a default-start gait1 run of ``duration`` seconds, from the session's run.
+
+    A shorter run's rows are the session run's first rows bit for bit
+    (:func:`test_a_shorter_gait1_run_is_a_prefix_of_the_session_run`).
+    The slice carries no end fields: only a run of its own can say how it
+    ended.
+    """
+    log, _ = gait1_run
+    k = round(duration / 1e-3) + 1
+    return tr.TrackLog(**{name: getattr(log, name)[:k] for name in LOG_ARRAYS})
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +67,14 @@ def test_circular_reference_values():
 # closed-loop runs
 
 
-def test_initial_lift_deficit_and_recovery(params, gains, gait1):
-    config = tr.SimConfig(duration=30.0)
-    log = tr.run_tracking(config, params, gains, gait1)
+def test_a_shorter_gait1_run_is_a_prefix_of_the_session_run(params, gains, gait1, gait1_run):
+    log = tr.run_tracking(tr.SimConfig(duration=5.0), params, gains, gait1)
+    assert len(log) == 5001
+    _assert_rows_equal(log, gait1_run[0], 5001)
+
+
+def test_initial_lift_deficit_and_recovery(params, gait1_run):
+    log = _gait1_rows(gait1_run, 30.0)
     # 0.8 x hover speeds cannot balance gravity at t = 0
     d0 = tr.state_derivative(
         tr.State.from_array(log.states[0]), log.alpha[0],
@@ -177,8 +198,8 @@ def test_run_tracking_matches_the_direct_oracle(gains, preset, band):
     assert log.saturated.any() == (preset == "gait2" or band is not None)
 
 
-def test_zero_order_hold_consistency(params, gains, gait1):
-    base = tr.run_tracking(tr.SimConfig(duration=10.0, dt=1e-3), params, gains, gait1)
+def test_zero_order_hold_consistency(params, gains, gait1, gait1_run):
+    base = _gait1_rows(gait1_run, 10.0)
     fine = tr.run_tracking(tr.SimConfig(duration=10.0, dt=5e-4), params, gains, gait1)
     diff = np.linalg.norm(base.states[-1][0:3] - fine.states[-1][0:3])
     assert diff < 1e-3
@@ -197,8 +218,8 @@ def test_log_schema_and_bounds(params, gains, gait1):
     assert TRACKLOG_HEADER.count(",") == 29
 
 
-def test_rotor_speed_continuity(params, gains, gait1):
-    log = tr.run_tracking(tr.SimConfig(duration=40.0), params, gains, gait1)
+def test_rotor_speed_continuity(params, gait1_run):
+    log = _gait1_rows(gait1_run, 40.0)
     jumps = np.abs(np.diff(log.varpi[log.t > 20.0], axis=0))
     assert jumps.max() < (params.omega_hi - params.omega_lo) / 10.0
 
@@ -378,11 +399,11 @@ def test_abort_on_singular_gait(params, gains):
     gait2 = tr.build_preset("gait2", params)
     with pytest.raises(AbortedSingular) as exc_info:
         tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, gait2)
-    exc = exc_info.value
-    assert 0.0 < exc.time < 120.0
-    assert exc.log is not None and exc.log.aborted
-    assert exc.log.singular[-1]
-    assert len(exc.log) == int(round(exc.time / 1e-3)) + 1
+    log = exc_info.value.log
+    assert log is not None and log.aborted
+    assert 0.0 < log.abort_time < 120.0
+    assert log.singular[-1]
+    assert len(log) == int(round(log.abort_time / 1e-3)) + 1
 
 
 @pytest.mark.parametrize("preset, end", [("gait2", 0.799), ("gait3", 4.064)])
@@ -390,8 +411,8 @@ def test_abort_reason_determinant(params, gains, preset, end):
     with pytest.raises(AbortedSingular, match="singular decoupling matrix") as exc_info:
         tr.run_tracking(tr.SimConfig(duration=120.0), params, gains, tr.build_preset(preset, params))
     exc = exc_info.value
-    assert exc.reason == "determinant"
-    assert round(exc.time, 3) == end == exc.log.abort_time
+    assert exc.log.end_reason == "determinant" and exc.log.abort_time == end
+    assert str(exc) == f"tracking aborted on singular decoupling matrix at t={end:.3f} s"
     assert len(exc.log) == round(end / 1e-3) + 1
 
 
@@ -411,9 +432,77 @@ def test_aborts_fall_at_two_color_map_crossings(params, gains, preset, crossings
     config = tr.SimConfig(duration=120.0)
     with pytest.raises(AbortedSingular) as exc_info:
         tr.run_tracking(config, params, gains, gait)
-    end = exc_info.value.time
+    end = exc_info.value.log.abort_time
     assert 0.0 < found[aborted_before] - end <= config.dt
     assert all(t + config.dt < end for t in found[:aborted_before])
+
+
+# seeded rectangle gaits, closed loop: each draws its centre, then its half
+# extents, from this seed, on the blue branch for even draws and the red one
+# for odd ones, with a 10 s period, and runs 10 s from the default start
+CLOSED_LOOP_SEED = 0
+CLOSED_LOOP_DRAWS = 12
+
+
+def _seeded_rectangle_runs(params, gains):
+    rng = np.random.default_rng(CLOSED_LOOP_SEED)
+    for k in range(CLOSED_LOOP_DRAWS):
+        centre, half = rng.uniform(-0.6, 0.6, 2), rng.uniform(0.05, 0.35, 2)
+        gait = tr.make_rectangle_gait(centre, half, 10.0, ("blue", "red")[k % 2], params)
+        try:
+            log = tr.run_tracking(tr.SimConfig(duration=10.0), params, gains, gait)
+        except AbortedSingular as exc:
+            log = exc.log
+        yield k, gait, log
+
+
+def test_determinant_factors_in_closed_loop_on_seeded_rectangles(params, gains):
+    # On a branch plane A = B = 0 (to rounding), so m det(I_B) det(Delta) =
+    # cos(phi) C, and the loop can lose authority only where one of three
+    # factors is small: f_C = |C| / (4 k_f rho^3) with rho = hypot(arm k_f,
+    # k_m), |cos(phi)| or cos(theta).  The bound on them, from the ratio's
+    # factored form Delta = blockdiag(T, 1) @ [Q; v]:
+    # * rows 0-2 are T_i Q, with |T_0| = |T_2| = 1 / cos(theta) and |T_1| = 1,
+    #   and |Q| <= |torque map|_F / lambda_min(I_B) = 2 rho / lambda_min, as
+    #   each torque-map column has norm rho;
+    # * row 3 is v = R[2, :] @ thrust map / m, whose columns have norm k_f,
+    #   so |v| <= 2 k_f / m;
+    # so prod(row norms) <= 16 k_f rho^3 / (m lambda_min^3 cos(theta)^2) and
+    # ratio >= kappa f_C |cos(phi)| cos(theta)^2, kappa = lambda_min^3 / (4
+    # det(I_B)).  A determinant abort has ratio < EPS_SING, so its row has
+    # f_C |cos(phi)| cos(theta)^2 < EPS_SING / kappa, and its least factor
+    # is below (EPS_SING / kappa)^(1/4), 0.168 at the default inertia.
+    lam = np.linalg.eigvalsh(params.inertia)
+    kappa = lam.min() ** 3 / (4.0 * np.linalg.det(params.inertia))
+    c_unit = 4.0 * params.k_f * math.hypot(params.arm_length * params.k_f, params.k_m) ** 3
+    reasons, crossed, rolled = set(), 0, 0
+    for k, gait, log in _seeded_rectangle_runs(params, gains):
+        reasons.add(log.end_reason)
+        # the least ratio is below EPS_SING exactly when the run hit the test
+        assert (log.min_det_ratio < EPS_SING) == (log.end_reason == "determinant"), k
+        if log.end_reason == "determinant":
+            phi, theta = log.states[-1, 6:8].tolist()
+            f = (abs(abc_direct(log.alpha[-1], params)[2]) / c_unit, abs(math.cos(phi)),
+                 math.cos(theta))
+            assert f[0] * f[1] * f[2] ** 2 < EPS_SING / kappa, (k, f)
+            assert min(f) < (EPS_SING / kappa) ** 0.25, (k, f)
+        # det = cos(phi) C / (m det(I_B)) changes sign between two evaluated
+        # rows exactly when an odd number of passes lies between them: Two
+        # Color Map crossings of C (bisected by the oracle; each is the last
+        # time before C's sign changes) and passes of phi through pi/2 (mod pi)
+        # a pitch-guard abort row logs det = 0 without evaluating the law
+        n = len(log) - (log.end_reason == "pitch_guard")
+        t, det, phi = log.t[:n], log.det[:n], log.states[:n, 6]
+        crossings = np.searchsorted(branch_crossings(gait, params), t)
+        rolls = np.floor((phi - 0.5 * math.pi) / math.pi)
+        passes = np.diff(crossings) + np.abs(np.diff(rolls))
+        crossed += int(crossings[-1] - crossings[0])
+        rolled += int(np.abs(np.diff(rolls)).sum())
+        changed = np.signbit(det[1:]) != np.signbit(det[:-1])
+        odd = passes % 2 == 1
+        assert np.array_equal(changed, odd), (k, t[1:][changed != odd])
+    # the draws meet both kinds of pass and both ends
+    assert reasons == {"completed", "determinant"} and crossed and rolled
 
 
 def test_abort_reason_pitch_guard(params, gains, gait1):
@@ -421,8 +510,8 @@ def test_abort_reason_pitch_guard(params, gains, gait1):
     with pytest.raises(AbortedSingular, match="guard band") as exc_info:
         tr.run_tracking(tr.SimConfig(duration=1.0, initial_state=start), params, gains, gait1)
     exc = exc_info.value
-    assert exc.reason == "pitch_guard"
-    assert exc.time == 0.0 and len(exc.log) == 1
+    assert exc.log.end_reason == "pitch_guard"
+    assert exc.log.abort_time == 0.0 and len(exc.log) == 1
     assert exc.log.singular[0] and exc.log.det[0] == 0.0
     np.testing.assert_array_equal(exc.log.states[-1], start.as_array())
     # the control law never ran, so there is no determinant ratio to report
@@ -474,7 +563,9 @@ def test_end_fields_agree(params, gains, gait1, tmp_path):
         with pytest.raises(AbortedSingular) as exc_info:
             tr.run_tracking(config, params, gains, gait)
         exc = exc_info.value
-        assert exc.log.end_reason == exc.reason and exc.log.abort_time == exc.time
+        # the message is built from the log's end reason and abort time
+        message = AbortedSingular.MESSAGES[exc.log.end_reason]
+        assert str(exc) == f"{message} at t={exc.log.abort_time:.3f} s"
         return exc.log
 
     done = tr.run_tracking(tr.SimConfig(duration=0.05), params, gains, gait1)
@@ -488,11 +579,14 @@ def test_end_fields_agree(params, gains, gait1, tmp_path):
     for log, reason, aborted, at in cases:
         assert (log.end_reason, log.aborted, log.abort_time) == (reason, aborted, at), reason
     # the stored fields are gone from the constructor
-    arrays = {name: getattr(done, name) for name in
-              ("t", "states", "alpha", "varpi", "ref_pos", "det", "saturated", "singular")}
+    arrays = {name: getattr(done, name) for name in LOG_ARRAYS}
     for extra in ({"aborted": True}, {"abort_time": 0.05}):
         with pytest.raises(TypeError):
             tr.TrackLog(**arrays, **extra)
+    # an abort is built only from a log that ended in one
+    for log in (done, read):
+        with pytest.raises(ValueError, match="unknown abort reason"):
+            AbortedSingular(log)
 
 
 def _det_identity(log, params):
@@ -506,8 +600,8 @@ def _det_identity(log, params):
     ])
 
 
-def test_logged_det_matches_the_det_identity(params, gains, gait1):
-    log = tr.run_tracking(tr.SimConfig(duration=5.0), params, gains, gait1)
+def test_logged_det_matches_the_det_identity(params, gains, gait1_run):
+    log = _gait1_rows(gait1_run, 5.0)
     with pytest.raises(AbortedSingular) as exc_info:
         tr.run_tracking(tr.SimConfig(duration=120.0), params, gains,
                         tr.build_preset("gait2", params))
@@ -521,11 +615,11 @@ def test_logged_det_matches_the_det_identity(params, gains, gait1):
     assert np.abs(log.det - on_branch).max() <= 1e-12 * np.abs(log.det).max()
 
 
-def test_public_matrix_is_the_loops_law(params, gains, gait1):
+def test_public_matrix_is_the_loops_law(params, gains, gait1_run):
     # every 7th row and the last: the explicit matrix gives the logged det
     # bit for bit and the logged singular flag, the abort rows included.
     # The tilt trig is taken with numpy, as the loop takes it
-    runs = [tr.run_tracking(tr.SimConfig(duration=5.0), params, gains, gait1)]
+    runs = [_gait1_rows(gait1_run, 5.0)]
     for name in ("gait2", "gait3"):
         with pytest.raises(AbortedSingular) as exc_info:
             tr.run_tracking(tr.SimConfig(duration=120.0), params, gains,
@@ -580,18 +674,18 @@ def test_abort_inside_a_block(params, gains, monkeypatch):
         return exc_info.value
 
     exc = run()
-    assert exc.time == 799 * 1e-3 and len(exc.log) == 800
+    assert exc.log.abort_time == 799 * 1e-3 and len(exc.log) == 800
     assert exc.log.singular[-1] and not exc.log.singular[:-1].any()
     # one row per block: every row is a block boundary
     monkeypatch.setattr(sim, "TRACK_BLOCK", 1)
     one = run()
-    assert one.time == exc.time
+    assert one.log.abort_time == exc.log.abort_time
     assert one.log.as_matrix().tobytes() == exc.log.as_matrix().tobytes()
 
 
 def _assert_rows_equal(log, want, rows):
     # every log column of the first ``rows`` rows, bit for bit
-    for name in ("t", "states", "alpha", "varpi", "ref_pos", "det", "saturated", "singular"):
+    for name in LOG_ARRAYS:
         assert np.array_equal(getattr(log, name)[:rows], getattr(want, name)[:rows]), name
 
 
@@ -629,7 +723,7 @@ def test_pitch_guard_abort_keeps_the_buffered_rows(params, gains, gait1, monkeyp
         tr.run_tracking(tr.SimConfig(duration=3.0, initial_state=start), params, gains, gait1)
     exc = exc_info.value
     log, k = exc.log, len(exc.log) - 1
-    assert exc.reason == "pitch_guard" and k == 37
+    assert log.end_reason == "pitch_guard" and k == 37
     assert k // 16 == 2 and k % 16 not in (0, 15)
     assert not log.singular[:k].any()
     done = tr.run_tracking(tr.SimConfig(duration=(k - 1) * dt, initial_state=start),

@@ -98,6 +98,9 @@ def test_points_text_is_percent_2f_at_ties_and_bounds(case):
     (((0.0, 1.0), (0.0, 1.0), np.inf), "width must be finite and larger than 100"),
     (((0.0, 1.0), (0.0, 1.0), 640, 99.5), "height must be finite and larger than 100"),
     (((0.0, 1.0), (0.0, 1.0), 640, np.nan), "height must be finite and larger than 100"),
+    # finite limits whose span overflows
+    (((-1e308, 1e308), (0.0, 1.0)), "axis spans must be finite"),
+    (((0.0, 1.0), (-1e308, 1e308)), "axis spans must be finite"),
 ])
 def test_line_plot_refuses_bad_limits_and_canvas(args, match):
     with pytest.raises(ValueError, match=match):
