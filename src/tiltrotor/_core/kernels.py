@@ -379,23 +379,23 @@ def tilt_factors(tilt, pack) -> tuple:
     )
 
 
-def decoupling(att, p, q, r, tilt, pp):
-    """Decoupling matrix, drift vector, determinant and row-norm scale.
+def decoupling(att, tilt, pp):
+    """Decoupling matrix, determinant and row-norm scale.
 
     ``att`` is the attitude trig (only roll and pitch enter) and ``tilt``
-    the tilt trig.  Returns ``(delta, b, det, scale)`` where ``delta`` is
+    the tilt trig.  Returns ``(delta, det, scale)`` where ``delta`` is
     the row-major 4x4 matrix mapping signed squared rotor speeds to
-    (roll'', pitch'', yaw'', altitude'') contributions, ``b`` is the
-    matching drift 4-vector and ``scale`` is the geometric mean of the
-    four row norms of ``delta``.
+    (roll'', pitch'', yaw'', altitude'') contributions and ``scale`` is
+    the geometric mean of its four row norms; ``linearization.drift_vector``
+    forms the drift.
 
-    The tracking loop's law written out, for the public ``decoupling_matrix``
-    and ``drift_vector``: ``delta = blockdiag(T, 1) @ [Q; v]`` (``T`` the
-    Euler-rate map, ``v`` formed as ``control.fl_core`` forms it) and ``det
-    = v . n / cos(theta)`` with ``n`` formed as :func:`tilt_factors` forms
-    it, so at the same trig ``det`` is the loop's determinant bit for bit.
+    The tracking loop's law written out, for the public ``decoupling_matrix``:
+    ``delta = blockdiag(T, 1) @ [Q; v]`` (``T`` the Euler-rate map, ``v``
+    formed as ``control.fl_core`` forms it) and ``det = v . n /
+    cos(theta)`` with ``n`` formed as :func:`tilt_factors` forms it, so at
+    the same trig ``det`` is the loop's determinant bit for bit.
     """
-    m, g, kf = pp[0], pp[1], pp[2]
+    m, kf = pp[0], pp[2]
     sf, cf, st, ct = att[0], att[1], att[2], att[3]
     tt = st / ct
     q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = qm = q_entries(tilt, pp)
@@ -417,19 +417,10 @@ def decoupling(att, p, q, r, tilt, pp):
     n0, n1, n2, n3 = _cross(_plucker(qm[0:4], qm[4:8]), qm[8:12])
     det = (e30 * n0 + e31 * n1 + e32 * n2 + e33 * n3) / ct
 
-    # drift: Tdot(eta, etadot) @ omega with etadot = T @ omega, plus gravity.
-    # With u = sf q + cf r the Euler rates are dphi = p + tan(theta) u and
-    # dtheta = cf q - sf r, and Tdot @ omega reduces to the terms below.
-    u = sf * q + cf * r
-    dtheta = cf * q - sf * r
-    dphi = p + tt * u
-    tu = dtheta * u / (ct * ct)
-    b = (tt * dphi * dtheta + tu, -dphi * u, dphi * dtheta / ct + st * tu, -g)
-
     rows = (d[0:4], d[4:8], d[8:12], d[12:16])
     norms = [sqrt(w * w + x * x + y * y + z * z) for w, x, y, z in rows]
     scale = exp(0.25 * sum(map(log, norms))) if min(norms) > 0.0 else 0.0
-    return d, b, det, scale
+    return d, det, scale
 
 
 def solve4(d, rhs):

@@ -156,6 +156,8 @@ def cmd_gaitgen(args) -> int:
         )
     if not args.preset and len(custom) < 3:
         raise CliError("need --preset or (--center --half --branch)", EXIT_INVALID)
+    if args.output and any(sep and sep in args.output for sep in (os.sep, os.altsep)):
+        raise CliError(f"--output {args.output}: give a stem without a directory", EXIT_INVALID)
     try:
         if args.preset:
             gait = gaitlab.build_preset(args.preset, params, period=args.period)
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=sorted(gaitlab.BRANCH_OFFSETS))
     p.add_argument("--period", type=float, default=gaitlab.DEFAULT_GAIT_PERIOD)
     p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--output", help="output stem (default gait_<preset>)")
+    p.add_argument("--output", help="file stem in --out, no directory (default gait_<preset>)")
     p.set_defaults(func=cmd_gaitgen, size="gaitgen")
 
     p = sub.add_parser("curves", help="singular-attitude curves and robustness metrics")

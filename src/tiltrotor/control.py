@@ -146,15 +146,15 @@ def _sat4(v, lo: float, hi: float) -> tuple:
     return out, (out[0] != v[0], out[1] != v[1], out[2] != v[2], out[3] != v[3])
 
 
-def decoupler_core(px, py, vx, vy, sp, cp,
-                   rpx, rpy, rvx, rvy, rax, ray,
+def decoupler_core(px, py, vx, vy, sp, cp, rpx, rpy, rvx, rvy,
                    kp_xy, kd_xy, clamp, g):
     """Float core of the position decoupler; returns ``(phi_ref, theta_ref)``.
 
-    ``sp``, ``cp`` are the sine and cosine of the yaw.
+    ``sp``, ``cp`` are the sine and cosine of the yaw; no acceleration is
+    fed forward, since the reference commands none.
     """
-    ux = rax + kd_xy * (rvx - vx) + kp_xy * (rpx - px)
-    uy = ray + kd_xy * (rvy - vy) + kp_xy * (rpy - py)
+    ux = kd_xy * (rvx - vx) + kp_xy * (rpx - px)
+    uy = kd_xy * (rvy - vy) + kp_xy * (rpy - py)
     theta_ref = (ux * cp + uy * sp) / g
     phi_ref = (ux * sp - uy * cp) / g
     if phi_ref > clamp:

@@ -203,14 +203,12 @@ class PlaneFit:
 
     ``coeffs`` is ``(offset, 1, 0)`` for ``alpha3`` and ``(offset, 0, 1)``
     for ``alpha4``, with the offset of :data:`BRANCH_OFFSETS`.  The map's
-    completions are this plane, so its residual to them, ``rms`` and
-    ``max_abs``, is 0 by construction; the two fields keep the planes
-    file's form.
+    completions are this plane, so ``rms``, its residual to them, is 0 by
+    construction.  It stays because ``perfbench``'s color-map check reads it.
     """
 
     coeffs: np.ndarray
     rms: float
-    max_abs: float
 
 
 @dataclass(frozen=True)
@@ -249,8 +247,8 @@ def color_map(alpha1_values, alpha2_values, branch: str, params: Params) -> Colo
         alpha3=alpha3,
         alpha4=alpha4,
         residual_sign=rsign,
-        plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0, 0.0),
-        plane4=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),
+        plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0),
+        plane4=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0),
     )
 
 

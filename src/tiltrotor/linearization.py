@@ -38,6 +38,7 @@ is the determinant the loop logs, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,7 @@ def decoupling_matrix(eta, alpha, params: Params) -> DecouplingMatrix:
     phi, theta, _ = _floats(eta, 3, "eta")
     check_pitch(theta)
     tilt = kernels.tilt_trig(_floats(alpha, 4, "alpha"))
-    d, _, det, scale = kernels.decoupling(
-        kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0, tilt, params.pack,
-    )
+    d, det, scale = kernels.decoupling(kernels.attitude_trig(phi, theta, 0.0), tilt, params.pack)
     return DecouplingMatrix(delta=np.asarray(d).reshape(4, 4), det=float(det), scale=float(scale))
 
 
@@ -109,16 +108,19 @@ def drift_vector(state: State, params: Params) -> np.ndarray:
     """Drift ``b`` of the output dynamics: ``y'' = b + Delta @ w``.
 
     ``b[0:3] = Tdot(eta, eta_dot) @ omega_body`` with ``eta_dot = T @
-    omega_body``, and ``b[3] = -g``.
+    omega_body``, and ``b[3] = -g``, formed at the state by the expressions
+    ``control.fl_core`` subtracts, so bit for bit the loop's drift.
     """
     phi, theta = float(state.eta[0]), float(state.eta[1])
     check_pitch(theta)
     p, q, r = (float(v) for v in state.omega)
-    _, b, *_ = kernels.decoupling(
-        kernels.attitude_trig(phi, theta, 0.0), p, q, r,
-        kernels.tilt_trig((0.0, 0.0, 0.0, 0.0)), params.pack,
-    )
-    return np.asarray(b)
+    sf, cf, st, ct = math.sin(phi), math.cos(phi), math.sin(theta), math.cos(theta)
+    tt = st / ct
+    u = sf * q + cf * r
+    dtheta = cf * q - sf * r
+    dphi = p + tt * u
+    tu = dtheta * u / (ct * ct)
+    return np.array((tt * dphi * dtheta + tu, -dphi * u, dphi * dtheta / ct + st * tu, -params.g))
 
 
 def det_decomposition(alpha, params: Params) -> DetCoefficients:

@@ -54,29 +54,24 @@ CIRCLE_RATE = 0.1
 # size, about 1.5 us a step at 256 steps against 1.8 at 128, and the block's
 # Python rows add under 1 MB of peak memory
 TRACK_BLOCK = 256
-# reference columns the outer loop reads: position, velocity, acceleration in x and y
-_REF_XY = (0, 1, 3, 4, 6, 7)
+# reference columns the outer loop reads: position and velocity in x and y
+_REF_XY = (0, 1, 3, 4)
 
 
 def circular_reference(t: np.ndarray) -> np.ndarray:
     """Uniform circular reference of radius 5 m at 0.1 rad/s, zero altitude.
 
-    ``t`` is a 1-D array of times; each gets one row of 9 floats, its
-    position, velocity and acceleration.  The commanded acceleration is
-    zero: the tracking loops must absorb the centripetal term themselves.
+    ``t`` is a 1-D array of times; each gets one row of 6 floats, its
+    position and velocity.  No acceleration is commanded: the tracking
+    loops must absorb the centripetal term themselves.
     """
     a = CIRCLE_RATE * t
     c, s = np.cos(a), np.sin(a)
-    rv = CIRCLE_RADIUS * CIRCLE_RATE
-    rows = np.zeros((len(t), 9))
-    rows[:, 0] = CIRCLE_RADIUS * c
-    rows[:, 1] = CIRCLE_RADIUS * s
-    rows[:, 3] = -rv * s
-    rows[:, 4] = rv * c
-    return rows
+    rv, zero = CIRCLE_RADIUS * CIRCLE_RATE, np.zeros(len(t))
+    return np.column_stack((CIRCLE_RADIUS * c, CIRCLE_RADIUS * s, zero, -rv * s, rv * c, zero))
 
 
-# one time's row as a 9-tuple; only perfbench's sim.reference span reads it
+# one time's row as a 6-tuple; only perfbench's sim.reference span reads it
 circular_reference.floats = lambda t: tuple(circular_reference(np.array([float(t)]))[0].tolist())
 
 
@@ -291,7 +286,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
         factors = np.array(tilt_factors(trig[:n].T, pack)).T.tolist()
         ref = circular_reference(starts[:-1])
         refs[i0:i1] = ref[:, 0:3]
-        for i, tilt, fac, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy, rax, ray) in zip(
+        for i, tilt, fac, tilt_end, tilt_mid, (rpx, rpy, rvx, rvy) in zip(
             range(i0, i1), tilts, factors, tilts[1:n + 1], tilts[n + 1:],
             ref[:, _REF_XY].tolist(),
         ):
@@ -306,8 +301,7 @@ def run_tracking(config: SimConfig, params: Params, gains: Gains, gait) -> Track
             att = attitude_trig(state[6], state[7], state[8])
             phi_ref, theta_ref = decoupler_core(
                 state[0], state[1], state[3], state[4], att[4], att[5],
-                rpx, rpy, rvx, rvy, rax, ray,
-                kp_xy, kd_xy, clamp, g,
+                rpx, rpy, rvx, rvy, kp_xy, kd_xy, clamp, g,
             )
             varpi, det, sat, singular, ratio_sq = fl_core(
                 state, att, tilt, fac, (phi_ref, theta_ref, 0.0, 0.0), zero4, zero4,

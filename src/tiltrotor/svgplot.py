@@ -4,10 +4,12 @@ Fixed-geometry polyline plots meant for eyeball comparison, not a
 plotting library: axes box, a handful of ticks, one polyline per series.
 A polyline's points are pixel coordinates written as ``%.2f``, made in
 numpy by :func:`tiltrotor._files.points_text`.  The title and colours are
-XML-escaped, so any text gives a well-formed file.
+XML-escaped, or refused where XML 1.0 cannot carry them: the file is well-formed.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -18,14 +20,23 @@ _MARGIN = 50.0
 # the entities that XML text and a double-quoted attribute need; a table,
 # since xml.sax.saxutils imports urllib.request (about 6 MB of RSS)
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# the characters outside XML 1.0's Char production, which no escape can carry
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_text(name: str, text: str) -> str:
+    """``text`` XML-escaped; :class:`ValueError` if it holds a character XML 1.0 cannot carry."""
+    if _NOT_XML.search(text):
+        raise ValueError(f"{name} {text!r} holds a character that XML 1.0 cannot carry")
+    return text.translate(_XML_ESCAPES)
 
 
 class LinePlot:
     """A ``width`` by ``height`` plot of the box ``xlim`` by ``ylim``.
 
     Raises :class:`ValueError` unless each limit is two finite, increasing
-    numbers a finite span apart and each side is finite and larger than
-    twice the margin.
+    numbers a finite span apart, each side is finite and larger than
+    twice the margin, and XML 1.0 can carry the title.
     """
 
     def __init__(self, xlim, ylim, width=640, height=480, title=""):
@@ -38,9 +49,9 @@ class LinePlot:
         for name, side in (("width", width), ("height", height)):
             if not 2 * _MARGIN < side < np.inf:
                 raise ValueError(f"{name} must be finite and larger than {2 * _MARGIN:g}, got {side!r}")
+        self._title = _xml_text("title", title)
         self.width = width
         self.height = height
-        self.title = title
         self._elements: list[str] = []
 
     def _to_px(self, x, y):
@@ -50,12 +61,13 @@ class LinePlot:
         py = self.height - _MARGIN - (np.asarray(y, dtype=float) - self.ylim[0]) * sy
         return px, py
 
-    def polyline(self, xs, ys, color="black", width=1.2):
+    def polyline(self, xs, ys, color="black"):
         """Draw the points ``(xs, ys)``; a line of fewer than two points draws nothing.
 
         Raises :class:`ValueError` unless ``xs`` and ``ys`` are 1-D, of one
-        length, and finite, and so are their pixel coordinates.
+        length and finite, as are their pixels, and XML 1.0 can carry ``color``.
         """
+        stroke = _xml_text("color", color)
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
@@ -70,10 +82,9 @@ class LinePlot:
                                  f"limits, got {float(values[bad[0]])!r} at index {bad[0]}")
         if xs.size < 2:
             return
-        stroke = color.translate(_XML_ESCAPES)
         self._elements.append(
             f'<polyline points="{points_text(px, py)}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"/>'
+            'stroke-width="1.2"/>'
         )
 
     def _axes(self) -> list[str]:
@@ -97,10 +108,10 @@ class LinePlot:
             out.append(
                 f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" text-anchor="end">{yv:.3g}</text>'
             )
-        if self.title:
+        if self._title:
             out.append(
                 f'<text x="{self.width / 2}" y="{_MARGIN - 14}" font-size="14" '
-                f'text-anchor="middle">{self.title.translate(_XML_ESCAPES)}</text>'
+                f'text-anchor="middle">{self._title}</text>'
             )
         return out
 

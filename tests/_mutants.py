@@ -45,6 +45,10 @@ ORACLE_ASSEMBLY = "tests/test_linearization.py::test_matches_oracle_assembly"
 DIRECT_ABC = "tests/test_linearization.py::test_coefficients_match_direct_determinants"
 CROSS_DET = "tests/test_linearization.py::test_cross_of_plucker_is_the_4x4_determinant"
 TEXTBOOK_RK4 = "tests/test_model.py::test_rk4_step_matches_textbook_composition"
+DRIFT_TDOT = "tests/test_linearization.py::test_exact_consistency_identity"
+DRIFT_FD = "tests/test_linearization.py::test_drift_matches_finite_difference"
+GAITGEN_STEM = "tests/test_cli.py::test_gaitgen_refuses_a_stem_with_a_directory"
+XML_REFUSED = "tests/test_svgplot.py::test_text_xml_cannot_carry_is_refused"
 FACTORED_LAW = "tests/test_control.py::test_factored_law_matches_the_explicit_matrix"
 DECOUPLER_YAW = "tests/test_control.py::test_decoupler_axis_alignment"
 DECOUPLER_CLAMP = "tests/test_control.py::test_decoupler_clamped"
@@ -156,8 +160,8 @@ MUTANTS = (
            "waypoints=[0.0, 0.25, 0.5, 0.75, 1.0],",
            ("tests/test_gaitlab.py::test_corner_gait_is_the_station_gait",)),
     Mutant("plane3-stated-as-alpha2", GAITLAB,
-           "plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0, 0.0),",
-           "plane3=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0, 0.0),",
+           "plane3=PlaneFit(np.array((offset, 1.0, 0.0)), 0.0),",
+           "plane3=PlaneFit(np.array((offset, 0.0, 1.0)), 0.0),",
            ("tests/test_acceptance.py::test_criterion_04_planarity",)),
     # the decoupling kernels that the loop and the public matrix share: only
     # an independent oracle (numpy assembly, numpy determinants, the
@@ -200,6 +204,14 @@ MUTANTS = (
     Mutant("fl-yaw-drift-dropped", "src/tiltrotor/control.py",
            "- (dphi * dtheta / ct + st * tu))", "- (dphi * dtheta / ct))",
            (FACTORED_LAW, ONE_STEP)),
+    # the public drift, one mutant per term group, against the analytic
+    # Tdot @ omega and a finite-difference step along the unforced flow
+    Mutant("drift-pitch-term-flipped", "src/tiltrotor/linearization.py",
+           "-dphi * u,", "dphi * u,", (DRIFT_TDOT, DRIFT_FD)),
+    Mutant("drift-roll-tu-dropped", "src/tiltrotor/linearization.py",
+           "tt * dphi * dtheta + tu,", "tt * dphi * dtheta,", (DRIFT_TDOT, DRIFT_FD)),
+    Mutant("drift-yaw-tu-dropped", "src/tiltrotor/linearization.py",
+           "dphi * dtheta / ct + st * tu,", "dphi * dtheta / ct,", (DRIFT_TDOT, DRIFT_FD)),
     Mutant("decoupler-theta-uy-flipped", "src/tiltrotor/control.py",
            "theta_ref = (ux * cp + uy * sp) / g", "theta_ref = (ux * cp - uy * sp) / g",
            (DECOUPLER_YAW,)),
@@ -212,7 +224,7 @@ MUTANTS = (
     # schedule's segment at a knot, and the margin by which the closed form
     # proves a phase's sign
     Mutant("reference-vy-flipped", "src/tiltrotor/sim.py",
-           "rows[:, 4] = rv * c", "rows[:, 4] = -rv * c",
+           "-rv * s, rv * c, zero))", "-rv * s, -rv * c, zero))",
            ("tests/test_sim.py::test_circular_reference_values",)),
     Mutant("reference-one-step-late", "src/tiltrotor/sim.py",
            "ref = circular_reference(starts[:-1])", "ref = circular_reference(starts[1:])",
@@ -256,6 +268,17 @@ MUTANTS = (
            "if not (self.xlim[1] - self.xlim[0] < np.inf and", "if not (True and",
            ("tests/test_svgplot.py::test_line_plot_refuses_bad_limits_and_canvas"
             "[args9-axis spans must be finite]",)),
+    # a gaitgen stem with a directory part, and text that XML 1.0 cannot
+    # carry in a plot's title or in a polyline's colour
+    Mutant("stem-separator-unchecked", "src/tiltrotor/cli.py",
+           "for sep in (os.sep, os.altsep))", "for sep in (os.altsep,))",
+           (f"{GAITGEN_STEM}[sub/g]", f"{GAITGEN_STEM}[absolute]")),
+    Mutant("plot-title-unchecked", "src/tiltrotor/svgplot.py",
+           'self._title = _xml_text("title", title)', "self._title = title.translate(_XML_ESCAPES)",
+           (f"{XML_REFUSED}[control]", f"{XML_REFUSED}[surrogate]")),
+    Mutant("plot-colour-unchecked", "src/tiltrotor/svgplot.py",
+           'stroke = _xml_text("color", color)', "stroke = color.translate(_XML_ESCAPES)",
+           (f"{XML_REFUSED}[escape]", f"{XML_REFUSED}[non-character]")),
 )
 
 

@@ -69,27 +69,44 @@ def test_criterion_02_yaw_invariance():
             f"worst rel spread {worst:.2e}")
 
 
-def test_criterion_03_two_branch_existence():
+CRITERION_03_GRID = np.linspace(-0.6, 0.6, 21)
+
+
+@pytest.fixture(scope="module")
+def branch_roots():
+    """Criterion 03's cells: their branch pairs, each solution's polished oracle root, and the seconds taken.
+
+    Every solution of the 21 x 21 cells goes to the brute-force oracle in
+    one call; ``roots[c]`` holds the roots of cell ``c``'s solutions, in
+    their order, and criterion 04 reads the same roots.
+    """
     t0 = time.perf_counter()
-    grid = np.linspace(-0.6, 0.6, 21)
+    pairs = [tr.solve_color_pair((a1, a2), PARAMS)
+             for a1 in CRITERION_03_GRID for a2 in CRITERION_03_GRID]
+    sols = [sol for pair in pairs for sol in pair]
+    roots = BruteForceOracle(PARAMS).roots_near([s.alpha12 for s in sols],
+                                                [s.alpha34 for s in sols])
+    cell_roots = np.split(roots, np.cumsum([len(pair) for pair in pairs])[:-1])
+    return pairs, cell_roots, time.perf_counter() - t0
+
+
+def test_criterion_03_two_branch_existence(branch_roots):
+    t0 = time.perf_counter()
+    pairs, cell_roots, search_s = branch_roots
     bound = 1e-8 * residual_scale(PARAMS)
-    oracle = BruteForceOracle(PARAMS)
     ok = True
     worst_resid = 0.0
     worst_match = 0.0
-    for a1 in grid:
-        for a2 in grid:
-            pair = tr.solve_color_pair((a1, a2), PARAMS)
-            if len(pair) != 2 or _mod2pi_dist(pair[0].alpha34, pair[1].alpha34) < 1.0:
-                ok = False
-                break
-            for sol in pair:
-                A, B, _ = abc_direct(np.concatenate([sol.alpha12, sol.alpha34]), PARAMS)
-                worst_resid = max(worst_resid, abs(A), abs(B))
-            refined = oracle.roots_near(a1, a2, [s.alpha34 for s in pair])
-            for sol, bf in zip(pair, refined):
-                worst_match = max(worst_match, _mod2pi_dist(sol.alpha34, bf))
-    elapsed = time.perf_counter() - t0
+    for pair, refined in zip(pairs, cell_roots):
+        if len(pair) != 2 or _mod2pi_dist(pair[0].alpha34, pair[1].alpha34) < 1.0:
+            ok = False
+            break
+        for sol in pair:
+            A, B, _ = abc_direct(np.concatenate([sol.alpha12, sol.alpha34]), PARAMS)
+            worst_resid = max(worst_resid, abs(A), abs(B))
+        for sol, bf in zip(pair, refined):
+            worst_match = max(worst_match, _mod2pi_dist(sol.alpha34, bf))
+    elapsed = search_s + time.perf_counter() - t0
     ok = ok and worst_resid < bound and worst_match < 1e-3 and elapsed < 60.0
     _report(
         3, ok,
@@ -106,19 +123,21 @@ def test_criterion_03_two_branch_existence():
 PLANE_GAP = 1e-12
 
 
-def test_criterion_04_planarity():
+def test_criterion_04_planarity(branch_roots):
     # both roots of every third cell of criterion 03's grid, polished by the
-    # brute-force oracle; each branch's alpha3 and alpha4 are fitted by
-    # least squares over (1, alpha1, alpha2)
+    # brute-force oracle (criterion 03's roots, blue then red); each
+    # branch's alpha3 and alpha4 are fitted by least squares over (1,
+    # alpha1, alpha2)
     t0 = time.perf_counter()
-    axis = np.linspace(-0.6, 0.6, 21)[::3]
+    n = len(CRITERION_03_GRID)
+    axis = CRITERION_03_GRID[::3]
     maps = [tr.color_map(axis, axis, branch, PARAMS) for branch in ("blue", "red")]
     a1g, a2g = np.meshgrid(axis, axis, indexing="ij")
     near = np.array([np.column_stack([m.alpha3.ravel(), m.alpha4.ravel()]) for m in maps])
-    oracle = BruteForceOracle(PARAMS)
+    cell_roots = branch_roots[1]
     roots = np.empty_like(near)
-    for k, (a1, a2) in enumerate(zip(a1g.ravel(), a2g.ravel())):
-        roots[:, k] = oracle.roots_near(a1, a2, near[:, k])
+    for k, cell in enumerate(i * n + j for i in range(0, n, 3) for j in range(0, n, 3)):
+        roots[:, k] = cell_roots[cell]
     # the oracle's angles are taken modulo 2 pi: move each onto the branch
     # sheet of its candidate
     roots += 2.0 * math.pi * np.rint((near - roots) / (2.0 * math.pi))

@@ -77,6 +77,7 @@ def test_colormap_rows_and_planes(tmp_path):
 
     planes = json.loads((out / "colormap_blue_planes.json").read_text())
     assert planes["alpha3_plane"]["rms"] < 1e-3
+    assert sorted(planes["alpha3_plane"]) == sorted(planes["alpha4_plane"]) == ["coeffs", "rms"]
 
 
 def test_overwrite_guard(tmp_path):
@@ -318,6 +319,19 @@ def test_bad_bias_refused_before_any_output(tmp_path, command, bias, capsys):
     assert run_cli("--out", str(out), command, "--preset", "gait1", "--bias", bias) == 2
     assert "bias" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["sub/g", "absolute"])
+def test_gaitgen_refuses_a_stem_with_a_directory(tmp_path, monkeypatch, capsys, stem):
+    # a stem with a directory part wrote into a directory that did not
+    # exist (a traceback, after making --out) or outside --out; it is
+    # refused before anything is made, here or anywhere under tmp_path
+    monkeypatch.chdir(tmp_path)
+    stem = str(tmp_path / "x") if stem == "absolute" else stem
+    assert run_cli("--out", str(tmp_path / "o"), "gaitgen", "--preset", "gait1",
+                   "--output", stem) == 2
+    assert f"--output {stem}: give a stem without a directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_gaitgen_rejects_one_zero_half_extent(tmp_path, capsys):

@@ -20,18 +20,19 @@ from tiltrotor.linearization import abc_scale
 def test_decoupler_zero_error(params, gains):
     # at the reference position, at rest, with no reference motion
     phi_r, theta_r = decoupler_core(
-        1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0,
+        1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0, 0.0,
         gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
     )
     assert phi_r == 0.0 and theta_r == 0.0
 
 
 def test_decoupler_axis_alignment(params, gains):
-    # pure x-acceleration request of 0.1 g with zero yaw -> pitch reference
+    # pure x-acceleration request of 0.1 g with zero yaw -> pitch reference;
+    # a request of a g is the position error a g / kp_xy at rest
     def request(psi, ax, ay):
         return decoupler_core(
             0.0, 0.0, 0.0, 0.0, math.sin(psi), math.cos(psi),
-            0.0, 0.0, 0.0, 0.0, ax * params.g, ay * params.g,
+            ax * params.g / gains.kp_xy, ay * params.g / gains.kp_xy, 0.0, 0.0,
             gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
         )
 
@@ -59,7 +60,7 @@ def test_decoupler_clamped(params, gains, rng):
         vx, vy = (scale * rng.uniform(-20, 20, 2)).tolist()
         psi = float(rng.uniform(-math.pi, math.pi))
         phi_r, theta_r = decoupler_core(
-            px, py, vx, vy, math.sin(psi), math.cos(psi), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            px, py, vx, vy, math.sin(psi), math.cos(psi), 0.0, 0.0, 0.0, 0.0,
             gains.kp_xy, gains.kd_xy, clamp, params.g,
         )
         u = -gains.kd_xy * np.array([vx, vy]) - gains.kp_xy * np.array([px, py])
@@ -417,9 +418,8 @@ def test_solve4_decoupling_system(params, rng):
     for _ in range(200):
         phi, theta = rng.uniform(-1.2, 1.2, 2)
         alpha = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
-        d, _, det, _ = kernels.decoupling(
-            kernels.attitude_trig(phi, theta, 0.0), 0.0, 0.0, 0.0,
-            kernels.tilt_trig(alpha), params.pack,
+        d, det, _ = kernels.decoupling(
+            kernels.attitude_trig(phi, theta, 0.0), kernels.tilt_trig(alpha), params.pack,
         )
         m = np.asarray(d).reshape(4, 4)
         if np.linalg.cond(m) > 1e6:
@@ -459,13 +459,15 @@ def vehicles(draw):
 def test_factored_law_matches_the_explicit_matrix(params, eta, omega, alpha, ref, eps):
     # fl_core evaluates the law from tilt-only factors; kernels.decoupling
     # is its explicit view, Delta = blockdiag(T, 1) @ [Q; v] from the same
-    # factors, so the determinants are one value.  The ratio is checked
-    # against numpy's row norms of Delta
+    # factors, so the determinants are one value, and drift_vector forms
+    # the drift at the state.  The ratio is checked against numpy's row
+    # norms of Delta
     x = (0.3, -0.2, 0.1, 0.4, -0.1, 0.2, *eta, *omega)
     att = kernels.attitude_trig(*eta)
     tilt = kernels.tilt_trig(alpha)
     fac = tilt_factors(tilt, params.pack)
-    d, b, det, scale = kernels.decoupling(att, *omega, tilt, params.pack)
+    d, det, scale = kernels.decoupling(att, tilt, params.pack)
+    b = tr.drift_vector(tr.State.from_array(x), params)
     delta = np.asarray(d).reshape(4, 4)
     norms = np.linalg.norm(delta, axis=1).prod()
     ratio = abs(det) / norms

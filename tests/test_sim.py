@@ -50,17 +50,15 @@ def test_circular_reference_values():
     r0, r = tr.circular_reference(np.array([0.0, 5 * math.pi]))
     np.testing.assert_allclose(r0[0:3], [5.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(r0[3:6], [0.0, 0.5, 0.0], atol=1e-15)
-    np.testing.assert_array_equal(r0[6:9], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(r[0:3], [0.0, 5.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(r[3:6], [-0.5, 0.0, 0.0], atol=1e-12)
     rows = tr.circular_reference(np.linspace(0.0, 100.0, 37))
-    assert rows.shape == (37, 9)
+    assert rows.shape == (37, 6)
     for rr in rows:
         pos, vel = rr[0:3], rr[3:6]
         assert abs(np.linalg.norm(pos) - 5.0) < 1e-12
         # counter-clockwise: the velocity is the position turned by +90 degrees
         np.testing.assert_allclose(vel, 0.1 * np.array([-pos[1], pos[0], 0.0]), atol=1e-12)
-    np.testing.assert_array_equal(rows[:, 6:9], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def test_run_tracking_matches_public_composition(gains, gait1, band):
         x = state.as_array().tolist()
         phi_ref, theta_ref = decoupler_core(
             x[0], x[1], x[3], x[4], math.sin(x[8]), math.cos(x[8]),
-            *ref[0:2].tolist(), *ref[3:5].tolist(), *ref[6:8].tolist(),
+            *ref[0:2].tolist(), *ref[3:5].tolist(),
             gains.kp_xy, gains.kd_xy, gains.clamp, params.g,
         )
         out = tr.fl_inner_loop(state, alpha, InnerRefs(value=[phi_ref, theta_ref, 0.0, 0.0]),
@@ -630,8 +628,8 @@ def test_public_matrix_is_the_loops_law(params, gains, gait1_run):
         rows = sorted({*range(0, len(log), 7), len(log) - 1})
         for i in rows:
             x = log.states[i].tolist()
-            _, _, det, _ = kernels.decoupling(
-                kernels.attitude_trig(*x[6:9]), *x[9:12], tuple(trig[i]), params.pack)
+            _, det, _ = kernels.decoupling(
+                kernels.attitude_trig(*x[6:9]), tuple(trig[i]), params.pack)
             assert det == log.det[i], (log.t[i], det, log.det[i])
             dm = tr.decoupling_matrix(x[6:9], log.alpha[i], params)
             assert dm.is_singular() == log.singular[i], log.t[i]

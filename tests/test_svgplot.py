@@ -27,10 +27,10 @@ def test_polyline_points_match_per_point_format(dtype):
     ys[:6] = [-2.0, 8.0, 0.0, -0.0, 0.375, 3.335]
     xs, ys = xs.astype(dtype), ys.astype(dtype)
     plot = LinePlot((-10.0, 10.0), (-2.0, 8.0))
-    plot.polyline(xs, ys, color="red", width=1.5)
+    plot.polyline(xs, ys, color="red")
     want = _points_per_scalar(plot, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
     assert plot._elements == [
-        f'<polyline points="{want}" fill="none" stroke="red" stroke-width="1.5"/>'
+        f'<polyline points="{want}" fill="none" stroke="red" stroke-width="1.2"/>'
     ]
 
 
@@ -133,3 +133,28 @@ def test_title_and_colour_are_escaped(tmp_path, color):
     root = ET.parse(tmp_path / "plot.svg").getroot()
     assert [t.text for t in root.iter(f"{SVG}text")][-1] == title
     assert [line.get("stroke") for line in root.iter(f"{SVG}polyline")] == [color]
+
+
+@pytest.mark.parametrize("text", ["a\x01b", "re\x1bd", "\ud800", "\ufffe", "\x00"],
+                         ids=["control", "escape", "surrogate", "non-character", "nul"])
+def test_text_xml_cannot_carry_is_refused(text):
+    # each character outside XML 1.0's Char production: a file holding it
+    # would not parse, and a lone surrogate would not even encode
+    with pytest.raises(ValueError, match="title .* holds a character that XML 1.0 cannot carry"):
+        LinePlot((0, 1), (0, 1), title=text)
+    plot = LinePlot((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="color .* holds a character that XML 1.0 cannot carry"):
+        plot.polyline([0, 1], [0, 1], color=text)
+    assert plot._elements == []
+
+
+def test_text_xml_can_carry_parses(tmp_path):
+    # tab, newlines and characters from every range the Char production
+    # allows, up to its bounds, reach the file and parse back
+    title = "a\tb\nc\x20\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    plot = LinePlot((0, 1), (0, 1), title=title)
+    plot.polyline([0, 1], [0, 1], color="\U0001f600")
+    plot.save(tmp_path / "plot.svg")
+    root = ET.parse(tmp_path / "plot.svg").getroot()
+    assert [t.text for t in root.iter(f"{SVG}text")][-1] == title
+    assert [line.get("stroke") for line in root.iter(f"{SVG}polyline")] == ["\U0001f600"]
